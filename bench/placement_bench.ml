@@ -217,12 +217,16 @@ type tree_result = {
   t_solver_ms : float;
   t_overhead_pct : float;
   t_objective : float;
+  t_rows : int;  (* encoded ILP size and one bare solve's pivots *)
+  t_cols : int;
+  t_pivots : int;
 }
 
 (* every leaf a copy of the spec's node tier, the unbudgeted server at
    the hub — the testbed's single-hop routing star.  No tier pins, so
-   supernode contraction still applies and the extra tiers cost only
-   level variables. *)
+   supernode contraction still applies, and since every operator
+   descends from a source on leaf 0 the encoder drops leaves 1.. as
+   unreachable: the star encodes the two-tier chain's ILP. *)
 let star_placement ~n_leaves (spec : Wishbone.Spec.t) =
   let n = Array.length spec.Wishbone.Spec.cpu in
   let topo =
@@ -338,12 +342,18 @@ let bench_tree ~name ~reps ?rate pl =
   let overhead_pct =
     100. *. (total_ms -. solver_ms) /. Float.max 1e-9 total_ms
   in
+  let rows = Lp.Problem.n_constrs enc.Wishbone.Placement.problem
+  and cols = Lp.Problem.n_vars enc.Wishbone.Placement.problem in
+  let pivots =
+    (snd (Lp.Branch_bound.solve enc.Wishbone.Placement.problem))
+      .Lp.Branch_bound.total_pivots
+  in
   Bench_util.row
     "%-14s x%.4f  %2d tiers  %8.3f ms/solve  (solver floor %8.3f ms)  \
-     overhead %5.1f%%\n"
+     overhead %5.1f%%  %dx%d, %d pivots\n"
     name rate
     (Wishbone.Placement.n_tiers pl)
-    total_ms solver_ms overhead_pct;
+    total_ms solver_ms overhead_pct rows cols pivots;
   {
     t_name = name;
     t_n_tiers = Wishbone.Placement.n_tiers pl;
@@ -354,6 +364,9 @@ let bench_tree ~name ~reps ?rate pl =
     t_solver_ms = solver_ms;
     t_overhead_pct = overhead_pct;
     t_objective = objective;
+    t_rows = rows;
+    t_cols = cols;
+    t_pivots = pivots;
   }
 
 let write_json insts (chain : chain_result) trees =
@@ -389,9 +402,11 @@ let write_json insts (chain : chain_result) trees =
     Printf.sprintf
       "    {\"name\": \"%s\", \"n_tiers\": %d, \"n_super\": %d, \"rate\": \
        %.6f, \"reps\": %d, \"total_ms\": %.4f, \"solver_ms\": %.4f, \
-       \"overhead_pct\": %.2f, \"objective\": %.6f, \"guard_ok\": %b}"
+       \"overhead_pct\": %.2f, \"objective\": %.6f, \"rows\": %d, \
+       \"cols\": %d, \"pivots\": %d, \"guard_ok\": %b}"
       r.t_name r.t_n_tiers r.t_n_super r.t_rate r.t_reps r.t_total_ms
-      r.t_solver_ms r.t_overhead_pct r.t_objective (tree_guard r)
+      r.t_solver_ms r.t_overhead_pct r.t_objective r.t_rows r.t_cols
+      r.t_pivots (tree_guard r)
   in
   Printf.fprintf oc
     "{\n\
@@ -550,18 +565,42 @@ let smoke_tree () =
   | Wishbone.Placement.No_feasible_partition -> ()
   | _ -> check "Y infeasible at shared budget 4.9" false);
   (* speech on the 20-mote routing star: the placement must reproduce
-     the two-tier optimum with the whole cut on mote 0's uplink *)
+     the two-tier optimum with the whole cut on mote 0's uplink.  Motes
+     1-19 hold no source, so the star must encode and solve exactly the
+     two-tier ILP: the same rows, columns and pivots, counters no
+     machine can move *)
   let spec =
     Wishbone.Spec.scale_rate
       (Bench_util.spec_exn ~platform:Profiler.Platform.tmote_sky
          (Lazy.force Bench_util.speech_profile))
       0.05
   in
+  let star = star_placement ~n_leaves:20 spec
+  and chain = Wishbone.Placement.of_spec spec in
+  let size pl =
+    let enc =
+      Wishbone.Placement.encode Wishbone.Placement.Restricted pl
+        (Wishbone.Preprocess.contract spec)
+    in
+    ( Lp.Problem.n_constrs enc.Wishbone.Placement.problem,
+      Lp.Problem.n_vars enc.Wishbone.Placement.problem )
+  in
+  let (star_rows, star_cols), (rows, cols) = (size star, size chain) in
+  check
+    (Printf.sprintf "star encodes the chain's %dx%d ILP (got %dx%d)" rows cols
+       star_rows star_cols)
+    (star_rows = rows && star_cols = cols);
   (match
-     ( Wishbone.Placement.solve (star_placement ~n_leaves:20 spec),
-       Wishbone.Placement.solve (Wishbone.Placement.of_spec spec) )
+     (Wishbone.Placement.solve star, Wishbone.Placement.solve chain)
    with
   | Wishbone.Placement.Partitioned s, Wishbone.Placement.Partitioned two ->
+      let pivots (r : Wishbone.Placement.report) =
+        r.Wishbone.Placement.solver.Lp.Branch_bound.total_pivots
+      in
+      check
+        (Printf.sprintf "star solves in the chain's %d pivots (got %d)"
+           (pivots two) (pivots s))
+        (pivots s = pivots two);
       check "star objective = two-tier objective"
         (feq s.Wishbone.Placement.objective two.Wishbone.Placement.objective);
       check "cut rides mote 0's uplink"
@@ -573,4 +612,6 @@ let smoke_tree () =
   | _ -> check "testbed star solve" false);
   Bench_util.row
     "tree smoke ok: Y optimum 9.5 with binding shared uplink, infeasible \
-     at 4.9; 21-tier testbed star matches the two-tier optimum\n"
+     at 4.9; 21-tier testbed star matches the two-tier optimum and \
+     encodes its %dx%d ILP\n"
+    rows cols

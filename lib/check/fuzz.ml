@@ -109,7 +109,7 @@ let safe_fails check x =
   match check x with Oracle.Pass -> false | Oracle.Fail _ -> true
   | exception _ -> false
 
-let run_case cfg oracle ~case =
+let run_case ?pruned cfg oracle ~case =
   let cs = case_seed ~seed:cfg.seed ~oracle ~case in
   let gen_rng = Prng.create cs in
   (* the oracle's own randomness is re-derivable, so the shrink
@@ -253,7 +253,7 @@ let run_case cfg oracle ~case =
          re-derive from the case seed, so the shrink predicate stays a
          pure function of the spec *)
       let check s = Oracle.tree_equivalence (chk ()) s in
-      match check s with
+      match Oracle.tree_equivalence ?pruned (chk ()) s with
       | Oracle.Pass -> None
       | Oracle.Fail msg ->
           let small =
@@ -297,13 +297,17 @@ let run ?(out = null_formatter) cfg =
       if cfg.verbose then
         Format.fprintf out "fuzz: %s, %d cases from %d@."
           (oracle_name oracle) cfg.count cfg.start;
+      let pruned = ref 0 in
       for case = cfg.start to cfg.start + cfg.count - 1 do
         incr cases_run;
-        match run_case cfg oracle ~case with
+        match run_case ~pruned cfg oracle ~case with
         | None -> ()
         | Some f ->
             failures := f :: !failures;
             Format.fprintf out "%a@." pp_failure f
-      done)
+      done;
+      if cfg.verbose && oracle = Tree_equivalence then
+        Format.fprintf out "fuzz: %s, %d of %d cases pruned a tier@."
+          (oracle_name oracle) !pruned cfg.count)
     cfg.oracles;
   { cases_run = !cases_run; failures = List.rev !failures }

@@ -774,7 +774,7 @@ let tree_brute_force (pl : Wishbone.Placement.t) ~contracted ~monotone =
   enum 0;
   !best
 
-let tree_equivalence rng (spec : Wishbone.Spec.t) =
+let tree_equivalence ?pruned rng (spec : Wishbone.Spec.t) =
   let n_movable =
     Array.fold_left
       (fun acc p -> if p = Wishbone.Movable.Movable then acc + 1 else acc)
@@ -850,7 +850,40 @@ let tree_equivalence rng (spec : Wishbone.Spec.t) =
       end
       else []
     in
+    (* sometimes move the node-pinned sources onto random leaves, so
+       live subtrees (holding a source) mix with pruned ones *)
+    let pins =
+      if Prng.bool rng 0.4 then begin
+        let leaves =
+          Array.of_list
+            (List.filter
+               (fun tp -> P.Topology.children topo tp = [])
+               (List.init n_tiers Fun.id))
+        in
+        List.filter_map
+          (fun i ->
+            if
+              spec.placement.(i) = Wishbone.Movable.Pin_node
+              && Graph.in_degree spec.graph i = 0
+            then Some (i, leaves.(Prng.int rng (Array.length leaves)))
+            else None)
+          (List.init n Fun.id)
+        @ pins
+      end
+      else pins
+    in
     let pl = P.v ~topology:topo ~pins ~spec ~tiers ~links () in
+    (* did the restricted encoding drop a tier no operator can reach? *)
+    (match pruned with
+    | None -> ()
+    | Some count ->
+        let c =
+          if pins = [] then Wishbone.Preprocess.contract spec
+          else Wishbone.Preprocess.identity spec
+        in
+        let enc = P.encode P.Restricted pl c in
+        if Array.exists (Array.exists (fun v -> v < 0)) enc.P.level_var then
+          incr count);
     let check ~encoding ~monotone label =
       (* enumerate the same space the solve uses: contraction under
          Restricted with no tier pins, the full graph otherwise *)

@@ -98,12 +98,14 @@ val degraded_soundness : Prng.t -> Wishbone.Spec.t -> outcome
     [Failed] (budget exhausted, no incumbent) is inconclusive.  Specs
     with more than 16 movable operators pass trivially. *)
 
-val tree_equivalence : Prng.t -> Wishbone.Spec.t -> outcome
+val tree_equivalence : ?pruned:int ref -> Prng.t -> Wishbone.Spec.t -> outcome
 (** The tree-topology placement core against a brute-force enumerator
     over per-path cuts.  A random rooted tier tree (3–5 tiers,
     topological parent numbering), random middle platforms (cheaper
-    per-op CPU, random budgets), per-uplink budgets/weights, and an
-    occasional tier pin are built over the spec; [Placement.solve]
+    per-op CPU, random budgets), per-uplink budgets/weights, an
+    occasional tier pin, and sometimes the node-pinned sources
+    tier-pinned onto random leaves (so live and pruned subtrees mix)
+    are built over the spec; [Placement.solve]
     under both encodings must agree on feasibility and optimal
     objective with an exhaustive enumeration over the same supernode
     space (contracted under [Restricted] with no pins, the full graph
@@ -115,7 +117,9 @@ val tree_equivalence : Prng.t -> Wishbone.Spec.t -> outcome
     [[|1;2;-1|]] must encode the {e identical} ILP (variables, rows,
     names, objective) as the implicit-chain constructor.  Specs with
     more than 7 movable operators or 10 supernodes pass trivially, as
-    do solves that exhaust the branch-and-bound budget. *)
+    do solves that exhaust the branch-and-bound budget.  [pruned] is
+    incremented when the restricted encoding of the generated instance
+    drops a tier no operator can reach. *)
 
 val split_equivalence : Prng.t -> Wishbone.Spec.t -> outcome
 (** Execute the same injected samples through {!Runtime.Exec.full} and

@@ -185,6 +185,51 @@ type encoded = {
    region with far better-conditioned rows. *)
 let clamp budget costs = Float.min budget (Array.fold_left ( +. ) 1. costs)
 
+(* Tiers some operator can reach (DESIGN.md §18, "Unreachable tiers").
+   Under [Restricted] every edge forces d_k(u) >= d_k(v), so a supernode
+   downstream of one pinned to tier p has d_k = 0 off p's root path.
+   When every supernode is pinned or downstream of a pin, only the root
+   paths of tier 0 and of the pin tiers can hold an operator; every
+   other d_k is 0 at each LP-feasible point and is dropped.  A negative
+   budget keeps every tier: its row [0 <= budget] is what makes such an
+   instance infeasible. *)
+let live_tiers encoding (t : t) (c : Preprocess.contracted) pin_tier =
+  let topo = t.topology in
+  let n_tiers = Array.length t.tiers in
+  let anchored = Array.map Option.is_some pin_tier in
+  let succs = Array.make c.Preprocess.n_super [] in
+  Array.iter (fun (u, v, _) -> succs.(u) <- v :: succs.(u)) c.Preprocess.edges;
+  let rec anchor s =
+    List.iter
+      (fun v ->
+        if not anchored.(v) then begin
+          anchored.(v) <- true;
+          anchor v
+        end)
+      succs.(s)
+  in
+  Array.iteri (fun s pin -> if Option.is_some pin then anchor s) pin_tier;
+  let negative_budget =
+    Array.exists (fun (tier : tier) -> tier.cpu_budget < 0.) t.tiers
+    || Array.exists (fun (l : link) -> l.net_budget < 0.) t.links
+  in
+  if
+    encoding = General || negative_budget
+    || not (Array.for_all Fun.id anchored)
+  then Array.make n_tiers true
+  else begin
+    let live = Array.make n_tiers false in
+    let rec mark k =
+      if k >= 0 && not live.(k) then begin
+        live.(k) <- true;
+        mark (Topology.parent topo k)
+      end
+    in
+    mark 0;
+    Array.iter (Option.iter mark) pin_tier;
+    live
+  end
+
 let encode ?(resources = []) encoding t (c : Preprocess.contracted) =
   let n_tiers = Array.length t.tiers in
   let levels = n_tiers - 1 in
@@ -228,34 +273,43 @@ let encode ?(resources = []) encoding t (c : Preprocess.contracted) =
           None members)
       c.Preprocess.members
   in
+  let pin_tier =
+    Array.mapi
+      (fun s pin ->
+        match (pin, c.Preprocess.placement.(s)) with
+        | Some tp, _ -> Some tp
+        | None, Movable.Pin_node -> Some 0
+        | None, Movable.Pin_server -> Some root
+        | None, Movable.Movable -> None)
+      pin_of_super
+  in
+  let live = live_tiers encoding t c pin_tier in
+  let live_children =
+    Array.init n_tiers (fun tp ->
+        List.filter (fun ch -> live.(ch)) (Topology.children topo tp))
+  in
   (* level binaries d_k(s): "[s] sits in the subtree below tree edge k"
-     (for a chain: tier(s) <= k, the historical meaning), k-major;
-     pinning via bounds, eq. (1) — a pinned supernode fixes d_k = 1 on
-     its tier's root path and 0 elsewhere *)
+     (for a chain: tier(s) <= k, the historical meaning), k-major, for
+     live tiers only (-1 marks a pruned tier's entries); pinning via
+     bounds, eq. (1) — a pinned supernode fixes d_k = 1 on its tier's
+     root path and 0 elsewhere *)
   let bounds s k =
-    let pin_tier =
-      match pin_of_super.(s) with
-      | Some tp -> Some tp
-      | None -> (
-          match c.Preprocess.placement.(s) with
-          | Movable.Pin_node -> Some 0
-          | Movable.Pin_server -> Some root
-          | Movable.Movable -> None)
-    in
-    match pin_tier with
+    match pin_tier.(s) with
     | Some tp -> if Topology.on_root_path topo k tp then (1., 1.) else (0., 0.)
     | None -> (0., 1.)
   in
   let level_var =
     Array.init levels (fun k ->
         Array.init c.Preprocess.n_super (fun s ->
-            let lo, hi = bounds s k in
-            Lp.Problem.add_var
-              ~name:(Printf.sprintf "d%d_%d" k s)
-              ~lo ~hi ~integer:true p))
+            if not live.(k) then -1
+            else
+              let lo, hi = bounds s k in
+              Lp.Problem.add_var
+                ~name:(Printf.sprintf "d%d_%d" k s)
+                ~lo ~hi ~integer:true p))
   in
   (* objective coefficients accumulate per level variable *)
-  let obj = Array.make (levels * c.Preprocess.n_super) 0. in
+  let obj = Array.make (Lp.Problem.n_vars p) 0. in
   (* tier p's occupancy is d_uplink(p) - sum_children(p) d_c (the root
      has an implicit uplink fixed at 1; for a chain: d_p - d_(p-1));
      its alpha-weighted CPU load lands on those variables.  The root
@@ -265,7 +319,7 @@ let encode ?(resources = []) encoding t (c : Preprocess.contracted) =
      tier 0, making the encoded objective exactly eq. (5). *)
   for tp = 0 to n_tiers - 1 do
     let a = t.tiers.(tp).alpha in
-    if a <> 0. then
+    if a <> 0. && live.(tp) then
       Array.iteri
         (fun s cost ->
           if tp <> root then
@@ -274,7 +328,7 @@ let encode ?(resources = []) encoding t (c : Preprocess.contracted) =
             (fun ch ->
               obj.(level_var.(ch).(s)) <-
                 obj.(level_var.(ch).(s)) -. (a *. cost))
-            (Topology.children topo tp))
+            live_children.(tp))
         super_cpu.(tp)
   done;
   (* subtree consistency: membership below a tier's uplink dominates
@@ -282,11 +336,11 @@ let encode ?(resources = []) encoding t (c : Preprocess.contracted) =
      d_uplink(p) - sum_children(p) d_c >= 0 (the child subtrees are
      disjoint, so the sum also enforces "at most one").  For a chain
      this is exactly the historical level ordering d_k <= d_(k+1)
-     (vacuous with two tiers); a multi-child root gets the same
-     disjointness as sum_children(root) d_c <= 1. *)
+     (vacuous with two tiers); a root with several live children gets
+     the same disjointness as sum_children(root) d_c <= 1. *)
   for s = 0 to c.Preprocess.n_super - 1 do
     for tp = 1 to n_tiers - 2 do
-      match Topology.children topo tp with
+      match live_children.(tp) with
       | [] -> ()
       | chs ->
           Lp.Problem.add_constr p
@@ -294,57 +348,40 @@ let encode ?(resources = []) encoding t (c : Preprocess.contracted) =
             :: List.map (fun ch -> (level_var.(ch).(s), -1.)) chs)
             Lp.Problem.Ge 0.
     done;
-    match Topology.children topo root with
+    match live_children.(root) with
     | [] | [ _ ] -> ()
     | chs ->
         Lp.Problem.add_constr p
           (List.map (fun ch -> (level_var.(ch).(s), 1.)) chs)
           Lp.Problem.Le 1.
   done;
-  (* budgeted tier CPU rows, eq. (2) per tier: occupancy of tier p is
-     d_uplink(p) - sum_children(p) d_c, root occupancy is
+  (* budgeted tier CPU rows, eq. (2) per live tier: occupancy of tier p
+     is d_uplink(p) - sum_children(p) d_c (d_uplink alone for a leaf,
+     tier 0 of a chain being the historical case), root occupancy is
      1 - sum_children(root) d_c *)
   for tp = 0 to n_tiers - 1 do
     let budget = t.tiers.(tp).cpu_budget in
-    if Float.is_finite budget then begin
+    if Float.is_finite budget && live.(tp) then begin
       let name = Printf.sprintf "cpu_%s" t.tiers.(tp).tname in
+      let children_terms s cost =
+        List.map (fun ch -> (level_var.(ch).(s), -.cost)) live_children.(tp)
+      in
       if tp = root then
+        Lp.Problem.add_constr ~name p
+          (List.concat
+             (Array.to_list (Array.mapi children_terms super_cpu.(tp))))
+          Lp.Problem.Le
+          (budget -. Array.fold_left ( +. ) 0. super_cpu.(tp))
+      else
         Lp.Problem.add_constr ~name p
           (List.concat
              (Array.to_list
                 (Array.mapi
                    (fun s cost ->
-                     List.map
-                       (fun ch -> (level_var.(ch).(s), -.cost))
-                       (Topology.children topo root))
+                     (level_var.(tp).(s), cost) :: children_terms s cost)
                    super_cpu.(tp))))
           Lp.Problem.Le
-          (budget -. Array.fold_left ( +. ) 0. super_cpu.(tp))
-      else
-        match Topology.children topo tp with
-        | [] ->
-            (* leaf tier: occupancy is d_uplink alone (tier 0 of a
-               chain is the historical case) *)
-            Lp.Problem.add_constr ~name p
-              (Array.to_list
-                 (Array.mapi
-                    (fun s cost -> (level_var.(tp).(s), cost))
-                    super_cpu.(tp)))
-              Lp.Problem.Le
-              (clamp budget super_cpu.(tp))
-        | chs ->
-            Lp.Problem.add_constr ~name p
-              (List.concat
-                 (Array.to_list
-                    (Array.mapi
-                       (fun s cost ->
-                         (level_var.(tp).(s), cost)
-                         :: List.map
-                              (fun ch -> (level_var.(ch).(s), -.cost))
-                              chs)
-                       super_cpu.(tp))))
-              Lp.Problem.Le
-              (clamp budget super_cpu.(tp))
+          (clamp budget super_cpu.(tp))
     end
   done;
   (* per-edge rows; link k is crossed when d_k differs across the edge *)
@@ -352,23 +389,25 @@ let encode ?(resources = []) encoding t (c : Preprocess.contracted) =
   let edge_vars = ref [] in
   (match encoding with
   | Restricted ->
-      (* eq. (6) per level: d_k(u) >= d_k(v); eq. (7): each link's load
-         telescopes to sum r (d_k(u) - d_k(v)) *)
+      (* eq. (6) per live level: d_k(u) >= d_k(v); eq. (7): each link's
+         load telescopes to sum r (d_k(u) - d_k(v)) *)
       Array.iter
         (fun (u, v, r) ->
           for k = 0 to levels - 1 do
-            Lp.Problem.add_constr
-              ~name:(Printf.sprintf "dir%d_%d_%d" k u v)
-              p
-              [ (level_var.(k).(u), 1.); (level_var.(k).(v), -1.) ]
-              Lp.Problem.Ge 0.;
-            let b = t.links.(k).beta in
-            obj.(level_var.(k).(u)) <- obj.(level_var.(k).(u)) +. (b *. r);
-            obj.(level_var.(k).(v)) <- obj.(level_var.(k).(v)) -. (b *. r);
-            net_terms.(k) <-
-              (level_var.(k).(u), r)
-              :: (level_var.(k).(v), -.r)
-              :: net_terms.(k)
+            if live.(k) then begin
+              Lp.Problem.add_constr
+                ~name:(Printf.sprintf "dir%d_%d_%d" k u v)
+                p
+                [ (level_var.(k).(u), 1.); (level_var.(k).(v), -1.) ]
+                Lp.Problem.Ge 0.;
+              let b = t.links.(k).beta in
+              obj.(level_var.(k).(u)) <- obj.(level_var.(k).(u)) +. (b *. r);
+              obj.(level_var.(k).(v)) <- obj.(level_var.(k).(v)) -. (b *. r);
+              net_terms.(k) <-
+                (level_var.(k).(u), r)
+                :: (level_var.(k).(v), -.r)
+                :: net_terms.(k)
+            end
           done)
         c.Preprocess.edges
   | General ->
@@ -392,9 +431,9 @@ let encode ?(resources = []) encoding t (c : Preprocess.contracted) =
             net_terms.(k) <- (e, r) :: (e', r) :: net_terms.(k)
           done)
         c.Preprocess.edges);
-  (* link bandwidth rows, eq. (4) per link *)
+  (* link bandwidth rows, eq. (4) per live link *)
   for k = 0 to levels - 1 do
-    if Float.is_finite t.links.(k).net_budget then
+    if Float.is_finite t.links.(k).net_budget && live.(k) then
       Lp.Problem.add_constr
         ~name:(Printf.sprintf "net_%s" t.links.(k).lname)
         p net_terms.(k) Lp.Problem.Le
@@ -450,15 +489,19 @@ let encode ?(resources = []) encoding t (c : Preprocess.contracted) =
     topology = topo;
   }
 
+(* the value of d_k(s) in [x]; a pruned tier's d_k is 0 *)
+let level_value enc x k s =
+  let var = enc.level_var.(k).(s) in
+  if var < 0 then 0. else x.(var)
+
 let super_tiers enc (c : Preprocess.contracted) (sol : Lp.Solution.t) =
   let levels = Array.length enc.level_var in
+  let set k s = level_value enc sol.Lp.Solution.x k s >= 0.5 in
   if Topology.is_chain enc.topology then
     (* the historical chain decode: smallest k with d_k set *)
     Array.init c.Preprocess.n_super (fun s ->
         let rec find k =
-          if k >= levels then levels
-          else if sol.Lp.Solution.x.(enc.level_var.(k).(s)) >= 0.5 then k
-          else find (k + 1)
+          if k >= levels then levels else if set k s then k else find (k + 1)
         in
         find 0)
   else
@@ -467,8 +510,7 @@ let super_tiers enc (c : Preprocess.contracted) (sol : Lp.Solution.t) =
     Array.init c.Preprocess.n_super (fun s ->
         let rec descend tier =
           match
-            List.find_opt
-              (fun ch -> sol.Lp.Solution.x.(enc.level_var.(ch).(s)) >= 0.5)
+            List.find_opt (fun ch -> set ch s)
               (Topology.children enc.topology tier)
           with
           | Some ch -> descend ch
@@ -498,8 +540,9 @@ let initial_point enc (c : Preprocess.contracted) (tier_of : int array) =
               consistent := false
             else
               for k = 0 to levels - 1 do
-                if Topology.on_root_path enc.topology k tier then
-                  x.(enc.level_var.(k).(s)) <- 1.
+                let var = enc.level_var.(k).(s) in
+                if var >= 0 && Topology.on_root_path enc.topology k tier then
+                  x.(var) <- 1.
               done)
       c.Preprocess.members;
     if not !consistent then None
@@ -507,8 +550,7 @@ let initial_point enc (c : Preprocess.contracted) (tier_of : int array) =
       (* general encoding: crossing variables at their minimal values *)
       Array.iter
         (fun (k, u, v, e, e') ->
-          let du = x.(enc.level_var.(k).(u))
-          and dv = x.(enc.level_var.(k).(v)) in
+          let du = level_value enc x k u and dv = level_value enc x k v in
           x.(e) <- Float.max 0. (dv -. du);
           x.(e') <- Float.max 0. (du -. dv))
         enc.edge_vars;
@@ -625,14 +667,23 @@ let solve ?(encoding = Restricted) ?(preprocess = true) ?options
     else Preprocess.identity t.spec
   in
   let enc = encode ~resources encoding t c in
-  let initial = Option.bind initial (fun a -> initial_point enc c a) in
+  let require_monotone = encoding = Restricted in
+  (* a warm hint must never change the answer: branch & bound accepts
+     an incumbent within a 1e-5 row tolerance, so a seed that overshoots
+     a budget here (the optimum of a lower rate, say) could undercut the
+     true optimum and prune it away *)
+  let initial =
+    Option.bind initial (fun tier_of ->
+        match initial_point enc c tier_of with
+        | Some x when feasible ~require_monotone t ~tier_of -> Some x
+        | _ -> None)
+  in
   let status, solver_stats =
     Lp.Branch_bound.solve ?options ?initial ?root_basis enc.problem
   in
   match status with
   | Lp.Solution.Optimal sol ->
       let tier_of = tiers_of_solution enc c sol in
-      let require_monotone = encoding = Restricted in
       if not (feasible ~require_monotone t ~tier_of) then
         Solver_failure
           "internal error: ILP solution violates the original constraints"

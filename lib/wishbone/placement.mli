@@ -148,7 +148,9 @@ val scale_rate : t -> float -> t
 type encoded = {
   problem : Lp.Problem.t;
   level_var : int array array;
-      (** [level_var.(k).(s)]: the [d_k] binary of supernode [s] *)
+      (** [level_var.(k).(s)]: the [d_k] binary of supernode [s], or
+          [-1] for every [s] when tier [k] was pruned as unreachable
+          (see {!encode}); such a [d_k] is 0 *)
   edge_vars : (int * int * int * int * int) array;
       (** [General] only: (link, src supernode, dst supernode, e, e')
           crossing-variable pairs; empty for [Restricted] *)
@@ -166,6 +168,15 @@ val encode :
     With two tiers this reproduces the historical {!Ilp.encode}
     problem exactly — same variables, same constraints, same
     objective, in the same order.
+
+    Under [Restricted], when every supernode is pinned or downstream
+    of a pinned one and no budget is negative, only {e live} tiers are
+    encoded: the tiers on the root path of tier 0 or of some
+    supernode's pin tier.  No operator can sit anywhere else, because
+    eq. (6) forces [d_k(v) <= d_k(u)] along every edge, so the dropped
+    variables are 0 at every LP-feasible point and the relaxation,
+    optimum and feasibility are unchanged (DESIGN.md §18).  A chain
+    keeps every tier; [General] never prunes.
     @raise Invalid_argument when a resource array has the wrong
     length. *)
 
@@ -233,8 +244,11 @@ val solve :
     encode, branch & bound, verify the returned assignment against
     {!feasible}, and expand to original operators.  [initial] (a
     per-original-operator tier assignment) seeds the incumbent and
-    [root_basis] warm-starts the root relaxation — the PR 1 machinery,
-    unchanged.
+    [root_basis] warm-starts the root relaxation — the PR 1 machinery.
+    Both are hints that change work, not answers: an [initial] that
+    fails {!feasible} on [t] is dropped, since branch & bound would
+    accept it within its row tolerance and could prune the true
+    optimum.
 
     [options] also selects the LP engine and parallelism
     ({!Lp.Branch_bound.options.solver} / [workers]): by default eeg-scale

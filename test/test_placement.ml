@@ -654,10 +654,32 @@ let test_chain_tree_byte_identical () =
 
 (* ---- the 20-mote testbed as a routing star ------------------------- *)
 
-let test_testbed_star () =
-  let topo =
-    Placement.Topology.of_parents (Netsim.Testbed.routing_parents ~n_nodes:20)
+let testbed_topology () =
+  Placement.Topology.of_parents (Netsim.Testbed.routing_parents ~n_nodes:20)
+
+(* [spec] deployed on the 20-mote star: every mote a copy of the spec's
+   node tier, the unbudgeted basestation at the root *)
+let testbed_star spec =
+  let n_ops = Array.length spec.Spec.cpu in
+  let mote k =
+    { Placement.tname = Printf.sprintf "mote%d" k; cpu = spec.Spec.cpu;
+      cpu_budget = spec.Spec.cpu_budget; alpha = spec.Spec.alpha }
   in
+  Placement.v ~topology:(testbed_topology ()) ~spec
+    ~tiers:
+      (List.init 21 (fun k ->
+           if k = 20 then
+             { Placement.tname = "base"; cpu = Array.make n_ops 0.;
+               cpu_budget = infinity; alpha = 0. }
+           else mote k))
+    ~links:
+      (List.init 20 (fun k ->
+           { Placement.lname = Printf.sprintf "radio%d" k;
+             net_budget = spec.Spec.net_budget; beta = spec.Spec.beta }))
+    ()
+
+let test_testbed_star () =
+  let topo = testbed_topology () in
   Alcotest.(check int) "21 tiers" 21 (Placement.Topology.n_tiers topo);
   Alcotest.(check int) "the basestation is the root" 20
     (Placement.Topology.root topo);
@@ -674,25 +696,7 @@ let test_testbed_star () =
      mote idles, so the solve must reproduce the two-tier optimum with
      the whole cut on mote 0's uplink *)
   let spec = Apps.Synthetic.fig3_spec ~cpu_budget:4. in
-  let n_ops = Array.length spec.Spec.cpu in
-  let mote k =
-    { Placement.tname = Printf.sprintf "mote%d" k; cpu = spec.Spec.cpu;
-      cpu_budget = spec.Spec.cpu_budget; alpha = spec.Spec.alpha }
-  in
-  let star =
-    Placement.v ~topology:topo ~spec
-      ~tiers:
-        (List.init 21 (fun k ->
-             if k = 20 then
-               { Placement.tname = "base"; cpu = Array.make n_ops 0.;
-                 cpu_budget = infinity; alpha = 0. }
-             else mote k))
-      ~links:
-        (List.init 20 (fun k ->
-             { Placement.lname = Printf.sprintf "radio%d" k;
-               net_budget = spec.Spec.net_budget; beta = spec.Spec.beta }))
-      ()
-  in
+  let star = testbed_star spec in
   match (Placement.solve star, Placement.solve (Placement.of_spec spec)) with
   | Placement.Partitioned s, Placement.Partitioned two ->
       feq "star objective = two-tier objective" two.Placement.objective
@@ -717,6 +721,138 @@ let test_testbed_star () =
       feq "mapped split co-optimal on two tiers" two.Placement.objective
         (Placement.objective_value two_t ~tier_of:mapped)
   | _ -> Alcotest.fail "testbed star solve failed"
+
+(* ---- tiers no operator can reach ---------------------------------- *)
+
+(* the restricted encoding over the contraction [Placement.solve] uses:
+   tier pins bypass contraction *)
+let encode_as_solved (t : Placement.t) =
+  let c =
+    if Array.for_all Option.is_none t.Placement.tier_pins then
+      Preprocess.contract t.Placement.spec
+    else Preprocess.identity t.Placement.spec
+  in
+  Placement.encode Placement.Restricted t c
+
+let size (enc : Placement.encoded) =
+  let p = enc.Placement.problem in
+  (Lp.Problem.n_constrs p, Lp.Problem.n_vars p)
+
+(* tiers whose level variables were dropped ([-1] entries) *)
+let pruned_tiers (enc : Placement.encoded) =
+  List.filter
+    (fun k -> Array.exists (fun v -> v < 0) enc.Placement.level_var.(k))
+    (List.init (Array.length enc.Placement.level_var) Fun.id)
+
+let solved what t =
+  match Placement.solve t with
+  | Placement.Partitioned r -> r
+  | _ -> Alcotest.failf "%s: expected a partition" what
+
+let same_solver_work (a : Placement.report) (b : Placement.report) =
+  Alcotest.(check int) "same branch & bound nodes"
+    a.Placement.solver.Lp.Branch_bound.nodes_explored
+    b.Placement.solver.Lp.Branch_bound.nodes_explored;
+  Alcotest.(check int) "same pivots"
+    a.Placement.solver.Lp.Branch_bound.total_pivots
+    b.Placement.solver.Lp.Branch_bound.total_pivots;
+  feq "same objective" a.Placement.objective b.Placement.objective
+
+(* every fig3 operator descends from a source pinned to mote 0, so motes
+   1-19 are unreachable and the star encodes the two-tier chain's LP *)
+let test_star_encodes_the_chain () =
+  let spec = Apps.Synthetic.fig3_spec ~cpu_budget:4. in
+  let star = testbed_star spec and chain = Placement.of_spec spec in
+  let enc = encode_as_solved star in
+  Alcotest.(check (list int)) "motes 1-19 pruned" (List.init 19 succ)
+    (pruned_tiers enc);
+  Alcotest.(check (pair int int)) "the chain's rows and columns"
+    (size (encode_as_solved chain)) (size enc);
+  same_solver_work (solved "chain" chain) (solved "star" star)
+
+(* srcA sits on leafA and srcB is tier-pinned onto leafB: both leaves
+   hold a source, so every tier stays *)
+let test_y_keeps_every_tier () =
+  let enc = encode_as_solved (y_placement ~shared_budget:5.5) in
+  Alcotest.(check (list int)) "nothing pruned" [] (pruned_tiers enc);
+  (* 6 micro consistency + 3 CPU + 12 dir + 1 shared-uplink rows over
+     3 levels x 6 operators *)
+  Alcotest.(check (pair int int)) "rows and columns" (22, 18) (size enc)
+
+(* speech on the 7-tier binary tree: its sources sit on leaf 0, so the
+   tree reduces to the leaf0 -> meraki4 -> server path, and the solve is
+   the 3-tier chain's over the same platforms *)
+let test_binary_tree_reduces_to_a_path () =
+  let raw = Apps.Speech.profile ~duration:10. (Apps.Speech.build ()) in
+  let spec =
+    match Spec.of_profile ~node_platform:Profiler.Platform.tmote_sky raw with
+    | Ok s -> s
+    | Error m -> Alcotest.fail m
+  in
+  let n = Array.length spec.Spec.cpu in
+  let leaf k =
+    { Placement.tname = Printf.sprintf "leaf%d" k; cpu = spec.Spec.cpu;
+      cpu_budget = spec.Spec.cpu_budget; alpha = spec.Spec.alpha }
+  in
+  let meraki k =
+    let p = Profiler.Platform.meraki in
+    let costed = Profiler.Profile.cost raw p in
+    { Placement.tname = Printf.sprintf "meraki%d" k;
+      cpu = costed.Profiler.Profile.cpu_fraction;
+      cpu_budget = p.Profiler.Platform.cpu_budget; alpha = 0. }
+  in
+  let server =
+    { Placement.tname = "server"; cpu = Array.make n 0.; cpu_budget = infinity;
+      alpha = 0. }
+  in
+  let radio k =
+    { Placement.lname = Printf.sprintf "radio%d" k;
+      net_budget = spec.Spec.net_budget; beta = spec.Spec.beta }
+  in
+  let uplink k =
+    { Placement.lname = Printf.sprintf "uplink%d" k;
+      net_budget = Profiler.Platform.meraki.Profiler.Platform.radio_bytes_per_sec;
+      beta = spec.Spec.beta *. 0.3 }
+  in
+  let tree =
+    Placement.v
+      ~topology:(Placement.Topology.of_parents [| 4; 4; 5; 5; 6; 6; -1 |])
+      ~spec
+      ~tiers:[ leaf 0; leaf 1; leaf 2; leaf 3; meraki 4; meraki 5; server ]
+      ~links:[ radio 0; radio 1; radio 2; radio 3; uplink 4; uplink 5 ]
+      ()
+  and path =
+    Placement.v ~spec ~tiers:[ leaf 0; meraki 4; server ]
+      ~links:[ radio 0; uplink 4 ] ()
+  in
+  let tree = Placement.scale_rate tree 0.05
+  and path = Placement.scale_rate path 0.05 in
+  let enc = encode_as_solved tree in
+  Alcotest.(check (list int)) "leaves 1-3 and meraki5 pruned" [ 1; 2; 3; 5 ]
+    (pruned_tiers enc);
+  Alcotest.(check (pair int int)) "the path's rows and columns"
+    (size (encode_as_solved path)) (size enc);
+  let t = solved "tree" tree and p = solved "path" path in
+  same_solver_work p t;
+  Alcotest.(check (list int)) "the path's assignment on tiers 0/4/6"
+    (Array.to_list p.Placement.tier_of)
+    (Array.to_list
+       (Array.map (function 0 -> 0 | 4 -> 1 | 6 -> 2 | _ -> -1)
+          t.Placement.tier_of))
+
+(* pruning drops the rows that made a negative budget infeasible
+   (0 <= budget), so such an instance keeps every tier *)
+let test_negative_budget_stays_infeasible () =
+  let spec = Apps.Synthetic.fig3_spec ~cpu_budget:4. in
+  let star = testbed_star spec in
+  let tiers = Array.copy star.Placement.tiers in
+  tiers.(7) <- { (tiers.(7)) with Placement.cpu_budget = -1. };
+  let bad = { star with Placement.tiers } in
+  Alcotest.(check (list int)) "nothing pruned" []
+    (pruned_tiers (encode_as_solved bad));
+  match Placement.solve bad with
+  | Placement.No_feasible_partition -> ()
+  | _ -> Alcotest.fail "a negative CPU budget must stay infeasible"
 
 let () =
   Alcotest.run "placement"
@@ -751,6 +887,17 @@ let () =
           Alcotest.test_case "chain is a degenerate tree" `Quick
             test_chain_tree_byte_identical;
           Alcotest.test_case "testbed routing star" `Quick test_testbed_star;
+        ] );
+      ( "unreachable-tiers",
+        [
+          Alcotest.test_case "testbed star encodes the chain" `Quick
+            test_star_encodes_the_chain;
+          Alcotest.test_case "Y fixture keeps every tier" `Quick
+            test_y_keeps_every_tier;
+          Alcotest.test_case "binary tree reduces to a path" `Quick
+            test_binary_tree_reduces_to_a_path;
+          Alcotest.test_case "negative budget stays infeasible" `Quick
+            test_negative_budget_stays_infeasible;
         ] );
       ( "steal",
         [

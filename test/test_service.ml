@@ -1,6 +1,6 @@
 (* Fleet placement service regression suite (DESIGN.md §16).
 
-   Four groups:
+   Five groups:
    - a pinned 32-query mixed eeg14/eeg22/synthetic batch whose
      response digests must be identical for shard counts 1/2/4 and
      equal to the direct no-service solve path, with exact cache
@@ -13,7 +13,9 @@
      key separates rates and searches;
    - LRU churn: a seeded workload against a capacity-4 cache keeps
      the resident bound, conserves the counter algebra, and serves
-     only direct-path answers throughout. *)
+     only direct-path answers throughout;
+   - warm hints: a seed that is infeasible at the queried rate is
+     dropped, so a warm solve answers as the cold one does. *)
 
 open Wishbone
 
@@ -214,6 +216,49 @@ let test_lru_churn () =
   Alcotest.(check bool) "churn evicted something" true
     (c.Service.evictions > 0)
 
+(* ---- warm hints never change answers ------------------------------ *)
+
+(* On this random spec the x0.35 optimum loads the node to 1.0000034 of
+   its budget at x0.4375: inside branch & bound's 1e-5 row tolerance,
+   with an objective below the true optimum.  Taken as the incumbent it
+   would prune the whole tree; the solve must drop it and answer as a
+   cold solve does, directly and through a warm service query. *)
+let test_infeasible_seed_is_dropped () =
+  let pl =
+    Placement.of_spec
+      (Apps.Synthetic.random_spec ~seed:(Prng.derive 410 [ 2; 9 ]) ~n_ops:15 ())
+  in
+  let target = 0.4375 in
+  let cold = Service.solve_direct (rate pl target) in
+  let cold_tiers =
+    match cold with
+    | Service.Placed { report; _ } -> report.Placement.tier_of
+    | _ -> Alcotest.fail "the cold solve places the instance"
+  in
+  List.iter
+    (fun from ->
+      let seed =
+        match Placement.solve (Placement.scale_rate pl from) with
+        | Placement.Partitioned r -> r.Placement.tier_of
+        | _ -> Alcotest.failf "x%g: expected a partition" from
+      in
+      let label what = Printf.sprintf "seeded from x%g: %s" from what in
+      (match
+         Placement.solve ~initial:seed (Placement.scale_rate pl target)
+       with
+      | Placement.Partitioned r ->
+          Alcotest.(check (array int)) (label "cold assignment") cold_tiers
+            r.Placement.tier_of
+      | _ -> Alcotest.fail (label "expected a partition"));
+      let svc = Service.create () in
+      ignore (Service.run_batch svc [| rate pl from |]);
+      let warm = (Service.run_batch svc [| rate pl target |]).(0) in
+      Alcotest.(check bool) (label "served warm") true
+        (warm.Service.served = Service.Warm_start);
+      Alcotest.(check string) (label "service answer = direct")
+        (Service.answer_digest cold) warm.Service.digest)
+    [ 0.35; 0.385 ]
+
 let () =
   Alcotest.run "service"
     [
@@ -234,4 +279,9 @@ let () =
         ] );
       ( "lru",
         [ Alcotest.test_case "seeded churn" `Quick test_lru_churn ] );
+      ( "warm-hints",
+        [
+          Alcotest.test_case "infeasible seed gives the cold answer" `Quick
+            test_infeasible_seed_is_dropped;
+        ] );
     ]
