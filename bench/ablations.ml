@@ -13,26 +13,26 @@ let encoding () =
     Bench_util.spec_exn ~mode:Wishbone.Movable.Permissive
       ~platform:Profiler.Platform.tmote_sky raw
   in
-  let spec = Wishbone.Spec.scale_rate spec 0.5 in
-  let solve enc =
-    time (fun () -> Wishbone.Partitioner.solve ~encoding:enc spec)
+  let pl = Wishbone.Placement.of_spec (Wishbone.Spec.scale_rate spec 0.5) in
+  let solve encoding =
+    time (fun () -> Wishbone.Placement.solve ~encoding pl)
   in
   let describe name (outcome, dt) =
     match outcome with
-    | Wishbone.Partitioner.Partitioned r ->
+    | Wishbone.Placement.Partitioned r ->
         Bench_util.row
           "%-12s obj %10.2f  %6.2fs  %5d B&B nodes  %5d LPs  %d vars\n" name
-          r.Wishbone.Partitioner.objective dt
-          r.Wishbone.Partitioner.solver.Lp.Branch_bound.nodes_explored
-          r.Wishbone.Partitioner.solver.Lp.Branch_bound.lp_solves
-          r.Wishbone.Partitioner.supernodes
-    | Wishbone.Partitioner.No_feasible_partition ->
+          r.Wishbone.Placement.objective dt
+          r.Wishbone.Placement.solver.Lp.Branch_bound.nodes_explored
+          r.Wishbone.Placement.solver.Lp.Branch_bound.lp_solves
+          r.Wishbone.Placement.supernodes
+    | Wishbone.Placement.No_feasible_partition ->
         Bench_util.row "%-12s infeasible (%.2fs)\n" name dt
-    | Wishbone.Partitioner.Solver_failure m ->
+    | Wishbone.Placement.Solver_failure m ->
         Bench_util.row "%-12s FAILURE %s\n" name m
   in
-  describe "restricted" (solve Wishbone.Ilp.Restricted);
-  describe "general" (solve Wishbone.Ilp.General)
+  describe "restricted" (solve Wishbone.Placement.Restricted);
+  describe "general" (solve Wishbone.Placement.General)
 
 let preprocess () =
   Bench_util.header "Ablation: §4.1 preprocessing on vs off (EEG app)";
@@ -41,18 +41,18 @@ let preprocess () =
     Bench_util.spec_exn ~mode:Wishbone.Movable.Permissive
       ~platform:Profiler.Platform.tmote_sky raw
   in
-  let spec = Wishbone.Spec.scale_rate spec 0.5 in
+  let pl = Wishbone.Placement.of_spec (Wishbone.Spec.scale_rate spec 0.5) in
   List.iter
-    (fun (name, pre) ->
+    (fun (name, preprocess) ->
       let outcome, dt =
-        time (fun () -> Wishbone.Partitioner.solve ~preprocess:pre spec)
+        time (fun () -> Wishbone.Placement.solve ~preprocess pl)
       in
       match outcome with
-      | Wishbone.Partitioner.Partitioned r ->
+      | Wishbone.Placement.Partitioned r ->
           Bench_util.row "%-6s obj %10.2f  %6.2fs  %4d supernodes (%d movable)\n"
-            name r.Wishbone.Partitioner.objective dt
-            r.Wishbone.Partitioner.supernodes
-            r.Wishbone.Partitioner.movable_supernodes
+            name r.Wishbone.Placement.objective dt
+            r.Wishbone.Placement.supernodes
+            r.Wishbone.Placement.movable_supernodes
       | _ -> Bench_util.row "%-6s no partition (%.2fs)\n" name dt)
     [ ("on", true); ("off", false) ]
 
@@ -68,11 +68,14 @@ let modes () =
       | Error m -> Bench_util.row "%-14s error: %s\n" name m
       | Ok spec -> (
           let movable = Wishbone.Movable.movable_count spec.Wishbone.Spec.placement in
-          match Wishbone.Rate_search.search spec with
-          | Some { rate_multiplier; report } ->
+          match
+            Wishbone.Rate_search.search_placement
+              (Wishbone.Placement.of_spec spec)
+          with
+          | Some { placement_multiplier; placement_report = r; _ } ->
               Bench_util.row
                 "%-14s %5d movable ops; max rate x%.3f; cut bw %.1f B/s\n" name
-                movable rate_multiplier report.Wishbone.Partitioner.net
+                movable placement_multiplier r.Wishbone.Placement.link_net.(0)
           | None ->
               Bench_util.row "%-14s %5d movable ops; no feasible rate\n" name
                 movable))
@@ -109,13 +112,16 @@ let mean_peak () =
       with
       | Error m -> Bench_util.row "%-6s error: %s\n" name m
       | Ok spec -> (
-          match Wishbone.Rate_search.search spec with
-          | Some { rate_multiplier; report } ->
+          match
+            Wishbone.Rate_search.search_placement
+              (Wishbone.Placement.of_spec spec)
+          with
+          | Some { placement_multiplier; placement_report = r; _ } ->
               Bench_util.row
                 "%-6s max rate x%.3f; node cpu %.1f%%; cut bw %.1f B/s\n" name
-                rate_multiplier
-                (100. *. report.Wishbone.Partitioner.cpu)
-                report.Wishbone.Partitioner.net
+                placement_multiplier
+                (100. *. r.Wishbone.Placement.tier_cpu.(0))
+                r.Wishbone.Placement.link_net.(0)
           | None -> Bench_util.row "%-6s no feasible rate\n" name))
     [ ("mean", false); ("peak", true) ]
 

@@ -36,4 +36,4 @@ let spec_exn ?mode ~platform raw =
 let cut_names (speech : Apps.Speech.t) report =
   List.map
     (fun i -> (Dataflow.Graph.op speech.Apps.Speech.graph i).Dataflow.Op.name)
-    (Wishbone.Partitioner.node_ops report)
+    (Wishbone.Placement.ops_on report 0)

@@ -44,8 +44,9 @@ let deploy (eeg : Apps.Eeg.t) ~assignment ~loss ~transport ~rate =
    fall back to the source-only cut (everything but the ADC on the
    server) so the sweep still runs *)
 let static_assignment (eeg : Apps.Eeg.t) spec =
-  match Wishbone.Partitioner.solve spec with
-  | Wishbone.Partitioner.Partitioned r -> r.Wishbone.Partitioner.assignment
+  match Wishbone.Placement.solve (Wishbone.Placement.of_spec spec) with
+  | Wishbone.Placement.Partitioned r ->
+      Array.map (fun tier -> tier = 0) r.Wishbone.Placement.tier_of
   | _ ->
       let n = Array.length (Dataflow.Graph.ops eeg.Apps.Eeg.graph) in
       let a = Array.make n false in

@@ -8,18 +8,18 @@ let run () =
   List.iter
     (fun budget ->
       let spec = Apps.Synthetic.fig3_spec ~cpu_budget:budget in
-      match Wishbone.Partitioner.solve spec with
-      | Wishbone.Partitioner.Partitioned r ->
+      match Wishbone.Placement.solve (Wishbone.Placement.of_spec spec) with
+      | Wishbone.Placement.Partitioned r ->
           let names =
             List.map
               (fun i ->
                 (Dataflow.Graph.op spec.Wishbone.Spec.graph i).Dataflow.Op.name)
-              (Wishbone.Partitioner.node_ops r)
+              (Wishbone.Placement.ops_on r 0)
           in
           Bench_util.row "budget %.0f -> cut bandwidth %.0f, cpu %.0f, node = {%s}\n"
-            budget r.net r.cpu (String.concat "," names)
-      | Wishbone.Partitioner.No_feasible_partition ->
+            budget r.link_net.(0) r.tier_cpu.(0) (String.concat "," names)
+      | Wishbone.Placement.No_feasible_partition ->
           Bench_util.row "budget %.0f -> infeasible\n" budget
-      | Wishbone.Partitioner.Solver_failure m ->
+      | Wishbone.Placement.Solver_failure m ->
           Bench_util.row "budget %.0f -> solver failure: %s\n" budget m)
     [ 2.; 3.; 4. ]

@@ -4,11 +4,14 @@
    subject to fitting the CPU). *)
 
 let ops_on_node spec mult =
-  match Wishbone.Partitioner.solve (Wishbone.Spec.scale_rate spec mult) with
-  | Wishbone.Partitioner.Partitioned r ->
-      List.length (Wishbone.Partitioner.node_ops r)
-  | Wishbone.Partitioner.No_feasible_partition -> -1
-  | Wishbone.Partitioner.Solver_failure m -> failwith m
+  match
+    Wishbone.Placement.solve
+      (Wishbone.Placement.of_spec (Wishbone.Spec.scale_rate spec mult))
+  with
+  | Wishbone.Placement.Partitioned r ->
+      List.length (Wishbone.Placement.ops_on r 0)
+  | Wishbone.Placement.No_feasible_partition -> -1
+  | Wishbone.Placement.Solver_failure m -> failwith m
 
 let run () =
   Bench_util.header

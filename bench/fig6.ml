@@ -29,15 +29,16 @@ let run ?(count = 200) () =
   for i = 0 to count - 1 do
     let mult = lo +. ((hi -. lo) *. Float.of_int i /. Float.of_int (count - 1)) in
     match
-      Wishbone.Partitioner.solve ~options (Wishbone.Spec.scale_rate spec mult)
+      Wishbone.Placement.solve ~options
+        (Wishbone.Placement.of_spec (Wishbone.Spec.scale_rate spec mult))
     with
-    | Wishbone.Partitioner.Partitioned r ->
+    | Wishbone.Placement.Partitioned r ->
         incr feasible;
         if not r.solver.Lp.Branch_bound.proved_optimal then incr capped;
         discover := r.solver.Lp.Branch_bound.time_to_incumbent :: !discover;
         prove := r.solver.Lp.Branch_bound.time_total :: !prove
-    | Wishbone.Partitioner.No_feasible_partition -> ()
-    | Wishbone.Partitioner.Solver_failure _ -> incr capped
+    | Wishbone.Placement.No_feasible_partition -> ()
+    | Wishbone.Placement.Solver_failure _ -> incr capped
   done;
   let d = Array.of_list !discover and p = Array.of_list !prove in
   Array.sort compare d;

@@ -15,23 +15,26 @@ let run () =
     "highest feasible rate = 3 events/s; optimal cut right after the \
      filter bank (cut point 4)";
   (let spec = Bench_util.spec_exn ~platform:Profiler.Platform.tmote_sky raw in
-   match Wishbone.Rate_search.search spec with
-   | Some { rate_multiplier; report } ->
+   match
+     Wishbone.Rate_search.search_placement (Wishbone.Placement.of_spec spec)
+   with
+   | Some { placement_multiplier = rate; placement_report = report; _ } ->
        Bench_util.row
          "max rate x%.3f = %.2f windows/s; node = {%s}; cut bw %.0f B/s\n"
-         rate_multiplier
-         (rate_multiplier *. Apps.Speech.frame_rate)
+         rate (rate *. Apps.Speech.frame_rate)
          (String.concat "," (Bench_util.cut_names speech report))
-         report.net
+         report.link_net.(0)
    | None -> Bench_util.row "rate search failed\n");
   Bench_util.header "Headline: Meraki partition";
   Bench_util.paper_vs
     "~15x the TMote CPU but >=10x the bandwidth: optimal cut is point 1, \
      send the raw data";
   (let spec = Bench_util.spec_exn ~platform:Profiler.Platform.meraki raw in
-   match Wishbone.Rate_search.search spec with
-   | Some { rate_multiplier; report } ->
-       Bench_util.row "max rate x%.2f; node = {%s}\n" rate_multiplier
+   match
+     Wishbone.Rate_search.search_placement (Wishbone.Placement.of_spec spec)
+   with
+   | Some { placement_multiplier; placement_report = report; _ } ->
+       Bench_util.row "max rate x%.2f; node = {%s}\n" placement_multiplier
          (String.concat "," (Bench_util.cut_names speech report))
    | None -> Bench_util.row "rate search failed\n");
   Bench_util.header "Headline: best vs worst working partition (1 TMote)";

@@ -33,7 +33,8 @@ let run_mode ~label ~warm spec =
   let c0 = Lp.Sparse.counters () in
   let t0 = Unix.gettimeofday () in
   let result =
-    Wishbone.Rate_search.search ~incremental:warm ~options spec
+    Wishbone.Rate_search.search_placement ~incremental:warm ~options
+      (Wishbone.Placement.of_spec spec)
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   let pivots = Lp.Simplex.cumulative_pivots () - p0 in
@@ -42,11 +43,11 @@ let run_mode ~label ~warm spec =
     match result with
     | Some r ->
         let solver =
-          r.Wishbone.Rate_search.report.Wishbone.Partitioner.solver
+          r.Wishbone.Rate_search.placement_report.Wishbone.Placement.solver
         in
         ( solver.Lp.Branch_bound.lp_solves,
           solver.Lp.Branch_bound.hot_solves,
-          r.Wishbone.Rate_search.rate_multiplier )
+          r.Wishbone.Rate_search.placement_multiplier )
     | None -> (0, 0, nan)
   in
   Bench_util.row "%-6s %10d pivots  %8.3f s  rate x%.4f\n" label pivots wall_s
@@ -76,7 +77,9 @@ type resolve_result = {
 }
 
 let resolve_at ~warm spec rate =
-  let scaled = Wishbone.Spec.scale_rate spec rate in
+  let scaled =
+    Wishbone.Placement.of_spec (Wishbone.Spec.scale_rate spec rate)
+  in
   let options =
     {
       Wishbone.Rate_search.default_search_options with
@@ -87,8 +90,8 @@ let resolve_at ~warm spec rate =
   let p0 = Lp.Simplex.cumulative_pivots () in
   let c0 = Lp.Sparse.counters () in
   let t0 = Unix.gettimeofday () in
-  match Wishbone.Partitioner.solve ~options scaled with
-  | Wishbone.Partitioner.Partitioned r ->
+  match Wishbone.Placement.solve ~options scaled with
+  | Wishbone.Placement.Partitioned r ->
       let c1 = Lp.Sparse.counters () in
       Some
         {
@@ -97,7 +100,7 @@ let resolve_at ~warm spec rate =
             c1.Lp.Sparse.refactorisations - c0.Lp.Sparse.refactorisations;
           r_ft_updates = c1.Lp.Sparse.ft_updates - c0.Lp.Sparse.ft_updates;
           r_wall_s = Unix.gettimeofday () -. t0;
-          objective = r.Wishbone.Partitioner.objective;
+          objective = r.Wishbone.Placement.objective;
         }
   | _ -> None
 
@@ -162,7 +165,7 @@ let smoke () =
   Bench_util.header
     "bench smoke: dense vs sparse(devex|dantzig) LP engines, speech + eeg14";
   let run name rate spec =
-    let spec = Wishbone.Spec.scale_rate spec rate in
+    let pl = Wishbone.Placement.of_spec (Wishbone.Spec.scale_rate spec rate) in
     let solve solver pricing =
       let base = Lp.Branch_bound.default_options in
       let options =
@@ -173,13 +176,13 @@ let smoke () =
         }
       in
       let t0 = Unix.gettimeofday () in
-      match Wishbone.Partitioner.solve ~options spec with
-      | Wishbone.Partitioner.Partitioned r ->
-          (r.Wishbone.Partitioner.objective, Unix.gettimeofday () -. t0)
-      | Wishbone.Partitioner.No_feasible_partition ->
+      match Wishbone.Placement.solve ~options pl with
+      | Wishbone.Placement.Partitioned r ->
+          (r.Wishbone.Placement.objective, Unix.gettimeofday () -. t0)
+      | Wishbone.Placement.No_feasible_partition ->
           Printf.eprintf "smoke %s: unexpectedly infeasible\n" name;
           exit 1
-      | Wishbone.Partitioner.Solver_failure m ->
+      | Wishbone.Placement.Solver_failure m ->
           Printf.eprintf "smoke %s: solver failure: %s\n" name m;
           exit 1
     in

@@ -48,7 +48,8 @@ let traversal_test () =
 
 let partition_test () =
   let spec = Apps.Synthetic.random_spec ~seed:11 ~n_ops:40 () in
-  fun () -> ignore (Wishbone.Partitioner.solve spec)
+  let pl = Wishbone.Placement.of_spec spec in
+  fun () -> ignore (Wishbone.Placement.solve pl)
 
 let testbed_test () =
   let speech = Lazy.force Bench_util.speech in

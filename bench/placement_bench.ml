@@ -125,53 +125,10 @@ let bench_two_tier ~name ~reps spec =
   }
 
 (* four platforms deep: node radio, then two successively fatter
-   uplinks, weights falling off 0.3 per hop as in Three_tier *)
+   uplinks, weights falling off 0.3 per hop *)
 let four_tier_chain raw spec =
-  let n = Array.length spec.Wishbone.Spec.cpu in
-  let tier (p : Profiler.Platform.t) =
-    let costed = Profiler.Profile.cost raw p in
-    {
-      Wishbone.Placement.tname = p.name;
-      cpu = costed.Profiler.Profile.cpu_fraction;
-      cpu_budget = p.cpu_budget;
-      alpha = 0.;
-    }
-  in
-  let middles = [ Profiler.Platform.meraki; Profiler.Platform.gumstix ] in
-  Wishbone.Placement.v ~spec
-    ~tiers:
-      ([
-         {
-           Wishbone.Placement.tname = "node";
-           cpu = spec.Wishbone.Spec.cpu;
-           cpu_budget = spec.Wishbone.Spec.cpu_budget;
-           alpha = spec.Wishbone.Spec.alpha;
-         };
-       ]
-      @ List.map tier middles
-      @ [
-          {
-            Wishbone.Placement.tname = "server";
-            cpu = Array.make n 0.;
-            cpu_budget = infinity;
-            alpha = 0.;
-          };
-        ])
-    ~links:
-      ({
-         Wishbone.Placement.lname = "radio0";
-         net_budget = spec.Wishbone.Spec.net_budget;
-         beta = spec.Wishbone.Spec.beta;
-       }
-      :: List.mapi
-           (fun i (p : Profiler.Platform.t) ->
-             {
-               Wishbone.Placement.lname = Printf.sprintf "uplink%d" (i + 1);
-               net_budget = p.Profiler.Platform.radio_bytes_per_sec;
-               beta = spec.Wishbone.Spec.beta *. (0.3 ** Float.of_int (i + 1));
-             })
-           middles)
-    ()
+  Wishbone.Placement.of_platforms spec raw
+    Profiler.Platform.[ tmote_sky; meraki; gumstix ]
 
 type chain_result = {
   c_rate : float;

@@ -118,69 +118,12 @@ let parse_chain s =
     in
     go [] names
 
-(* The spec (built for the chain's first platform) is tier 0, each
-   further platform a middle tier, plus an implicit unbudgeted central
-   server.  Link k leaves tier k on that tier's radio; the per-byte
-   objective weight falls off by 0.3 per hop — Three_tier's
-   beta_micro default, upstream radio bytes being the scarce
-   resource. *)
-let placement_of_chain (spec : Wishbone.Spec.t) raw middles =
-  let n = Array.length spec.Wishbone.Spec.cpu in
-  let node_tier =
-    {
-      Wishbone.Placement.tname = "node";
-      cpu = spec.Wishbone.Spec.cpu;
-      cpu_budget = spec.Wishbone.Spec.cpu_budget;
-      alpha = spec.Wishbone.Spec.alpha;
-    }
-  in
-  let middle_tiers =
-    List.map
-      (fun (p : Profiler.Platform.t) ->
-        let costed = Profiler.Profile.cost raw p in
-        {
-          Wishbone.Placement.tname = p.name;
-          cpu = costed.Profiler.Profile.cpu_fraction;
-          cpu_budget = p.cpu_budget;
-          alpha = 0.;
-        })
-      middles
-  in
-  let server =
-    {
-      Wishbone.Placement.tname = "server";
-      cpu = Array.make n 0.;
-      cpu_budget = infinity;
-      alpha = 0.;
-    }
-  in
-  let links =
-    {
-      Wishbone.Placement.lname = "radio0";
-      net_budget = spec.Wishbone.Spec.net_budget;
-      beta = spec.Wishbone.Spec.beta;
-    }
-    :: List.mapi
-         (fun i (p : Profiler.Platform.t) ->
-           {
-             Wishbone.Placement.lname = Printf.sprintf "uplink%d" (i + 1);
-             net_budget = p.Profiler.Platform.radio_bytes_per_sec;
-             beta =
-               spec.Wishbone.Spec.beta *. (0.3 ** Float.of_int (i + 1));
-           })
-         middles
-  in
-  Wishbone.Placement.v ~spec
-    ~tiers:((node_tier :: middle_tiers) @ [ server ])
-    ~links ()
-
 (* ---- tier trees (--topology) ---- *)
 
 (* A rooted tier tree over the listed platforms, node-most first, plus
    the implicit unbudgeted central server as the root (one past the
-   last listed platform).  [parents = None] is the plain chain, routed
-   through [placement_of_chain] so it stays byte-identical to
-   --tiers. *)
+   last listed platform).  [parents = None] is the plain chain, exactly
+   as --tiers builds it; see [Wishbone.Placement.of_platforms]. *)
 type topo_spec = {
   plats : Profiler.Platform.t list;
   parents : int array option;
@@ -254,79 +197,15 @@ let parse_topology s =
       in
       go 0 [] [] toks
 
-(* The tree analogue of [placement_of_chain]: tier 0 is the spec, each
-   further listed platform a costed tier, the implicit server the
-   root.  Link k is tier k's uplink; its per-byte weight falls off by
-   0.3 per hop of tree depth $(i,below) it (the leafward radios being
-   the scarce resource), which on a chain reproduces the historical
-   0.3^k fall-off exactly. *)
-let placement_of_topology (spec : Wishbone.Spec.t) raw plats parents =
-  let topo = Wishbone.Placement.Topology.of_parents parents in
-  let n = Array.length spec.Wishbone.Spec.cpu in
-  let n_tiers = Wishbone.Placement.Topology.n_tiers topo in
-  let depth_below = Array.make n_tiers 0 in
-  (* children always carry smaller indices, so one ascending pass *)
-  for k = 0 to n_tiers - 1 do
-    List.iter
-      (fun c ->
-        depth_below.(k) <- Int.max depth_below.(k) (depth_below.(c) + 1))
-      (Wishbone.Placement.Topology.children topo k)
-  done;
-  let node_tier =
-    {
-      Wishbone.Placement.tname = "node";
-      cpu = spec.Wishbone.Spec.cpu;
-      cpu_budget = spec.Wishbone.Spec.cpu_budget;
-      alpha = spec.Wishbone.Spec.alpha;
-    }
-  in
-  let rest =
-    List.mapi
-      (fun i (p : Profiler.Platform.t) ->
-        let costed = Profiler.Profile.cost raw p in
-        {
-          Wishbone.Placement.tname = Printf.sprintf "%s#%d" p.name (i + 1);
-          cpu = costed.Profiler.Profile.cpu_fraction;
-          cpu_budget = p.cpu_budget;
-          alpha = 0.;
-        })
-      (List.tl plats)
-  in
-  let server =
-    {
-      Wishbone.Placement.tname = "server";
-      cpu = Array.make n 0.;
-      cpu_budget = infinity;
-      alpha = 0.;
-    }
-  in
-  let links =
-    List.mapi
-      (fun k (p : Profiler.Platform.t) ->
-        if k = 0 then
-          {
-            Wishbone.Placement.lname = "radio0";
-            net_budget = spec.Wishbone.Spec.net_budget;
-            beta = spec.Wishbone.Spec.beta;
-          }
-        else
-          {
-            Wishbone.Placement.lname = Printf.sprintf "uplink%d" k;
-            net_budget = p.Profiler.Platform.radio_bytes_per_sec;
-            beta =
-              spec.Wishbone.Spec.beta
-              *. (0.3 ** Float.of_int depth_below.(k));
-          })
-      plats
-  in
-  Wishbone.Placement.v ~topology:topo ~spec
-    ~tiers:((node_tier :: rest) @ [ server ])
-    ~links ()
-
-let placement_of_topo_spec spec raw ts =
-  match ts.parents with
-  | None -> placement_of_chain spec raw (List.tl ts.plats)
-  | Some parents -> placement_of_topology spec raw ts.plats parents
+(* --tiers and --topology are mutually exclusive; [None] when neither
+   was given *)
+let tier_spec tiers topology =
+  match (tiers, topology) with
+  | Some _, Some _ -> Error "--tiers and --topology are mutually exclusive"
+  | Some s, None ->
+      Result.map (fun plats -> Some { plats; parents = None }) (parse_chain s)
+  | None, Some s -> Result.map Option.some (parse_topology s)
+  | None, None -> Ok None
 
 (* ---- app construction ---- *)
 
@@ -488,34 +367,12 @@ let partition_cmd =
              negative reduced cost).  Either rule reaches the same \
              optimum; only the pivot trajectory differs.")
   in
-  let schedule_arg =
-    Arg.(
-      value
-      & opt
-          (some
-             (enum
-                [
-                  ("wave", Lp.Branch_bound.Wave);
-                  ("steal", Lp.Branch_bound.Steal);
-                ]))
-          None
-      & info [ "schedule" ] ~docv:"MODE"
-          ~doc:
-            "Node scheduling across --workers: $(b,wave) (deterministic \
-             bulk-synchronous waves, the default) or $(b,steal) \
-             (work-stealing worker domains; same optimum, \
-             timing-dependent node order).")
-  in
   let solver_options base max_pivots time_limit_ms node_budget pivot_budget
-      workers pricing schedule =
+      workers pricing =
     let o = base in
     {
       o with
       Lp.Branch_bound.workers;
-      schedule =
-        (match schedule with
-        | Some s -> s
-        | None -> o.Lp.Branch_bound.schedule);
       time_limit =
         (match time_limit_ms with
         | Some ms -> ms /. 1000.
@@ -542,18 +399,15 @@ let partition_cmd =
   in
   (* process-wide solver work counters, reset at solve entry: the
      verbose tail of the report, for eyeballing the effect of
-     --pricing / --schedule / --workers on actual work done *)
+     --pricing / --workers on actual work done *)
   let report_counters (options : Lp.Branch_bound.options) ~fb0 =
     let c = Lp.Sparse.counters () in
     Printf.printf
-      "solver counters: pricing %s, schedule %s, %d pivots, %d \
-       refactorisations, %d FT updates (%d entries), %d dense fallbacks\n"
+      "solver counters: pricing %s, %d pivots, %d refactorisations, %d FT \
+       updates (%d entries), %d dense fallbacks\n"
       (match options.Lp.Branch_bound.simplex.Lp.Simplex.pricing with
       | Lp.Simplex.Devex -> "devex"
       | Lp.Simplex.Dantzig -> "dantzig")
-      (match options.Lp.Branch_bound.schedule with
-      | Lp.Branch_bound.Wave -> "wave"
-      | Lp.Branch_bound.Steal -> "steal")
       (Lp.Simplex.cumulative_pivots ())
       c.Lp.Sparse.refactorisations c.Lp.Sparse.ft_updates
       c.Lp.Sparse.ft_entries
@@ -584,7 +438,7 @@ let partition_cmd =
     exit 1
   in
   let run app platform duration mode rate dot search tiers topology max_pivots
-      time_limit_ms node_budget pivot_budget workers pricing schedule =
+      time_limit_ms node_budget pivot_budget workers pricing =
     (* the rate search keeps its looser per-solve budgets unless
        overridden explicitly *)
     let options =
@@ -592,119 +446,71 @@ let partition_cmd =
         (if search then Wishbone.Rate_search.default_search_options
          else Lp.Branch_bound.default_options)
         max_pivots time_limit_ms node_budget pivot_budget workers pricing
-        schedule
     in
     Lp.Simplex.reset_cumulative_pivots ();
     Lp.Sparse.reset_counters ();
     let fb0 = Lp.Sparse.dense_fallbacks () in
+    let die m =
+      Printf.eprintf "error: %s\n" m;
+      exit 1
+    in
     let b = build_app app in
     let raw = b.profile ~duration in
     let ts =
-      match (tiers, topology) with
-      | Some _, Some _ ->
-          Printf.eprintf "error: --tiers and --topology are mutually exclusive\n";
-          exit 1
-      | Some s, None -> (
-          match parse_chain s with
-          | Ok plats -> Some { plats; parents = None }
-          | Error m ->
-              Printf.eprintf "error: %s\n" m;
-              exit 1)
-      | None, Some s -> (
-          match parse_topology s with
-          | Ok t -> Some t
-          | Error m ->
-              Printf.eprintf "error: %s\n" m;
-              exit 1)
-      | None, None -> None
+      match tier_spec tiers topology with
+      | Ok (Some ts) -> ts
+      | Ok None -> { plats = [ platform ]; parents = None }
+      | Error m -> die m
     in
-    let node_platform =
-      match ts with Some { plats = p :: _; _ } -> p | _ -> platform
+    let node_platform = List.hd ts.plats in
+    let spec =
+      match Wishbone.Spec.of_profile ~mode ~node_platform raw with
+      | Ok spec -> spec
+      | Error m -> die m
     in
-    let write_dot assignment =
+    let pl =
+      Wishbone.Placement.of_platforms ?parents:ts.parents spec raw ts.plats
+    in
+    let finish pl (r : Wishbone.Placement.report) =
+      Format.printf "%a@." (Wishbone.Placement.pp_report b.graph pl) r;
+      report_counters options ~fb0;
+      report_budget ~objective:r.objective r.solver;
       match dot with
       | Some path ->
           let costed = Profiler.Profile.cost raw node_platform in
+          let assignment = Array.map (fun tier -> tier = 0) r.tier_of in
           Wishbone.Viz.save ~path ~assignment ~costed raw;
           Printf.printf "wrote %s\n" path
       | None -> ()
     in
-    match Wishbone.Spec.of_profile ~mode ~node_platform raw with
-    | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        exit 1
-    | Ok spec -> (
-        match ts with
-        | None -> (
-            let finish (report : Wishbone.Partitioner.report) =
-              Format.printf "%a@."
-                (Wishbone.Partitioner.pp_report b.graph)
-                report;
-              report_counters options ~fb0;
-              report_budget ~objective:report.objective report.solver;
-              write_dot report.assignment
-            in
-            if search then
-              match Wishbone.Rate_search.search ~options spec with
-              | Some { rate_multiplier; report } ->
-                  Printf.printf "maximum sustainable rate: x%.4f\n"
-                    rate_multiplier;
-                  finish report
-              | None ->
-                  print_endline "no feasible partition at any rate";
-                  exit 1
-            else
-              let spec = Wishbone.Spec.scale_rate spec rate in
-              match Wishbone.Partitioner.solve ~options spec with
-              | Wishbone.Partitioner.Partitioned report -> finish report
-              | Wishbone.Partitioner.No_feasible_partition ->
-                  print_endline
-                    "no feasible partition at this rate; try --search";
-                  exit 1
-              | Wishbone.Partitioner.Solver_failure m
-                when m = "solver budget exhausted" ->
-                  budget_failure m
-              | Wishbone.Partitioner.Solver_failure m ->
-                  Printf.eprintf "solver failure: %s\n" m;
-                  exit 1)
-        | Some ts -> (
-            let pl = placement_of_topo_spec spec raw ts in
-            let finish pl (r : Wishbone.Placement.report) =
-              Format.printf "%a@." (Wishbone.Placement.pp_report b.graph pl) r;
-              report_counters options ~fb0;
-              report_budget ~objective:r.objective r.solver;
-              write_dot (Array.map (fun tier -> tier = 0) r.tier_of)
-            in
-            if search then
-              match Wishbone.Rate_search.search_placement ~options pl with
-              | Some { placement_multiplier; placement_report; placement_exact }
-                ->
-                  Printf.printf "maximum sustainable rate: x%.4f%s\n"
-                    placement_multiplier
-                    (if placement_exact then ""
-                     else
-                       " (degraded: a search probe died on the solver \
-                        budget; this rate is a safe lower bound)");
-                  finish
-                    (Wishbone.Placement.scale_rate pl placement_multiplier)
-                    placement_report
-              | None ->
-                  print_endline "no feasible placement at any rate";
-                  exit 1
-            else
-              let pl = Wishbone.Placement.scale_rate pl rate in
-              match Wishbone.Placement.solve ~options pl with
-              | Wishbone.Placement.Partitioned r -> finish pl r
-              | Wishbone.Placement.No_feasible_partition ->
-                  print_endline
-                    "no feasible placement at this rate; try --search";
-                  exit 1
-              | Wishbone.Placement.Solver_failure m
-                when m = "solver budget exhausted" ->
-                  budget_failure m
-              | Wishbone.Placement.Solver_failure m ->
-                  Printf.eprintf "solver failure: %s\n" m;
-                  exit 1))
+    if search then
+      match Wishbone.Rate_search.search_placement ~options pl with
+      | Some { placement_multiplier; placement_report; placement_exact } ->
+          Printf.printf "maximum sustainable rate: x%.4f%s\n"
+            placement_multiplier
+            (if placement_exact then ""
+             else
+               " (degraded: a search probe died on the solver budget; this \
+                rate is a safe lower bound)");
+          finish
+            (Wishbone.Placement.scale_rate pl placement_multiplier)
+            placement_report
+      | None ->
+          print_endline "no feasible placement at any rate";
+          exit 1
+    else
+      let pl = Wishbone.Placement.scale_rate pl rate in
+      match Wishbone.Placement.solve ~options pl with
+      | Wishbone.Placement.Partitioned r -> finish pl r
+      | Wishbone.Placement.No_feasible_partition ->
+          print_endline "no feasible placement at this rate; try --search";
+          exit 1
+      | Wishbone.Placement.Solver_failure m when m = "solver budget exhausted"
+        ->
+          budget_failure m
+      | Wishbone.Placement.Solver_failure m ->
+          Printf.eprintf "solver failure: %s\n" m;
+          exit 1
   in
   Cmd.v
     (Cmd.info "partition"
@@ -716,7 +522,7 @@ let partition_cmd =
       const run $ app_arg $ platform_arg $ duration_arg $ mode_arg $ rate_arg
       $ dot_arg $ search_arg $ tiers_arg $ topology_arg $ max_pivots_arg
       $ time_limit_arg $ node_budget_arg $ pivot_budget_arg $ workers_arg
-      $ pricing_arg $ schedule_arg)
+      $ pricing_arg)
 
 let sweep_cmd =
   let from_arg =
@@ -736,6 +542,7 @@ let sweep_cmd =
         Printf.eprintf "error: %s\n" m;
         exit 1
     | Ok spec ->
+        let pl = Wishbone.Placement.of_spec spec in
         Printf.printf "%-10s %16s %16s %12s\n" "rate x" "ops on node"
           "cut B/s" "node cpu %";
         for i = 0 to steps - 1 do
@@ -743,15 +550,16 @@ let sweep_cmd =
             lo +. ((hi -. lo) *. Float.of_int i /. Float.of_int (Int.max 1 (steps - 1)))
           in
           match
-            Wishbone.Partitioner.solve (Wishbone.Spec.scale_rate spec mult)
+            Wishbone.Placement.solve (Wishbone.Placement.scale_rate pl mult)
           with
-          | Wishbone.Partitioner.Partitioned r ->
+          | Wishbone.Placement.Partitioned r ->
               Printf.printf "%-10.3f %16d %16.1f %12.1f\n" mult
-                (List.length (Wishbone.Partitioner.node_ops r))
-                r.net (100. *. r.cpu)
-          | Wishbone.Partitioner.No_feasible_partition ->
+                (List.length (Wishbone.Placement.ops_on r 0))
+                r.link_net.(0)
+                (100. *. r.tier_cpu.(0))
+          | Wishbone.Placement.No_feasible_partition ->
               Printf.printf "%-10.3f %16s\n" mult "(does not fit)"
-          | Wishbone.Partitioner.Solver_failure m ->
+          | Wishbone.Placement.Solver_failure m ->
               Printf.printf "%-10.3f solver failure: %s\n" mult m
         done
   in
@@ -832,7 +640,10 @@ let deploy_cmd =
         exit 1
     | Ok spec -> (
         let spec = Wishbone.Spec.scale_rate spec rate in
-        let pl = placement_of_topo_spec spec raw ts in
+        let pl =
+          Wishbone.Placement.of_platforms ?parents:ts.parents spec raw
+            ts.plats
+        in
         match Wishbone.Placement.solve pl with
         | Wishbone.Placement.No_feasible_partition ->
             print_endline "no feasible placement at this rate";
@@ -894,34 +705,30 @@ let deploy_cmd =
       Printf.eprintf "error: %s\n" m;
       exit 1
     in
-    match (tiers, topology) with
-    | Some _, Some _ -> die "--tiers and --topology are mutually exclusive"
-    | Some s, None -> (
-        match parse_chain s with
-        | Error m -> die m
-        | Ok plats ->
-            run_tiers_deploy
-              ~ts:{ plats; parents = None }
-              ~replicas:nodes ~sim_duration ~rate ~seed t)
-    | None, Some "testbed" ->
-        (* the fig. 9/10 routing tree: every mote a leaf tier of the
-           node platform, one radio hop from the basestation root; the
-           sensing sources sit on tier 0, so the fan-out IS the
-           topology and no extra tier-0 replication applies *)
-        let n = Int.max 1 nodes in
-        run_tiers_deploy
-          ~ts:
-            {
-              plats = List.init n (fun _ -> platform);
-              parents = Some (Netsim.Testbed.routing_parents ~n_nodes:n);
-            }
-          ~replicas:1 ~sim_duration ~rate ~seed t
-    | None, Some s -> (
-        match parse_topology s with
-        | Error m -> die m
-        | Ok ts ->
-            run_tiers_deploy ~ts ~replicas:nodes ~sim_duration ~rate ~seed t)
-    | None, None ->
+    (* the tier placement to execute and its tier-0 replica count *)
+    let tiered =
+      match (tiers, topology) with
+      | None, Some "testbed" ->
+          (* the fig. 9/10 routing tree: every mote a leaf tier of the
+             node platform, one radio hop from the basestation root;
+             the sensing sources sit on tier 0, so the fan-out IS the
+             topology and no extra tier-0 replication applies *)
+          let n = Int.max 1 nodes in
+          Some
+            ( {
+                plats = List.init n (fun _ -> platform);
+                parents = Some (Netsim.Testbed.routing_parents ~n_nodes:n);
+              },
+              1 )
+      | _ -> (
+          match tier_spec tiers topology with
+          | Error m -> die m
+          | Ok ts -> Option.map (fun ts -> (ts, nodes)) ts)
+    in
+    match tiered with
+    | Some (ts, replicas) ->
+        run_tiers_deploy ~ts ~replicas ~sim_duration ~rate ~seed t
+    | None ->
     let assignment = Apps.Speech.cut_assignment t cut in
     let link =
       if platform.Profiler.Platform.radio_payload_bytes <= 64 then
@@ -1202,12 +1009,10 @@ let serve_cmd =
               let node_platform = List.hd ts.plats in
               match Wishbone.Spec.of_profile ~mode ~node_platform raw with
               | Error m -> fail lineno m
-              | Ok spec -> (
-                  let spec = parse_overrides lineno spec overrides in
-                  match ts with
-                  | { plats = [ _ ]; parents = None } ->
-                      Wishbone.Placement.of_spec spec
-                  | _ -> placement_of_topo_spec spec raw ts)
+              | Ok spec ->
+                  Wishbone.Placement.of_platforms ?parents:ts.parents
+                    (parse_overrides lineno spec overrides)
+                    raw ts.plats
             end
           in
           Some (text, { Wishbone.Service.placement; request })

@@ -74,29 +74,28 @@ let () =
         super;
       Printf.printf "%-8s %22s %14s\n" "rate x" "operators on node"
         "cut bandwidth B/s";
+      let pl = Wishbone.Placement.of_spec spec in
+      let node_ops r = List.length (Wishbone.Placement.ops_on r 0) in
       List.iter
         (fun mult ->
           match
-            Wishbone.Partitioner.solve (Wishbone.Spec.scale_rate spec mult)
+            Wishbone.Placement.solve (Wishbone.Placement.scale_rate pl mult)
           with
-          | Wishbone.Partitioner.Partitioned r ->
-              Printf.printf "%-8.2f %22d %14.1f\n" mult
-                (List.length (Wishbone.Partitioner.node_ops r))
-                r.net
-          | Wishbone.Partitioner.No_feasible_partition ->
+          | Wishbone.Placement.Partitioned r ->
+              Printf.printf "%-8.2f %22d %14.1f\n" mult (node_ops r)
+                r.link_net.(0)
+          | Wishbone.Placement.No_feasible_partition ->
               Printf.printf "%-8.2f %22s %14s\n" mult "(does not fit)" "-"
-          | Wishbone.Partitioner.Solver_failure m ->
+          | Wishbone.Placement.Solver_failure m ->
               Printf.printf "%-8.2f solver failure: %s\n" mult m)
         [ 0.25; 0.5; 0.75; 1.0 ];
       print_endline
         "\nwhen the full 256 Hz x 22-channel load does not fit, Wishbone\n\
          reports how far the rate must drop (§4.3):";
-      match Wishbone.Rate_search.search spec with
-      | Some { rate_multiplier; report } ->
+      match Wishbone.Rate_search.search_placement pl with
+      | Some { placement_multiplier; placement_report = r; _ } ->
           Printf.printf
             "max sustainable rate x%.3f; %d operators in-network; %.1f B/s \
              to the server\n"
-            rate_multiplier
-            (List.length (Wishbone.Partitioner.node_ops report))
-            report.net
+            placement_multiplier (node_ops r) r.link_net.(0)
       | None -> print_endline "no feasible partition at any rate")

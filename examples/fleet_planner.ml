@@ -3,7 +3,7 @@
    - a mixed network (TMote motes + Meraki gateways) gets one physical
      partition per node class (Wishbone.Mixed);
    - a three-tier architecture (motes -> microservers -> server) is
-     partitioned with the two-level ILP (Wishbone.Three_tier);
+     the three-tier chain of Wishbone.Placement.of_platforms;
    - an in-network aggregation operator's fan-in cost is modelled with
      Wishbone.Aggregation.
 
@@ -29,7 +29,7 @@ let () =
    with
   | Error m -> print_endline ("mixed plan failed: " ^ m)
   | Ok plans ->
-      Format.printf "%a@." (Wishbone.Mixed.pp app.Apps.Speech.graph) plans);
+      Format.printf "%a@." Wishbone.Mixed.pp plans);
 
   (* ---- three tiers: motes -> meraki microservers -> server ---- *)
   print_endline
@@ -37,30 +37,34 @@ let () =
      microservers, microservers feed the server):";
   let slow = Profiler.Profile.scale_rate raw 0.08 in
   (match
-     Wishbone.Three_tier.of_profile ~mote:Profiler.Platform.tmote_sky
-       ~micro:Profiler.Platform.meraki ~micro_net_budget:300. slow
+     Wishbone.Spec.of_profile ~node_platform:Profiler.Platform.tmote_sky slow
    with
   | Error m -> print_endline m
-  | Ok t -> (
-      match Wishbone.Three_tier.solve t with
-      | Wishbone.Three_tier.Partitioned r ->
-          let tier_name = function
-            | Wishbone.Three_tier.Mote -> "mote"
-            | Wishbone.Three_tier.Microserver -> "microserver"
-            | Wishbone.Three_tier.Central -> "server"
-          in
+  | Ok spec -> (
+      let pl =
+        Wishbone.Placement.of_platforms spec slow
+          [ Profiler.Platform.tmote_sky; Profiler.Platform.meraki ]
+      in
+      (* a 300 B/s microserver uplink instead of the Meraki's radio *)
+      let links = Array.copy pl.links in
+      links.(1) <- { (links.(1)) with net_budget = 300. };
+      match Wishbone.Placement.solve { pl with links } with
+      | Wishbone.Placement.Partitioned r ->
+          let tier_name = [| "mote"; "microserver"; "server" |] in
           Array.iteri
             (fun i tier ->
               Printf.printf "  %-10s -> %s\n"
-                (Graph.op app.Apps.Speech.graph i).Op.name (tier_name tier))
-            r.tiers;
+                (Graph.op app.Apps.Speech.graph i).Op.name tier_name.(tier))
+            r.tier_of;
           Printf.printf
             "mote radio %.1f B/s, microserver uplink %.1f B/s; mote cpu \
              %.1f%%, micro cpu %.1f%%\n"
-            r.mote_net r.micro_net (100. *. r.mote_cpu) (100. *. r.micro_cpu)
-      | Wishbone.Three_tier.No_feasible_partition ->
+            r.link_net.(0) r.link_net.(1)
+            (100. *. r.tier_cpu.(0))
+            (100. *. r.tier_cpu.(1))
+      | Wishbone.Placement.No_feasible_partition ->
           print_endline "  no feasible three-tier placement"
-      | Wishbone.Three_tier.Solver_failure m -> print_endline m));
+      | Wishbone.Placement.Solver_failure m -> print_endline m));
 
   (* ---- in-network aggregation ---- *)
   print_endline "\nin-network aggregation: a mean-over-8-windows reducer";
@@ -102,12 +106,15 @@ let () =
           let annotated =
             Wishbone.Aggregation.annotate_fan_in spec ~op:!reduce ~fan_in
           in
-          match Wishbone.Partitioner.solve annotated with
-          | Wishbone.Partitioner.Partitioned r ->
+          match
+            Wishbone.Placement.solve (Wishbone.Placement.of_spec annotated)
+          with
+          | Wishbone.Placement.Partitioned r ->
               Printf.printf
                 "  fan-in %4.0f: reduce runs %-10s (node cpu %5.1f%%, cut %.1f B/s)\n"
                 fan_in
-                (if r.assignment.(!reduce) then "in-network" else "at server")
-                (100. *. r.cpu) r.net
+                (if r.tier_of.(!reduce) = 0 then "in-network" else "at server")
+                (100. *. r.tier_cpu.(0))
+                r.link_net.(0)
           | _ -> Printf.printf "  fan-in %4.0f: no partition\n" fan_in)
         [ 1.; 8.; 64.; 512.; 4096. ]

@@ -66,29 +66,32 @@ let () =
         (100. *. costed.cpu_fraction.(op.id)))
     (Graph.ops graph);
 
-  (* 3. partition for a TMote Sky *)
-  (match Wishbone.Spec.of_profile ~mode:Wishbone.Movable.Permissive
-           ~node_platform:Profiler.Platform.tmote_sky raw
-   with
+  (* 3. partition for a TMote Sky: the paper's two-way node/server
+     cut is the two-tier placement of the spec *)
+  match Wishbone.Spec.of_profile ~mode:Wishbone.Movable.Permissive
+          ~node_platform:Profiler.Platform.tmote_sky raw
+  with
   | Error m -> print_endline ("cannot partition: " ^ m)
   | Ok spec -> (
-      match Wishbone.Partitioner.solve spec with
-      | Wishbone.Partitioner.Partitioned r ->
-          Format.printf "%a@."
-            (Wishbone.Partitioner.pp_report graph)
-            r;
+      let pl = Wishbone.Placement.of_spec spec in
+      match Wishbone.Placement.solve pl with
+      | Wishbone.Placement.Partitioned r ->
+          Format.printf "%a@." (Wishbone.Placement.pp_report graph pl) r;
           (* 4. write the visualization *)
           let costed = Profiler.Profile.cost raw Profiler.Platform.tmote_sky in
-          Wishbone.Viz.save ~path:"quickstart.dot" ~assignment:r.assignment
+          Wishbone.Viz.save ~path:"quickstart.dot"
+            ~assignment:(Array.map (fun tier -> tier = 0) r.tier_of)
             ~costed raw;
           print_endline "wrote quickstart.dot (render with graphviz)"
-      | Wishbone.Partitioner.No_feasible_partition -> (
+      | Wishbone.Placement.No_feasible_partition -> (
           print_endline "no feasible partition at the full rate; searching...";
-          match Wishbone.Rate_search.search spec with
-          | Some { rate_multiplier; report } ->
-              Printf.printf "max sustainable rate: x%.3f\n" rate_multiplier;
+          match Wishbone.Rate_search.search_placement pl with
+          | Some { placement_multiplier; placement_report; _ } ->
+              Printf.printf "max sustainable rate: x%.3f\n"
+                placement_multiplier;
               Format.printf "%a@."
-                (Wishbone.Partitioner.pp_report graph)
-                report
+                (Wishbone.Placement.pp_report graph
+                   (Wishbone.Placement.scale_rate pl placement_multiplier))
+                placement_report
           | None -> print_endline "no feasible partition at any rate")
-      | Wishbone.Partitioner.Solver_failure m -> print_endline m))
+      | Wishbone.Placement.Solver_failure m -> print_endline m)

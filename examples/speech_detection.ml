@@ -36,13 +36,14 @@ let () =
     | Error m -> failwith m
   in
   print_newline ();
-  (match Wishbone.Rate_search.search spec with
-  | Some { rate_multiplier; report } ->
+  (match
+     Wishbone.Rate_search.search_placement (Wishbone.Placement.of_spec spec)
+   with
+  | Some { placement_multiplier = rate; placement_report = report; _ } ->
       Printf.printf
         "TMote: highest sustainable rate x%.3f (%.1f windows/s), cut after %s\n"
-        rate_multiplier
-        (rate_multiplier *. Apps.Speech.frame_rate)
-        (match List.rev (Wishbone.Partitioner.node_ops report) with
+        rate (rate *. Apps.Speech.frame_rate)
+        (match List.rev (Wishbone.Placement.ops_on report 0) with
         | last :: _ ->
             (Dataflow.Graph.op app.Apps.Speech.graph last).Dataflow.Op.name
         | [] -> "nothing")

@@ -305,7 +305,7 @@ let resources rng (spec : Wishbone.Spec.t) =
         per_op;
       let frac = Prng.uniform rng 0.3 1.1 in
       {
-        Wishbone.Ilp.rname = (if k = 0 then "ram" else "flash");
+        Wishbone.Placement.rname = (if k = 0 then "ram" else "flash");
         per_op;
         budget = !pinned +. (frac *. (!total -. !pinned)) +. 1e-3;
       })

@@ -51,7 +51,7 @@ val ilp : Prng.t -> size:int -> Lp.Problem.t
 (** Like {!lp} but every variable is integral with small finite
     bounds, so {!Lp.Brute} can enumerate it. *)
 
-val resources : Prng.t -> Wishbone.Spec.t -> Wishbone.Ilp.resource list
+val resources : Prng.t -> Wishbone.Spec.t -> Wishbone.Placement.resource list
 (** 0–2 random per-operator resource rows (RAM / code-storage shape)
     sized so they sometimes bind. *)
 

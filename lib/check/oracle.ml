@@ -190,7 +190,7 @@ let ilp_brute problem =
 
 let resource_ok resources node_side =
   List.for_all
-    (fun (r : Wishbone.Ilp.resource) ->
+    (fun (r : Wishbone.Placement.resource) ->
       let used = ref 0. in
       Array.iteri
         (fun i on -> if on then used := !used +. r.per_op.(i))
@@ -233,14 +233,17 @@ let check_config ?(resources = []) (spec : Wishbone.Spec.t) ~encoding
   let label =
     Printf.sprintf "%s/%s"
       (match encoding with
-      | Wishbone.Ilp.Restricted -> "restricted"
-      | Wishbone.Ilp.General -> "general")
+      | Wishbone.Placement.Restricted -> "restricted"
+      | Wishbone.Placement.General -> "general")
       (if preprocess then "preprocessed" else "direct")
   in
-  match Wishbone.Partitioner.solve ~encoding ~preprocess ~resources spec with
-  | Wishbone.Partitioner.Solver_failure msg ->
+  match
+    Wishbone.Placement.solve ~encoding ~preprocess ~resources
+      (Wishbone.Placement.of_spec spec)
+  with
+  | Wishbone.Placement.Solver_failure msg ->
       Error (Printf.sprintf "%s: solver failure: %s" label msg)
-  | Wishbone.Partitioner.No_feasible_partition -> (
+  | Wishbone.Placement.No_feasible_partition -> (
       match best with
       | None -> Ok ()
       | Some b ->
@@ -248,7 +251,7 @@ let check_config ?(resources = []) (spec : Wishbone.Spec.t) ~encoding
             (Printf.sprintf
                "%s: reported infeasible but a cut with objective %g exists"
                label b))
-  | Wishbone.Partitioner.Partitioned rep -> (
+  | Wishbone.Placement.Partitioned rep -> (
       match best with
       | None ->
           Error
@@ -256,8 +259,9 @@ let check_config ?(resources = []) (spec : Wishbone.Spec.t) ~encoding
                "%s: reported a partition but enumeration finds none feasible"
                label)
       | Some b ->
-          let node_side = rep.assignment in
-          let single = encoding = Wishbone.Ilp.Restricted in
+          let node_side = Array.map (fun tier -> tier = 0) rep.tier_of in
+          let rep_cpu = rep.tier_cpu.(0) and rep_net = rep.link_net.(0) in
+          let single = encoding = Wishbone.Placement.Restricted in
           if
             not
               (Wishbone.Spec.feasible ~require_single_crossing:single spec
@@ -271,14 +275,14 @@ let check_config ?(resources = []) (spec : Wishbone.Spec.t) ~encoding
             let cpu, net = Wishbone.Spec.cut_stats spec ~node_side in
             let obj = Wishbone.Spec.objective_value spec ~node_side in
             let tol = 1e-5 *. (1. +. Float.abs b) in
-            if Float.abs (cpu -. rep.cpu) > tol then
+            if Float.abs (cpu -. rep_cpu) > tol then
               Error
                 (Printf.sprintf "%s: reported cpu %g but cut_stats says %g"
-                   label rep.cpu cpu)
-            else if Float.abs (net -. rep.net) > tol then
+                   label rep_cpu cpu)
+            else if Float.abs (net -. rep_net) > tol then
               Error
                 (Printf.sprintf "%s: reported net %g but cut_stats says %g"
-                   label rep.net net)
+                   label rep_net net)
             else if Float.abs (obj -. rep.objective) > tol then
               Error
                 (Printf.sprintf
@@ -304,10 +308,10 @@ let cut_enumeration ?(resources = []) (spec : Wishbone.Spec.t) =
     let best_g = enumerate_cuts ~resources spec ~single_crossing:false in
     let configs =
       [
-        (Wishbone.Ilp.Restricted, true, best_r);
-        (Wishbone.Ilp.Restricted, false, best_r);
-        (Wishbone.Ilp.General, true, best_g);
-        (Wishbone.Ilp.General, false, best_g);
+        (Wishbone.Placement.Restricted, true, best_r);
+        (Wishbone.Placement.Restricted, false, best_r);
+        (Wishbone.Placement.General, true, best_g);
+        (Wishbone.Placement.General, false, best_g);
       ]
     in
     let rec run = function
@@ -499,7 +503,7 @@ let budget_failure msg = msg = "solver budget exhausted"
 
 let two_tier_placement (spec : Wishbone.Spec.t) =
   let pl = Wishbone.Placement.of_spec spec in
-  let brute = Wishbone.Partitioner.brute_force spec in
+  let brute = Reference.two_tier_brute_force spec in
   match (Wishbone.Placement.solve pl, brute) with
   | Wishbone.Placement.Solver_failure msg, _ ->
       if budget_failure msg then Ok ()
@@ -567,33 +571,29 @@ let three_tier_placement rng (spec : Wishbone.Spec.t) =
   in
   let beta_micro = Prng.uniform rng 0.05 1.0 in
   let tt =
-    Wishbone.Three_tier.of_spec ~micro_cpu_budget ~micro_net_budget
-      ~beta_micro ~micro_cpu spec
+    Reference.three_tier ~micro_cpu_budget ~micro_net_budget ~beta_micro
+      ~micro_cpu spec
   in
-  match (Wishbone.Three_tier.solve tt, Wishbone.Three_tier.brute_force tt) with
-  | Wishbone.Three_tier.Solver_failure msg, _ ->
+  match
+    (Wishbone.Placement.solve tt, Reference.three_tier_brute_force tt)
+  with
+  | Wishbone.Placement.Solver_failure msg, _ ->
       if budget_failure msg then Ok ()
       else Error (Printf.sprintf "three-tier: solver failure: %s" msg)
-  | Wishbone.Three_tier.No_feasible_partition, None -> Ok ()
-  | Wishbone.Three_tier.No_feasible_partition, Some (_, b) ->
+  | Wishbone.Placement.No_feasible_partition, None -> Ok ()
+  | Wishbone.Placement.No_feasible_partition, Some (_, b) ->
       Error
         (Printf.sprintf
            "three-tier: placement says infeasible but an assignment with \
             objective %g exists"
            b)
-  | Wishbone.Three_tier.Partitioned _, None ->
+  | Wishbone.Placement.Partitioned _, None ->
       Error "three-tier: placement found an assignment, enumeration none"
-  | Wishbone.Three_tier.Partitioned r, Some (_, b) ->
+  | Wishbone.Placement.Partitioned r, Some (_, b) ->
       let tol = 1e-5 *. (1. +. Float.abs b) in
-      let rank = function
-        | Wishbone.Three_tier.Mote -> 2
-        | Wishbone.Three_tier.Microserver -> 1
-        | Wishbone.Three_tier.Central -> 0
-      in
       let non_monotone =
         Array.exists
-          (fun (e : Graph.edge) ->
-            rank r.tiers.(e.src) < rank r.tiers.(e.dst))
+          (fun (e : Graph.edge) -> r.tier_of.(e.src) > r.tier_of.(e.dst))
           (Graph.edges spec.graph)
       in
       if non_monotone then
@@ -717,9 +717,9 @@ let tree_eval (pl : Wishbone.Placement.t) ~monotone tier_of =
   (pin_ok && monotone_ok && cpu_ok && net_ok, !obj)
 
 (* Brute-force optimum over per-supernode tiers, enumerating the same
-   contraction [Placement.solve] uses (Three_tier.brute_force's
-   precedent), judged by [tree_eval] only.  [None] = no feasible
-   assignment. *)
+   contraction [Placement.solve] uses (as
+   [Reference.three_tier_brute_force] does), judged by [tree_eval]
+   only.  [None] = no feasible assignment. *)
 let tree_brute_force (pl : Wishbone.Placement.t) ~contracted ~monotone =
   let n_tiers = Array.length pl.Wishbone.Placement.tiers in
   let root = n_tiers - 1 in
@@ -1178,7 +1178,7 @@ let degraded_soundness rng (spec : Wishbone.Spec.t) =
               Pass
           | Wishbone.Service.Rate r -> (
               match
-                Wishbone.Partitioner.brute_force
+                Reference.two_tier_brute_force
                   (Wishbone.Spec.scale_rate spec r)
               with
               | None -> Pass
@@ -1220,7 +1220,7 @@ let degraded_soundness rng (spec : Wishbone.Spec.t) =
                 Pass
             | Wishbone.Service.Rate _ -> (
                 match
-                  Wishbone.Partitioner.brute_force
+                  Reference.two_tier_brute_force
                     (Wishbone.Spec.scale_rate spec r)
                 with
                 | None ->
@@ -1248,9 +1248,9 @@ let degraded_soundness rng (spec : Wishbone.Spec.t) =
 let split_equivalence rng (spec : Wishbone.Spec.t) =
   let cuts = [ ("random cut", Gen.random_cut rng spec) ] in
   let cuts =
-    match Wishbone.Partitioner.solve spec with
-    | Wishbone.Partitioner.Partitioned rep ->
-        cuts @ [ ("solver cut", rep.assignment) ]
+    match Wishbone.Placement.solve (Wishbone.Placement.of_spec spec) with
+    | Wishbone.Placement.Partitioned rep ->
+        cuts @ [ ("solver cut", Array.map (fun tier -> tier = 0) rep.tier_of) ]
     | _ -> cuts
   in
   let rec run = function

@@ -26,12 +26,12 @@ val ilp_brute : Lp.Problem.t -> outcome
     {!Lp.Brute.optimal_points}.  Inconclusive solver budgets pass. *)
 
 val cut_enumeration :
-  ?resources:Wishbone.Ilp.resource list -> Wishbone.Spec.t -> outcome
-(** Run {!Wishbone.Partitioner.solve} under all four configurations
-    ([Restricted]/[General] x preprocessing on/off) and compare each
-    against this module's own exhaustive enumeration of movable
-    assignments filtered by {!Wishbone.Spec.feasible} (and the
-    resource rows, checked directly).  Reported cpu/net/objective
+  ?resources:Wishbone.Placement.resource list -> Wishbone.Spec.t -> outcome
+(** Run [Placement.solve (Placement.of_spec spec)] under all four
+    configurations ([Restricted]/[General] x preprocessing on/off)
+    and compare each against this module's own exhaustive enumeration
+    of movable assignments filtered by {!Wishbone.Spec.feasible} (and
+    the resource rows, checked directly).  Reported cpu/net/objective
     must match {!Wishbone.Spec.cut_stats} on the returned assignment,
     and the general optimum can never be worse than the restricted
     one.  Specs with more than 16 movable operators pass trivially. *)
@@ -49,17 +49,17 @@ val degradation : Prng.t -> Wishbone.Spec.t -> outcome
     guarantee) pass trivially. *)
 
 val placement_equivalence : Prng.t -> Wishbone.Spec.t -> outcome
-(** The generic {!Wishbone.Placement} core against the dedicated
-    solvers' independent enumerations.  Two-tier:
+(** The generic {!Wishbone.Placement} core against the independent
+    enumerations of {!Reference}.  Two-tier:
     [Placement.solve (Placement.of_spec spec)] must agree with
-    {!Wishbone.Partitioner.brute_force} on feasibility and optimal
+    {!Reference.two_tier_brute_force} on feasibility and optimal
     objective, its report must be internally consistent with
     {!Wishbone.Placement.stats}/[objective_value], and
     {!Wishbone.Placement.feasible} must accept the solution.
     Three-tier: a randomly synthesized microserver tier (cheaper
-    per-op CPU, random budgets and uplink weight) solved through
-    {!Wishbone.Three_tier} (hence {!Wishbone.Placement}) must agree
-    with {!Wishbone.Three_tier.brute_force} and return monotonically
+    per-op CPU, random budgets and uplink weight) built by
+    {!Reference.three_tier} and solved by [Placement.solve] must agree
+    with {!Reference.three_tier_brute_force} and return monotonically
     descending tiers.  Instances with more than 16 movable operators
     or 12 supernodes pass trivially, as do solves that exhaust the
     branch-and-bound budget. *)

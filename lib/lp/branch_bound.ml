@@ -1,5 +1,4 @@
 type lp_solver = Auto | Dense | Sparse_revised
-type schedule = Wave | Steal
 
 type options = {
   max_nodes : int;
@@ -10,7 +9,6 @@ type options = {
   on_node : (nodes:int -> pivots:int -> unit) option;
   warm_start : bool;
   workers : int;
-  schedule : schedule;
   solver : lp_solver;
   simplex : Simplex.options;
 }
@@ -25,7 +23,6 @@ let default_options =
     on_node = None;
     warm_start = true;
     workers = 1;
-    schedule = Wave;
     solver = Auto;
     simplex = Simplex.default_options;
   }
@@ -371,176 +368,7 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
           Some (relaxation ?hot:parent_hot ?session ?simplex ~warm:node.basis
                   ~lo:lo_up ~hi ())
       in
-      (* ---- work-stealing scheduler (schedule = Steal) ----
-         Long-lived worker domains, each with a private best-bound
-         heap; a worker whose heap runs dry steals the globally best
-         open node.  All shared state (heaps, incumbent, counters)
-         lives under one mutex — the point of this schedule is keeping
-         every worker busy on deep trees, not lock-free throughput —
-         and termination is by in-flight counting: the search is over
-         when every heap is empty and no node is being expanded.
-         Exploration order (and therefore node/pivot counts) depends
-         on timing, but the returned optimum does not: pruning only
-         discards nodes that provably cannot beat the incumbent, and
-         tied incumbents keep the lexicographically smallest point. *)
-      let steal_bound_key = ref infinity in
-      let run_steal () =
-        let mtx = Mutex.create () in
-        let cond = Condition.create () in
-        let heaps = Array.init workers (fun _ -> Heap.Pqueue.create ()) in
-        Heap.Pqueue.push heaps.(0) (key_of_obj root_relax.objective) root_node;
-        let in_flight = ref 0 in
-        let finished = ref false in
-        let heap_min_all () =
-          let best = ref None in
-          Array.iteri
-            (fun i h ->
-              match Heap.Pqueue.min_key h with
-              | Some k -> (
-                  match !best with
-                  | Some (bk, _) when bk <= k -> ()
-                  | _ -> best := Some (k, i))
-              | None -> ())
-            heaps;
-          !best
-        in
-        let worker w () =
-          let session = sessions.(w) in
-          let running = ref true in
-          while !running do
-            Mutex.lock mtx;
-            let acquired = ref None in
-            let waiting = ref true in
-            while !waiting do
-              if !finished then waiting := false
-              else begin
-                (* cooperative checkpoint: an injected exception must
-                   not strand the other workers, so mark the search
-                   finished and wake everyone before propagating *)
-                (try on_node ~nodes:!nodes ~pivots:!pivots
-                 with e ->
-                   hit_budget := true;
-                   finished := true;
-                   Condition.broadcast cond;
-                   Mutex.unlock mtx;
-                   raise e);
-              if
-                !nodes >= options.max_nodes
-                || !pivots >= options.pivot_budget
-                || elapsed () > options.time_limit
-              then begin
-                hit_budget := true;
-                finished := true;
-                Condition.broadcast cond;
-                waiting := false
-              end
-              else begin
-                let pick =
-                  match Heap.Pqueue.min_key heaps.(w) with
-                  | Some _ -> Some w
-                  | None -> (
-                      match heap_min_all () with
-                      | Some (_, i) -> Some i
-                      | None -> None)
-                in
-                match pick with
-                | Some i -> (
-                    match Heap.Pqueue.pop heaps.(i) with
-                    | Some (key, node) ->
-                        (* stale-node pruning, as in the wave driver *)
-                        if key >= !incumbent_key -. 1e-12 || gap_closed key
-                        then ()
-                        else begin
-                          incr nodes;
-                          incr in_flight;
-                          (* capture the remaining pivot budget while
-                             the counter is mutex-protected; the
-                             children's solves are capped by it *)
-                          acquired :=
-                            Some
-                              ( node,
-                                budgeted_simplex
-                                  ~remaining:(options.pivot_budget - !pivots) );
-                          waiting := false
-                        end
-                    | None -> ())
-                | None ->
-                    if !in_flight = 0 then begin
-                      finished := true;
-                      Condition.broadcast cond;
-                      waiting := false
-                    end
-                    else Condition.wait cond mtx
-              end
-              end
-            done;
-            (match !acquired with None -> running := false | Some _ -> ());
-            Mutex.unlock mtx;
-            match !acquired with
-            | None -> ()
-            | Some (node, simplex) -> (
-                match
-                  fractional_var ~int_tol:options.int_tol int_vars node.relax.x
-                with
-                | None ->
-                    Mutex.lock mtx;
-                    try_incumbent node.relax;
-                    decr in_flight;
-                    Condition.broadcast cond;
-                    Mutex.unlock mtx
-                | Some v ->
-                    let lo, hi = node_bounds node in
-                    let fl, ce = branch_vals node v in
-                    let hi_down = Array.copy hi in
-                    hi_down.(v) <- fl;
-                    let lo_up = Array.copy lo in
-                    lo_up.(v) <- ce;
-                    let rdown =
-                      relaxation ?session ~simplex ~warm:node.basis ~lo
-                        ~hi:hi_down ()
-                    in
-                    let rup =
-                      relaxation ?session ~simplex ~warm:node.basis ~lo:lo_up
-                        ~hi ()
-                    in
-                    Mutex.lock mtx;
-                    let apply_child (r : Simplex.result) ~bup ~bval =
-                      account r;
-                      match r.Simplex.status with
-                      | Solution.Optimal relax ->
-                          let key = key_of_obj relax.Solution.objective in
-                          if key < !incumbent_key -. 1e-12 then
-                            Heap.Pqueue.push heaps.(w) key
-                              { parent = Some node;
-                                delta = { bvar = v; bup; bval };
-                                relax; basis = r.Simplex.basis; hot = None }
-                      | Solution.Infeasible -> ()
-                      | Solution.Unbounded -> ()
-                      | Solution.Iteration_limit -> hit_budget := true
-                    in
-                    apply_child rdown ~bup:false ~bval:fl;
-                    apply_child rup ~bup:true ~bval:ce;
-                    decr in_flight;
-                    Condition.broadcast cond;
-                    Mutex.unlock mtx)
-          done
-        in
-        (match workers with
-        | 1 -> worker 0 ()
-        | _ ->
-            let doms =
-              List.init (workers - 1) (fun i -> Domain.spawn (worker (i + 1)))
-            in
-            worker 0 ();
-            List.iter Domain.join doms);
-        steal_bound_key :=
-          (match heap_min_all () with
-          | Some (k, _) -> Float.min k !incumbent_key
-          | None -> !incumbent_key)
-      in
-      let use_steal = options.schedule = Steal in
-      if use_steal then run_steal ();
-      let continue = ref (not use_steal) in
+      let continue = ref true in
       while !continue do
         (* ---- collect a wave of up to [workers] non-stale nodes ----
            The first collection attempt of a wave replays the
@@ -677,11 +505,9 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
           batch
       done;
       let best_bound_key =
-        if use_steal then !steal_bound_key
-        else
-          match Heap.Pqueue.min_key open_nodes with
-          | Some k -> Float.min k !incumbent_key
-          | None -> !incumbent_key
+        match Heap.Pqueue.min_key open_nodes with
+        | Some k -> Float.min k !incumbent_key
+        | None -> !incumbent_key
       in
       match !incumbent with
       | Some sol ->

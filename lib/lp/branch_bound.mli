@@ -45,19 +45,6 @@ type lp_solver =
   | Dense  (** always the dense tableau ({!Simplex}) *)
   | Sparse_revised  (** always the sparse revised simplex ({!Sparse}) *)
 
-type schedule =
-  | Wave
-      (** bulk-synchronous waves of up to [workers] nodes, applied in
-          deterministic batch order: the search and every statistic
-          except wall-clock time are a pure function of [workers], and
-          [workers = 1] is the sequential search verbatim (default) *)
-  | Steal
-      (** long-lived worker domains with per-worker best-bound heaps;
-          an idle worker steals the globally best open node.  Keeps
-          all workers busy on deep uneven trees, at the cost of a
-          timing-dependent exploration order — the returned optimum is
-          unchanged, but node and pivot counts vary run to run *)
-
 type options = {
   max_nodes : int;
       (** open-node exploration budget — the deterministic {e node
@@ -74,16 +61,15 @@ type options = {
           Checked cooperatively at every node boundary and threaded
           into each LP solve as a per-solve pivot cap, so — unlike
           [time_limit] — a budgeted run is a pure function of the
-          problem and [workers] (under [Wave]): the same machine-
-          independent answer everywhere.  [max_int] leaves every code
-          path bit-identical to a build without the budget. *)
+          problem and [workers]: the same machine-independent answer
+          everywhere.  [max_int] leaves every code path bit-identical
+          to a build without the budget. *)
   on_node : (nodes:int -> pivots:int -> unit) option;
       (** cooperative checkpoint, called with the deterministic node
           and cumulative-pivot counters before the root solve and
-          before each node expansion (in [Steal] mode: by whichever
-          worker reaches the scheduler first).  An exception raised
-          here aborts the search and propagates to the caller —
-          the fault-injection hook of the placement service's
+          before each node expansion.  An exception raised here
+          aborts the search and propagates to the caller — the
+          fault-injection hook of the placement service's
           {!Wishbone.Service.Fault_plan}.  [None] (the default) adds
           no work at all. *)
   warm_start : bool;
@@ -91,10 +77,8 @@ type options = {
           [true]; results are identical either way, only pivot counts
           differ) *)
   workers : int;
-      (** concurrent node expansions (default [1] = sequential); under
-          [Wave] the optimum returned is deterministic for any fixed
-          value *)
-  schedule : schedule;  (** node scheduling across workers *)
+      (** concurrent node expansions (default [1] = sequential); the
+          optimum returned is deterministic for any fixed value *)
   solver : lp_solver;  (** LP engine selection (default [Auto]) *)
   simplex : Simplex.options;
 }

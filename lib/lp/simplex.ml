@@ -312,10 +312,17 @@ let dual_iterate tab ~pivots_left =
         if !enter < 0 then
           (* no column can move the violated basic variable towards its
              bound.  With all candidate entries at machine zero the row
-             is a sound infeasibility certificate; if any marginal
-             entry exists, let the caller fall back to a cold solve
-             rather than decide feasibility on noise. *)
-          result := Some (if !marginal then Dual_stalled else Primal_infeasible)
+             is a sound infeasibility certificate — unless a marginal
+             entry exists, or the violation is within the [feas_tol *
+             100] a cold solve accepts (see [violated]): then let the
+             caller fall back to a cold solve rather than decide
+             feasibility on noise, so a warm start never flips a cold
+             verdict. *)
+          result :=
+            Some
+              (if !marginal || !worst <= opts.feas_tol *. 100. then
+                 Dual_stalled
+               else Primal_infeasible)
         else begin
           let j = !enter in
           let target = if above then tab.up.(tab.basis.(r)) else 0. in

@@ -664,7 +664,14 @@ let dual st =
           end
         done;
         if !enter < 0 then
-          result := Some (if !marginal then Dual_stalled else Primal_infeasible)
+          (* as in [Simplex.dual_iterate]: a violation the cold path
+             would accept stalls to a cold solve instead of certifying
+             infeasibility *)
+          result :=
+            Some
+              (if !marginal || !worst <= opts.feas_tol *. 100. then
+                 Dual_stalled
+               else Primal_infeasible)
         else begin
           let j = !enter in
           ftran_col st j;

@@ -145,19 +145,21 @@ let run ?(config = default_config) ~spec ~assignment ~probe () =
            if not config.repartition then None
            else
              let spec' = Spec.scale_rate (respec spec obs ~rate:!rate) next in
+             let initial =
+               Array.map (fun on_node -> if on_node then 0 else 1) !assignment
+             in
              match
-               Partitioner.solve ~initial:!assignment ?root_basis:!root_basis
-                 spec'
+               Placement.solve ~initial ?root_basis:!root_basis
+                 (Placement.of_spec spec')
              with
-             | Partitioner.Partitioned r ->
-                 (match r.Partitioner.solver.Lp.Branch_bound.root_basis with
+             | Placement.Partitioned r ->
+                 (match r.Placement.solver.Lp.Branch_bound.root_basis with
                  | Some b -> root_basis := Some b
                  | None -> ());
-                 if r.Partitioner.assignment <> !assignment then
-                   Some r.Partitioner.assignment
-                 else None
-             | Partitioner.No_feasible_partition
-             | Partitioner.Solver_failure _ -> None
+                 let a = Array.map (fun tier -> tier = 0) r.Placement.tier_of in
+                 if a <> !assignment then Some a else None
+             | Placement.No_feasible_partition | Placement.Solver_failure _ ->
+                 None
          in
          (match repartitioned with
          | Some a ->

@@ -14,9 +14,9 @@
     time, now driven by measured instead of predicted feasibility —
     and/or re-solves the partition with the {e measured} edge rates
     ({!Netsim.Testbed.result.edge_bytes_per_sec}), warm-starting the
-    ILP from the previous solve's root basis.  (Re-solves go through
-    {!Partitioner} and hence the generic {!Placement} core.)  Every
-    step is recorded in a decision trace for inspection.
+    ILP from the previous solve's root basis.  (Re-solves are
+    [Placement.solve (Placement.of_spec spec)].)  Every step is
+    recorded in a decision trace for inspection.
 
     The controller is environment-agnostic: it only sees the [probe]
     callback, so tests can drive it with a synthetic response surface

@@ -7,7 +7,7 @@ type class_spec = {
 type class_plan = {
   platform : Profiler.Platform.t;
   n_nodes : int;
-  report : Partitioner.report;
+  report : Placement.report;
 }
 
 let plan ?mode ?alpha ?beta raw ~classes =
@@ -28,36 +28,33 @@ let plan ?mode ?alpha ?beta raw ~classes =
         with
         | Error m -> Error m
         | Ok spec -> (
-            match Partitioner.solve spec with
-            | Partitioner.Partitioned report ->
-                go
-                  ({ platform = c.platform; n_nodes = c.n_nodes; report }
-                  :: acc)
-                  rest
-            | Partitioner.No_feasible_partition -> (
-                match Rate_search.search spec with
-                | Some { report; _ } ->
-                    go
-                      ({ platform = c.platform; n_nodes = c.n_nodes; report }
-                      :: acc)
-                      rest
+            let pl = Placement.of_spec spec in
+            let planned report =
+              go
+                ({ platform = c.platform; n_nodes = c.n_nodes; report } :: acc)
+                rest
+            in
+            match Placement.solve pl with
+            | Placement.Partitioned report -> planned report
+            | Placement.No_feasible_partition -> (
+                match Rate_search.search_placement pl with
+                | Some r -> planned r.Rate_search.placement_report
                 | None ->
                     Error
                       (Printf.sprintf "class %s: no feasible partition"
                          c.platform.Profiler.Platform.name))
-            | Partitioner.Solver_failure m -> Error m))
+            | Placement.Solver_failure m -> Error m))
   in
   go [] classes
 
-let pp graph ppf plans =
+let pp ppf plans =
   Format.fprintf ppf "@[<v>";
   List.iter
     (fun p ->
       Format.fprintf ppf "%s x%d: %d ops on node, cut %.1f B/s, cpu %.1f%%@,"
         p.platform.Profiler.Platform.name p.n_nodes
-        (List.length (Partitioner.node_ops p.report))
-        p.report.Partitioner.net
-        (100. *. p.report.Partitioner.cpu);
-      ignore graph)
+        (List.length (Placement.ops_on p.report 0))
+        p.report.Placement.link_net.(0)
+        (100. *. p.report.Placement.tier_cpu.(0)))
     plans;
   Format.fprintf ppf "@]"

@@ -6,9 +6,9 @@
     stages of partial processing — which the per-node server state
     tables already support.
 
-    Each per-class solve goes through {!Partitioner} and hence the
-    generic {!Placement} core — this module owns only the budget
-    splitting across classes, no ILP encoding of its own. *)
+    Each class is solved as [Placement.of_spec] of its own spec —
+    this module owns only the budget splitting across classes, no ILP
+    encoding of its own. *)
 
 type class_spec = {
   platform : Profiler.Platform.t;
@@ -21,7 +21,7 @@ type class_spec = {
 type class_plan = {
   platform : Profiler.Platform.t;
   n_nodes : int;
-  report : Partitioner.report;
+  report : Placement.report;  (** two-tier: tier 0 is the node *)
 }
 
 val plan :
@@ -32,8 +32,8 @@ val plan :
   classes:class_spec list ->
   (class_plan list, string) result
 (** One optimal partition per node class.  Classes whose rate does not
-    fit are reported through a rate search and the returned report is
-    at the found rate.  [Error] if any class has no feasible partition
-    at any rate. *)
+    fit are reported through {!Rate_search.search_placement} and the
+    returned report is at the found rate.  [Error] if any class has no
+    feasible partition at any rate. *)
 
-val pp : Dataflow.Graph.t -> Format.formatter -> class_plan list -> unit
+val pp : Format.formatter -> class_plan list -> unit

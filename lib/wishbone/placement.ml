@@ -160,6 +160,71 @@ let of_spec (spec : Spec.t) =
     tier_pins = Array.make n None;
   }
 
+(* A profiled tier chain or tree: the spec is tier 0, each further
+   platform a tier costed from [raw], an unbudgeted central server the
+   root.  Link k is tier k's uplink, on tier 0 the spec's radio budget
+   and [beta]; above it each platform's own radio, weighted down by 0.3
+   per hop of tree depth below the link (upstream radio bytes being the
+   scarce resource), which on a chain is a 0.3^k fall-off.  Chain tiers
+   are named after their platform, tree tiers PLAT#k (a tree may repeat
+   a platform); names and weights are part of [Service.instance_key]. *)
+let of_platforms ?parents (spec : Spec.t) raw plats =
+  match (plats, parents) with
+  | [], _ -> invalid_arg "Placement.of_platforms: empty platform list"
+  | [ _ ], None -> of_spec spec
+  | _ :: above, _ ->
+      let topology =
+        match parents with
+        | Some parr -> Topology.of_parents parr
+        | None -> Topology.chain (List.length plats + 1)
+      in
+      let n = Graph.n_ops spec.Spec.graph in
+      let depth = Array.make (Topology.n_tiers topology) 0 in
+      (* children carry smaller indices, so one ascending pass *)
+      for k = 0 to Array.length depth - 1 do
+        List.iter
+          (fun ch -> depth.(k) <- Int.max depth.(k) (depth.(ch) + 1))
+          (Topology.children topology k)
+      done;
+      let tier i (p : Profiler.Platform.t) =
+        {
+          tname =
+            (if parents = None then p.name
+             else Printf.sprintf "%s#%d" p.name (i + 1));
+          cpu = (Profiler.Profile.cost raw p).Profiler.Profile.cpu_fraction;
+          cpu_budget = p.cpu_budget;
+          alpha = 0.;
+        }
+      in
+      let link k (p : Profiler.Platform.t) =
+        if k = 0 then
+          {
+            lname = "radio0";
+            net_budget = spec.Spec.net_budget;
+            beta = spec.Spec.beta;
+          }
+        else
+          {
+            lname = Printf.sprintf "uplink%d" k;
+            net_budget = p.radio_bytes_per_sec;
+            beta = spec.Spec.beta *. (0.3 ** Float.of_int depth.(k));
+          }
+      in
+      let node =
+        {
+          tname = "node";
+          cpu = spec.Spec.cpu;
+          cpu_budget = spec.Spec.cpu_budget;
+          alpha = spec.Spec.alpha;
+        }
+      and server =
+        { tname = "server"; cpu = Array.make n 0.; cpu_budget = infinity;
+          alpha = 0. }
+      in
+      v ~topology ~spec
+        ~tiers:((node :: List.mapi tier above) @ [ server ])
+        ~links:(List.mapi link plats) ()
+
 let n_tiers t = Array.length t.tiers
 
 let scale_rate t factor =
@@ -444,10 +509,9 @@ let encode ?(resources = []) encoding t (c : Preprocess.contracted) =
   List.iter
     (fun r ->
       if Array.length r.per_op <> n_orig then
-        (* the historical message: callers reach this through the
-           [Ilp.encode] facade and its tests pin the string *)
         invalid_arg
-          (Printf.sprintf "Ilp.encode: resource %s has wrong length" r.rname);
+          (Printf.sprintf "Placement.encode: resource %s has wrong length"
+             r.rname);
       let terms =
         Array.to_list
           (Array.mapi
@@ -652,6 +716,10 @@ type outcome =
   | No_feasible_partition
   | Solver_failure of string
 
+let ops_on r tier =
+  List.filter (fun i -> r.tier_of.(i) = tier)
+    (List.init (Array.length r.tier_of) Fun.id)
+
 let solve ?(encoding = Restricted) ?(preprocess = true) ?options
     ?(resources = []) ?initial ?root_basis t =
   (* contraction's dominance argument needs monotone descent (§2.1.2),
@@ -734,13 +802,9 @@ let pp_report graph t ppf r =
        (Array.to_list
           (Array.mapi
              (fun tp (tier : tier) ->
-               let ops =
-                 List.filteri (fun i _ -> r.tier_of.(i) = tp)
-                   (List.init (Array.length r.tier_of) Fun.id)
-               in
                Printf.sprintf "%s=%s" tier.tname
                  (String.concat ","
                     (List.map
                        (fun i -> (Graph.op graph i).Op.name)
-                       ops)))
+                       (ops_on r tp))))
              t.tiers)))

@@ -8,10 +8,9 @@
     with a CPU budget, and each non-root tier has an {e uplink} with
     its own bandwidth budget and per-byte objective weight.  The
     historical tier {e chain} is the single-child degenerate case and
-    stays byte-identical through this encoder.  Two-way partitioning
-    ({!Partitioner}), three-tier placement ({!Three_tier}) and mixed
-    networks ({!Mixed}) are all instances of {!solve}; none of them
-    encodes costs or crossings itself.
+    stays byte-identical through this encoder.  The paper's two-way
+    cut ({!of_spec}), profiled tier chains and trees ({!of_platforms})
+    and mixed networks ({!Mixed}) are all instances of {!solve}.
 
     The encoding generalises the paper's two formulations with {e
     subtree-membership} variables: each supernode [s] carries binaries
@@ -25,7 +24,7 @@
     edge exactly when [d_k] differs across it — one network row {e per
     tree edge} (DESIGN.md §18).  With [P = 2] this is byte-for-byte
     the §4.2.1 ILP ([d_0 = f]); with a 3-chain it is the two-level
-    [x <= y] encoding of {!Three_tier}. *)
+    [x <= y] encoding of §9's mote/microserver/server tiers. *)
 
 (** {!General} is the bidirectional eqs. (1)–(5) formulation (two
     continuous crossing variables per edge and link); {!Restricted}
@@ -136,7 +135,32 @@ val of_spec : Spec.t -> t
 (** The classic two-way instance: tier 0 is the node (the spec's CPU
     costs, budget and [alpha]), tier 1 an unbudgeted server, and the
     single link carries the spec's network budget and [beta].
-    [solve (of_spec spec)] is exactly {!Partitioner.solve}'s ILP. *)
+    [solve (of_spec spec)] is the paper's §4.2.1 ILP, and its report's
+    [tier_cpu.(0)], [link_net.(0)] and [objective] are bit-identical
+    to {!Spec.cut_stats} and {!Spec.objective_value} on the node-side
+    assignment (same sums in the same order). *)
+
+val of_platforms :
+  ?parents:int array ->
+  Spec.t ->
+  Profiler.Profile.raw ->
+  Profiler.Platform.t list ->
+  t
+(** [of_platforms spec raw plats]: a profiled tier chain or tree over
+    [plats], node-most first.  [spec] (built for the first platform)
+    is tier 0; each further platform is a tier with its CPU costs from
+    [raw] and its own CPU budget; an unbudgeted central server is
+    appended as the root.  Tier 0's uplink carries the spec's network
+    budget and [beta]; every further tier's uplink its platform's
+    radio budget, weighted [beta * 0.3^h] where [h] is the tier's
+    height above the leaves (a 0.3 fall-off per hop on a chain).
+
+    Without [parents] the tiers form a chain named after their
+    platforms, and a single platform is exactly [of_spec spec].
+    [parents] (one entry per platform, then [-1] for the server; see
+    {!Topology.of_parents}) builds a tree whose tiers are named
+    [PLAT#k].  The names are part of {!Service.instance_key}.
+    @raise Invalid_argument on an empty list or a bad parent array. *)
 
 val n_tiers : t -> int
 
@@ -165,9 +189,8 @@ val encode :
     ([k]-major, supernode-minor), then per-supernode level ordering,
     budgeted tier CPU rows, per-edge rows (crossing variables created
     in place under [General]), link bandwidth rows, resource rows.
-    With two tiers this reproduces the historical {!Ilp.encode}
-    problem exactly — same variables, same constraints, same
-    objective, in the same order.
+    With two tiers this is the paper's §4.2.1 problem, variable for
+    variable and row for row.
 
     Under [Restricted], when every supernode is pinned or downstream
     of a pinned one and no budget is negative, only {e live} tiers are
@@ -255,5 +278,8 @@ val solve :
     encodings run on the sparse revised simplex and small ones on the
     dense tableau, and any [workers] count returns the same partition
     (deterministic waves, see DESIGN.md §14). *)
+
+val ops_on : report -> int -> int list
+(** Original operator ids the report places on a tier, ascending. *)
 
 val pp_report : Dataflow.Graph.t -> t -> Format.formatter -> report -> unit

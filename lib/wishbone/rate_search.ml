@@ -1,5 +1,3 @@
-type result = { rate_multiplier : float; report : Partitioner.report }
-
 type placement_result = {
   placement_multiplier : float;
   placement_report : Placement.report;
@@ -21,11 +19,6 @@ let default_search_options =
     time_limit = 10.;
   }
 
-let feasible_at ?encoding ?preprocess ?(options = default_search_options) spec
-    factor =
-  Partitioner.solve ?encoding ?preprocess ~options
-    (Spec.scale_rate spec factor)
-
 (* A probe's verdict at one rate multiple.  [Feasible (r, proved)]
    carries a verified-feasible report ([proved] = its optimality was
    certified within the solver budget); [Infeasible_at] is a proven
@@ -33,10 +26,9 @@ let feasible_at ?encoding ?preprocess ?(options = default_search_options) spec
    incumbent — the solver cannot say either way. *)
 type 'a verdict = Feasible of 'a * bool | Infeasible_at | Unknown_at
 
-(* The monotone bracket-and-bisect skeleton shared by the two-tier and
-   tier-graph searches.  [attempt factor] solves at one rate multiple;
-   feasibility must be monotone in [factor] for the bisection to be
-   exact (up to [tol]).
+(* The monotone bracket-and-bisect skeleton.  [attempt factor] solves
+   at one rate multiple; feasibility must be monotone in [factor] for
+   the bisection to be exact (up to [tol]).
 
    Degradation is conservative: an [Unknown_at] verdict is treated
    exactly like a proven infeasibility, so the bisection only ever
@@ -89,46 +81,20 @@ let bracket ~tol ~max_multiplier attempt =
       done;
       Some (!lo, !best, !exact)
 
-let search ?encoding ?preprocess ?(options = default_search_options)
-    ?(tol = 0.01) ?(max_multiplier = 65536.) ?(incremental = true) spec =
-  (* Incremental state threaded across bracket/bisection steps.  Every
-     step solves the same ILP with uniformly rescaled coefficients, so
-     (a) the last feasible assignment, re-evaluated under the new
-     scale, seeds the incumbent — a valid primal bound that prunes
-     most of the tree near the feasibility boundary — and (b) the
-     previous root basis warm-starts the root relaxation.  Both are
-     hints: disabling [incremental] changes work, not answers. *)
-  let prev_assignment = ref None in
-  let root_basis = ref None in
-  let attempt factor =
-    let initial = if incremental then !prev_assignment else None in
-    let basis = if incremental then !root_basis else None in
-    match
-      Partitioner.solve ?encoding ?preprocess ~options ?initial
-        ?root_basis:basis
-        (Spec.scale_rate spec factor)
-    with
-    | Partitioner.Partitioned r ->
-        prev_assignment := Some r.Partitioner.assignment;
-        (match r.Partitioner.solver.Lp.Branch_bound.root_basis with
-        | Some b -> root_basis := Some b
-        | None -> ());
-        Feasible (r, r.Partitioner.solver.Lp.Branch_bound.proved_optimal)
-    | Partitioner.No_feasible_partition -> Infeasible_at
-    | Partitioner.Solver_failure _ -> Unknown_at
-  in
-  Option.map
-    (fun (m, r, _) -> { rate_multiplier = m; report = r })
-    (bracket ~tol ~max_multiplier attempt)
-
 let search_placement ?encoding ?preprocess
     ?(options = default_search_options) ?(tol = 0.01)
     ?(max_multiplier = 65536.) ?(incremental = true) ?initial_tiers
     ?root_basis:basis0 pl =
-  (* [initial_tiers]/[root_basis] pre-seed the incremental state with a
-     solve of the same structure at another rate (the placement
-     service's near-repeat warm start); like every warm hint in this
-     repo they change work, not answers *)
+  (* Incremental state threaded across bracket/bisection steps.  Every
+     step solves the same ILP with uniformly rescaled coefficients, so
+     (a) the last feasible tier assignment, re-evaluated under the new
+     scale, seeds the incumbent — a valid primal bound that prunes
+     most of the tree near the feasibility boundary — and (b) the
+     previous root basis warm-starts the root relaxation.
+     [initial_tiers]/[root_basis] pre-seed that state with a solve of
+     the same structure at another rate (the placement service's
+     near-repeat warm start).  Like every warm hint in this repo they
+     change work, not answers. *)
   let prev_tiers = ref initial_tiers in
   let root_basis = ref basis0 in
   let attempt factor =

@@ -1,16 +1,12 @@
 (** Data rate as a free variable (§4.3).
 
-    When no partition satisfies the budgets at the requested input
+    When no placement satisfies the budgets at the requested input
     rate, Wishbone binary-searches for the maximum rate multiplier
-    that still admits a feasible partition.  Because CPU and network
-    load grow monotonically with input rate, feasibility is monotone
-    and binary search is exact (up to [tol]). *)
-
-type result = {
-  rate_multiplier : float;
-      (** highest feasible multiple of the profiled input rate *)
-  report : Partitioner.report;  (** the partition at that rate *)
-}
+    that still admits a feasible one.  Because CPU and network load
+    grow monotonically with input rate, feasibility is monotone and
+    binary search is exact (up to [tol]).  The search runs over any
+    {!Placement.t} — the paper's two-way cut is
+    [Placement.of_spec spec]. *)
 
 type placement_result = {
   placement_multiplier : float;
@@ -39,33 +35,6 @@ val default_search_options : Lp.Branch_bound.options
     sequential); override [solver]/[workers] here to force an engine or
     parallelise each solve — the rates found are identical either way. *)
 
-val search :
-  ?encoding:Ilp.encoding ->
-  ?preprocess:bool ->
-  ?options:Lp.Branch_bound.options ->
-  ?tol:float ->
-  ?max_multiplier:float ->
-  ?incremental:bool ->
-  Spec.t ->
-  result option
-(** [None] when even a vanishing input rate has no feasible partition
-    (contradictory pinning or zero budgets).  [tol] is the relative
-    precision of the search (default 0.01); [max_multiplier] caps the
-    upward bracket (default 65536).  [options] defaults to
-    {!default_search_options}.
-
-    [incremental] (default [true]) makes each bracket/bisection step
-    reuse the previous one: the last feasible assignment seeds the
-    next solve's incumbent, and the root LP basis is carried across
-    the rescaled instances.  On any instance a step solves to
-    completion, reuse cannot change the feasibility verdict — warm
-    starts are performance hints only.  When a step instead dies on
-    [options]' node or time budget, a warm-started solve may prove
-    feasibility inside a budget the cold solve exhausts, so on
-    budget-bound instances the incremental search can find a
-    ({e genuinely feasible}) rate the cold search misses — never the
-    other way around.  Pass [false] to measure the cold baseline. *)
-
 val search_placement :
   ?encoding:Placement.encoding ->
   ?preprocess:bool ->
@@ -77,21 +46,29 @@ val search_placement :
   ?root_basis:Lp.Basis.t ->
   Placement.t ->
   placement_result option
-(** {!search} generalised to an arbitrary tier topology — any
-    {!Placement.Topology.t} tree, of which a chain is the
-    single-child special case: the same
-    bracket-and-bisect loop (and the same defaults) driven through
-    {!Placement.solve} via {!Placement.scale_rate}, threading the last
-    feasible tier assignment and root basis across steps when
-    [incremental].  [search] on a spec and [search_placement] on
-    [Placement.of_spec spec] explore identical rate sequences.
+(** The maximum rate multiplier at which [Placement.solve] finds a
+    feasible placement, by bracket and bisection over
+    {!Placement.scale_rate}: from 1 the lower bracket falls by 4x
+    until feasible, the upper one doubles while feasible (up to
+    [max_multiplier], default 65536), and geometric bisection stops
+    at relative width [tol] (default 0.01).  [None] when even a
+    vanishing input rate has no feasible placement (contradictory
+    pinning or zero budgets).  [options] defaults to
+    {!default_search_options}.
+
+    [incremental] (default [true]) makes each bracket/bisection step
+    reuse the previous one: the last feasible tier assignment seeds
+    the next solve's incumbent, and the root LP basis is carried
+    across the rescaled instances.  On any instance a step solves to
+    completion, reuse cannot change the feasibility verdict — warm
+    starts are performance hints only.  When a step instead dies on
+    [options]' node or time budget, a warm-started solve may prove
+    feasibility inside a budget the cold solve exhausts, so on
+    budget-bound instances the incremental search can find a
+    ({e genuinely feasible}) rate the cold search misses — never the
+    other way around.  Pass [false] to measure the cold baseline.
 
     [initial_tiers] and [root_basis] pre-seed the incremental state
     from a completed solve of the same placement structure at another
     rate — {!Service}'s near-repeat warm start.  Both are performance
     hints with the same caveats as [incremental] itself. *)
-
-val feasible_at : ?encoding:Ilp.encoding -> ?preprocess:bool ->
-  ?options:Lp.Branch_bound.options -> Spec.t -> float ->
-  Partitioner.outcome
-(** Partition the problem with all rates scaled by the given factor. *)

@@ -251,16 +251,15 @@ let prop_preprocess_invariant =
           tightness = Float.of_int tightness3 /. 2.;
         }
       in
-      let spec = Gen.spec (Prng.create seed) cfg in
-      let a = Wishbone.Partitioner.solve ~preprocess:true spec in
-      let b = Wishbone.Partitioner.solve ~preprocess:false spec in
+      let pl = Wishbone.Placement.of_spec (Gen.spec (Prng.create seed) cfg) in
+      let a = Wishbone.Placement.solve ~preprocess:true pl in
+      let b = Wishbone.Placement.solve ~preprocess:false pl in
       match (a, b) with
-      | Wishbone.Partitioner.Partitioned ra, Wishbone.Partitioner.Partitioned rb
-        ->
+      | Wishbone.Placement.Partitioned ra, Wishbone.Placement.Partitioned rb ->
           Float.abs (ra.objective -. rb.objective)
           <= 1e-6 *. (1. +. Float.abs rb.objective)
-      | Wishbone.Partitioner.No_feasible_partition,
-        Wishbone.Partitioner.No_feasible_partition ->
+      | Wishbone.Placement.No_feasible_partition,
+        Wishbone.Placement.No_feasible_partition ->
           true
       | _ -> false)
 
@@ -269,6 +268,9 @@ let prop_preprocess_invariant =
 let generous_spec seed =
   Gen.spec (Prng.create seed) { Gen.default_cfg with Gen.tightness = 0. }
 
+let search spec =
+  Wishbone.Rate_search.search_placement (Wishbone.Placement.of_spec spec)
+
 let test_rate_search_infeasible_everywhere () =
   (* a node-pinned operator with positive CPU cost and a zero budget
      is infeasible at every positive rate *)
@@ -276,26 +278,29 @@ let test_rate_search_infeasible_everywhere () =
   let cpu = Array.copy s.Wishbone.Spec.cpu in
   cpu.(0) <- 0.5 (* the pinned source *);
   let s = { s with Wishbone.Spec.cpu; cpu_budget = 0.; net_budget = 0. } in
-  Alcotest.(check bool) "no rate is feasible" true
-    (Wishbone.Rate_search.search s = None)
+  Alcotest.(check bool) "no rate is feasible" true (search s = None)
 
 let test_rate_search_feasible_at_full_rate () =
   let s = generous_spec 4 in
-  (match Wishbone.Partitioner.solve s with
-  | Wishbone.Partitioner.Partitioned _ -> ()
+  (match Wishbone.Placement.solve (Wishbone.Placement.of_spec s) with
+  | Wishbone.Placement.Partitioned _ -> ()
   | _ -> Alcotest.fail "generous spec should be feasible at rate 1");
-  match Wishbone.Rate_search.search s with
+  match search s with
   | None -> Alcotest.fail "search failed on a feasible instance"
   | Some r ->
       Alcotest.(check bool) "multiplier at least the full rate" true
-        (r.Wishbone.Rate_search.rate_multiplier >= 1.)
+        (r.Wishbone.Rate_search.placement_multiplier >= 1.)
 
 let test_rate_search_feasibility_monotone () =
   (* once infeasible at some rate, every higher rate is infeasible *)
   let s = Gen.spec (Prng.create 6) { Gen.default_cfg with Gen.tightness = 0.7 } in
   let feasible r =
-    match Wishbone.Rate_search.feasible_at s r with
-    | Wishbone.Partitioner.Partitioned _ -> true
+    match
+      Wishbone.Placement.solve
+        ~options:Wishbone.Rate_search.default_search_options
+        (Wishbone.Placement.of_spec (Wishbone.Spec.scale_rate s r))
+    with
+    | Wishbone.Placement.Partitioned _ -> true
     | _ -> false
   in
   let rates = [ 0.25; 0.5; 1.; 2.; 4.; 8. ] in

@@ -86,16 +86,17 @@ let test_aggregation_changes_partition () =
       let cpu = Array.copy spec.Spec.cpu in
       cpu.(reduce) <- 0.3;
       let spec = { spec with Spec.cpu } in
-      let in_network = Partitioner.solve spec in
+      let solve spec = Placement.solve (Placement.of_spec spec) in
+      let in_network = solve spec in
       let overloaded =
-        Partitioner.solve (Aggregation.annotate_fan_in spec ~op:reduce ~fan_in:5.)
+        solve (Aggregation.annotate_fan_in spec ~op:reduce ~fan_in:5.)
       in
       match (in_network, overloaded) with
-      | Partitioner.Partitioned a, Partitioner.Partitioned b ->
+      | Placement.Partitioned a, Placement.Partitioned b ->
           Alcotest.(check bool) "cheap reduce runs in-network" true
-            a.assignment.(reduce);
+            (a.tier_of.(reduce) = 0);
           Alcotest.(check bool) "overloaded reduce moves to the server" true
-            (not b.assignment.(reduce))
+            (b.tier_of.(reduce) = 1)
       | _ -> Alcotest.fail "partitioning failed")
 
 let test_mixed_network_plans () =
@@ -119,11 +120,9 @@ let test_mixed_network_plans () =
           (fun p -> p.Mixed.platform.Profiler.Platform.name = name)
           plans
       in
-      let tmote_ops =
-        List.length (Partitioner.node_ops (by "tmote").Mixed.report)
-      in
-      let meraki_ops =
-        List.length (Partitioner.node_ops (by "meraki").Mixed.report)
+      let tmote_ops = List.length (Placement.ops_on (by "tmote").Mixed.report 0)
+      and meraki_ops =
+        List.length (Placement.ops_on (by "meraki").Mixed.report 0)
       in
       (* the classes end up with different physical partitions *)
       Alcotest.(check bool)
@@ -132,69 +131,64 @@ let test_mixed_network_plans () =
         true
         (tmote_ops <> meraki_ops)
 
-let test_three_tier_pipeline () =
+(* the §9 mote -> Meraki microserver -> server chain over speech at 8%
+   of the native rate, where the mote tier can run the front end;
+   [micro_net_budget] replaces the Meraki's radio budget on the
+   microserver uplink *)
+let three_tier_of_speech ?micro_net_budget () =
   let speech = Apps.Speech.build () in
-  let raw = Apps.Speech.profile ~duration:10. speech in
-  (* at 8% of the native rate the mote tier can run the front end *)
-  let raw = Profiler.Profile.scale_rate raw 0.08 in
-  match
-    Three_tier.of_profile ~mote:Profiler.Platform.tmote_sky
-      ~micro:Profiler.Platform.meraki raw
-  with
+  let raw =
+    Profiler.Profile.scale_rate (Apps.Speech.profile ~duration:10. speech) 0.08
+  in
+  match Spec.of_profile ~node_platform:Profiler.Platform.tmote_sky raw with
   | Error m -> Alcotest.fail m
-  | Ok t -> (
-      match Three_tier.solve t with
-      | Three_tier.Partitioned r ->
-          let motes, micros, central = Three_tier.tier_counts r in
-          Alcotest.(check int) "all ops placed" 9 (motes + micros + central);
-          (* source on the mote, sink central *)
-          Alcotest.(check bool) "source on mote" true
-            (r.tiers.(speech.Apps.Speech.source) = Three_tier.Mote);
-          let sink = (Dataflow.Graph.sinks speech.Apps.Speech.graph) |> List.hd in
-          Alcotest.(check bool) "sink central" true
-            (r.tiers.(sink) = Three_tier.Central);
-          (* tiers descend monotonically along the pipeline *)
-          let rank = function
-            | Three_tier.Mote -> 2
-            | Three_tier.Microserver -> 1
-            | Three_tier.Central -> 0
-          in
-          Array.iter
-            (fun (e : Graph.edge) ->
-              Alcotest.(check bool) "monotone descent" true
-                (rank r.tiers.(e.src) >= rank r.tiers.(e.dst)))
-            (Graph.edges speech.Apps.Speech.graph);
-          (* budget respected on the mote radio *)
-          Alcotest.(check bool) "mote net within budget" true
-            (r.mote_net
-            <= Profiler.Platform.tmote_sky.Profiler.Platform
-               .radio_bytes_per_sec
-               +. 1e-6)
-      | Three_tier.No_feasible_partition ->
-          Alcotest.fail "expected a three-tier partition"
-      | Three_tier.Solver_failure m -> Alcotest.fail m)
+  | Ok spec ->
+      let pl =
+        Placement.of_platforms spec raw
+          Profiler.Platform.[ tmote_sky; meraki ]
+      in
+      let links = Array.copy pl.Placement.links in
+      Option.iter
+        (fun b -> links.(1) <- { (links.(1)) with Placement.net_budget = b })
+        micro_net_budget;
+      (speech, { pl with Placement.links })
+
+let solve_three_tier pl =
+  match Placement.solve pl with
+  | Placement.Partitioned r -> r
+  | Placement.No_feasible_partition ->
+      Alcotest.fail "expected a three-tier partition"
+  | Placement.Solver_failure m -> Alcotest.fail m
+
+let test_three_tier_pipeline () =
+  let speech, pl = three_tier_of_speech () in
+  let r = solve_three_tier pl in
+  let tiers = r.Placement.tier_of in
+  Alcotest.(check int) "all ops placed" 9 (Array.length tiers);
+  (* source on the mote, sink central *)
+  Alcotest.(check int) "source on mote" 0 tiers.(speech.Apps.Speech.source);
+  let sink = List.hd (Dataflow.Graph.sinks speech.Apps.Speech.graph) in
+  Alcotest.(check int) "sink central" 2 tiers.(sink);
+  (* tiers descend monotonically along the pipeline *)
+  Array.iter
+    (fun (e : Graph.edge) ->
+      Alcotest.(check bool) "monotone descent" true
+        (tiers.(e.src) <= tiers.(e.dst)))
+    (Graph.edges speech.Apps.Speech.graph);
+  (* budget respected on the mote radio *)
+  Alcotest.(check bool) "mote net within budget" true
+    (r.Placement.link_net.(0)
+    <= Profiler.Platform.tmote_sky.Profiler.Platform.radio_bytes_per_sec
+       +. 1e-6)
 
 let test_three_tier_uses_middle () =
   (* when the mote cannot afford a stage but the microserver can, the
-     middle tier must actually be used *)
-  let speech = Apps.Speech.build () in
-  let raw = Apps.Speech.profile ~duration:10. speech in
-  let raw = Profiler.Profile.scale_rate raw 0.08 in
-  match
-    Three_tier.of_profile ~mote:Profiler.Platform.tmote_sky
-      ~micro:Profiler.Platform.meraki
-      ~micro_net_budget:300.  (* tight uplink: push work into the middle *)
-      raw
-  with
-  | Error m -> Alcotest.fail m
-  | Ok t -> (
-      match Three_tier.solve t with
-      | Three_tier.Partitioned r ->
-          let _, micros, _ = Three_tier.tier_counts r in
-          Alcotest.(check bool) "microserver tier non-empty" true (micros > 0)
-      | Three_tier.No_feasible_partition ->
-          Alcotest.fail "expected a partition"
-      | Three_tier.Solver_failure m -> Alcotest.fail m)
+     middle tier must actually be used: a tight uplink pushes work
+     into the middle *)
+  let _, pl = three_tier_of_speech ~micro_net_budget:300. () in
+  let r = solve_three_tier pl in
+  Alcotest.(check bool) "microserver tier non-empty" true
+    (Placement.ops_on r 1 <> [])
 
 let test_mixed_matches_brute_force () =
   (* every per-class ILP answer must equal exhaustive search over the
@@ -225,47 +219,37 @@ let test_mixed_matches_brute_force () =
               Alcotest.(check bool)
                 (p.Mixed.platform.Profiler.Platform.name ^ " at rate 1")
                 true
-                (p.Mixed.report.Partitioner.solver.Lp.Branch_bound
+                (p.Mixed.report.Placement.solver.Lp.Branch_bound
                    .proved_optimal);
-              match Partitioner.brute_force spec with
+              match Check.Reference.two_tier_brute_force spec with
               | None -> Alcotest.fail "brute force found no feasible cut"
               | Some (_, best) ->
                   Alcotest.(check (float 1e-6))
                     (p.Mixed.platform.Profiler.Platform.name
                     ^ " objective = brute force")
-                    best p.Mixed.report.Partitioner.objective))
+                    best p.Mixed.report.Placement.objective))
         plans
 
-let three_tier_of_speech ?micro_net_budget () =
-  let speech = Apps.Speech.build () in
-  let raw = Apps.Speech.profile ~duration:10. speech in
-  let raw = Profiler.Profile.scale_rate raw 0.08 in
-  Three_tier.of_profile ~mote:Profiler.Platform.tmote_sky
-    ~micro:Profiler.Platform.meraki ?micro_net_budget raw
-
-let check_three_tier_matches_brute t =
-  match (Three_tier.solve t, Three_tier.brute_force t) with
-  | Three_tier.Partitioned r, Some (tiers, best) ->
+let check_three_tier_matches_brute pl =
+  match (Placement.solve pl, Check.Reference.three_tier_brute_force pl) with
+  | Placement.Partitioned r, Some (tiers, best) ->
       Alcotest.(check (float 1e-6)) "objective = brute force" best
-        r.Three_tier.objective;
+        r.Placement.objective;
       Alcotest.(check int) "same tier count" (Array.length tiers)
-        (Array.length r.Three_tier.tiers)
-  | Three_tier.Partitioned _, None ->
+        (Array.length r.Placement.tier_of)
+  | Placement.Partitioned _, None ->
       Alcotest.fail "ILP found a partition but brute force did not"
-  | Three_tier.No_feasible_partition, Some _ ->
+  | Placement.No_feasible_partition, Some _ ->
       Alcotest.fail "brute force found a partition but the ILP did not"
-  | Three_tier.No_feasible_partition, None -> ()
-  | Three_tier.Solver_failure m, _ -> Alcotest.fail m
+  | Placement.No_feasible_partition, None -> ()
+  | Placement.Solver_failure m, _ -> Alcotest.fail m
 
 let test_three_tier_matches_brute_force () =
-  match three_tier_of_speech () with
-  | Error m -> Alcotest.fail m
-  | Ok t -> check_three_tier_matches_brute t
+  check_three_tier_matches_brute (snd (three_tier_of_speech ()))
 
 let test_three_tier_matches_brute_force_tight () =
-  match three_tier_of_speech ~micro_net_budget:300. () with
-  | Error m -> Alcotest.fail m
-  | Ok t -> check_three_tier_matches_brute t
+  check_three_tier_matches_brute
+    (snd (three_tier_of_speech ~micro_net_budget:300. ()))
 
 let () =
   (* the pivot counter is process-wide; start every suite from a

@@ -8,10 +8,16 @@ open Wishbone
 let speech = Apps.Speech.build ()
 let speech_raw = lazy (Apps.Speech.profile ~duration:20. speech)
 
-let node_names (report : Partitioner.report) =
+let node_names report =
   List.map
     (fun i -> (Dataflow.Graph.op speech.Apps.Speech.graph i).Dataflow.Op.name)
-    (Partitioner.node_ops report)
+    (Placement.ops_on report 0)
+
+(* the paper's two-way cut is the two-tier placement of a spec *)
+let solve spec = Placement.solve (Placement.of_spec spec)
+
+let search ?tol ?options spec =
+  Rate_search.search_placement ?tol ?options (Placement.of_spec spec)
 
 (* §7.3: binary search finds ~3 input events/s on the TMote, cutting
    right after the filter bank *)
@@ -21,12 +27,12 @@ let test_speech_tmote_rate_search () =
   | Error m -> Alcotest.fail m
   | Ok spec -> (
       (* the full 40 windows/s rate must NOT fit on a TMote *)
-      (match Partitioner.solve spec with
-      | Partitioner.No_feasible_partition -> ()
+      (match solve spec with
+      | Placement.No_feasible_partition -> ()
       | _ -> Alcotest.fail "full rate should not fit a TMote");
-      match Rate_search.search spec with
-      | Some { rate_multiplier; report } ->
-          let wps = rate_multiplier *. Apps.Speech.frame_rate in
+      match search spec with
+      | Some { placement_multiplier; placement_report = report; _ } ->
+          let wps = placement_multiplier *. Apps.Speech.frame_rate in
           Alcotest.(check bool)
             (Printf.sprintf "2..6 windows/s (got %.2f)" wps)
             true
@@ -43,10 +49,10 @@ let test_speech_meraki_raw_cut () =
   match Spec.of_profile ~node_platform:Profiler.Platform.meraki raw with
   | Error m -> Alcotest.fail m
   | Ok spec -> (
-      match Rate_search.search spec with
-      | Some { rate_multiplier; report } ->
+      match search spec with
+      | Some { placement_multiplier; placement_report = report; _ } ->
           Alcotest.(check bool) "sustains at least the full rate" true
-            (rate_multiplier >= 1.);
+            (placement_multiplier >= 1.);
           Alcotest.(check (list string)) "raw data off the node"
             [ "source" ] (node_names report)
       | None -> Alcotest.fail "rate search failed")
@@ -171,10 +177,10 @@ let test_predicted_matches_empirical () =
   match Spec.of_profile ~node_platform:Profiler.Platform.tmote_sky raw with
   | Error m -> Alcotest.fail m
   | Ok spec -> (
-      match Rate_search.search spec with
+      match search spec with
       | None -> Alcotest.fail "no partition"
-      | Some { report; _ } ->
-          let predicted_cut = List.length (Partitioner.node_ops report) in
+      | Some { placement_report = report; _ } ->
+          let predicted_cut = List.length (Placement.ops_on report 0) in
           let cuts = Apps.Speech.relevant_cutpoints speech in
           let best, _ =
             List.fold_left
@@ -222,10 +228,10 @@ let test_fig5a_rate_sweep_shape () =
     match Spec.of_profile ~mode:Movable.Permissive ~node_platform:platform raw with
     | Error m -> Alcotest.fail m
     | Ok spec -> (
-        match Partitioner.solve (Spec.scale_rate spec mult) with
-        | Partitioner.Partitioned r -> List.length (Partitioner.node_ops r)
-        | Partitioner.No_feasible_partition -> -1
-        | Partitioner.Solver_failure m -> Alcotest.fail m)
+        match solve (Spec.scale_rate spec mult) with
+        | Placement.Partitioned r -> List.length (Placement.ops_on r 0)
+        | Placement.No_feasible_partition -> -1
+        | Placement.Solver_failure m -> Alcotest.fail m)
   in
   let rates = [ 1.; 4.; 16.; 64.; 256. ] in
   let tmote = List.map (ops_on_node Profiler.Platform.tmote_sky) rates in
@@ -265,8 +271,8 @@ let test_eeg_full_app_partitions () =
         (Printf.sprintf "preprocessing shrinks %d -> %d movable" orig super)
         true
         (super < orig * 7 / 10);
-      match Partitioner.solve spec with
-      | Partitioner.Partitioned r ->
+      match solve spec with
+      | Placement.Partitioned r ->
           Alcotest.(check bool) "proved optimal" true
             r.solver.Lp.Branch_bound.proved_optimal;
           Alcotest.(check bool)
@@ -277,14 +283,14 @@ let test_eeg_full_app_partitions () =
           (* the sources must stay on the node, the sink on the server *)
           Array.iter
             (fun s ->
-              Alcotest.(check bool) "source on node" true r.assignment.(s))
+              Alcotest.(check bool) "source on node" true (r.tier_of.(s) = 0))
             t.Apps.Eeg.sources
-      | Partitioner.No_feasible_partition ->
+      | Placement.No_feasible_partition ->
           (* acceptable at full 22-channel load on a mote: then a rate
              search must succeed below x1 (coarse tolerance and a small
              per-solve budget keep the test fast) *)
           (match
-             Rate_search.search ~tol:0.1
+             search ~tol:0.1
                ~options:
                  {
                    Rate_search.default_search_options with
@@ -292,11 +298,11 @@ let test_eeg_full_app_partitions () =
                  }
                spec
            with
-          | Some { rate_multiplier; _ } ->
+          | Some { placement_multiplier; _ } ->
               Alcotest.(check bool) "reduced rate found" true
-                (rate_multiplier > 0.)
+                (placement_multiplier > 0.)
           | None -> Alcotest.fail "EEG has no feasible rate at all")
-      | Partitioner.Solver_failure m -> Alcotest.fail m)
+      | Placement.Solver_failure m -> Alcotest.fail m)
 
 let test_eeg_conservative_vs_permissive () =
   (* ablation: permissive mode must expose strictly more movable

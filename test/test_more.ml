@@ -314,12 +314,15 @@ let prop_rate_search_returns_feasible =
           ~net_budget:(30. +. Float.of_int (seed mod 6) *. 30.)
           ()
       in
-      match Wishbone.Rate_search.search spec with
+      match
+        Wishbone.Rate_search.search_placement (Wishbone.Placement.of_spec spec)
+      with
       | None -> true
-      | Some { rate_multiplier; report } ->
+      | Some { placement_multiplier; placement_report = r; _ } ->
           Wishbone.Spec.feasible
-            (Wishbone.Spec.scale_rate spec rate_multiplier)
-            ~node_side:report.Wishbone.Partitioner.assignment)
+            (Wishbone.Spec.scale_rate spec placement_multiplier)
+            ~node_side:
+              (Array.map (fun t -> t = 0) r.Wishbone.Placement.tier_of))
 
 let () =
   (* the pivot counter is process-wide; start every suite from a

@@ -6,8 +6,8 @@
      traffic counters, per-operator drop counts) on frozen seeds;
    - Figure 3 goldens solved through the generic placement core;
    - a hand-checked three-tier fixture where the optimum is computed
-     on paper, solved via Three_tier (now a Placement instance) and
-     cross-checked against the independent brute force;
+     on paper, solved by Placement and cross-checked against the
+     independent brute force of Check.Reference;
    - a Multirun three-tier end-to-end run exercising per-link offered
      traffic, drop accounting, queue inspection and reset. *)
 
@@ -229,30 +229,29 @@ let chain_spec () =
      a=b=central        : 1.0*10 + 0.3*10 = 13. *)
 let test_three_tier_hand_checked () =
   let tt =
-    Three_tier.of_spec ~micro_cpu_budget:0.15
+    Check.Reference.three_tier ~micro_cpu_budget:0.15
       ~micro_cpu:[| 0.; 0.1; 0.1; 0. |] (chain_spec ())
   in
-  (match Three_tier.solve tt with
-  | Three_tier.Partitioned r ->
-      Alcotest.(check bool) "tiers = [mote; mote; micro; central]" true
-        (r.Three_tier.tiers
-        = [| Three_tier.Mote; Three_tier.Mote; Three_tier.Microserver;
-             Three_tier.Central |]);
-      feq "objective" 4.6 r.Three_tier.objective;
-      feq "mote cut" 4. r.Three_tier.mote_net;
-      feq "micro cut" 2. r.Three_tier.micro_net;
-      feq "mote cpu" 0.9 r.Three_tier.mote_cpu;
-      feq "micro cpu" 0.1 r.Three_tier.micro_cpu;
-      Alcotest.(check (pair (pair int int) int)) "tier counts" ((2, 1), 1)
-        (let m, mi, c = Three_tier.tier_counts r in
-         ((m, mi), c))
+  let mote_mote_micro_central = [ 0; 0; 1; 2 ] in
+  (match Placement.solve tt with
+  | Placement.Partitioned r ->
+      Alcotest.(check (list int)) "tiers = [mote; mote; micro; central]"
+        mote_mote_micro_central
+        (Array.to_list r.Placement.tier_of);
+      feq "objective" 4.6 r.Placement.objective;
+      feq "mote cut" 4. r.Placement.link_net.(0);
+      feq "micro cut" 2. r.Placement.link_net.(1);
+      feq "mote cpu" 0.9 r.Placement.tier_cpu.(0);
+      feq "micro cpu" 0.1 r.Placement.tier_cpu.(1);
+      Alcotest.(check (list int)) "tier counts" [ 2; 1; 1 ]
+        (List.map
+           (fun tier -> List.length (Placement.ops_on r tier))
+           [ 0; 1; 2 ])
   | _ -> Alcotest.fail "three-tier solve failed");
-  match Three_tier.brute_force tt with
+  match Check.Reference.three_tier_brute_force tt with
   | Some (tiers, obj) ->
-      Alcotest.(check bool) "brute force agrees on tiers" true
-        (tiers
-        = [| Three_tier.Mote; Three_tier.Mote; Three_tier.Microserver;
-             Three_tier.Central |]);
+      Alcotest.(check (list int)) "brute force agrees on tiers"
+        mote_mote_micro_central (Array.to_list tiers);
       feq "brute force agrees on objective" 4.6 obj
   | None -> Alcotest.fail "brute force found no feasible assignment"
 
@@ -260,17 +259,16 @@ let test_three_tier_hand_checked () =
    two-tier optimum on the same chain *)
 let test_three_tier_collapses_to_two () =
   let tt =
-    Three_tier.of_spec ~micro_cpu_budget:0.
+    Check.Reference.three_tier ~micro_cpu_budget:0.
       ~micro_cpu:[| 0.; 0.1; 0.1; 0. |] (chain_spec ())
   in
-  match Three_tier.solve tt with
-  | Three_tier.Partitioned r ->
+  match Placement.solve tt with
+  | Placement.Partitioned r ->
       (* a on the mote, b forced past the empty microserver: the b->sink
          edge rides both layers, so 1.0*4 + 0.3*4 *)
       Alcotest.(check bool) "nobody on the microserver" true
-        (Array.for_all (fun t -> t <> Three_tier.Microserver)
-           r.Three_tier.tiers);
-      feq "objective" 5.2 r.Three_tier.objective
+        (Placement.ops_on r 1 = []);
+      feq "objective" 5.2 r.Placement.objective
   | _ -> Alcotest.fail "three-tier solve failed"
 
 (* ---- Multirun three-tier end-to-end ------------------------------- *)
@@ -340,57 +338,6 @@ let test_multirun_three_tier_e2e () =
   Alcotest.(check int) "engine still runs after reset" 0 (List.length out);
   Alcotest.(check int) "fresh crossing queued" 1
     (Runtime.Multirun.link_queued mr 0)
-
-(* ---- work-stealing frontier on the EEG instances ------------------- *)
-
-(* The opt-in [Steal] schedule races per-worker frontiers, so node
-   exploration order is timing-dependent — but the optimum it returns
-   must match the deterministic [Wave] baseline for any worker count.
-   Pinned on the two EEG placement encodings at each instance's own
-   maximum feasible rate (found by the placement rate search), where
-   the branch & bound tree is non-trivial but solves well inside the
-   default budget. *)
-let test_steal_eeg () =
-  let solve_obj ~schedule ~workers problem =
-    let options =
-      { Lp.Branch_bound.default_options with Lp.Branch_bound.schedule; workers }
-    in
-    match Lp.Branch_bound.solve ~options problem with
-    | Lp.Solution.Optimal o, _ -> o.Lp.Solution.objective
-    | _ -> Alcotest.fail "expected optimal placement ILP"
-  in
-  let instance name ~n_channels =
-    let raw = Apps.Eeg.profile ~duration:30. (Apps.Eeg.build ~n_channels ()) in
-    let spec =
-      match
-        Spec.of_profile ~mode:Movable.Permissive
-          ~node_platform:Profiler.Platform.tmote_sky raw
-      with
-      | Ok s -> s
-      | Error m -> Alcotest.failf "%s spec: %s" name m
-    in
-    let rate =
-      match Rate_search.search_placement (Placement.of_spec spec) with
-      | Some r -> r.Rate_search.placement_multiplier
-      | None -> Alcotest.failf "%s: rate search found no feasible rate" name
-    in
-    let pl = Placement.of_spec (Spec.scale_rate spec rate) in
-    let c = Preprocess.contract pl.Placement.spec in
-    let enc = Placement.encode Placement.Restricted pl c in
-    let problem = enc.Placement.problem in
-    let reference =
-      solve_obj ~schedule:Lp.Branch_bound.Wave ~workers:1 problem
-    in
-    List.iter
-      (fun workers ->
-        let obj = solve_obj ~schedule:Lp.Branch_bound.Steal ~workers problem in
-        feq ~tol:1e-9
-          (Printf.sprintf "%s steal w=%d matches wave optimum" name workers)
-          reference obj)
-      [ 1; 2; 4 ]
-  in
-  instance "eeg14" ~n_channels:14;
-  instance "eeg22" ~n_channels:22
 
 (* ---- hand-checked Y (tree) fixture -------------------------------- *)
 
@@ -898,9 +845,5 @@ let () =
             test_binary_tree_reduces_to_a_path;
           Alcotest.test_case "negative budget stays infeasible" `Quick
             test_negative_budget_stays_infeasible;
-        ] );
-      ( "steal",
-        [
-          Alcotest.test_case "eeg optima match wave" `Slow test_steal_eeg;
         ] );
     ]

@@ -9,8 +9,10 @@
      the dense and sparse LP engines under both pricing rules, and an
      evicted entry re-solves to the first answer;
    - cache safety: the instance key covers every budget, so specs
-     equal modulo CPU (or radio) budget never collide, and the query
-     key separates rates and searches;
+     equal modulo CPU (or radio) budget never collide, the query key
+     separates rates and searches, and the keys of profiled tier
+     chains and trees are pinned so cached answers and checkpoints
+     stay valid;
    - LRU churn: a seeded workload against a capacity-4 cache keeps
      the resident bound, conserves the counter algebra, and serves
      only direct-path answers throughout;
@@ -182,6 +184,28 @@ let test_key_covers_budgets () =
     (Service.query_key svc (rate pl 0.9))
     (Service.query_key svc (rate pl 0.9))
 
+(* [serve] keys its cache and checkpoints by [instance_key]; the
+   profiled instances [Placement.of_platforms] builds for a --tiers
+   chain, a --topology tree and a single platform must keep these
+   bytes (pinned as MD5 digests of the key) *)
+let test_profiled_keys_pinned () =
+  let speech = Apps.Speech.build () in
+  let raw = Apps.Speech.profile ~duration:10. speech in
+  let p = Profiler.Platform.find in
+  let spec = spec_exn ~platform:(p "tmote") raw in
+  let key pl = Digest.to_hex (Digest.string (Service.instance_key pl)) in
+  Alcotest.(check string) "speech tmote,meraki chain"
+    "1f056220a7712ad3432e6db6845d5dd5"
+    (key (Placement.of_platforms spec raw [ p "tmote"; p "meraki" ]));
+  Alcotest.(check string) "speech tmote>2,tmote>2,gumstix tree"
+    "6def39b01077f9586ba5bc30dd9c1110"
+    (key
+       (Placement.of_platforms ~parents:[| 2; 2; 3; -1 |] spec raw
+          [ p "tmote"; p "tmote"; p "gumstix" ]));
+  Alcotest.(check string) "speech tmote (the two-way cut)"
+    "1bc8217a880f4261b0c47d0154b036d2"
+    (key (Placement.of_platforms spec raw [ p "tmote" ]))
+
 (* ---- LRU churn under a seeded workload ---------------------------- *)
 
 let test_lru_churn () =
@@ -276,6 +300,8 @@ let () =
         [
           Alcotest.test_case "keys cover budgets and requests" `Quick
             test_key_covers_budgets;
+          Alcotest.test_case "profiled chain and tree keys pinned" `Quick
+            test_profiled_keys_pinned;
         ] );
       ( "lru",
         [ Alcotest.test_case "seeded churn" `Quick test_lru_churn ] );

@@ -7,6 +7,16 @@ open Wishbone
 
 let feq ?(tol = 1e-6) = Alcotest.(check (float tol))
 
+(* the paper's two-way cut: the two-tier placement of a spec, tier 0
+   the node *)
+let solve ?encoding ?preprocess ?resources spec =
+  Placement.solve ?encoding ?preprocess ?resources (Placement.of_spec spec)
+
+let node_side (r : Placement.report) = Array.map (fun t -> t = 0) r.tier_of
+
+let search ?tol ?incremental spec =
+  Rate_search.search_placement ?tol ?incremental (Placement.of_spec spec)
+
 let passthrough () =
   Op.stateless_instance (fun v -> ([ v ], Workload.make ~call_ops:1. ()))
 
@@ -177,14 +187,14 @@ let test_preprocess_preserves_optimum () =
   (* optimum with and without preprocessing agree on random specs *)
   for seed = 0 to 30 do
     let spec = Apps.Synthetic.random_spec ~seed ~n_ops:9 () in
-    let a = Partitioner.solve ~preprocess:true spec in
-    let b = Partitioner.solve ~preprocess:false spec in
+    let a = solve ~preprocess:true spec in
+    let b = solve ~preprocess:false spec in
     match (a, b) with
-    | Partitioner.Partitioned ra, Partitioner.Partitioned rb ->
+    | Placement.Partitioned ra, Placement.Partitioned rb ->
         if Float.abs (ra.objective -. rb.objective) > 1e-6 then
           Alcotest.failf "seed %d: preprocessed %g vs raw %g" seed ra.objective
             rb.objective
-    | Partitioner.No_feasible_partition, Partitioner.No_feasible_partition -> ()
+    | Placement.No_feasible_partition, Placement.No_feasible_partition -> ()
     | _ -> Alcotest.failf "seed %d: feasibility disagreement" seed
   done
 
@@ -194,17 +204,17 @@ let test_fig3_budgets () =
   List.iter
     (fun (budget, expect_bw) ->
       let spec = Apps.Synthetic.fig3_spec ~cpu_budget:budget in
-      match Partitioner.solve spec with
-      | Partitioner.Partitioned r -> feq "cut bandwidth" expect_bw r.net
+      match solve spec with
+      | Placement.Partitioned r -> feq "cut bandwidth" expect_bw r.link_net.(0)
       | _ -> Alcotest.failf "budget %g failed" budget)
     [ (2., 8.); (3., 6.); (4., 5.) ]
 
 let test_fig3_partition_shape () =
   (* at budget 4 the whole A chain moves to the node (vertical cut) *)
   let spec = Apps.Synthetic.fig3_spec ~cpu_budget:4. in
-  match Partitioner.solve spec with
-  | Partitioner.Partitioned r ->
-      Alcotest.(check (list int)) "node ops" [ 0; 1; 2 ] (Partitioner.node_ops r)
+  match solve spec with
+  | Placement.Partitioned r ->
+      Alcotest.(check (list int)) "node ops" [ 0; 1; 2 ] (Placement.ops_on r 0)
   | _ -> Alcotest.fail "no partition"
 
 (* ---- encodings ---- *)
@@ -216,29 +226,29 @@ let test_encodings_agree () =
      good.  The two coincide exactly on linear pipelines. *)
   for seed = 0 to 30 do
     let spec = Apps.Synthetic.random_spec ~seed ~n_ops:10 () in
-    let a = Partitioner.solve ~encoding:Ilp.Restricted spec in
-    let b = Partitioner.solve ~encoding:Ilp.General ~preprocess:false spec in
+    let a = solve ~encoding:Placement.Restricted spec in
+    let b = solve ~encoding:Placement.General ~preprocess:false spec in
     match (a, b) with
-    | Partitioner.Partitioned ra, Partitioner.Partitioned rb ->
+    | Placement.Partitioned ra, Placement.Partitioned rb ->
         if rb.objective > ra.objective +. 1e-6 then
           Alcotest.failf "seed %d: general %g worse than restricted %g" seed
             rb.objective ra.objective
-    | Partitioner.No_feasible_partition, _ -> ()
-    | Partitioner.Partitioned _, Partitioner.No_feasible_partition ->
+    | Placement.No_feasible_partition, _ -> ()
+    | Placement.Partitioned _, Placement.No_feasible_partition ->
         Alcotest.failf "seed %d: general infeasible, restricted not" seed
-    | Partitioner.Solver_failure m, _ | _, Partitioner.Solver_failure m ->
+    | Placement.Solver_failure m, _ | _, Placement.Solver_failure m ->
         Alcotest.failf "seed %d: solver failure %s" seed m
   done;
   for seed = 0 to 15 do
     let spec = Apps.Synthetic.random_pipeline_spec ~seed ~n_ops:8 () in
-    let a = Partitioner.solve ~encoding:Ilp.Restricted spec in
-    let b = Partitioner.solve ~encoding:Ilp.General spec in
+    let a = solve ~encoding:Placement.Restricted spec in
+    let b = solve ~encoding:Placement.General spec in
     match (a, b) with
-    | Partitioner.Partitioned ra, Partitioner.Partitioned rb ->
+    | Placement.Partitioned ra, Placement.Partitioned rb ->
         if Float.abs (ra.objective -. rb.objective) > 1e-6 then
           Alcotest.failf "pipeline seed %d: restricted %g vs general %g" seed
             ra.objective rb.objective
-    | Partitioner.No_feasible_partition, Partitioner.No_feasible_partition ->
+    | Placement.No_feasible_partition, Placement.No_feasible_partition ->
         ()
     | _ -> Alcotest.failf "pipeline seed %d: feasibility disagreement" seed
   done
@@ -258,11 +268,11 @@ let test_general_encoding_bidirectional () =
   let g = Graph.make ops [ (0, 1, 0); (1, 2, 0) ] in
   let spec = simple_spec ~cpu_budget:0.05 ~cpu:[| 0.; 0.5; 0. |] ~bw:[| 1.; 1. |] g in
   let c = Preprocess.identity spec in
-  let enc = Ilp.encode Ilp.General c in
+  let enc = Placement.encode Placement.General (Placement.of_spec spec) c in
   (match Lp.Branch_bound.solve enc.problem with
   | Lp.Solution.Optimal s, _ ->
-      let assign = Ilp.assignment_of_solution enc s in
-      Alcotest.(check bool) "mid on server" true (not assign.(1))
+      let tiers = Placement.tiers_of_solution enc c s in
+      Alcotest.(check bool) "mid on server" true (tiers.(1) = 1)
   | st, _ -> Alcotest.failf "general encoding: %a" Lp.Solution.pp_status st)
 
 (* ---- partitioner vs brute force ---- *)
@@ -277,20 +287,20 @@ let prop_ilp_matches_brute =
           ~net_budget:(50. +. Float.of_int (seed mod 7) *. 40.)
           ()
       in
-      let ilp = Partitioner.solve spec in
-      let brute = Partitioner.brute_force spec in
+      let ilp = solve spec in
+      let brute = Check.Reference.two_tier_brute_force spec in
       match (ilp, brute) with
-      | Partitioner.Partitioned r, Some (_, best_obj) ->
+      | Placement.Partitioned r, Some (_, best_obj) ->
           if Float.abs (r.objective -. best_obj) > 1e-6 then
             QCheck.Test.fail_reportf "seed %d: ilp %.9g brute %.9g" seed
               r.objective best_obj
-          else Spec.feasible spec ~node_side:r.assignment
-      | Partitioner.No_feasible_partition, None -> true
-      | Partitioner.Partitioned _, None ->
+          else Spec.feasible spec ~node_side:(node_side r)
+      | Placement.No_feasible_partition, None -> true
+      | Placement.Partitioned _, None ->
           QCheck.Test.fail_reportf "seed %d: ilp found, brute did not" seed
-      | Partitioner.No_feasible_partition, Some _ ->
+      | Placement.No_feasible_partition, Some _ ->
           QCheck.Test.fail_reportf "seed %d: brute found, ilp did not" seed
-      | Partitioner.Solver_failure m, _ ->
+      | Placement.Solver_failure m, _ ->
           QCheck.Test.fail_reportf "seed %d: solver failure %s" seed m)
 
 let prop_alpha_beta_tradeoff =
@@ -300,11 +310,12 @@ let prop_alpha_beta_tradeoff =
       let base = Apps.Synthetic.random_spec ~seed ~n_ops:8 () in
       let net_heavy = { base with Spec.alpha = 0.; beta = 1. } in
       let cpu_heavy = { base with Spec.alpha = 1.; beta = 0. } in
-      match (Partitioner.solve net_heavy, Partitioner.solve cpu_heavy) with
-      | Partitioner.Partitioned rn, Partitioner.Partitioned rc ->
+      match (solve net_heavy, solve cpu_heavy) with
+      | Placement.Partitioned rn, Placement.Partitioned rc ->
           (* each optimum is at least as good as the other point under
              its own objective *)
-          rn.net <= rc.net +. 1e-6 && rc.cpu <= rn.cpu +. 1e-6
+          rn.link_net.(0) <= rc.link_net.(0) +. 1e-6
+          && rc.tier_cpu.(0) <= rn.tier_cpu.(0) +. 1e-6
       | _ -> true)
 
 (* ---- rate search ---- *)
@@ -319,25 +330,27 @@ let test_rate_search_finds_max () =
   in
   (* at x1: cut at b->sink needs cpu 0.41 (ok) net 10 (ok): feasible.
      max rate: cpu-bound 1/0.41 = 2.43; net-bound 30/10 = 3 -> 2.43 *)
-  match Rate_search.search ~tol:0.001 spec with
-  | Some { rate_multiplier; report } ->
+  match search ~tol:0.001 spec with
+  | Some { placement_multiplier = rate; placement_report = report; _ } ->
       Alcotest.(check bool) "close to 2.43" true
-        (Float.abs (rate_multiplier -. (1. /. 0.41)) < 0.05);
+        (Float.abs (rate -. (1. /. 0.41)) < 0.05);
       Alcotest.(check bool) "report feasible at found rate" true
-        (Spec.feasible
-           (Spec.scale_rate spec rate_multiplier)
-           ~node_side:report.assignment)
+        (Spec.feasible (Spec.scale_rate spec rate)
+           ~node_side:(node_side report))
   | None -> Alcotest.fail "rate search failed"
 
 let test_rate_search_monotonicity () =
   (* feasibility is monotone in rate on every random spec *)
   for seed = 0 to 20 do
     let spec = Apps.Synthetic.random_spec ~seed ~n_ops:8 ~net_budget:100. () in
-    match Rate_search.search spec with
+    match search spec with
     | None -> ()
-    | Some { rate_multiplier; _ } ->
-        (match Rate_search.feasible_at spec (rate_multiplier /. 2.) with
-        | Partitioner.Partitioned _ -> ()
+    | Some { placement_multiplier = rate; _ } ->
+        (match
+           Placement.solve ~options:Rate_search.default_search_options
+             (Placement.of_spec (Spec.scale_rate spec (rate /. 2.)))
+         with
+        | Placement.Partitioned _ -> ()
         | _ -> Alcotest.failf "seed %d: infeasible below the found max" seed)
   done
 
@@ -349,9 +362,9 @@ let test_rate_search_overloaded_start () =
       ~cpu:[| 0.01; 2.0; 2.0; 0. |]
       ~bw:[| 100.; 50.; 10. |] g
   in
-  match Rate_search.search spec with
-  | Some { rate_multiplier; _ } ->
-      Alcotest.(check bool) "below 1" true (rate_multiplier < 1.)
+  match search spec with
+  | Some { placement_multiplier; _ } ->
+      Alcotest.(check bool) "below 1" true (placement_multiplier < 1.)
   | None -> Alcotest.fail "expected a reduced-rate partition"
 
 let test_rate_search_incremental_consistent () =
@@ -360,16 +373,15 @@ let test_rate_search_incremental_consistent () =
   for seed = 0 to 9 do
     let spec = Apps.Synthetic.random_spec ~seed ~n_ops:14 () in
     match
-      ( Rate_search.search ~incremental:false spec,
-        Rate_search.search ~incremental:true spec )
+      (search ~incremental:false spec, search ~incremental:true spec)
     with
     | Some a, Some b ->
         if
-          Float.abs (a.rate_multiplier -. b.rate_multiplier)
-          > 0.02 *. a.rate_multiplier
+          Float.abs (a.placement_multiplier -. b.placement_multiplier)
+          > 0.02 *. a.placement_multiplier
         then
           Alcotest.failf "seed %d: cold rate %g, incremental rate %g" seed
-            a.rate_multiplier b.rate_multiplier
+            a.placement_multiplier b.placement_multiplier
     | None, None -> ()
     | _ -> Alcotest.failf "seed %d: feasibility disagreement" seed
   done
@@ -435,21 +447,21 @@ let test_resource_constraint_forces_server () =
       ~bw:[| 100.; 50.; 10. |] g
   in
   (* without the RAM row, everything fits on the node *)
-  (match Partitioner.solve spec with
-  | Partitioner.Partitioned r ->
+  (match solve spec with
+  | Placement.Partitioned r ->
       Alcotest.(check int) "all three on node" 3
-        (List.length (Partitioner.node_ops r))
+        (List.length (Placement.ops_on r 0))
   | _ -> Alcotest.fail "base problem should partition");
   (* op b needs 8 kB of RAM but the mote only has 10 kB total with a
      6 kB budget for operators *)
   let ram =
-    { Ilp.rname = "ram"; per_op = [| 100.; 500.; 8000.; 0. |]; budget = 6000. }
+    { Placement.rname = "ram"; per_op = [| 100.; 500.; 8000.; 0. |];
+      budget = 6000. }
   in
-  match Partitioner.solve ~resources:[ ram ] spec with
-  | Partitioner.Partitioned r ->
-      Alcotest.(check bool) "b forced to the server" true
-        (not r.assignment.(2));
-      Alcotest.(check bool) "a still on node" true r.assignment.(1)
+  match solve ~resources:[ ram ] spec with
+  | Placement.Partitioned r ->
+      Alcotest.(check bool) "b forced to the server" true (r.tier_of.(2) = 1);
+      Alcotest.(check bool) "a still on node" true (r.tier_of.(1) = 0)
   | _ -> Alcotest.fail "resource-constrained problem should partition"
 
 let test_resource_infeasible () =
@@ -459,10 +471,11 @@ let test_resource_infeasible () =
   in
   (* even the pinned source exceeds the budget: no partition at all *)
   let ram =
-    { Ilp.rname = "ram"; per_op = [| 9000.; 1.; 1.; 0. |]; budget = 6000. }
+    { Placement.rname = "ram"; per_op = [| 9000.; 1.; 1.; 0. |];
+      budget = 6000. }
   in
-  match Partitioner.solve ~resources:[ ram ] spec with
-  | Partitioner.No_feasible_partition -> ()
+  match solve ~resources:[ ram ] spec with
+  | Placement.No_feasible_partition -> ()
   | _ -> Alcotest.fail "expected infeasible"
 
 let test_resource_wrong_length () =
@@ -470,10 +483,10 @@ let test_resource_wrong_length () =
   let spec =
     simple_spec ~cpu:[| 0.1; 0.1; 0.1; 0. |] ~bw:[| 100.; 50.; 10. |] g
   in
-  let bad = { Ilp.rname = "ram"; per_op = [| 1. |]; budget = 5. } in
+  let bad = { Placement.rname = "ram"; per_op = [| 1. |]; budget = 5. } in
   Alcotest.check_raises "length check"
-    (Invalid_argument "Ilp.encode: resource ram has wrong length") (fun () ->
-      ignore (Partitioner.solve ~resources:[ bad ] spec))
+    (Invalid_argument "Placement.encode: resource ram has wrong length")
+    (fun () -> ignore (solve ~resources:[ bad ] spec))
 
 (* ---- pipeline fast path ---- *)
 
@@ -487,18 +500,18 @@ let prop_pipeline_dp_matches_ilp =
           ~net_budget:(200. +. Float.of_int (seed mod 5) *. 150.)
           ()
       in
-      match (Pipeline_dp.solve spec, Partitioner.solve spec) with
-      | Some (_, dp_obj), Partitioner.Partitioned r ->
+      match (Pipeline_dp.solve spec, solve spec) with
+      | Some (_, dp_obj), Placement.Partitioned r ->
           if Float.abs (dp_obj -. r.objective) > 1e-6 then
             QCheck.Test.fail_reportf "seed %d: dp %.9g vs ilp %.9g" seed dp_obj
               r.objective
           else true
-      | None, Partitioner.No_feasible_partition -> true
+      | None, Placement.No_feasible_partition -> true
       | Some _, _ ->
           QCheck.Test.fail_reportf "seed %d: dp found a cut, ilp did not" seed
-      | None, Partitioner.Partitioned _ ->
+      | None, Placement.Partitioned _ ->
           QCheck.Test.fail_reportf "seed %d: ilp found a cut, dp did not" seed
-      | _, Partitioner.Solver_failure m ->
+      | _, Placement.Solver_failure m ->
           QCheck.Test.fail_reportf "seed %d: %s" seed m)
 
 let test_pipeline_dp_rejects_dag () =
