@@ -639,10 +639,12 @@ let deploy_cmd =
         Printf.eprintf "error: %s\n" m;
         exit 1
     | Ok spec -> (
-        let spec = Wishbone.Spec.scale_rate spec rate in
+        (* build at rate 1, then scale every tier, not just tier 0 *)
         let pl =
-          Wishbone.Placement.of_platforms ?parents:ts.parents spec raw
-            ts.plats
+          Wishbone.Placement.scale_rate
+            (Wishbone.Placement.of_platforms ?parents:ts.parents spec raw
+               ts.plats)
+            rate
         in
         match Wishbone.Placement.solve pl with
         | Wishbone.Placement.No_feasible_partition ->

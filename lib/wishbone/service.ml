@@ -37,9 +37,10 @@ type response = {
 
 exception Injected_fault of string
 
-(* Raised by a [Kill_worker] fault to take its whole [Domain] down —
-   the one exception the per-query supervisor deliberately does not
-   contain.  Never escapes [run_batch]. *)
+(* Raised by a [Kill_worker] fault to take down the domain that
+   claimed the query, the calling one included — the one exception the
+   per-query supervisor deliberately does not contain.  Never escapes
+   [run_batch]. *)
 exception Worker_killed
 
 (* ---- fault injection ---------------------------------------------- *)
@@ -83,14 +84,62 @@ end
    their IEEE-754 bit patterns) into one canonical byte string, then
    hashed.  Budgets and objective weights are part of the key: two
    placements that differ only in a CPU budget solve differently and
-   must never collide. *)
+   must never collide.
 
-let add_f buf x =
-  Buffer.add_string buf (Printf.sprintf "%Lx;" (Int64.bits_of_float x))
+   The writers below append straight into the buffer rather than
+   through [Printf]: an eeg14 key renders about 72 KB of coefficients,
+   and every query is keyed.  The bytes are exactly what
+   [Printf.sprintf "%Lx"] and [string_of_int] produce, so every stored
+   key and digest stays valid. *)
+
+let hex_digits = "0123456789abcdef"
+
+(* the nibbles of [x] from bit [shift] down, as lowercase hex *)
+let rec add_nibbles buf x shift =
+  if shift >= 0 then begin
+    Buffer.add_char buf hex_digits.[(x lsr shift) land 0xf];
+    add_nibbles buf x (shift - 4)
+  end
+
+(* [Printf.sprintf "%Lx;" (Int64.bits_of_float x)]: lowercase hex
+   without leading zeros.  The two 32-bit halves of the pattern each
+   fit an [int], so no boxed [Int64] arithmetic runs per nibble. *)
+let add_float_bits buf x =
+  let bits = Int64.bits_of_float x in
+  let hi = Int64.to_int (Int64.shift_right_logical bits 32) in
+  let lo = Int64.to_int bits land 0xffff_ffff in
+  let rec top x shift =
+    if shift > 0 && (x lsr shift) land 0xf = 0 then top x (shift - 4)
+    else shift
+  in
+  if hi = 0 then add_nibbles buf lo (top lo 28)
+  else begin
+    add_nibbles buf hi (top hi 28);
+    add_nibbles buf lo 28
+  end;
+  Buffer.add_char buf ';'
+
+(* digits of [n <= 0]; working on the non-positive side covers
+   [min_int], which has no positive counterpart *)
+let rec add_nonpos buf n =
+  if n <= -10 then add_nonpos buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_nonpos buf n
+  end
+  else add_nonpos buf (-n)
+
+(* an int and its ',' terminator *)
+let add_int_field buf n =
+  add_int buf n;
+  Buffer.add_char buf ','
 
 let add_s buf s =
   (* length-prefixed so name boundaries cannot alias *)
-  Buffer.add_string buf (string_of_int (String.length s));
+  add_int buf (String.length s);
   Buffer.add_char buf ':';
   Buffer.add_string buf s
 
@@ -98,10 +147,12 @@ let instance_key (pl : Placement.t) =
   let spec = pl.Placement.spec in
   let g = spec.Spec.graph in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "ops%d;" (Graph.n_ops g));
+  Buffer.add_string buf "ops";
+  add_int buf (Graph.n_ops g);
+  Buffer.add_char buf ';';
   Array.iter
     (fun (o : Op.t) ->
-      Buffer.add_string buf (string_of_int o.id);
+      add_int buf o.id;
       add_s buf o.name;
       add_s buf o.kind;
       Buffer.add_char buf (match o.namespace with Op.Node -> 'n' | Op.Server -> 's');
@@ -123,33 +174,35 @@ let instance_key (pl : Placement.t) =
         | Movable.Movable -> 'M'))
     spec.Spec.placement;
   Buffer.add_string buf "|cpu";
-  Array.iter (add_f buf) spec.Spec.cpu;
+  Array.iter (add_float_bits buf) spec.Spec.cpu;
   Buffer.add_string buf "|edges";
   Array.iter
     (fun (e : Graph.edge) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%d,%d,%d," e.eid e.src e.dst e.dst_port);
-      add_f buf spec.Spec.bandwidth.(e.eid))
+      add_int_field buf e.eid;
+      add_int_field buf e.src;
+      add_int_field buf e.dst;
+      add_int_field buf e.dst_port;
+      add_float_bits buf spec.Spec.bandwidth.(e.eid))
     (Graph.edges g);
   Buffer.add_string buf "|spec";
-  add_f buf spec.Spec.cpu_budget;
-  add_f buf spec.Spec.net_budget;
-  add_f buf spec.Spec.alpha;
-  add_f buf spec.Spec.beta;
+  add_float_bits buf spec.Spec.cpu_budget;
+  add_float_bits buf spec.Spec.net_budget;
+  add_float_bits buf spec.Spec.alpha;
+  add_float_bits buf spec.Spec.beta;
   Buffer.add_string buf "|tiers";
   Array.iter
     (fun (t : Placement.tier) ->
       add_s buf t.Placement.tname;
-      Array.iter (add_f buf) t.Placement.cpu;
-      add_f buf t.Placement.cpu_budget;
-      add_f buf t.Placement.alpha)
+      Array.iter (add_float_bits buf) t.Placement.cpu;
+      add_float_bits buf t.Placement.cpu_budget;
+      add_float_bits buf t.Placement.alpha)
     pl.Placement.tiers;
   Buffer.add_string buf "|links";
   Array.iter
     (fun (l : Placement.link) ->
       add_s buf l.Placement.lname;
-      add_f buf l.Placement.net_budget;
-      add_f buf l.Placement.beta)
+      add_float_bits buf l.Placement.net_budget;
+      add_float_bits buf l.Placement.beta)
     pl.Placement.links;
   (* tree topologies and per-operator tier pins extend the key; the
      degenerate chain with no pins keeps its historical bytes, so
@@ -159,44 +212,34 @@ let instance_key (pl : Placement.t) =
     || Array.exists Option.is_some pl.Placement.tier_pins
   then begin
     Buffer.add_string buf "|topo";
-    Array.iter
-      (fun p ->
-        Buffer.add_string buf (string_of_int p);
-        Buffer.add_char buf ',')
+    Array.iter (add_int_field buf)
       (Placement.Topology.parents pl.Placement.topology);
     Buffer.add_string buf "|tpins";
     Array.iter
       (fun p ->
         match p with
         | None -> Buffer.add_char buf '.'
-        | Some tp ->
-            Buffer.add_string buf (string_of_int tp);
-            Buffer.add_char buf ',')
+        | Some tp -> add_int_field buf tp)
       pl.Placement.tier_pins
   end;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let add_tiers buf tier_of =
-  Array.iter
-    (fun tp ->
-      Buffer.add_string buf (string_of_int tp);
-      Buffer.add_char buf ',')
-    tier_of
+let add_tiers buf tier_of = Array.iter (add_int_field buf) tier_of
 
 let answer_digest = function
   | Placed { rate; report } ->
       let buf = Buffer.create 256 in
       Buffer.add_string buf "placed;";
-      add_f buf rate;
-      add_f buf report.Placement.objective;
+      add_float_bits buf rate;
+      add_float_bits buf report.Placement.objective;
       add_tiers buf report.Placement.tier_of;
       Digest.to_hex (Digest.string (Buffer.contents buf))
   | Degraded { rate; report; gap } ->
       let buf = Buffer.create 256 in
       Buffer.add_string buf "degraded;";
-      add_f buf rate;
-      add_f buf report.Placement.objective;
-      add_f buf gap;
+      add_float_bits buf rate;
+      add_float_bits buf report.Placement.objective;
+      add_float_bits buf gap;
       add_tiers buf report.Placement.tier_of;
       Digest.to_hex (Digest.string (Buffer.contents buf))
   | Infeasible -> Digest.to_hex (Digest.string "infeasible")
@@ -411,6 +454,14 @@ type plan =
   | P_alias of int  (* exact duplicate of an earlier in-batch query *)
   | P_solve of { seed_tiers : int array option; seed_basis : Lp.Basis.t option }
 
+(* placements by physical identity, for the batch-local key memo *)
+module Phys = Hashtbl.Make (struct
+  type t = Placement.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
 let run_batch ?(shards = 1) t queries =
   if shards < 1 then invalid_arg "Service.run_batch: shards must be >= 1";
   let n = Array.length queries in
@@ -418,7 +469,22 @@ let run_batch ?(shards = 1) t queries =
      depend on the query history, never on sharding *)
   let base = t.c_queries in
   t.c_queries <- t.c_queries + n;
-  let insts = Array.map (fun q -> instance_key q.placement) queries in
+  (* key each distinct placement once: a fleet batch repeats the same
+     placement value at many rates.  Physical equality is safe only
+     because the call is synchronous; placements carry mutable arrays,
+     so across batches the cache stays keyed by content. *)
+  let keyed = Phys.create n in
+  let insts =
+    Array.map
+      (fun q ->
+        match Phys.find_opt keyed q.placement with
+        | Some k -> k
+        | None ->
+            let k = instance_key q.placement in
+            Phys.add keyed q.placement k;
+            k)
+      queries
+  in
   let keys =
     Array.mapi (fun i q -> insts.(i) ^ "#" ^ request_tag t q.request) queries
   in
@@ -454,9 +520,10 @@ let run_batch ?(shards = 1) t queries =
   let killed = Array.make n false in
   let extra = Array.make n 0 in
   let work =
-    List.filter
-      (fun i -> match plans.(i) with P_solve _ -> true | _ -> false)
-      (List.init n Fun.id)
+    Array.of_list
+      (List.filter
+         (fun i -> match plans.(i) with P_solve _ -> true | _ -> false)
+         (List.init n Fun.id))
   in
   let solve_raw i ~crash_at =
     let options =
@@ -527,35 +594,38 @@ let run_batch ?(shards = 1) t queries =
     latency.(i) <- latency.(i) +. ((Unix.gettimeofday () -. t0) *. 1000.);
     results.(i) <- Some ans
   in
-  let run_stripe shards k =
-    (* round-robin striping; each index is written by exactly one
-       domain and [Domain.join] publishes the writes (a dying domain's
-       writes included) *)
-    List.iteri
-      (fun pos i -> if pos mod shards = k then supervised i)
-      work
+  (* The calling domain and [shards - 1] spawned ones claim queries
+     from one cursor until it runs out, so no domain idles while
+     another holds a long solve.  Each index is claimed once and
+     written only by its claimer; [Domain.join] publishes the writes,
+     a dying domain's included. *)
+  let cursor = Atomic.make 0 in
+  let rec claim () =
+    let k = Atomic.fetch_and_add cursor 1 in
+    if k < Array.length work then begin
+      supervised work.(k);
+      claim ()
+    end
   in
-  let shards = Int.max 1 (Int.min shards (List.length work)) in
-  (if shards = 1 then (try run_stripe 1 0 with Worker_killed -> ())
-   else begin
-     let doms =
-       List.init shards (fun k -> Domain.spawn (fun () -> run_stripe shards k))
-     in
-     List.iter (fun d -> try Domain.join d with Worker_killed -> ()) doms
-   end);
+  let shards = Int.max 1 (Int.min shards (Array.length work)) in
+  let doms = List.init (shards - 1) (fun _ -> Domain.spawn claim) in
+  (try claim () with Worker_killed -> ());
+  List.iter (fun d -> try Domain.join d with Worker_killed -> ()) doms;
   (* absorb worker deaths: anything a dead domain stranded re-runs
      inline, victims resuming at attempt 1.  Each pass either finishes
      every pending query or trips at least one fresh kill, and a query
      kills at most once, so this terminates. *)
   let rec sweep () =
-    let pending = List.filter (fun i -> results.(i) = None) work in
+    let pending =
+      List.filter (fun i -> results.(i) = None) (Array.to_list work)
+    in
     if pending <> [] then begin
       (try List.iter supervised pending with Worker_killed -> ());
       sweep ()
     end
   in
   sweep ();
-  List.iter (fun i -> t.c_retries <- t.c_retries + extra.(i)) work;
+  Array.iter (fun i -> t.c_retries <- t.c_retries + extra.(i)) work;
   Array.iter (fun k -> if k then t.c_deaths <- t.c_deaths + 1) killed;
   (* ---- commit (sequential, query order) ---- *)
   let out = Array.make n None in

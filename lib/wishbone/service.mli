@@ -11,7 +11,10 @@
 
     - {e batches}: queries arrive as arrays and independent solves are
       sharded across [Domain]s at the {e query} level (the per-solve
-      [workers] knob composes badly with one core per search);
+      [workers] knob composes badly with one core per search): the
+      calling domain and [shards - 1] spawned ones claim queries from
+      one shared cursor until none are left, so the caller solves a
+      share instead of waiting;
     - {e caching}: completed solves are stored in an LRU-bounded cache
       keyed by [spec digest x platform digest x request].  An exact
       key hit replays the stored response without solving; a miss on a
@@ -29,10 +32,12 @@
       {!Failed} answer carrying the exception rendering — it never
       takes the batch down, and [ok + degraded + failed = queries]
       holds after every batch.  A simulated worker death
-      ({!Fault_plan}) kills its [Domain]; the batch re-runs the
-      stranded queries inline, so even that path changes no response
-      byte.  All containment counters are pure functions of the query
-      history and fault plan — identical on 1, 2 or 8 shards;
+      ({!Fault_plan}) stops the domain that claimed the query, the
+      calling one included; the others keep claiming, and the batch
+      re-runs whatever was stranded inline, so even that path changes
+      no response byte.  All containment counters are pure functions
+      of the query history and fault plan — identical on 1, 2 or 8
+      shards;
     - {e degradation}: under a finite {!Lp.Branch_bound} budget
       ([max_nodes] / [pivot_budget]) an unproved-but-feasible solve
       returns {!Degraded} — the best incumbent, verified feasible,
@@ -42,9 +47,9 @@
     The determinism argument: each batch is {e planned} sequentially
     against the cache state at batch entry (hit / alias / solve, warm
     hints chosen from already-resident entries), the planned solves
-    are data-independent and run on any number of shards, and cache
-    insertion/eviction replays sequentially in query-index order after
-    the shards join.  Shard count therefore changes wall-clock only.
+    are data-independent and run on any number of shards in any claim
+    order, and cache insertion/eviction replays sequentially in
+    query-index order after the shards join.  Shard count therefore changes wall-clock only.
     Warm hints never change answers (the repo-wide warm-start
     contract, PR 1/5/6); the service additionally runs full proofs
     ([gap_tol = 0], no wall-clock limit) by default so that a
@@ -148,9 +153,10 @@ exception Injected_fault of string
     - {e mid-solve crash}: the first attempt raises from inside branch
       & bound at its k-th node expansion (via
       {!Lp.Branch_bound.options.on_node}); a retry runs clean;
-    - {e worker death}: the first attempt kills its worker [Domain];
-      the batch absorbs the death, re-runs the stranded queries
-      inline, and resumes the victim at attempt 1.
+    - {e worker death}: the first attempt kills the domain that
+      claimed the query (the calling one included); the batch absorbs
+      the death, re-runs the stranded queries inline, and resumes the
+      victim at attempt 1.
 
     Decisions derive as [Prng.derive seed [11; seq]] ([11] is the
     service-fault namespace; the network testbed uses [[1; k]], the
@@ -222,15 +228,34 @@ val answer_digest : answer -> string
     status, rate, objective, gap and tier assignment; independent of
     solver statistics, cache state and wall-clock. *)
 
+(** {2 Key rendering}
+
+    The writers {!instance_key} and {!answer_digest} render numbers
+    with.  They append straight into the buffer, byte for byte what
+    [Printf] would produce, so keys and digests stored by earlier
+    builds stay valid. *)
+
+val add_float_bits : Buffer.t -> float -> unit
+(** [add_float_bits buf x] appends
+    [Printf.sprintf "%Lx;" (Int64.bits_of_float x)]: the IEEE-754 bit
+    pattern in lowercase hex without leading zeros, then [';']. *)
+
+val add_int : Buffer.t -> int -> unit
+(** [add_int buf n] appends [string_of_int n]. *)
+
 val run_batch : ?shards:int -> t -> query array -> response array
 (** Serve one batch: plan against the cache, solve the misses on
-    [shards] concurrent [Domain]s (default 1), commit results to the
-    cache in query order.  [responses.(i)] answers [queries.(i)];
-    answers, digests and counters are identical for every shard
-    count.  Exact-duplicate queries within one batch are solved once
-    and the copies served as {!Hit}s.  No exception escapes: solver
-    faults (real or injected) surface as {!Failed} answers and
-    simulated worker deaths are absorbed and re-run. *)
+    [shards] domains (default 1) — the calling one and [shards - 1]
+    spawned ones, each claiming the next unsolved query from a shared
+    cursor — then commit results to the cache in query order.
+    [responses.(i)] answers [queries.(i)]; answers, digests and
+    counters are identical for every shard count.  Each distinct
+    placement value (by physical equality) is keyed once per batch,
+    so do not mutate a placement while the call runs.  Exact-duplicate
+    queries within one batch are solved once and the copies served as
+    {!Hit}s.  No exception escapes: solver faults (real or injected)
+    surface as {!Failed} answers, and simulated worker deaths, the
+    caller's included, are absorbed and re-run. *)
 
 val solve_direct :
   ?options:Lp.Branch_bound.options ->

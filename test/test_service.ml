@@ -10,9 +10,9 @@
      evicted entry re-solves to the first answer;
    - cache safety: the instance key covers every budget, so specs
      equal modulo CPU (or radio) budget never collide, the query key
-     separates rates and searches, and the keys of profiled tier
-     chains and trees are pinned so cached answers and checkpoints
-     stay valid;
+     separates rates and searches, the keys of profiled tier chains
+     and trees are pinned so cached answers and checkpoints stay
+     valid, and qcheck holds the key writers to [Printf];
    - LRU churn: a seeded workload against a capacity-4 cache keeps
      the resident bound, conserves the counter algebra, and serves
      only direct-path answers throughout;
@@ -204,7 +204,78 @@ let test_profiled_keys_pinned () =
           [ p "tmote"; p "tmote"; p "gumstix" ]));
   Alcotest.(check string) "speech tmote (the two-way cut)"
     "1bc8217a880f4261b0c47d0154b036d2"
-    (key (Placement.of_platforms spec raw [ p "tmote" ]))
+    (key (Placement.of_platforms spec raw [ p "tmote" ]));
+  (* the large profiled chains, and a synthetic spec whose budgets
+     render the infinity and negative-zero bit patterns *)
+  let eeg n =
+    Placement.of_spec
+      (spec_exn ~mode:Movable.Permissive ~platform:Profiler.Platform.tmote_sky
+         (Apps.Eeg.profile ~duration:30. (Apps.Eeg.build ~n_channels:n ())))
+  in
+  Alcotest.(check string) "eeg14 chain" "b77dafedd48e93076d7dc7651bc8c2da"
+    (key (eeg 14));
+  Alcotest.(check string) "eeg22 chain" "6cf9732ab348c55f996b11570e28c23a"
+    (key (eeg 22));
+  let spec = Apps.Synthetic.random_spec ~seed:5 ~n_ops:20 () in
+  Alcotest.(check string) "synthetic, infinite radio budget, alpha -0."
+    "1df41114759c02f3f7fa5f61e103e618"
+    (key
+       (Placement.of_spec
+          { spec with Spec.net_budget = infinity; alpha = -0. }));
+  Alcotest.(check string) "synthetic answer digest at x0.35"
+    "0ab62a45fc69805e3dce0a0d2523ec99"
+    (Service.answer_digest
+       (Service.solve_direct (rate (Placement.of_spec spec) 0.35)))
+
+(* the direct writers render exactly what [Printf] does *)
+let rendered add x =
+  let buf = Buffer.create 24 in
+  add buf x;
+  Buffer.contents buf
+
+let prop_float_writer =
+  let special =
+    [ 0.; -0.; infinity; neg_infinity; nan; Float.min_float; 1.; -1.;
+      Float.max_float ]
+    @ List.map Int64.float_of_bits
+        [ 0x7ff0000000000001L; 0xfff8000000000000L; 0x7fffffffffffffffL;
+          0xffffffffffffffffL; 1L; 0x000fffffffffffffL; 0x8000000000000001L;
+          0x0000000100000000L; 0x00000000ffffffffL ]
+  in
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map Int64.float_of_bits int64);
+          (* every hex length: patterns with k leading zero bits *)
+          ( 4,
+            map2
+              (fun b k -> Int64.float_of_bits (Int64.shift_right_logical b k))
+              int64 (int_bound 63) );
+          (1, oneofl special);
+        ])
+  in
+  QCheck.Test.make ~count:2000 ~name:"float writer matches Printf"
+    (QCheck.make
+       ~print:(fun x -> Printf.sprintf "%Lx" (Int64.bits_of_float x))
+       gen)
+    (fun x ->
+      rendered Service.add_float_bits x
+      = Printf.sprintf "%Lx;" (Int64.bits_of_float x))
+
+let prop_int_writer =
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, int);
+          (2, map2 (fun n k -> n asr k) int (int_bound 62));
+          (1, oneofl [ 0; 1; -1; 9; 10; -10; min_int; max_int; min_int + 1 ]);
+        ])
+  in
+  QCheck.Test.make ~count:2000 ~name:"int writer matches string_of_int"
+    (QCheck.make ~print:string_of_int gen)
+    (fun n -> rendered Service.add_int n = string_of_int n)
 
 (* ---- LRU churn under a seeded workload ---------------------------- *)
 
@@ -302,6 +373,8 @@ let () =
             test_key_covers_budgets;
           Alcotest.test_case "profiled chain and tree keys pinned" `Quick
             test_profiled_keys_pinned;
+          QCheck_alcotest.to_alcotest prop_float_writer;
+          QCheck_alcotest.to_alcotest prop_int_writer;
         ] );
       ( "lru",
         [ Alcotest.test_case "seeded churn" `Quick test_lru_churn ] );
