@@ -100,13 +100,14 @@ let tiers_arg =
            $(b,tmote,gumstix)); an unbudgeted central server is appended \
            implicitly.  Overrides $(b,--platform) for the node tier.")
 
-let parse_chain s =
+(* [flag] names the option the chain came from in error messages *)
+let parse_chain ~flag s =
   let names =
     String.split_on_char ',' s
     |> List.map String.trim
     |> List.filter (fun x -> x <> "")
   in
-  if names = [] then Error "--tiers: empty platform chain"
+  if names = [] then Error (flag ^ ": empty platform chain")
   else
     let rec go acc = function
       | [] -> Ok (List.rev acc)
@@ -114,7 +115,7 @@ let parse_chain s =
           match Profiler.Platform.find n with
           | p -> go (p :: acc) rest
           | exception Not_found ->
-              Error (Printf.sprintf "--tiers: unknown platform %S" n))
+              Error (Printf.sprintf "%s: unknown platform %S" flag n))
     in
     go [] names
 
@@ -147,7 +148,9 @@ let topology_arg =
 
 let parse_topology s =
   if not (String.contains s '>') then
-    Result.map (fun plats -> { plats; parents = None }) (parse_chain s)
+    Result.map
+      (fun plats -> { plats; parents = None })
+      (parse_chain ~flag:"--topology" s)
   else
     let toks =
       String.split_on_char ',' s
@@ -203,7 +206,9 @@ let tier_spec tiers topology =
   match (tiers, topology) with
   | Some _, Some _ -> Error "--tiers and --topology are mutually exclusive"
   | Some s, None ->
-      Result.map (fun plats -> Some { plats; parents = None }) (parse_chain s)
+      Result.map
+        (fun plats -> Some { plats; parents = None })
+        (parse_chain ~flag:"--tiers" s)
   | None, Some s -> Result.map Option.some (parse_topology s)
   | None, None -> Ok None
 

@@ -4,6 +4,7 @@
 type t = {
   mutable keys : int array;
   mutable vals : int array;
+  mutable shift : int;  (* 63 - log2 (Array.length keys) *)
   mutable live : int;  (* live bindings *)
   mutable used : int;  (* live + tombstones *)
 }
@@ -13,15 +14,28 @@ let tombstone = -2
 
 let rec pow2 n c = if c >= n then c else pow2 n (2 * c)
 
+let rec log2 c = if c <= 1 then 0 else 1 + log2 (c lsr 1)
+let shift_of cap = 63 - log2 cap
+
 let create ?(capacity = 16) () =
   let cap = pow2 (Int.max 8 capacity) 8 in
-  { keys = Array.make cap empty_slot; vals = Array.make cap 0; live = 0; used = 0 }
+  {
+    keys = Array.make cap empty_slot;
+    vals = Array.make cap 0;
+    shift = shift_of cap;
+    live = 0;
+    used = 0;
+  }
 
 let length t = t.live
 
-(* Fibonacci-style multiplicative hash; keys are full 62-bit packs so
-   the low bits alone are not well distributed. *)
-let hash k m = (k * 0x2545F4914F6CDD1D) land max_int land (m - 1)
+(* Multiplicative hashing: the slot is the top [log2 m] bits of the
+   63-bit product.  The low bits of the product depend only on the low
+   bits of the key, and the low bits of a key3 pack are the transport
+   attempt, so they must not pick the slot. *)
+let hash k shift = (k * 0x2545F4914F6CDD1D) lsr shift
+
+let start_slot t k = hash k t.shift
 
 let rec probe_find keys m k i =
   let ki = keys.(i) in
@@ -29,9 +43,7 @@ let rec probe_find keys m k i =
   else if ki = empty_slot then -1
   else probe_find keys m k ((i + 1) land (m - 1))
 
-let find_slot t k =
-  let m = Array.length t.keys in
-  probe_find t.keys m k (hash k m)
+let find_slot t k = probe_find t.keys (Array.length t.keys) k (hash k t.shift)
 
 let get t k =
   let i = find_slot t k in
@@ -44,39 +56,41 @@ let mem t k = find_slot t k >= 0
    that lives further down its chain, and the stale copy would
    resurface after a remove. *)
 let insert keys vals m k v start =
+  (* [free] is the first tombstone passed, or -1 *)
   let rec go i free =
     let ki = keys.(i) in
     if ki = k then begin
       vals.(i) <- v;
       `Replaced
     end
-    else if ki = empty_slot then begin
-      match free with
-      | Some f ->
-          keys.(f) <- k;
-          vals.(f) <- v;
-          `Reused
-      | None ->
-          keys.(i) <- k;
-          vals.(i) <- v;
-          `Fresh
-    end
-    else if ki = tombstone then
-      go ((i + 1) land (m - 1)) (match free with None -> Some i | _ -> free)
+    else if ki = empty_slot then
+      if free >= 0 then begin
+        keys.(free) <- k;
+        vals.(free) <- v;
+        `Reused
+      end
+      else begin
+        keys.(i) <- k;
+        vals.(i) <- v;
+        `Fresh
+      end
+    else if ki = tombstone && free < 0 then go ((i + 1) land (m - 1)) i
     else go ((i + 1) land (m - 1)) free
   in
-  go start None
+  go start (-1)
 
 let rehash t cap =
   let keys = Array.make cap empty_slot in
   let vals = Array.make cap 0 in
+  let shift = shift_of cap in
   let old = t.keys and oldv = t.vals in
   for i = 0 to Array.length old - 1 do
     let k = old.(i) in
-    if k >= 0 then ignore (insert keys vals cap k oldv.(i) (hash k cap))
+    if k >= 0 then ignore (insert keys vals cap k oldv.(i) (hash k shift))
   done;
   t.keys <- keys;
   t.vals <- vals;
+  t.shift <- shift;
   t.used <- t.live
 
 let set t k v =
@@ -85,8 +99,7 @@ let set t k v =
   let m = Array.length t.keys in
   if 4 * (t.used + 1) > 3 * m then
     rehash t (if 2 * t.live >= m then 2 * m else m);
-  let m = Array.length t.keys in
-  match insert t.keys t.vals m k v (hash k m) with
+  match insert t.keys t.vals (Array.length t.keys) k v (hash k t.shift) with
   | `Replaced -> ()
   | `Reused -> t.live <- t.live + 1
   | `Fresh ->

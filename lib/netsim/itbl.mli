@@ -7,7 +7,13 @@
     indices into preallocated pools — so lookups allocate nothing and
     never box.
 
-    Linear probing with tombstones; the table rehashes at ~3/4 load.
+    Linear probing with tombstones; the table rehashes at ~3/4 load,
+    doubling when at least half the slots are live and otherwise
+    purging tombstones at the same size.  A key starts probing at the
+    top [log2 m] bits of [k * 0x2545F4914F6CDD1D] (63-bit product, [m]
+    slots): the low bits of a packed key are its least significant
+    field (the transport attempt of a [(node, mid, attempt)] pack),
+    and the product's low bits depend on nothing else.
     Absence is signalled in-band: {!get} returns [-1], which is safe
     because every stored value is [>= 0]. *)
 
@@ -39,3 +45,7 @@ val iter : (int -> int -> unit) -> t -> unit
     not mutate the table. *)
 
 val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
+
+val start_slot : t -> int -> int
+(** [start_slot t k] is the slot where a probe for [k] starts in [t]'s
+    current array.  Exposed for tests of the hash's spread. *)

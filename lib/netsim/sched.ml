@@ -85,6 +85,27 @@ let create ?(kind = Heap) ?(capacity = 1024) ?(tick = 1e-3) () =
 
 let kind = function H _ -> Heap | W _ -> Wheel
 
+let clear = function
+  | H h ->
+      (* an emptied binary heap pops exactly as a fresh one *)
+      while not (Heap.Pqueue.is_empty h.q) do
+        ignore (Heap.Pqueue.pop h.q)
+      done;
+      h.ht <- 0.;
+      h.hv <- 0
+  | W w ->
+      let empty b = b.blen <- 0 in
+      Array.iter empty w.lv0;
+      Array.iter empty w.lv1;
+      empty w.ovf;
+      w.cur <- 0;
+      w.n0 <- 0;
+      w.n1 <- 0;
+      w.seq <- 0;
+      w.rlen <- 0;
+      w.ct <- 0.;
+      w.cv <- 0
+
 let length = function
   | H h -> Heap.Pqueue.length h.q
   | W w -> w.rlen + w.n0 + w.n1 + w.ovf.blen

@@ -10,20 +10,24 @@
       unchanged.
     - [Wheel]: a hierarchical timing wheel (two 256-slot levels over a
       fixed tick quantum plus an overflow bucket for far-future
-      events).  Push and pop are O(1) amortized with zero steady-state
-      allocation: buckets are preallocated growable int/float arrays,
-      and events due in the current tick drain through a small
+      events).  Push and pop are O(1) amortized: buckets are growable
+      int/float arrays that keep their capacity, and events due in the
+      current tick drain through a small
       in-place binary heap ordered by [(time, seq)], where [seq] is
       the push sequence number — so events at equal timestamps pop in
       FIFO order, giving the wheel a {e total} order independent of
       bucket geometry.
 
     Both kinds pop in nondecreasing key order.  Timestamp ties are
-    measure-zero in the simulator (every event time includes a draw
-    from a continuous distribution), so the two kinds produce
-    identical event sequences in practice; the [sched-equivalence]
+    measure-zero in most simulator configurations (event times
+    include draws from continuous distributions), and there the two
+    kinds produce identical event sequences; the [sched-equivalence]
     fuzz oracle and the re-pinned goldens in [test_faults.ml] enforce
-    this. *)
+    this.  Some configurations do create exact ties — a reboot at its
+    crash instant ([reboot_s = 0]), or retransmit timers of different
+    messages landing on one instant when windows and timeouts are
+    exact binary fractions and clocks do not drift — and there the
+    heap's tie order, unlike the wheel's FIFO, changes the result. *)
 
 type kind = Heap | Wheel
 
@@ -39,6 +43,12 @@ val kind : t -> kind
 val length : t -> int
 val is_empty : t -> bool
 
+val clear : t -> unit
+(** Drops every pending event and resets {!time} and {!event} to their
+    initial values, keeping the allocated arrays: afterwards [t] pops
+    exactly as a fresh scheduler of the same kind and tick would for
+    the same pushes. *)
+
 val push : t -> float -> int -> unit
 (** [push t time ev] schedules packed event [ev] at [time >= 0].
     Events may be pushed at or before the last popped time; they pop
@@ -47,7 +57,9 @@ val push : t -> float -> int -> unit
 val pop : t -> bool
 (** Advance to the next event.  Returns false when empty; on true the
     popped entry is readable via {!time} and {!event} until the next
-    [pop].  Allocates nothing on the wheel path. *)
+    [pop].  On the wheel path the only allocation is the boxed copy of
+    the popped key that {!time} returns (two words); the heap path also
+    allocates the [Some (key, ev)] of {!Heap.Pqueue.pop}. *)
 
 val time : t -> float
 (** Key of the last popped event (0. before the first pop). *)

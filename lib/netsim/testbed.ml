@@ -82,6 +82,8 @@ type message = {
   total_frags : int;
 }
 
+type chan = { mutable busy_until : float; mutable tx_start : float }
+
 let dummy_edge = { Graph.eid = 0; src = 0; dst = 0; dst_port = 0 }
 
 let dummy_msg =
@@ -225,6 +227,37 @@ type cell_out = {
   o_deliv : (float * message) list;  (* newest first; [] when inline *)
 }
 
+(* Per-domain scratch that every cell simulated on the domain reuses:
+   [sim_cell] clears it on entry, so a cell sees a fresh scheduler and
+   empty tables without allocating them. *)
+type arena = {
+  events : Sched.t;
+  (* reassembly: key3 (node, mid, transport attempt) -> fragments missing *)
+  missing : Itbl.t;
+  (* reliable transport: key2 (node, mid) -> pool slot / presence *)
+  inflight : Itbl.t;
+  delivered : Itbl.t;
+  (* messages written off as expired whose last attempt is still in
+     the air; a late delivery moves them back to received *)
+  expired : Itbl.t;
+}
+
+(* the wheel tick tracks the natural event spacing: a fraction of a
+   packet airtime, but no finer than 1 us (ordering never depends on
+   the tick, only bucket occupancy does) *)
+let arena_create (config : config) ~max_cell =
+  {
+    events =
+      Sched.create ~kind:config.sched
+        ~capacity:(Int.max 64 (2 * max_cell))
+        ~tick:(Float.max 1e-6 (Link.packet_airtime config.link /. 4.))
+        ();
+    missing = Itbl.create ~capacity:256 ();
+    inflight = Itbl.create ~capacity:64 ();
+    delivered = Itbl.create ~capacity:256 ();
+    expired = Itbl.create ~capacity:32 ();
+  }
+
 (* Simulate one collision domain.  [server = Some exec] is the
    single-cell legacy mode: the server half fires inline, and the PRNG
    streams are the historical ones, so the run is byte-identical to
@@ -232,10 +265,14 @@ type cell_out = {
    the caller (which fires the server half after joining all cells)
    and derives the cell's streams as [derive seed [2; cell(; k)]]. *)
 let sim_cell (config : config) ~graph ~node_mask ~sources_arr
-    ~(probe : float -> int -> unit) ~server ~cell ~(g_of_l : int array) =
+    ~(probe : float -> int -> unit) ~server ~cell ~(g_of_l : int array)
+    ~arena =
   let m = Array.length g_of_l in
   if m > node_limit then
     invalid_arg "Testbed.run: a cell holds more than 2^21 nodes";
+  let { events; missing; inflight; delivered; expired } = arena in
+  Sched.clear events;
+  List.iter Itbl.clear [ missing; inflight; delivered; expired ];
   let link = config.link in
   let faults = config.faults in
   let inline = match server with Some _ -> true | None -> false in
@@ -263,6 +300,22 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr
     | Transport.Unreliable -> None
     | Transport.Reliable r -> Some r
   in
+  (* per-cell constants, so the event loop neither recomputes them nor
+     boxes them crossing a module boundary: [rto.(a - 1)] is the
+     timeout armed after transport attempt [a], [backoff_window.(c)]
+     the contention window after [c] busy/collided attempts *)
+  let packet_air = Link.packet_airtime link in
+  let ack_air = Link.short_packet_airtime link ~bytes:Transport.ack_bytes in
+  let backoff_window =
+    Array.init 7 (fun c -> link.Link.backoff_s *. Float.of_int (1 lsl c))
+  in
+  let rto =
+    match reliable with
+    | None -> [||]
+    | Some r ->
+        Array.init (r.Transport.max_retries + 1) (fun a ->
+            Transport.rto r ~attempt:(a + 1))
+  in
   let execs =
     Array.init m (fun _ ->
         Runtime.Exec.create ~member:(fun i -> node_mask.(i)) graph)
@@ -287,31 +340,16 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr
   let next_mid = Array.make m 0 in
   let up = Array.make m true in
   let epoch = Array.make m 0 in
-  (* the wheel tick tracks the natural event spacing: a fraction of a
-     packet airtime, but no finer than 1 us (ordering never depends on
-     the tick, only bucket occupancy does) *)
-  let tick = Float.max 1e-6 (Link.packet_airtime link /. 4.) in
-  let events =
-    Sched.create ~kind:config.sched ~capacity:(Int.max 64 (2 * m)) ~tick ()
-  in
-  (* shared-channel state *)
-  let busy_until = ref 0. in
+  (* shared-channel state; the two times sit in an all-float record,
+     which stores them unboxed, so updating them allocates nothing *)
+  let chan = { busy_until = 0.; tx_start = 0. } in
   let tx_active = ref false in
   let tx_sender = ref 0 in
   let tx_epoch = ref 0 in
   let tx_msg = ref dummy_msg in
   let tx_att = ref 0 in
   let tx_tries = ref 0 in
-  let tx_start = ref 0. in
   let tx_corrupted = ref false in
-  (* reassembly: key3 (node, mid, transport attempt) -> fragments missing *)
-  let missing = Itbl.create ~capacity:256 () in
-  (* reliable transport: key2 (node, mid) -> pool slot / presence *)
-  let inflight = Itbl.create ~capacity:64 () in
-  let delivered = Itbl.create ~capacity:256 () in
-  (* messages written off as expired whose last attempt is still in
-     the air; a late delivery moves them back to received *)
-  let expired = Itbl.create ~capacity:32 () in
   let pool = pool_create () in
   (* counters *)
   let inputs_offered = ref 0 in
@@ -355,20 +393,15 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr
     (Faults.crash_schedule crash_rng faults ~n_nodes:m
        ~duration:config.duration);
   let schedule t ev = Sched.push events t ev in
-  (* congestion backoff: the contention window doubles each time a node
-     finds the channel busy or collides, like the TinyOS CSMA layer *)
-  let backoff n =
-    let window = link.Link.backoff_s *. Float.of_int (1 lsl Int.min cw.(n) 6) in
-    Prng.uniform rng 0. window
-  in
   let ensure_attempt now n =
     if up.(n) && (not waiting.(n)) && q_len.(n) > 0 then begin
       waiting.(n) <- true;
-      schedule (now +. backoff n) (mk tag_attempt n epoch.(n))
+      (* congestion backoff: the contention window doubles each time a
+         node finds the channel busy or collides, like the TinyOS CSMA
+         layer; bit for bit [Prng.uniform rng 0. window] *)
+      let backoff = backoff_window.(Int.min cw.(n) 6) *. Prng.float rng in
+      schedule (now +. backoff) (mk tag_attempt n epoch.(n))
     end
-  in
-  let channel_loss now =
-    Faults.channel_loss ge ~now ~base:link.Link.base_loss
   in
   (* radio-queue ring helpers *)
   let q_push_back n msg att tries =
@@ -390,20 +423,18 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr
     q_len.(n) <- q_len.(n) + 1
   in
   (* admit one transport attempt's fragments to the radio queue; on
-     overflow the attempt cannot complete, but admitted siblings still
-     burn airtime -- the §4.3 overload effect *)
+     overflow the attempt cannot complete, so it gets no reassembly
+     entry, but admitted siblings still burn airtime -- the §4.3
+     overload effect *)
   let enqueue_attempt n (msg : message) ~t_attempt =
-    Itbl.set missing (key3 msg.from_local msg.mid t_attempt) msg.total_frags;
-    let dropped = ref false in
-    for _ = 1 to msg.total_frags do
-      if q_len.(n) < config.tx_queue_packets then q_push_back n msg t_attempt 0
-      else begin
-        incr lost_queue;
-        dropped := true
-      end
+    let room = Int.max 0 (config.tx_queue_packets - q_len.(n)) in
+    let admitted = Int.min msg.total_frags room in
+    for _ = 1 to admitted do
+      q_push_back n msg t_attempt 0
     done;
-    if !dropped then Itbl.remove missing (key3 msg.from_local msg.mid t_attempt);
-    not !dropped
+    lost_queue := !lost_queue + (msg.total_frags - admitted);
+    if admitted = msg.total_frags then
+      Itbl.set missing (key3 msg.from_local msg.mid t_attempt) msg.total_frags
   in
   let start_processing now n source_op value =
     cpu_busy.(n) <- true;
@@ -453,17 +484,14 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr
            queue: losing any fragment makes the message undeliverable,
            but admitted siblings still burn airtime -- the §4.3
            overload effect where offering more data delivers less *)
-        let admitted = enqueue_attempt n msg ~t_attempt:1 in
-        ignore admitted;
+        enqueue_attempt n msg ~t_attempt:1;
         match reliable with
         | None -> ()
-        | Some r ->
+        | Some _ ->
             (* keep a copy for end-to-end retry; even a queue-overflowed
                first attempt is retried from here *)
             Itbl.set inflight (key2 n msg.mid) (pool_alloc pool msg);
-            schedule
-              (now +. Transport.rto r ~attempt:1)
-              (mk tag_rexmit n msg.mid))
+            schedule (now +. rto.(0)) (mk tag_rexmit n msg.mid))
       crossings;
     ensure_attempt now n
   in
@@ -477,15 +505,20 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr
         sink_outputs := !sink_outputs + List.length fired.sink_values
     | None -> deliveries := (now, msg) :: !deliveries
   in
+  (* whether the channel loses a packet ending at [now]: bit for bit
+     [Prng.bool rng p] at the channel's current loss [p] *)
+  let lost now =
+    let p = Faults.channel_loss ge ~now ~base:link.Link.base_loss in
+    Prng.float rng < p
+  in
   (* the basestation acks a fully reassembled message: the ack occupies
      the channel (it is short but not free) and is itself subject to
      the channel loss process *)
   let send_ack now (msg : message) =
     incr acks_sent;
-    let air = Link.short_packet_airtime link ~bytes:Transport.ack_bytes in
-    busy_until := Float.max !busy_until (now +. air);
-    if Prng.bool rng (channel_loss now) then incr acks_lost
-    else schedule (now +. air) (mk tag_ack msg.from_local msg.mid)
+    chan.busy_until <- Float.max chan.busy_until (now +. ack_air);
+    if lost now then incr acks_lost
+    else schedule (now +. ack_air) (mk tag_ack msg.from_local msg.mid)
   in
   let deliver_fragment now (msg : message) t_attempt =
     let key = key3 msg.from_local msg.mid t_attempt in
@@ -560,7 +593,7 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr
         if ev_arg ev = epoch.(n) then begin
           waiting.(n) <- false;
           if q_len.(n) > 0 then begin
-            if now +. 1e-12 >= !busy_until then begin
+            if now +. 1e-12 >= chan.busy_until then begin
               (* channel idle: transmit the head-of-line packet *)
               let i = (n * qcap) + q_head.(n) in
               let msg = q_msg.(i) and att = q_att.(i) in
@@ -568,20 +601,19 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr
               q_head.(n) <- (q_head.(n) + 1) mod qcap;
               q_len.(n) <- q_len.(n) - 1;
               incr packets_sent;
-              let dur = Link.packet_airtime link in
               tx_active := true;
               tx_sender := n;
               tx_epoch := epoch.(n);
               tx_msg := msg;
               tx_att := att;
               tx_tries := tries;
-              tx_start := now;
+              chan.tx_start <- now;
               tx_corrupted := false;
-              busy_until := now +. dur;
-              schedule (now +. dur) tag_tx_end
+              chan.busy_until <- now +. packet_air;
+              schedule (now +. packet_air) tag_tx_end
             end
             else begin
-              (if !tx_active && now -. !tx_start < link.Link.turnaround_s
+              (if !tx_active && now -. chan.tx_start < link.Link.turnaround_s
                then begin
                  (* carrier not yet detectable: we transmit blindly and
                     collide with the ongoing packet *)
@@ -594,15 +626,15 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr
                  q_len.(n) <- q_len.(n) - 1;
                  incr packets_sent;
                  incr lost_collision;
-                 let dur = Link.packet_airtime link in
-                 busy_until := Float.max !busy_until (now +. dur);
+                 chan.busy_until <-
+                   Float.max chan.busy_until (now +. packet_air);
                  if tries <= link.Link.retries then
                    (* retry later, head of line *)
                    q_push_front n msg att tries
                  else kill_message msg att
                end
                else cw.(n) <- cw.(n) + 1);
-              ensure_attempt (Float.max now !busy_until) n
+              ensure_attempt (Float.max now chan.busy_until) n
             end
           end
         end
@@ -625,7 +657,7 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr
              end
              else begin
                cw.(n) <- 0;
-               if Prng.bool rng (channel_loss now) then begin
+               if lost now then begin
                  (* clean-channel loss: no link-layer ack, no retry *)
                  incr lost_channel;
                  kill_message !tx_msg !tx_att
@@ -699,13 +731,11 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr
                 end
               end
               else begin
-                pool.pt.(slot) <- pool.pt.(slot) + 1;
+                let att = pool.pt.(slot) + 1 in
+                pool.pt.(slot) <- att;
                 incr retransmissions;
-                ignore
-                  (enqueue_attempt n pool.pm.(slot) ~t_attempt:pool.pt.(slot));
-                schedule
-                  (now +. Transport.rto r ~attempt:pool.pt.(slot))
-                  (mk tag_rexmit n mid);
+                enqueue_attempt n pool.pm.(slot) ~t_attempt:att;
+                schedule (now +. rto.(att - 1)) (mk tag_rexmit n mid);
                 ensure_attempt now n
               end)
     | _ (* Ack_arrive *) ->
@@ -811,34 +841,32 @@ let run ?probe config ~graph ~node_of ~sources =
         (false, out)
   in
   let ncells = Array.length groups in
-  let sim c =
+  let max_cell =
+    Array.fold_left (fun acc g -> Int.max acc (Array.length g)) 0 groups
+  in
+  let sim c arena =
     sim_cell config ~graph ~node_mask ~sources_arr ~probe
       ~server:(if inline then Some server else None)
-      ~cell:c ~g_of_l:groups.(c)
+      ~cell:c ~g_of_l:groups.(c) ~arena
   in
   let outs = Array.make ncells None in
   let nd = Int.min config.domains ncells in
   (* Cells are mutually independent (disjoint nodes, own PRNG streams,
-     own scheduler and tables), so sharding them over Domains changes
-     nothing but wall-clock time; the join below reads them back in
-     cell-index order, which makes every aggregate and the server
-     firing order a pure function of the cell decomposition. *)
-  if nd <= 1 then
-    for c = 0 to ncells - 1 do
-      outs.(c) <- Some (sim c)
+     a cleared scheduler and tables), so sharding them over Domains
+     changes nothing but wall-clock time; the join below reads them
+     back in cell-index order, which makes every aggregate and the
+     server firing order a pure function of the cell decomposition. *)
+  let worker d () =
+    let arena = arena_create config ~max_cell in
+    let c = ref d in
+    while !c < ncells do
+      outs.(!c) <- Some (sim !c arena);
+      c := !c + nd
     done
-  else begin
-    let worker d () =
-      let c = ref d in
-      while !c < ncells do
-        outs.(!c) <- Some (sim !c);
-        c := !c + nd
-      done
-    in
-    let spawned = Array.init (nd - 1) (fun i -> Domain.spawn (worker (i + 1))) in
-    worker 0 ();
-    Array.iter Domain.join spawned
-  end;
+  in
+  let spawned = Array.init (nd - 1) (fun i -> Domain.spawn (worker (i + 1))) in
+  worker 0 ();
+  Array.iter Domain.join spawned;
   let outs =
     Array.map (function Some o -> o | None -> assert false) outs
   in

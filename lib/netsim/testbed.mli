@@ -32,8 +32,9 @@
     - {!config.sched} picks the event scheduler: the historical
       binary heap ([Sched.Heap], the default — goldens cannot move
       silently) or the O(1) timing wheel ([Sched.Wheel]).  Both pop
-      the same event sequence (ties are measure-zero; the
-      [sched-equivalence] fuzz oracle enforces trace identity).
+      the same event sequence while timestamps are distinct (the
+      [sched-equivalence] fuzz oracle enforces trace identity); on
+      exact ties they differ (see {!Sched}).
     - {!config.cells} partitions nodes into disjoint {e collision
       domains} (radio cells): nodes contend only within their cell,
       each cell draws from its own derived PRNG streams

@@ -1,13 +1,20 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes: a mutable [int64]
+   record field would box a fresh state on every draw. *)
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix (Int64.of_int seed) }
+let of_state z =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 z;
+  t
+
+let create seed = of_state (mix (Int64.of_int seed))
 
 let derive seed path =
   let step z i =
@@ -15,13 +22,14 @@ let derive seed path =
   in
   Int64.to_int (List.fold_left step (mix (Int64.of_int seed)) path)
 
-let int64 t =
-  t.state <- Int64.add t.state golden;
-  mix t.state
+let[@inline] int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 z;
+  mix z
 
-let split t = { state = int64 t }
+let split t = of_state (int64 t)
 
-let float t =
+let[@inline] float t =
   (* 53 high bits -> [0,1) *)
   let bits = Int64.shift_right_logical (int64 t) 11 in
   Int64.to_float bits *. (1. /. 9007199254740992.)

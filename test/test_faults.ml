@@ -193,6 +193,53 @@ let test_domains_identical () =
   check_same_result "wheel vs heap, 3 cells, domains 2" base
     (go ~sched:Netsim.Sched.Heap ~domains:2)
 
+(* Every field of the probe app on 64 nodes in four 16-node cells
+   under heavy faults and reliable transport, pinned at the values the
+   simulator gave before its event loop was last optimised.  The tests
+   above only compare configurations with each other, so a reordered
+   PRNG draw would move all of them together; this one would fail. *)
+let multicell_golden : Netsim.Testbed.result =
+  {
+    inputs_offered = 11520;
+    inputs_processed = 11147;
+    msgs_sent = 11147;
+    msgs_received = 630;
+    packets_sent = 9013;
+    packets_lost_collision = 1781;
+    packets_lost_channel = 1051;
+    packets_lost_queue = 197681;
+    sink_outputs = 630;
+    input_fraction = 0x1.ef6c16c16c16cp-1;
+    msg_fraction = 0x1.cefdae321c86p-5;
+    goodput_fraction = 0x1.bffffffffffffp-5;
+    node_busy_fraction = 0x1.1d8dfc4e8c464p-6;
+    offered_bytes_per_sec = 0x1.3f50aaaaaaaabp+15;
+    msgs_duplicate = 86;
+    msgs_expired = 7889;
+    msgs_pending = 2628;
+    retransmissions = 40669;
+    acks_sent = 716;
+    acks_lost = 24;
+    crashes = 32;
+    inputs_lost_down = 373;
+    edge_bytes_per_sec = [| 0x1.3f50aaaaaaaabp+15 |];
+    events_processed = 113690;
+  }
+
+let test_multicell_golden_under_faults () =
+  let cells = Array.init 64 (fun i -> i / 16) in
+  let go ~sched ~domains =
+    run_probe ~n_nodes:64 ~rate:6. ~seed:17 ~faults:heavy_faults
+      ~transport:(Netsim.Transport.default_reliable ())
+      ~sched ~cells ~domains ()
+  in
+  check_same_result "wheel d=1 golden" multicell_golden
+    (go ~sched:Netsim.Sched.Wheel ~domains:1);
+  check_same_result "wheel d=2 golden" multicell_golden
+    (go ~sched:Netsim.Sched.Wheel ~domains:2);
+  check_same_result "heap d=1 golden" multicell_golden
+    (go ~sched:Netsim.Sched.Heap ~domains:1)
+
 (* ---- fault injection ---- *)
 
 let burst10 =
@@ -545,6 +592,8 @@ let () =
           tc "heap = wheel under faults + reliable"
             test_wheel_equals_heap_under_faults;
           tc "domains 1/2/4 identical" test_domains_identical;
+          tc "4-cell golden under faults + reliable"
+            test_multicell_golden_under_faults;
         ] );
       ( "fault injection",
         [

@@ -115,6 +115,216 @@ let test_sched_wheel_interleaved () =
     "interleaved push/pop keeps the total order"
     expect (List.rev !popped)
 
+(* [clear] then a replayed trace pops exactly as a fresh scheduler:
+   trace 1 leaves events behind in every level, trace 2 runs on the
+   cleared scheduler and on a fresh one, then both drain *)
+type sched_op = Push of float * int | Pop
+
+let gen_sched_trace =
+  QCheck.Gen.(
+    let time =
+      frequency
+        [
+          (3, float_bound_exclusive 0.25) (* lv0 frame *);
+          (3, float_bound_exclusive 60.) (* lv1 frame *);
+          (1, map (fun x -> 1000. +. x) (float_bound_exclusive 1000.))
+          (* overflow *);
+          (2, map (fun k -> Float.of_int k *. 0.125) (int_bound 20))
+          (* exact ties *);
+        ]
+    in
+    let op =
+      frequency
+        [ (3, map2 (fun t e -> Push (t, e)) time (int_bound 1_000_000));
+          (2, return Pop) ]
+    in
+    list_size (int_bound 300) op)
+
+let print_sched_trace ops =
+  String.concat " "
+    (List.map
+       (function Push (t, e) -> Printf.sprintf "push(%h,%d)" t e | Pop -> "pop")
+       ops)
+
+let play s ops =
+  List.filter_map
+    (function
+      | Push (t, e) ->
+          Netsim.Sched.push s t e;
+          None
+      | Pop ->
+          let ok = Netsim.Sched.pop s in
+          Some (ok, Netsim.Sched.time s, Netsim.Sched.event s))
+    ops
+
+let prop_sched_clear =
+  QCheck.Test.make ~count:300 ~name:"clear then replay = fresh scheduler"
+    (QCheck.make
+       ~print:(QCheck.Print.pair print_sched_trace print_sched_trace)
+       QCheck.Gen.(pair gen_sched_trace gen_sched_trace))
+    (fun (first, second) ->
+      List.for_all
+        (fun kind ->
+          let fresh () = Netsim.Sched.create ~kind ~tick:1e-3 () in
+          let used = fresh () in
+          ignore (play used first);
+          Netsim.Sched.clear used;
+          let emptied =
+            Netsim.Sched.length used = 0
+            && Netsim.Sched.time used = 0.
+            && Netsim.Sched.event used = 0
+          in
+          let replay s =
+            let pops = play s second in
+            (pops, drain s)
+          in
+          emptied && replay used = replay (fresh ()))
+        [ Netsim.Sched.Heap; Netsim.Sched.Wheel ])
+
+(* ---- Itbl: the testbed's int -> int tables ---- *)
+
+(* the testbed's [(node, mid, attempt)] pack: attempt in the low 10
+   bits, then a 31-bit message id, then the node *)
+let key3 node mid att = (((node lsl 31) lor mid) lsl 10) lor att
+
+type itbl_op =
+  | Set of int * int
+  | Remove of int
+  | Get of int
+  | Mem of int
+  | Clear
+  | Fold
+
+(* Two shapes of case.  Random: keys from a key space of 5 to 5,120
+   packs, so sets replace, removes miss and the table grows from its 8
+   initial slots past 1,024.  Churn, the reassembly table's pattern:
+   each pack is set once and removed after a random lifetime, so few
+   keys are live while tombstones pile up and the table purges them at
+   the same size. *)
+let gen_itbl_random =
+  QCheck.Gen.(
+    int_range 1 16 >>= fun nodes ->
+    int_range 1 64 >>= fun mids ->
+    let key =
+      map3 key3 (int_bound (nodes - 1)) (int_bound (mids - 1)) (int_range 1 5)
+    in
+    let op =
+      frequency
+        [
+          (400, map2 (fun k v -> Set (k, v)) key (int_bound 1000));
+          (300, map (fun k -> Remove k) key);
+          (150, map (fun k -> Get k) key);
+          (100, map (fun k -> Mem k) key);
+          (45, return Fold);
+          (1, return Clear);
+        ]
+    in
+    list_size (int_range 0 4000) op)
+
+let gen_itbl_churn =
+  QCheck.Gen.(
+    triple (int_range 1 16) (int_range 0 300) (int_range 0 2000)
+    >>= fun (nodes, max_life, n) ->
+    list_repeat n (triple (int_bound max_life) (int_bound 1000) (int_bound 9))
+    >|= fun packs ->
+    (* pack [j] is node [j mod nodes], then mid and attempt 1..5 *)
+    let key j =
+      let r = j / nodes in
+      key3 (j mod nodes) (r / 5) (1 + (r mod 5))
+    in
+    List.concat
+      (List.mapi
+         (fun j (life, v, probe) ->
+           let look =
+             if probe < 4 then Get (key (Int.max 0 (j - probe)))
+             else if probe < 7 then Mem (key (j + probe))
+             else Fold
+           in
+           [ (2 * j, Set (key j, v)); ((2 * j) + 1, look);
+             ((2 * (j + life)) + 1, Remove (key j)) ])
+         packs)
+    |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd)
+
+let gen_itbl_ops = QCheck.Gen.oneof [ gen_itbl_random; gen_itbl_churn ]
+
+let print_itbl_op = function
+  | Set (k, v) -> Printf.sprintf "set %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Get k -> Printf.sprintf "get %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Clear -> "clear"
+  | Fold -> "fold"
+
+let prop_itbl_model =
+  QCheck.Test.make ~count:200 ~name:"Itbl behaves as Hashtbl"
+    (QCheck.make ~print:(QCheck.Print.list print_itbl_op) gen_itbl_ops)
+    (fun ops ->
+      let t = Netsim.Itbl.create ~capacity:8 () in
+      let h = Hashtbl.create 8 in
+      let bindings fold x =
+        List.sort compare (fold (fun k v acc -> (k, v) :: acc) x [])
+      in
+      List.for_all
+        (fun op ->
+          let agrees =
+            match op with
+            | Set (k, v) ->
+                Netsim.Itbl.set t k v;
+                Hashtbl.replace h k v;
+                true
+            | Remove k ->
+                Netsim.Itbl.remove t k;
+                Hashtbl.remove h k;
+                true
+            | Get k ->
+                Netsim.Itbl.get t k
+                = Option.value (Hashtbl.find_opt h k) ~default:(-1)
+            | Mem k -> Netsim.Itbl.mem t k = Hashtbl.mem h k
+            | Clear ->
+                Netsim.Itbl.clear t;
+                Hashtbl.reset h;
+                true
+            | Fold -> bindings Netsim.Itbl.fold t = bindings Hashtbl.fold h
+          in
+          agrees && Netsim.Itbl.length t = Hashtbl.length h)
+        ops)
+
+let test_itbl_start_slot_spread () =
+  (* a 16-node cell's first attempts of 16 messages each: the low bits
+     of these keys are all the attempt number, 1 *)
+  let t = Netsim.Itbl.create ~capacity:256 () in
+  let slots = Hashtbl.create 256 in
+  for node = 0 to 15 do
+    for mid = 0 to 15 do
+      let s = Netsim.Itbl.start_slot t (key3 node mid 1) in
+      Alcotest.(check bool) "start slot in range" true (s >= 0 && s < 256);
+      Hashtbl.replace slots s ()
+    done
+  done;
+  let n = Hashtbl.length slots in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d distinct start slots of 256 (need >= 128)" n)
+    true (n >= 128)
+
+(* ---- Prng: the stream every seeded result depends on ---- *)
+
+let test_prng_stream_pinned () =
+  let r = Prng.create 42 in
+  let a = Prng.int64 r in
+  let b = Prng.int64 r in
+  let c = Prng.int64 r in
+  Alcotest.(check (list int64))
+    "first three int64s of create 42"
+    [ -7450291807549245335L; 2958219263312191191L; 3069497704473277141L ]
+    [ a; b; c ];
+  Alcotest.(check int64)
+    "first float of create 7, as bits"
+    (Int64.bits_of_float 0x1.0c77123e98157p-1)
+    (Int64.bits_of_float (Prng.float (Prng.create 7)));
+  Alcotest.(check int) "derive 1 [2; 3]" (-684817335532982020)
+    (Prng.derive 1 [ 2; 3 ])
+
 (* ---- link arithmetic ---- *)
 
 let test_link_packets_of_bytes () =
@@ -298,7 +508,14 @@ let () =
           tc "wheel matches heap on distinct keys"
             test_sched_wheel_matches_heap;
           tc "interleaved push/pop total order" test_sched_wheel_interleaved;
+          QCheck_alcotest.to_alcotest prop_sched_clear;
         ] );
+      ( "itbl",
+        [
+          QCheck_alcotest.to_alcotest prop_itbl_model;
+          tc "key3 packs spread over start slots" test_itbl_start_slot_spread;
+        ] );
+      ("prng", [ tc "stream pinned" test_prng_stream_pinned ]);
       ( "link",
         [
           tc "fragmentation" test_link_packets_of_bytes;
