@@ -11,7 +11,25 @@
 
 open Cmdliner
 
+let die m =
+  Printf.eprintf "error: %s\n" m;
+  exit 1
+
 (* ---- shared arguments ---- *)
+
+(* A finite number > 0 for [flag].  A bad value is reported as
+   [error: FLAG: ...] with exit status 1, as every other bad input
+   is, rather than as a cmdliner usage error. *)
+let positive of_string to_float pp ~flag =
+  let parse s =
+    match of_string s with
+    | Some x when to_float x > 0. && Float.is_finite (to_float x) -> Ok x
+    | _ -> die (Printf.sprintf "%s: expected a positive number, got %S" flag s)
+  in
+  Arg.conv (parse, pp)
+
+let pos_float = positive float_of_string_opt Fun.id Format.pp_print_float
+let pos_int = positive int_of_string_opt Float.of_int Format.pp_print_int
 
 type app = Speech | Eeg | Eeg1
 
@@ -62,7 +80,8 @@ let platform_arg =
 
 let duration_arg =
   Arg.(
-    value & opt float 30.
+    value
+    & opt (pos_float ~flag:"--duration") 30.
     & info [ "duration" ] ~docv:"SECONDS" ~doc:"Profiling trace length.")
 
 let mode_conv =
@@ -146,11 +165,12 @@ let topology_arg =
            $(b,tmote>2,tmote>2,gumstix) is a Y — two motes sharing one \
            gumstix whose uplink reaches the server.")
 
-let parse_topology s =
+(* [flag] names the option or field the tree came from in errors *)
+let parse_topology ~flag s =
   if not (String.contains s '>') then
     Result.map
       (fun plats -> { plats; parents = None })
-      (parse_chain ~flag:"--topology" s)
+      (parse_chain ~flag s)
   else
     let toks =
       String.split_on_char ',' s
@@ -158,14 +178,14 @@ let parse_topology s =
       |> List.filter (fun x -> x <> "")
     in
     let n = List.length toks in
-    if n = 0 then Error "--topology: empty platform list"
+    if n = 0 then Error (flag ^ ": empty platform list")
     else
       let rec go i plats parents = function
         | [] -> (
             let parents = Array.of_list (List.rev (-1 :: parents)) in
             match Wishbone.Placement.Topology.of_parents parents with
             | _ -> Ok { plats = List.rev plats; parents = Some parents }
-            | exception Invalid_argument m -> Error ("--topology: " ^ m))
+            | exception Invalid_argument m -> Error (flag ^ ": " ^ m))
         | tok :: rest -> (
             let name, parent =
               match String.index_opt tok '>' with
@@ -180,13 +200,13 @@ let parse_topology s =
                     | Some p ->
                         Error
                           (Printf.sprintf
-                             "--topology: %S: parent %d not in (%d, %d] \
-                              (parents must sit later in the list; %d is \
-                              the server)"
-                             tok p i n n)
+                             "%s: %S: parent %d not in (%d, %d] (parents \
+                              must sit later in the list; %d is the \
+                              server)"
+                             flag tok p i n n)
                     | None ->
                         Error
-                          (Printf.sprintf "--topology: bad parent index in %S"
+                          (Printf.sprintf "%s: bad parent index in %S" flag
                              tok) ))
             in
             match parent with
@@ -195,8 +215,7 @@ let parse_topology s =
                 match Profiler.Platform.find (String.trim name) with
                 | plat -> go (i + 1) (plat :: plats) (p :: parents) rest
                 | exception Not_found ->
-                    Error
-                      (Printf.sprintf "--topology: unknown platform %S" name)))
+                    Error (Printf.sprintf "%s: unknown platform %S" flag name)))
       in
       go 0 [] [] toks
 
@@ -209,7 +228,8 @@ let tier_spec tiers topology =
       Result.map
         (fun plats -> Some { plats; parents = None })
         (parse_chain ~flag:"--tiers" s)
-  | None, Some s -> Result.map Option.some (parse_topology s)
+  | None, Some s ->
+      Result.map Option.some (parse_topology ~flag:"--topology" s)
   | None, None -> Ok None
 
 (* ---- app construction ---- *)
@@ -291,7 +311,8 @@ let profile_cmd =
 let partition_cmd =
   let rate_arg =
     Arg.(
-      value & opt float 1.0
+      value
+      & opt (pos_float ~flag:"--rate") 1.0
       & info [ "rate" ] ~docv:"X" ~doc:"Input rate multiplier (§4.3).")
   in
   let dot_arg =
@@ -349,70 +370,27 @@ let partition_cmd =
              every node boundary and threaded into each LP solve.  Like \
              $(b,--node-budget) the answer is machine-independent.")
   in
-  let workers_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Concurrent branch & bound node expansions (deterministic: \
-             the partition returned is the same for any worker count).")
-  in
-  let pricing_arg =
-    Arg.(
-      value
-      & opt
-          (some
-             (enum
-                [ ("devex", Lp.Simplex.Devex); ("dantzig", Lp.Simplex.Dantzig) ]))
-          None
-      & info [ "pricing" ] ~docv:"RULE"
-          ~doc:
-            "Simplex pricing rule: $(b,devex) (reference-framework \
-             weights, the default) or $(b,dantzig) (candidate-list most \
-             negative reduced cost).  Either rule reaches the same \
-             optimum; only the pivot trajectory differs.")
-  in
-  let solver_options base max_pivots time_limit_ms node_budget pivot_budget
-      workers pricing =
-    let o = base in
+  let solver_options (o : Lp.Branch_bound.options) max_pivots time_limit_ms
+      node_budget pivot_budget =
+    let s = o.simplex in
     {
       o with
-      Lp.Branch_bound.workers;
       time_limit =
-        (match time_limit_ms with
-        | Some ms -> ms /. 1000.
-        | None -> o.Lp.Branch_bound.time_limit);
-      max_nodes =
-        (match node_budget with
-        | Some n -> n
-        | None -> o.Lp.Branch_bound.max_nodes);
-      pivot_budget =
-        (match pivot_budget with
-        | Some n -> n
-        | None -> o.Lp.Branch_bound.pivot_budget);
+        Option.fold ~none:o.time_limit ~some:(fun ms -> ms /. 1000.)
+          time_limit_ms;
+      max_nodes = Option.value ~default:o.max_nodes node_budget;
+      pivot_budget = Option.value ~default:o.pivot_budget pivot_budget;
       simplex =
-        (let s = o.Lp.Branch_bound.simplex in
-         let s =
-           match max_pivots with
-           | Some p -> { s with Lp.Simplex.max_pivots = p }
-           | None -> s
-         in
-         match pricing with
-         | Some p -> { s with Lp.Simplex.pricing = p }
-         | None -> s);
+        { s with max_pivots = Option.value ~default:s.max_pivots max_pivots };
     }
   in
   (* process-wide solver work counters, reset at solve entry: the
-     verbose tail of the report, for eyeballing the effect of
-     --pricing / --workers on actual work done *)
-  let report_counters (options : Lp.Branch_bound.options) ~fb0 =
+     verbose tail of the report, showing the work the solve did *)
+  let report_counters ~fb0 =
     let c = Lp.Sparse.counters () in
     Printf.printf
-      "solver counters: pricing %s, %d pivots, %d refactorisations, %d FT \
-       updates (%d entries), %d dense fallbacks\n"
-      (match options.Lp.Branch_bound.simplex.Lp.Simplex.pricing with
-      | Lp.Simplex.Devex -> "devex"
-      | Lp.Simplex.Dantzig -> "dantzig")
+      "solver counters: %d pivots, %d refactorisations, %d FT updates (%d \
+       entries), %d dense fallbacks\n"
       (Lp.Simplex.cumulative_pivots ())
       c.Lp.Sparse.refactorisations c.Lp.Sparse.ft_updates
       c.Lp.Sparse.ft_entries
@@ -443,22 +421,18 @@ let partition_cmd =
     exit 1
   in
   let run app platform duration mode rate dot search tiers topology max_pivots
-      time_limit_ms node_budget pivot_budget workers pricing =
+      time_limit_ms node_budget pivot_budget =
     (* the rate search keeps its looser per-solve budgets unless
        overridden explicitly *)
     let options =
       solver_options
         (if search then Wishbone.Rate_search.default_search_options
          else Lp.Branch_bound.default_options)
-        max_pivots time_limit_ms node_budget pivot_budget workers pricing
+        max_pivots time_limit_ms node_budget pivot_budget
     in
     Lp.Simplex.reset_cumulative_pivots ();
     Lp.Sparse.reset_counters ();
     let fb0 = Lp.Sparse.dense_fallbacks () in
-    let die m =
-      Printf.eprintf "error: %s\n" m;
-      exit 1
-    in
     let b = build_app app in
     let raw = b.profile ~duration in
     let ts =
@@ -478,7 +452,7 @@ let partition_cmd =
     in
     let finish pl (r : Wishbone.Placement.report) =
       Format.printf "%a@." (Wishbone.Placement.pp_report b.graph pl) r;
-      report_counters options ~fb0;
+      report_counters ~fb0;
       report_budget ~objective:r.objective r.solver;
       match dot with
       | Some path ->
@@ -526,26 +500,32 @@ let partition_cmd =
     Term.(
       const run $ app_arg $ platform_arg $ duration_arg $ mode_arg $ rate_arg
       $ dot_arg $ search_arg $ tiers_arg $ topology_arg $ max_pivots_arg
-      $ time_limit_arg $ node_budget_arg $ pivot_budget_arg $ workers_arg
-      $ pricing_arg)
+      $ time_limit_arg $ node_budget_arg $ pivot_budget_arg)
 
 let sweep_cmd =
   let from_arg =
-    Arg.(value & opt float 0.25 & info [ "from" ] ~docv:"X" ~doc:"Lowest rate.")
+    Arg.(
+      value
+      & opt (pos_float ~flag:"--from") 0.25
+      & info [ "from" ] ~docv:"X" ~doc:"Lowest rate.")
   in
   let to_arg =
-    Arg.(value & opt float 2.0 & info [ "to" ] ~docv:"X" ~doc:"Highest rate.")
+    Arg.(
+      value
+      & opt (pos_float ~flag:"--to") 2.0
+      & info [ "to" ] ~docv:"X" ~doc:"Highest rate.")
   in
   let steps_arg =
-    Arg.(value & opt int 8 & info [ "steps" ] ~docv:"N" ~doc:"Sweep points.")
+    Arg.(
+      value
+      & opt (pos_int ~flag:"--steps") 8
+      & info [ "steps" ] ~docv:"N" ~doc:"Sweep points.")
   in
   let run app platform duration mode lo hi steps =
     let b = build_app app in
     let raw = b.profile ~duration in
     match Wishbone.Spec.of_profile ~mode ~node_platform:platform raw with
-    | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        exit 1
+    | Error m -> die m
     | Ok spec ->
         let pl = Wishbone.Placement.of_spec spec in
         Printf.printf "%-10s %16s %16s %12s\n" "rate x" "ops on node"
@@ -574,10 +554,13 @@ let sweep_cmd =
       const run $ app_arg $ platform_arg $ duration_arg $ mode_arg $ from_arg
       $ to_arg $ steps_arg)
 
+let nodes_arg =
+  Arg.(
+    value
+    & opt (pos_int ~flag:"--nodes") 1
+    & info [ "nodes" ] ~docv:"N" ~doc:"Network size.")
+
 let deploy_cmd =
-  let nodes_arg =
-    Arg.(value & opt int 1 & info [ "nodes" ] ~docv:"N" ~doc:"Network size.")
-  in
   let cut_arg =
     Arg.(
       value & opt int 6
@@ -586,7 +569,8 @@ let deploy_cmd =
   in
   let sim_duration_arg =
     Arg.(
-      value & opt float 60.
+      value
+      & opt (pos_float ~flag:"--sim-duration") 60.
       & info [ "sim-duration" ] ~docv:"SECONDS" ~doc:"Simulated seconds.")
   in
   let faults_arg =
@@ -627,7 +611,8 @@ let deploy_cmd =
   in
   let rate_arg =
     Arg.(
-      value & opt float 1.0
+      value
+      & opt (pos_float ~flag:"--rate") 1.0
       & info [ "rate" ] ~docv:"X" ~doc:"Input rate multiplier.")
   in
   let seed_arg =
@@ -640,9 +625,7 @@ let deploy_cmd =
       Wishbone.Spec.of_profile ~mode:Wishbone.Movable.Conservative
         ~node_platform raw
     with
-    | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        exit 1
+    | Error m -> die m
     | Ok spec -> (
         (* build at rate 1, then scale every tier, not just tier 0 *)
         let pl =
@@ -708,10 +691,6 @@ let deploy_cmd =
   let run platform nodes cut sim_duration faults burst_loss crash_rate
       reliable adaptive rate seed tiers topology =
     let t = Apps.Speech.build () in
-    let die m =
-      Printf.eprintf "error: %s\n" m;
-      exit 1
-    in
     (* the tier placement to execute and its tier-0 replica count *)
     let tiered =
       match (tiers, topology) with
@@ -720,11 +699,10 @@ let deploy_cmd =
              node platform, one radio hop from the basestation root;
              the sensing sources sit on tier 0, so the fan-out IS the
              topology and no extra tier-0 replication applies *)
-          let n = Int.max 1 nodes in
           Some
             ( {
-                plats = List.init n (fun _ -> platform);
-                parents = Some (Netsim.Testbed.routing_parents ~n_nodes:n);
+                plats = List.init nodes (fun _ -> platform);
+                parents = Some (Netsim.Testbed.routing_parents ~n_nodes:nodes);
               },
               1 )
       | _ -> (
@@ -736,12 +714,22 @@ let deploy_cmd =
     | Some (ts, replicas) ->
         run_tiers_deploy ~ts ~replicas ~sim_duration ~rate ~seed t
     | None ->
+    let n_ops = Array.length t.Apps.Speech.order in
+    if cut < 1 || cut >= n_ops then
+      die
+        (Printf.sprintf "--cut: expected 1 to %d (speech has %d operators), \
+                         got %d"
+           (n_ops - 1) n_ops cut);
     let assignment = Apps.Speech.cut_assignment t cut in
     let link =
       if platform.Profiler.Platform.radio_payload_bytes <= 64 then
         Netsim.Link.cc2420
       else Netsim.Link.wifi
     in
+    if not (burst_loss >= 0. && burst_loss < 1.) then
+      die
+        (Printf.sprintf "--burst-loss: expected a probability in [0, 1), got %g"
+           burst_loss);
     let fault_spec =
       if not faults then Netsim.Faults.none
       else
@@ -771,9 +759,7 @@ let deploy_cmd =
         Wishbone.Spec.of_profile ~mode:Wishbone.Movable.Conservative
           ~node_platform:platform raw
       with
-      | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          exit 1
+      | Error m -> die m
       | Ok spec ->
           let probe ~rate:r ~assignment =
             Wishbone.Adaptive.testbed_probe ~config ~graph:t.Apps.Speech.graph
@@ -852,7 +838,8 @@ let serve_cmd =
   in
   let shards_arg =
     Arg.(
-      value & opt int 1
+      value
+      & opt (pos_int ~flag:"--shards") 1
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Solver domains per batch.  Responses are identical for every \
@@ -865,7 +852,8 @@ let serve_cmd =
   in
   let repeat_arg =
     Arg.(
-      value & opt int 1
+      value
+      & opt (pos_int ~flag:"--repeat") 1
       & info [ "repeat" ] ~docv:"N"
           ~doc:
             "Serve the batch N times through the same service; later \
@@ -946,33 +934,42 @@ let serve_cmd =
           gr
     in
     let synthetic_spec line token =
+      let spec ~seed ?n_ops () =
+        match Apps.Synthetic.random_spec ~seed ?n_ops ~mode () with
+        | spec -> spec
+        | exception Invalid_argument m ->
+            fail line (Printf.sprintf "%s: %s" token m)
+      in
       match String.split_on_char ':' token with
       | [ _; seed ] -> (
           match int_of_string_opt seed with
-          | Some seed -> Apps.Synthetic.random_spec ~seed ~mode ()
+          | Some seed -> spec ~seed ()
           | None -> fail line (Printf.sprintf "bad synthetic seed %S" seed))
       | [ _; seed; n_ops ] -> (
           match (int_of_string_opt seed, int_of_string_opt n_ops) with
-          | Some seed, Some n_ops ->
-              Apps.Synthetic.random_spec ~seed ~n_ops ~mode ()
+          | Some seed, Some n_ops -> spec ~seed ~n_ops ()
           | _ -> fail line (Printf.sprintf "bad synthetic token %S" token))
       | _ ->
           fail line
             (Printf.sprintf "bad synthetic token %S (synthetic:SEED[:NOPS])"
                token)
     in
+    (* budgets may be unbounded ([inf]) but not NaN or negative *)
     let parse_overrides line (spec : Wishbone.Spec.t) tokens =
+      let budget tok v =
+        match float_of_string_opt v with
+        | Some f when f >= 0. -> f
+        | _ ->
+            fail line
+              (Printf.sprintf "bad override %S (budgets are numbers >= 0)" tok)
+      in
       List.fold_left
         (fun (spec : Wishbone.Spec.t) tok ->
           match String.split_on_char '=' tok with
-          | [ "cpu"; v ] -> (
-              match float_of_string_opt v with
-              | Some f -> { spec with Wishbone.Spec.cpu_budget = f }
-              | None -> fail line (Printf.sprintf "bad override %S" tok))
-          | [ "net"; v ] -> (
-              match float_of_string_opt v with
-              | Some f -> { spec with Wishbone.Spec.net_budget = f }
-              | None -> fail line (Printf.sprintf "bad override %S" tok))
+          | [ "cpu"; v ] ->
+              { spec with Wishbone.Spec.cpu_budget = budget tok v }
+          | [ "net"; v ] ->
+              { spec with Wishbone.Spec.net_budget = budget tok v }
           | _ -> fail line (Printf.sprintf "unknown override %S" tok))
         spec tokens
     in
@@ -992,8 +989,12 @@ let serve_cmd =
             | "search" :: o -> (Wishbone.Service.Search, o)
             | "rate" :: x :: o -> (
                 match float_of_string_opt x with
-                | Some r -> (Wishbone.Service.Rate r, o)
-                | None -> fail lineno (Printf.sprintf "bad rate %S" x))
+                | Some r when r > 0. && Float.is_finite r ->
+                    (Wishbone.Service.Rate r, o)
+                | _ ->
+                    fail lineno
+                      (Printf.sprintf "bad rate %S (rates are finite and > 0)"
+                         x))
             | _ -> fail lineno "expected `rate X' or `search'"
           in
           let placement =
@@ -1007,12 +1008,12 @@ let serve_cmd =
               Wishbone.Placement.of_spec (parse_overrides lineno spec overrides)
             end
             else begin
-              let _, raw = profile_app lineno app in
               let ts =
-                match parse_topology chain with
+                match parse_topology ~flag:"chain" chain with
                 | Ok t -> t
                 | Error m -> fail lineno m
               in
+              let _, raw = profile_app lineno app in
               let node_platform = List.hd ts.plats in
               match Wishbone.Spec.of_profile ~mode ~node_platform raw with
               | Error m -> fail lineno m
@@ -1026,16 +1027,15 @@ let serve_cmd =
       | _ -> fail lineno "expected `APP CHAIN REQUEST'"
     in
     let lines =
-      let ic = open_in queries_file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec go acc n =
-            match input_line ic with
-            | line -> go ((n, line) :: acc) (n + 1)
-            | exception End_of_file -> List.rev acc
-          in
-          go [] 1)
+      match In_channel.with_open_text queries_file In_channel.input_all with
+      | text ->
+          String.split_on_char '\n' text |> List.mapi (fun i l -> (i + 1, l))
+      | exception Sys_error m ->
+          (* opening names the file in its message; reading does not *)
+          if String.starts_with ~prefix:queries_file m then
+            Printf.eprintf "serve: %s\n" m
+          else Printf.eprintf "serve: %s: %s\n" queries_file m;
+          exit 1
     in
     let labelled =
       List.filter_map (fun (n, l) -> parse_line n l) lines |> Array.of_list
@@ -1144,9 +1144,6 @@ let serve_cmd =
       $ mode_arg $ duration_arg)
 
 let netprofile_cmd =
-  let nodes_arg =
-    Arg.(value & opt int 1 & info [ "nodes" ] ~docv:"N" ~doc:"Network size.")
-  in
   let target_arg =
     Arg.(
       value & opt float 0.9

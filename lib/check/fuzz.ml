@@ -261,15 +261,15 @@ let run_case ?pruned cfg oracle ~case =
           in
           mk (remsg check small msg) (pp_spec small))
   | Sched_equivalence -> (
-      (* the testbed instance (fleet, faults, transport, cells) is
-         drawn inside the oracle from the check stream, so the whole
-         case re-derives from the case seed; there is no structure to
-         shrink *)
+      (* the push/pop trace and the testbed instance (fleet, faults,
+         transport, cells) are drawn inside the oracle from the check
+         stream, so the whole case re-derives from the case seed;
+         there is no structure to shrink *)
       ignore gen_rng;
       match Oracle.sched_equivalence (chk ()) with
       | Oracle.Pass -> None
       | Oracle.Fail msg ->
-          mk msg "(testbed instance re-derived from the case seed)")
+          mk msg "(trace and testbed instance re-derived from the case seed)")
 
 let null_formatter =
   Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())

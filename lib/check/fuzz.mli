@@ -33,11 +33,10 @@ type oracle =
           degenerate tree encodes the byte-identical ILP ("tree" is a
           CLI alias) *)
   | Sched_equivalence
-      (** the timing-wheel event scheduler walks the identical event
-          trace and lands on the bit-identical testbed result as the
-          historical binary heap, across schedulers, cell
-          decompositions and simulation-domain counts ("sched" is a
-          CLI alias) *)
+      (** the timing-wheel event scheduler pops random push/pop traces
+          exactly as the reference (time, push sequence) scheduler,
+          and a random testbed fleet lands on the bit-identical result
+          under simulation domains 1 and 2 ("sched" is a CLI alias) *)
 
 val all_oracles : oracle list
 val oracle_name : oracle -> string

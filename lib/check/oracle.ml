@@ -47,22 +47,13 @@ let lp_certificate rng problem =
       let cold = Lp.Simplex.solve_warm ~lo ~hi problem in
       let warm = Lp.Simplex.solve_warm ?warm:r0.basis ~lo ~hi problem in
       let hot = Lp.Simplex.solve_warm ?hot:r0.hot ~lo ~hi problem in
-      (* the sparse revised simplex must agree with every dense path,
+      (* the sparse revised simplex (devex pricing over the
+         Forrest–Tomlin factor path) must agree with every dense path,
          cold and warm-started from a dense basis alike; its bases are
-         certified by the same dense reconstruction.  The default runs
-         use devex pricing over the Forrest–Tomlin factor path; the
-         dantzig-forced pair pins the pricing rules to the same
-         optimum on every case *)
+         certified by the same dense reconstruction *)
       let sdata = Lp.Sparse.of_problem problem in
       let sparse_cold = Lp.Sparse.solve_warm ~lo ~hi sdata in
       let sparse_warm = Lp.Sparse.solve_warm ?warm:r0.basis ~lo ~hi sdata in
-      let dz =
-        { Lp.Simplex.default_options with pricing = Lp.Simplex.Dantzig }
-      in
-      let sparse_dz = Lp.Sparse.solve_warm ~options:dz ~lo ~hi sdata in
-      let sparse_dz_warm =
-        Lp.Sparse.solve_warm ~options:dz ?warm:r0.basis ~lo ~hi sdata
-      in
       let runs =
         [
           ("cold", cold);
@@ -70,8 +61,6 @@ let lp_certificate rng problem =
           ("hot", hot);
           ("sparse-cold", sparse_cold);
           ("sparse-warm", sparse_warm);
-          ("sparse-dantzig-cold", sparse_dz);
-          ("sparse-dantzig-warm", sparse_dz_warm);
         ]
       in
       if
@@ -1327,11 +1316,66 @@ let testbed_result_mismatch (a : Netsim.Testbed.result)
           in
           scan 0)
 
-let sched_equivalence rng =
-  (* a random small fleet: both schedulers must walk the identical
-     event sequence (trace digest over the [?probe] hook) and land on
-     the identical result, and the cell decomposition must be
-     invariant under the domain count *)
+(* One random interleaved push/pop trace, replayed on the timing wheel
+   and on [Reference.sched]: every pop must return the same (time,
+   event).  Times hit exact ties with earlier pushes, the last popped
+   time and earlier, exact tick boundaries, and both wheel levels and
+   the overflow bucket beyond them; one [clear] may fall mid-trace. *)
+let sched_trace rng =
+  let tick = [| 1e-4; 1e-3; 7e-3 |].(Prng.int rng 3) in
+  let wheel = Netsim.Sched.create ~capacity:16 ~tick () in
+  let reference = Reference.sched () in
+  let n_ops = 20 + Prng.int rng 400 in
+  let clear_at = if Prng.bool rng 0.5 then Prng.int rng n_ops else -1 in
+  let recent = Array.make 8 0. and last = ref 0. in
+  let time () =
+    match Prng.int rng 6 with
+    | 0 -> recent.(Prng.int rng 8)
+    | 1 -> !last
+    | 2 -> Prng.float rng *. !last
+    | 3 -> Float.of_int (int_of_float (!last /. tick) + Prng.int rng 4) *. tick
+    | 4 -> !last +. Prng.uniform rng 0. (16. *. tick)
+    | _ -> !last +. Prng.uniform rng 0. (3. *. 65536. *. tick)
+  in
+  let show = function
+    | None -> "nothing"
+    | Some (t, ev) -> Printf.sprintf "event %d at %h" ev t
+  in
+  (* steps below [n_ops] clear, push or pop; the rest drain *)
+  let rec step i =
+    if i = clear_at then begin
+      Netsim.Sched.clear wheel;
+      Reference.sched_clear reference;
+      last := 0.;
+      step (i + 1)
+    end
+    else if i < n_ops && Prng.bool rng 0.55 then begin
+      let t = time () in
+      recent.(i land 7) <- t;
+      Netsim.Sched.push wheel t i;
+      Reference.sched_push reference t i;
+      step (i + 1)
+    end
+    else
+      let got =
+        if Netsim.Sched.pop wheel then
+          Some (Netsim.Sched.time wheel, Netsim.Sched.event wheel)
+        else None
+      in
+      let want = Reference.sched_pop reference in
+      Option.iter (fun (t, _) -> last := t) got;
+      if got <> want then
+        failf "sched-equivalence: tick %g, step %d: wheel pops %s, reference %s"
+          tick i (show got) (show want)
+      else if i >= n_ops && got = None then Pass
+      else step (i + 1)
+  in
+  step 0
+
+(* A random small fleet: the run must handle events, reliable
+   transport must account for every message, and the cell
+   decomposition must be invariant under the domain count. *)
+let sched_testbed rng =
   let n_nodes = 2 + Prng.int rng 11 in
   let rate = Prng.uniform rng 0.5 8. in
   let payload = 8 + (2 * Prng.int rng 56) in
@@ -1371,64 +1415,34 @@ let sched_equivalence rng =
       };
     ]
   in
-  let go ?probe ?cells ?(domains = 1) sched =
+  let go ?cells ?(domains = 1) () =
     let config =
       Netsim.Testbed.default_config ~n_nodes ~duration ~seed ~faults
-        ~transport ~sched ?cells ~domains
-        ~platform:Profiler.Platform.tmote_sky ~link:Netsim.Link.cc2420 ()
+        ~transport ?cells ~domains ~platform:Profiler.Platform.tmote_sky
+        ~link:Netsim.Link.cc2420 ()
     in
-    Netsim.Testbed.run ?probe config ~graph
-      ~node_of:(fun i -> i = src)
-      ~sources
+    Netsim.Testbed.run config ~graph ~node_of:(fun i -> i = src) ~sources
   in
-  let digest_run sched =
-    let dg = ref 0x9E3779B97F4A7C1 in
-    let probe t ev =
-      let tb = Int64.to_int (Int64.bits_of_float t) land max_int in
-      dg := (((!dg * 0x100000001B3) lxor tb) * 0x100000001B3) lxor ev
-    in
-    let r = go ~probe sched in
-    (!dg, r)
-  in
-  let dh, rh = digest_run Netsim.Sched.Heap in
-  let dw, rw = digest_run Netsim.Sched.Wheel in
-  if rh.Netsim.Testbed.events_processed <= 0 then
+  let r = go () in
+  if r.Netsim.Testbed.events_processed <= 0 then
     failf "sched-equivalence: vacuous case, no events processed"
-  else if dh <> dw then
+  else if
+    reliable
+    && r.Netsim.Testbed.msgs_sent
+       <> r.Netsim.Testbed.msgs_received + r.Netsim.Testbed.msgs_expired
+          + r.Netsim.Testbed.msgs_pending
+  then
     failf
-      "sched-equivalence: heap and wheel event traces diverge (digest %x vs \
-       %x; %d vs %d events)"
-      dh dw rh.Netsim.Testbed.events_processed
-      rw.Netsim.Testbed.events_processed
+      "sched-equivalence: reliable conservation broken: %d sent <> %d \
+       received + %d expired + %d pending"
+      r.Netsim.Testbed.msgs_sent r.Netsim.Testbed.msgs_received
+      r.Netsim.Testbed.msgs_expired r.Netsim.Testbed.msgs_pending
   else
-    match testbed_result_mismatch rh rw with
-    | Some msg -> failf "sched-equivalence: heap vs wheel result: %s" msg
-    | None ->
-        if
-          reliable
-          && rh.Netsim.Testbed.msgs_sent
-             <> rh.Netsim.Testbed.msgs_received
-                + rh.Netsim.Testbed.msgs_expired
-                + rh.Netsim.Testbed.msgs_pending
-        then
-          failf
-            "sched-equivalence: reliable conservation broken: %d sent <> %d \
-             received + %d expired + %d pending"
-            rh.Netsim.Testbed.msgs_sent rh.Netsim.Testbed.msgs_received
-            rh.Netsim.Testbed.msgs_expired rh.Netsim.Testbed.msgs_pending
-        else begin
-          let cell_size = 1 + Prng.int rng 4 in
-          let cells = Array.init n_nodes (fun i -> i / cell_size) in
-          let c1 = go ~cells Netsim.Sched.Wheel in
-          let c2 = go ~cells ~domains:2 Netsim.Sched.Wheel in
-          let ch = go ~cells ~domains:2 Netsim.Sched.Heap in
-          match testbed_result_mismatch c1 c2 with
-          | Some msg ->
-              failf "sched-equivalence: wheel domains 1 vs 2: %s" msg
-          | None -> (
-              match testbed_result_mismatch c1 ch with
-              | Some msg ->
-                  failf
-                    "sched-equivalence: multi-cell wheel vs heap: %s" msg
-              | None -> Pass)
-        end
+    let cell_size = 1 + Prng.int rng 4 in
+    let cells = Array.init n_nodes (fun i -> i / cell_size) in
+    match testbed_result_mismatch (go ~cells ()) (go ~cells ~domains:2 ()) with
+    | Some msg -> failf "sched-equivalence: wheel domains 1 vs 2: %s" msg
+    | None -> Pass
+
+let sched_equivalence rng =
+  match sched_trace rng with Pass -> sched_testbed rng | fail -> fail

@@ -1,4 +1,4 @@
-(** The nine correctness oracles behind [bin/fuzz] (DESIGN.md §11).
+(** The ten correctness oracles behind [bin/fuzz] (DESIGN.md §11).
 
     Each oracle takes one generated instance and either passes or
     fails with a human-readable explanation.  All randomness is drawn
@@ -131,15 +131,14 @@ val split_equivalence : Prng.t -> Wishbone.Spec.t -> outcome
     full run's traffic over the cut edges. *)
 
 val sched_equivalence : Prng.t -> outcome
-(** The timing-wheel scheduler against the historical binary heap on a
-    random small testbed fleet (2–12 nodes, random rate / payload /
-    duration / seed, random fault and transport mix).  Heap and wheel
-    runs must walk the {e identical} event sequence — an
-    order-sensitive digest over the testbed's [?probe] hook — and land
-    on the identical {!Netsim.Testbed.result}, floats compared bit for
-    bit.  A random cell decomposition must then be invariant under the
-    simulation-domain count (wheel, domains 1 vs 2) and under the
-    scheduler (multi-cell heap vs wheel).  Under reliable transport
-    the message-conservation invariant
-    [sent = received + expired + pending] is re-checked along the
-    way. *)
+(** The timing-wheel scheduler against {!Reference.sched} on a random
+    interleaved push/pop trace (random tick; exact ties, pushes at and
+    before the last popped time, exact tick boundaries, both wheel
+    levels and the overflow bucket, sometimes a mid-trace [clear]):
+    every pop must return the same (time, event).  Then a random small
+    testbed fleet (2–12 nodes, random rate / payload / duration /
+    seed, random fault and transport mix) must handle at least one
+    event, keep the reliable-transport invariant
+    [sent = received + expired + pending], and land on the identical
+    {!Netsim.Testbed.result} for a random cell decomposition under
+    simulation domains 1 and 2, floats compared bit for bit. *)

@@ -145,3 +145,34 @@ let three_tier_brute_force (pl : Wishbone.Placement.t) =
       ( Array.map (fun s -> 2 - rank super_tiers.(s)) c.super_of,
         obj ))
     !best
+
+(* ---- event scheduler ---- *)
+
+(* A pending set ordered by (time, push sequence), the order the
+   timing wheel documents: nondecreasing time, ties first-in first-out.
+   It shares nothing with [Netsim.Sched] but that contract. *)
+module Pending = Map.Make (struct
+  type t = float * int
+
+  let compare (t1, s1) (t2, s2) =
+    match Float.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c
+end)
+
+type sched = { mutable pending : int Pending.t; mutable seq : int }
+
+let sched () = { pending = Pending.empty; seq = 0 }
+
+let sched_push s time ev =
+  s.pending <- Pending.add (time, s.seq) ev s.pending;
+  s.seq <- s.seq + 1
+
+let sched_pop s =
+  match Pending.min_binding_opt s.pending with
+  | None -> None
+  | Some (((time, _) as key), ev) ->
+      s.pending <- Pending.remove key s.pending;
+      Some (time, ev)
+
+let sched_clear s =
+  s.pending <- Pending.empty;
+  s.seq <- 0

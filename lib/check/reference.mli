@@ -1,10 +1,11 @@
-(** Exhaustive reference solvers for the placement oracles.
+(** Reference implementations for the fuzz oracles.
 
-    Both enumerate assignments directly and judge them with code that
-    shares nothing with {!Wishbone.Placement.encode} or the branch &
-    bound, so the [placement-equivalence] and [degraded-soundness]
-    oracles (and the hand-checked tests) compare the ILP against an
-    independent answer. *)
+    The brute forces enumerate assignments directly and judge them
+    with code that shares nothing with {!Wishbone.Placement.encode} or
+    the branch & bound, so the [placement-equivalence] and
+    [degraded-soundness] oracles (and the hand-checked tests) compare
+    the ILP against an independent answer.  The event scheduler plays
+    the same role for the simulator's timing wheel. *)
 
 val two_tier_brute_force : Wishbone.Spec.t -> (bool array * float) option
 (** Every assignment of the movable operators of a two-way cut,
@@ -37,3 +38,19 @@ val three_tier_brute_force :
     beta_micro * micro_cut] the ILP minimises — or [None] when no
     assignment fits.
     @raise Invalid_argument past 12 supernodes. *)
+
+(** {1 Event scheduler}
+
+    The reference for the [sched-equivalence] oracle: an ordered map
+    that pops the pending [(time, event)] with the least (time, push
+    sequence), the order {!Netsim.Sched} documents for its timing
+    wheel, or [None] when nothing is pending. *)
+
+type sched
+
+val sched : unit -> sched
+val sched_push : sched -> float -> int -> unit
+val sched_pop : sched -> (float * int) option
+
+val sched_clear : sched -> unit
+(** Drop every pending event and restart the push sequence. *)

@@ -1,9 +1,7 @@
 (** Minimal binary min-heap keyed by floats.
 
-    Two hot paths share it: branch & bound orders open nodes by their
-    LP relaxation bound (best-first), and [Netsim.Sched]'s [Heap]
-    scheduler kind wraps it as the reference event queue — the wheel
-    scheduler is validated against this exact pop order.
+    Branch & bound orders its open nodes with it by LP relaxation
+    bound (best-first).
 
     Entries with equal keys pop in an order determined by the heap's
     internal structure (deterministic for a given push/pop sequence,

@@ -8,7 +8,6 @@ type options = {
   pivot_budget : int;
   on_node : (nodes:int -> pivots:int -> unit) option;
   warm_start : bool;
-  workers : int;
   solver : lp_solver;
   simplex : Simplex.options;
 }
@@ -22,7 +21,6 @@ let default_options =
     pivot_budget = max_int;
     on_node = None;
     warm_start = true;
-    workers = 1;
     solver = Auto;
     simplex = Simplex.default_options;
   }
@@ -120,9 +118,8 @@ let snap ~int_tol int_vars (x : float array) =
 
 (* Deterministic incumbent tie-breaking: when two feasible points have
    (numerically) the same objective, keep the lexicographically
-   smallest.  With parallel waves, tied integral leaves can surface in
-   the same batch in any exploration order; this makes the returned
-   point a pure function of the *set* discovered, not the schedule. *)
+   smallest, so the returned point does not depend on which of the
+   tied leaves the search happened to reach first. *)
 let lex_smaller (a : float array) (b : float array) =
   let n = Array.length a in
   let rec go i =
@@ -133,28 +130,6 @@ let lex_smaller (a : float array) (b : float array) =
   in
   go 0
 
-(* One wave entry: a popped, non-stale open node.  Integral leaves
-   carry no LP work; branch entries are expanded by a worker, results
-   applied later in deterministic batch order. *)
-type task = {
-  t_node : node;
-  t_var : int;
-  mutable t_rec : Simplex.result option;
-      (* dense-mode hot-tableau recovery solve, when one was needed *)
-  mutable t_down : Simplex.result option;
-  mutable t_up : Simplex.result option;
-}
-
-type entry = Leaf of node | Branch of task
-
-(* The integral bound values either side of the branching variable's
-   relaxed value; shared by the solve and apply phases so the bounds
-   solved and the deltas recorded always agree. *)
-let branch_vals (node : node) v =
-  let xv = node.relax.x.(v) in
-  ( Float.of_int (int_of_float (Float.floor xv)),
-    Float.of_int (int_of_float (Float.ceil xv)) )
-
 let solve ?(options = default_options) ?initial ?root_basis problem =
   let t0 = Unix.gettimeofday () in
   let elapsed () = Unix.gettimeofday () -. t0 in
@@ -162,11 +137,7 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
   (* internal keys are always "minimize": smaller is better *)
   let key_of_obj obj = if minimize then obj else -.obj in
   let obj_of_key key = if minimize then key else -.key in
-  (* force every lazy accessor cache before any domain is spawned:
-     workers treat the problem as strictly read-only *)
   let vars = Problem.vars problem in
-  ignore (Problem.constrs problem);
-  ignore (Problem.objective problem);
   let int_vars = Problem.integer_vars problem in
   let use_sparse =
     match options.solver with
@@ -175,16 +146,19 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
     | Auto -> Problem.n_constrs problem >= sparse_threshold
   in
   let sdata = if use_sparse then Some (Sparse.of_problem problem) else None in
-  let workers = Int.max 1 options.workers in
+  (* one reusable sparse solve session: state arrays are pooled across
+     solves, and re-solving the warm basis the session last
+     refactorised (the second child of every node) restores the
+     snapshotted factorisation instead of rebuilding it.  Sessions
+     never change results, only the work to reach them. *)
+  let session = Option.map Sparse.session sdata in
   let lp_solves = ref 0 in
   let hot_solves = ref 0 in
   let pivots = ref 0 in
   let root_b = ref None in
-  (* pure LP relaxation solve — no shared counters, so safe from any
-     worker domain; accounting happens on the main thread via
-     [account] when the result is applied.  [simplex] carries the
-     per-solve pivot cap derived from the tree-wide budget. *)
-  let relaxation ?hot ?session ?(simplex = options.simplex) ~warm ~lo ~hi () =
+  (* one LP relaxation solve; [simplex] carries the per-solve pivot cap
+     derived from the tree-wide budget *)
+  let relaxation ?hot ~simplex ~warm ~lo ~hi () =
     let warm, hot = if options.warm_start then (warm, hot) else (None, None) in
     match sdata with
     | Some data ->
@@ -197,25 +171,18 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
      relaxation cannot blow through it unboundedly.  With the default
      unlimited budget this returns [options.simplex] itself, keeping
      the budget-free path bit-identical. *)
-  let budgeted_simplex ~remaining =
+  let budgeted_simplex () =
     if options.pivot_budget = max_int then options.simplex
     else
       { options.simplex with
         Simplex.max_pivots =
-          Int.min options.simplex.Simplex.max_pivots (Int.max 1 remaining) }
+          Int.min options.simplex.Simplex.max_pivots
+            (Int.max 1 (options.pivot_budget - !pivots)) }
   in
   (* cooperative checkpoint: deterministic counters out, exceptions
      (fault injection) propagate to the caller *)
   let on_node ~nodes ~pivots =
     match options.on_node with Some f -> f ~nodes ~pivots | None -> ()
-  in
-  (* one reusable sparse solve session per worker slot: state arrays
-     are pooled across solves, and re-solving the warm basis the
-     session last refactorised (the second child of every node)
-     restores the snapshotted factorisation instead of rebuilding it.
-     Sessions never change results, only the work to reach them. *)
-  let sessions =
-    Array.init workers (fun _ -> Option.map Sparse.session sdata)
   in
   let account (r : Simplex.result) =
     incr lp_solves;
@@ -268,9 +235,8 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
   in
   on_node ~nodes:0 ~pivots:0;
   let root =
-    relaxation ?session:sessions.(0)
-      ~simplex:(budgeted_simplex ~remaining:options.pivot_budget)
-      ~warm:root_basis ~lo:lo0 ~hi:hi0 ()
+    relaxation ~simplex:(budgeted_simplex ()) ~warm:root_basis ~lo:lo0 ~hi:hi0
+      ()
   in
   account root;
   root_b := root.Simplex.basis;
@@ -336,173 +302,101 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
             gap <= options.gap_tol *. Float.max 1. (Float.abs !incumbent_key)
                    +. 1e-9
       in
-      (* expansion body run by a worker (or inline when [workers = 1]):
-         both children, plus the dense-mode tableau recovery when the
-         node's hot value was evicted.  Writes only into its own task
-         record; [Domain.join] publishes the writes to the applier. *)
-      let run_task ?session ?simplex tk =
-        let node = tk.t_node in
+      (* push a solved child unless the incumbent already beats it *)
+      let push_child node (r : Simplex.result) delta =
+        account r;
+        match r.Simplex.status with
+        | Solution.Optimal relax ->
+            let key = key_of_obj relax.Solution.objective in
+            if key < !incumbent_key -. 1e-12 then begin
+              let child =
+                { parent = Some node; delta; relax; basis = r.Simplex.basis;
+                  hot = r.Simplex.hot }
+              in
+              retain_hot child;
+              Heap.Pqueue.push open_nodes key child
+            end
+        | Solution.Infeasible -> ()
+        | Solution.Unbounded ->
+            (* a bounded parent cannot have an unbounded child; treat as
+               numerical noise *)
+            ()
+        | Solution.Iteration_limit -> hit_budget := true
+      in
+      (* both children of [node] on variable [v].  A dense node whose
+         hot tableau was evicted first re-solves its own relaxation
+         from the basis snapshot to recover one, shared by both
+         children.  The parent leaves the hot ring only after both
+         children are solved, and each child joins it as it is
+         pushed. *)
+      let expand node v =
+        let simplex = budgeted_simplex () in
         let lo, hi = node_bounds node in
-        let parent_hot =
-          match node.hot with
-          | Some _ as h -> h
-          | None when options.warm_start && sdata = None -> (
-              match relaxation ?simplex ~warm:node.basis ~lo ~hi () with
-              | { Simplex.status = Solution.Optimal _; hot; _ } as r ->
-                  tk.t_rec <- Some r;
-                  hot
-              | r ->
-                  tk.t_rec <- Some r;
-                  None)
-          | None -> None
+        let recovery =
+          if node.hot = None && options.warm_start && sdata = None then
+            Some (relaxation ~simplex ~warm:node.basis ~lo ~hi ())
+          else None
         in
-        let fl, ce = branch_vals node tk.t_var in
+        let parent_hot =
+          match (node.hot, recovery) with
+          | (Some _ as h), _ -> h
+          | None, Some { Simplex.status = Solution.Optimal _; hot; _ } -> hot
+          | None, _ -> None
+        in
+        let xv = node.relax.x.(v) in
+        let fl = Float.of_int (int_of_float (Float.floor xv)) in
+        let ce = Float.of_int (int_of_float (Float.ceil xv)) in
         let hi_down = Array.copy hi in
-        hi_down.(tk.t_var) <- fl;
+        hi_down.(v) <- fl;
         let lo_up = Array.copy lo in
-        lo_up.(tk.t_var) <- ce;
-        tk.t_down <-
-          Some (relaxation ?hot:parent_hot ?session ?simplex ~warm:node.basis
-                  ~lo ~hi:hi_down ());
-        tk.t_up <-
-          Some (relaxation ?hot:parent_hot ?session ?simplex ~warm:node.basis
-                  ~lo:lo_up ~hi ())
+        lo_up.(v) <- ce;
+        let down =
+          relaxation ?hot:parent_hot ~simplex ~warm:node.basis ~lo ~hi:hi_down
+            ()
+        in
+        let up =
+          relaxation ?hot:parent_hot ~simplex ~warm:node.basis ~lo:lo_up ~hi ()
+        in
+        Option.iter account recovery;
+        release_hot node;
+        push_child node down { bvar = v; bup = false; bval = fl };
+        push_child node up { bvar = v; bup = true; bval = ce }
       in
       let continue = ref true in
       while !continue do
-        (* ---- collect a wave of up to [workers] non-stale nodes ----
-           The first collection attempt of a wave replays the
-           sequential loop-head checks exactly (so [workers = 1]
-           reproduces the sequential search verbatim); a trigger after
-           the wave already has entries merely closes the wave, and
-           the next wave's head re-evaluates it against the applied
-           results. *)
-        let batch = ref [] in
-        let batch_n = ref 0 in
-        let collecting = ref true in
-        while !collecting do
-          if !batch_n >= workers then collecting := false
-          else
-            match Heap.Pqueue.min_key open_nodes with
-            | None ->
-                if !batch_n = 0 then continue := false;
-                collecting := false
-            | Some bound_key when gap_closed bound_key ->
-                if !batch_n = 0 then continue := false;
-                collecting := false
-            | Some _ ->
-                (* cooperative checkpoint: counters are only mutated in
-                   the sequential collect/apply phases, so the values
-                   seen here are a pure function of the search history *)
-                on_node ~nodes:!nodes ~pivots:!pivots;
-                if
-                  !nodes >= options.max_nodes
-                  || !pivots >= options.pivot_budget
-                  || elapsed () > options.time_limit
-                then begin
-                  if !batch_n = 0 then begin
-                    hit_budget := true;
-                    continue := false
-                  end;
-                  collecting := false
-                end
-                else begin
-                  match Heap.Pqueue.pop open_nodes with
-                  | None ->
-                      if !batch_n = 0 then continue := false;
-                      collecting := false
-                  | Some (key, node) ->
-                      (* stale-node pruning: the bound was checked when
-                         the node was pushed, but the incumbent may
-                         have improved since; discard without
-                         branching *)
-                      if key >= !incumbent_key -. 1e-12 || gap_closed key then
-                        release_hot node
-                      else begin
-                        incr nodes;
-                        match
-                          fractional_var ~int_tol:options.int_tol int_vars
-                            node.relax.x
-                        with
-                        | None ->
-                            release_hot node;
-                            batch := Leaf node :: !batch;
-                            incr batch_n
-                        | Some v ->
-                            batch :=
-                              Branch
-                                { t_node = node; t_var = v; t_rec = None;
-                                  t_down = None; t_up = None }
-                              :: !batch;
-                            incr batch_n
-                      end
-                end
-        done;
-        let batch = List.rev !batch in
-        (* ---- expand all branch entries, in parallel past one ---- *)
-        let tasks =
-          List.filter_map
-            (function Branch tk -> Some tk | Leaf _ -> None)
-            batch
-        in
-        (* every task of a wave sees the same remaining budget — the
-           value at wave entry — so the wave's results stay a pure
-           function of the search history and [workers] *)
-        let wave_simplex =
-          budgeted_simplex ~remaining:(options.pivot_budget - !pivots)
-        in
-        (match tasks with
-        | [] -> ()
-        | [ tk ] -> run_task ?session:sessions.(0) ~simplex:wave_simplex tk
-        | tk0 :: rest ->
-            let doms =
-              List.mapi
-                (fun i tk ->
-                  Domain.spawn (fun () ->
-                      run_task ?session:sessions.(i + 1) ~simplex:wave_simplex
-                        tk))
-                rest
-            in
-            run_task ?session:sessions.(0) ~simplex:wave_simplex tk0;
-            List.iter Domain.join doms);
-        (* ---- apply results in deterministic batch order ---- *)
-        List.iter
-          (function
-            | Leaf node -> try_incumbent node.relax
-            | Branch tk ->
-                (match tk.t_rec with Some r -> account r | None -> ());
-                let node = tk.t_node in
-                release_hot node;
-                let fl, ce = branch_vals node tk.t_var in
-                let apply_child r ~bup ~bval =
-                  account r;
-                  match r.Simplex.status with
-                  | Solution.Optimal relax ->
-                      let key = key_of_obj relax.Solution.objective in
-                      if key < !incumbent_key -. 1e-12 then begin
-                        let child =
-                          { parent = Some node;
-                            delta = { bvar = tk.t_var; bup; bval };
-                            relax; basis = r.Simplex.basis;
-                            hot = r.Simplex.hot }
-                        in
-                        retain_hot child;
-                        Heap.Pqueue.push open_nodes key child
-                      end
-                  | Solution.Infeasible -> ()
-                  | Solution.Unbounded ->
-                      (* a bounded parent cannot have an unbounded
-                         child; treat as numerical noise *)
-                      ()
-                  | Solution.Iteration_limit -> hit_budget := true
-                in
-                (match tk.t_down with
-                | Some r -> apply_child r ~bup:false ~bval:fl
-                | None -> ());
-                (match tk.t_up with
-                | Some r -> apply_child r ~bup:true ~bval:ce
-                | None -> ()))
-          batch
+        match Heap.Pqueue.min_key open_nodes with
+        | None -> continue := false
+        | Some bound_key when gap_closed bound_key -> continue := false
+        | Some _ -> (
+            on_node ~nodes:!nodes ~pivots:!pivots;
+            if
+              !nodes >= options.max_nodes
+              || !pivots >= options.pivot_budget
+              || elapsed () > options.time_limit
+            then begin
+              hit_budget := true;
+              continue := false
+            end
+            else
+              match Heap.Pqueue.pop open_nodes with
+              | None -> continue := false
+              | Some (key, node) ->
+                  (* stale-node pruning: the bound was checked when the
+                     node was pushed, but the incumbent may have
+                     improved since; discard without branching *)
+                  if key >= !incumbent_key -. 1e-12 || gap_closed key then
+                    release_hot node
+                  else begin
+                    incr nodes;
+                    match
+                      fractional_var ~int_tol:options.int_tol int_vars
+                        node.relax.x
+                    with
+                    | None ->
+                        release_hot node;
+                        try_incumbent node.relax
+                    | Some v -> expand node v
+                  end)
       done;
       let best_bound_key =
         match Heap.Pqueue.min_key open_nodes with

@@ -23,18 +23,13 @@
     the sparse revised simplex ({!Sparse}); [Auto] picks sparse once
     the model has enough rows for the revised machinery to pay for
     itself.  In sparse mode the warm-start vehicle is the basis
-    snapshot alone (refactorising one is cheap), so the hot-tableau
-    ring stays empty.
+    snapshot, served from one reusable {!Sparse.session}, so the
+    hot-tableau ring stays empty.
 
-    With [workers > 1] the search runs in bulk-synchronous waves: up
-    to [workers] open nodes are popped per wave, their children solved
-    on concurrent [Domain]s, and the results applied to the frontier
-    and incumbent in deterministic batch order — so the search, the
-    returned optimum, and every statistic except wall-clock time are a
-    pure function of [workers], reproducible run-to-run.  [workers =
-    1] reproduces the sequential best-first search verbatim.  Tied
-    incumbents are broken lexicographically, keeping the returned
-    point stable across exploration schedules.
+    The search is sequential, so the returned optimum and every
+    statistic except wall-clock time are reproducible run-to-run.
+    Tied incumbents are broken lexicographically, so the returned
+    point does not depend on which tied leaf was reached first.
 
     Statistics record when the final incumbent was found
     ([time_to_incumbent]) separately from when optimality was proved
@@ -61,9 +56,9 @@ type options = {
           Checked cooperatively at every node boundary and threaded
           into each LP solve as a per-solve pivot cap, so — unlike
           [time_limit] — a budgeted run is a pure function of the
-          problem and [workers]: the same machine-independent answer
-          everywhere.  [max_int] leaves every code path bit-identical
-          to a build without the budget. *)
+          problem: the same machine-independent answer everywhere.
+          [max_int] leaves every code path bit-identical to a build
+          without the budget. *)
   on_node : (nodes:int -> pivots:int -> unit) option;
       (** cooperative checkpoint, called with the deterministic node
           and cumulative-pivot counters before the root solve and
@@ -76,9 +71,6 @@ type options = {
       (** start child LPs from the parent's optimal basis (default
           [true]; results are identical either way, only pivot counts
           differ) *)
-  workers : int;
-      (** concurrent node expansions (default [1] = sequential); the
-          optimum returned is deterministic for any fixed value *)
   solver : lp_solver;  (** LP engine selection (default [Auto]) *)
   simplex : Simplex.options;
 }

@@ -1,11 +1,8 @@
-type pricing = Dantzig | Devex
-
 type options = {
   max_pivots : int;
   feas_tol : float;
   cost_tol : float;
   degen_window : int;
-  pricing : pricing;
 }
 
 let default_options =
@@ -14,7 +11,6 @@ let default_options =
     feas_tol = 1e-7;
     cost_tol = 1e-9;
     degen_window = 40;
-    pricing = Devex;
   }
 
 (* Column status in the bounded-variable simplex; shared with basis
@@ -37,7 +33,8 @@ type tableau = {
 
 (* ---- process-wide pivot accounting: benchmarks read the deltas to
    aggregate across whole branch & bound trees and rate searches.
-   Atomic so parallel branch & bound workers account correctly. ---- *)
+   Atomic so the placement service's shard domains account
+   correctly. ---- *)
 let cumulative = Atomic.make 0
 let cumulative_pivots () = Atomic.get cumulative
 let reset_cumulative_pivots () = Atomic.set cumulative 0

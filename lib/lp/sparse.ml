@@ -31,10 +31,7 @@ let problem d = d.problem
 let n_rows d = d.m
 
 let of_problem problem =
-  (* force the accessor caches now: [data] must be safe to share
-     across domains read-only *)
   let vars = Problem.vars problem in
-  ignore (Problem.integer_vars problem);
   let n = Array.length vars in
   let constrs = Problem.constrs problem in
   let m = Array.length constrs in
@@ -277,7 +274,7 @@ let ftran_col st j =
    image is in [st.w]; [leaving_stat] is where the old variable rests.
    [enter_val] is the new basic value of [j].  Shared by the primal
    and dual pivots.  [y_done] means the caller already updated the
-   duals incrementally (devex path); otherwise they are recomputed
+   duals incrementally (devex pivots); otherwise they are recomputed
    exactly.  Returns [true] when a stability-triggered refresh ran —
    after which every derived quantity is exact again. *)
 let pivot st ~r ~j ~leaving_stat ~enter_val ~y_done =
@@ -302,28 +299,23 @@ let pivot st ~r ~j ~leaving_stat ~enter_val ~y_done =
     false
   end
 
-(* ---- primal simplex with candidate-list pricing ------------------- *)
+(* ---- primal simplex with devex pricing ---------------------------- *)
 
 type step = Optimal_reached | Unbounded_ray | Budget_exhausted
-
-let cand_cap = 24
 
 let primal st ~allowed =
   let opts = st.opts in
   let d = st.d in
   let ncols = st.d.ncols in
-  let devex = opts.pricing = Simplex.Devex in
   (* fresh reference framework per primal phase *)
-  if devex then Array.fill st.dw 0 ncols 1.;
+  Array.fill st.dw 0 ncols 1.;
   (* exact duals invariant: true whenever [st.y] was last set by
      [compute_y] / [refresh]; devex lets it drift between pivots and
      restores it before trusting an "optimal" verdict.  A preceding
-     devex dual phase may already have left drift, so start dirty. *)
-  let y_exact = ref (not devex) in
+     dual phase may already have left drift, so start dirty. *)
+  let y_exact = ref false in
   let degen_run = ref 0 in
   let result = ref None in
-  let cand = Array.make cand_cap (-1) in
-  let n_cand = ref 0 in
   let eligible j dj =
     match st.stat.(j) with
     | At_lower -> dj < -.opts.cost_tol
@@ -363,63 +355,6 @@ let primal st ~allowed =
     done;
     !enter
   in
-  (* Full Dantzig scan; refills the candidate list with the runners-up
-     so the next [cand_cap - 1] pivots price only the short list. *)
-  let full_scan () =
-    n_cand := 0;
-    let enter = ref (-1) in
-    let best = ref 0. in
-    let worst_cand = ref 0 in
-    (* index into cand of the smallest score *)
-    let scores = Array.make cand_cap 0. in
-    for j = 0 to ncols - 1 do
-      if movable st j && allowed j then begin
-        let dj = price st j in
-        if eligible j dj then begin
-          let score = Float.abs dj in
-          if score > !best then begin
-            best := score;
-            enter := j
-          end;
-          if !n_cand < cand_cap then begin
-            cand.(!n_cand) <- j;
-            scores.(!n_cand) <- score;
-            incr n_cand;
-            if score < scores.(!worst_cand) then worst_cand := !n_cand - 1
-          end
-          else if score > scores.(!worst_cand) then begin
-            cand.(!worst_cand) <- j;
-            scores.(!worst_cand) <- score;
-            worst_cand := 0;
-            for k = 1 to cand_cap - 1 do
-              if scores.(k) < scores.(!worst_cand) then worst_cand := k
-            done
-          end
-        end
-      end
-    done;
-    !enter
-  in
-  let pick_entering () =
-    (* price the candidate list first; fall back to a full scan when
-       it has gone stale *)
-    let enter = ref (-1) in
-    let best = ref 0. in
-    for k = 0 to !n_cand - 1 do
-      let j = cand.(k) in
-      if j >= 0 && movable st j && allowed j then begin
-        let dj = price st j in
-        if eligible j dj then begin
-          let score = Float.abs dj in
-          if score > !best then begin
-            best := score;
-            enter := j
-          end
-        end
-      end
-    done;
-    if !enter >= 0 then !enter else full_scan ()
-  in
   while !result = None do
     if !(st.pivots_left) <= 0 then result := Some Budget_exhausted
     else begin
@@ -435,7 +370,7 @@ let primal st ~allowed =
           end;
           bland_scan ()
         end
-        else if devex then begin
+        else begin
           let e = devex_scan () in
           if e >= 0 || !y_exact then e
           else begin
@@ -446,7 +381,6 @@ let primal st ~allowed =
             devex_scan ()
           end
         end
-        else pick_entering ()
       in
       if enter < 0 then result := Some Optimal_reached
       else begin
@@ -517,11 +451,11 @@ let primal st ~allowed =
               +. (sigma *. t)
             in
             let leaving_stat = if !leave_to_upper then At_upper else At_lower in
-            if devex && not use_bland then begin
+            if not use_bland then begin
               (* one BTRAN of e_r yields the pivot row, which feeds
                  both the reference-framework weight update and the
-                 incremental dual update — replacing the per-pivot
-                 BTRAN of c_B the Dantzig path pays *)
+                 incremental dual update, so devex costs no BTRAN of
+                 c_B per pivot *)
               Array.fill st.rho 0 d.m 0.;
               st.rho.(r) <- 1.;
               Factor.btran st.f st.rho;
@@ -585,7 +519,6 @@ type dual_step =
 let dual st =
   let opts = st.opts in
   let d = st.d in
-  let devex = opts.pricing = Simplex.Devex in
   let result = ref None in
   while !result = None do
     if !(st.pivots_left) <= 0 then result := Some Dual_budget
@@ -694,18 +627,15 @@ let dual st =
             +. delta
           in
           let leaving_stat = if above then At_upper else At_lower in
-          if devex then begin
-            (* [st.rho] still holds B^-T e_r: update the duals
-               incrementally instead of paying a BTRAN of c_B.  Any
-               drift only shifts which dual pivot is preferred; the
-               endpoint is re-verified by the primal cleanup pass. *)
-            let ty = !enter_dc /. st.w.(r) in
-            for i = 0 to d.m - 1 do
-              st.y.(i) <- st.y.(i) +. (ty *. st.rho.(i))
-            done;
-            ignore (pivot st ~r ~j ~leaving_stat ~enter_val ~y_done:true)
-          end
-          else ignore (pivot st ~r ~j ~leaving_stat ~enter_val ~y_done:false)
+          (* [st.rho] still holds B^-T e_r: update the duals
+             incrementally instead of paying a BTRAN of c_B.  Any drift
+             only shifts which dual pivot is preferred; the endpoint is
+             re-verified by the primal cleanup pass. *)
+          let ty = !enter_dc /. st.w.(r) in
+          for i = 0 to d.m - 1 do
+            st.y.(i) <- st.y.(i) +. (ty *. st.rho.(i))
+          done;
+          ignore (pivot st ~r ~j ~leaving_stat ~enter_val ~y_done:true)
         end
       end
     end
@@ -916,7 +846,6 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
                 st.wlo.(j) <- 0.;
                 st.wup.(j) <- (if j >= d.n_real then 0. else infinity)
               done;
-              Array.fill st.dw 0 d.ncols 1.;
               st
           | None -> fresh ()
         in

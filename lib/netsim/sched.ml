@@ -1,4 +1,4 @@
-type kind = Heap | Wheel
+type kind = Wheel
 
 (* ---- growable flat bucket: parallel (time, seq, event) arrays ---- *)
 
@@ -36,7 +36,7 @@ let bits = 8
 let slots = 1 lsl bits
 let mask = slots - 1
 
-type wheel = {
+type t = {
   tick : float;
   lv0 : bucket array;  (* ticks in the current level-0 frame *)
   lv1 : bucket array;  (* level-0 frames in the current level-1 frame *)
@@ -55,62 +55,40 @@ type wheel = {
   mutable cv : int;
 }
 
-type t =
-  | H of { q : int Heap.Pqueue.t; mutable ht : float; mutable hv : int }
-  | W of wheel
+let create ?(capacity = 1024) ?(tick = 1e-3) () =
+  if not (tick > 0.) then invalid_arg "Sched.create: tick must be > 0";
+  let capacity = Int.max 16 capacity in
+  {
+    tick;
+    lv0 = Array.init slots (fun _ -> bucket ());
+    lv1 = Array.init slots (fun _ -> bucket ());
+    ovf = bucket ();
+    cur = 0;
+    n0 = 0;
+    n1 = 0;
+    seq = 0;
+    rt = Array.make capacity 0.;
+    rs = Array.make capacity 0;
+    rv = Array.make capacity 0;
+    rlen = 0;
+    ct = 0.;
+    cv = 0;
+  }
 
-let create ?(kind = Heap) ?(capacity = 1024) ?(tick = 1e-3) () =
-  match kind with
-  | Heap -> H { q = Heap.Pqueue.create ~capacity (); ht = 0.; hv = 0 }
-  | Wheel ->
-      if not (tick > 0.) then invalid_arg "Sched.create: tick must be > 0";
-      let capacity = Int.max 16 capacity in
-      W
-        {
-          tick;
-          lv0 = Array.init slots (fun _ -> bucket ());
-          lv1 = Array.init slots (fun _ -> bucket ());
-          ovf = bucket ();
-          cur = 0;
-          n0 = 0;
-          n1 = 0;
-          seq = 0;
-          rt = Array.make capacity 0.;
-          rs = Array.make capacity 0;
-          rv = Array.make capacity 0;
-          rlen = 0;
-          ct = 0.;
-          cv = 0;
-        }
+let clear w =
+  let empty b = b.blen <- 0 in
+  Array.iter empty w.lv0;
+  Array.iter empty w.lv1;
+  empty w.ovf;
+  w.cur <- 0;
+  w.n0 <- 0;
+  w.n1 <- 0;
+  w.seq <- 0;
+  w.rlen <- 0;
+  w.ct <- 0.;
+  w.cv <- 0
 
-let kind = function H _ -> Heap | W _ -> Wheel
-
-let clear = function
-  | H h ->
-      (* an emptied binary heap pops exactly as a fresh one *)
-      while not (Heap.Pqueue.is_empty h.q) do
-        ignore (Heap.Pqueue.pop h.q)
-      done;
-      h.ht <- 0.;
-      h.hv <- 0
-  | W w ->
-      let empty b = b.blen <- 0 in
-      Array.iter empty w.lv0;
-      Array.iter empty w.lv1;
-      empty w.ovf;
-      w.cur <- 0;
-      w.n0 <- 0;
-      w.n1 <- 0;
-      w.seq <- 0;
-      w.rlen <- 0;
-      w.ct <- 0.;
-      w.cv <- 0
-
-let length = function
-  | H h -> Heap.Pqueue.length h.q
-  | W w -> w.rlen + w.n0 + w.n1 + w.ovf.blen
-
-let is_empty t = length t = 0
+let length w = w.rlen + w.n0 + w.n1 + w.ovf.blen
 
 (* ready-heap primitives (min-heap on (time, seq)) *)
 
@@ -183,13 +161,10 @@ let place w t s v =
   end
   else bucket_push w.ovf t s v
 
-let push t time ev =
-  match t with
-  | H h -> Heap.Pqueue.push h.q time ev
-  | W w ->
-      let s = w.seq in
-      w.seq <- s + 1;
-      place w time s ev
+let push w time ev =
+  let s = w.seq in
+  w.seq <- s + 1;
+  place w time s ev
 
 (* re-place overflow entries that now fall inside the current level-1
    frame; compacts the overflow bucket in place *)
@@ -291,30 +266,21 @@ let rec advance w =
     advance w
   end
 
-let pop t =
-  match t with
-  | H h -> (
-      match Heap.Pqueue.pop h.q with
-      | None -> false
-      | Some (k, v) ->
-          h.ht <- k;
-          h.hv <- v;
-          true)
-  | W w ->
-      if w.rlen = 0 then advance w;
-      if w.rlen = 0 then false
-      else begin
-        w.ct <- w.rt.(0);
-        w.cv <- w.rv.(0);
-        w.rlen <- w.rlen - 1;
-        if w.rlen > 0 then begin
-          w.rt.(0) <- w.rt.(w.rlen);
-          w.rs.(0) <- w.rs.(w.rlen);
-          w.rv.(0) <- w.rv.(w.rlen);
-          rsift_down w 0
-        end;
-        true
-      end
+let pop w =
+  if w.rlen = 0 then advance w;
+  if w.rlen = 0 then false
+  else begin
+    w.ct <- w.rt.(0);
+    w.cv <- w.rv.(0);
+    w.rlen <- w.rlen - 1;
+    if w.rlen > 0 then begin
+      w.rt.(0) <- w.rt.(w.rlen);
+      w.rs.(0) <- w.rs.(w.rlen);
+      w.rv.(0) <- w.rv.(w.rlen);
+      rsift_down w 0
+    end;
+    true
+  end
 
-let time = function H h -> h.ht | W w -> w.ct
-let event = function H h -> h.hv | W w -> w.cv
+let time w = w.ct
+let event w = w.cv

@@ -17,14 +17,13 @@ type config = {
   os_overhead : float;
   faults : Faults.t;
   transport : Transport.policy;
-  sched : Sched.kind;
   cells : int array option;
   domains : int;
 }
 
 let default_config ?(n_nodes = 1) ?(duration = 60.) ?(seed = 1)
     ?(faults = Faults.none) ?(transport = Transport.Unreliable)
-    ?(sched = Sched.Heap) ?cells ?(domains = 1) ~platform ~link () =
+    ?sched:(_ : Sched.kind option) ?cells ?(domains = 1) ~platform ~link () =
   {
     n_nodes;
     platform;
@@ -39,7 +38,6 @@ let default_config ?(n_nodes = 1) ?(duration = 60.) ?(seed = 1)
     os_overhead = 1.15;
     faults;
     transport;
-    sched;
     cells;
     domains;
   }
@@ -248,7 +246,7 @@ type arena = {
 let arena_create (config : config) ~max_cell =
   {
     events =
-      Sched.create ~kind:config.sched
+      Sched.create
         ~capacity:(Int.max 64 (2 * max_cell))
         ~tick:(Float.max 1e-6 (Link.packet_airtime config.link /. 4.))
         ();
@@ -264,9 +262,8 @@ let arena_create (config : config) ~max_cell =
    the pre-scale-out testbed.  [server = None] defers deliveries to
    the caller (which fires the server half after joining all cells)
    and derives the cell's streams as [derive seed [2; cell(; k)]]. *)
-let sim_cell (config : config) ~graph ~node_mask ~sources_arr
-    ~(probe : float -> int -> unit) ~server ~cell ~(g_of_l : int array)
-    ~arena =
+let sim_cell (config : config) ~graph ~node_mask ~sources_arr ~server ~cell
+    ~(g_of_l : int array) ~arena =
   let m = Array.length g_of_l in
   if m > node_limit then
     invalid_arg "Testbed.run: a cell holds more than 2^21 nodes";
@@ -754,7 +751,6 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr
       if t <= config.duration then begin
         let ev = Sched.event events in
         incr handled;
-        probe t ev;
         handle t ev;
         loop ()
       end
@@ -794,7 +790,7 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr
     o_deliv = !deliveries;
   }
 
-let run ?probe config ~graph ~node_of ~sources =
+let run config ~graph ~node_of ~sources =
   if config.n_nodes <= 0 then invalid_arg "Testbed.run: need at least one node";
   if config.domains < 1 then invalid_arg "Testbed.run: domains must be >= 1";
   List.iter
@@ -812,7 +808,6 @@ let run ?probe config ~graph ~node_of ~sources =
   let server =
     Runtime.Exec.create ~replicated ~member:(fun i -> not node_mask.(i)) graph
   in
-  let probe = match probe with None -> fun _ _ -> () | Some f -> f in
   let inline, groups =
     match config.cells with
     | None -> (true, [| Array.init config.n_nodes (fun i -> i) |])
@@ -845,7 +840,7 @@ let run ?probe config ~graph ~node_of ~sources =
     Array.fold_left (fun acc g -> Int.max acc (Array.length g)) 0 groups
   in
   let sim c arena =
-    sim_cell config ~graph ~node_mask ~sources_arr ~probe
+    sim_cell config ~graph ~node_mask ~sources_arr
       ~server:(if inline then Some server else None)
       ~cell:c ~g_of_l:groups.(c) ~arena
   in

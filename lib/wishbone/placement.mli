@@ -273,11 +273,11 @@ val solve :
     accept it within its row tolerance and could prune the true
     optimum.
 
-    [options] also selects the LP engine and parallelism
-    ({!Lp.Branch_bound.options.solver} / [workers]): by default eeg-scale
+    [options] also selects the LP engine
+    ({!Lp.Branch_bound.options.solver}): by default eeg-scale
     encodings run on the sparse revised simplex and small ones on the
-    dense tableau, and any [workers] count returns the same partition
-    (deterministic waves, see DESIGN.md §14). *)
+    dense tableau, and either engine returns the same partition (see
+    DESIGN.md §14). *)
 
 val ops_on : report -> int -> int list
 (** Original operator ids the report places on a tier, ascending. *)

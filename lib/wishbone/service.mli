@@ -10,11 +10,11 @@
     server loop:
 
     - {e batches}: queries arrive as arrays and independent solves are
-      sharded across [Domain]s at the {e query} level (the per-solve
-      [workers] knob composes badly with one core per search): the
-      calling domain and [shards - 1] spawned ones claim queries from
-      one shared cursor until none are left, so the caller solves a
-      share instead of waiting;
+      sharded across [Domain]s at the {e query} level (each branch &
+      bound search is sequential): the calling domain and
+      [shards - 1] spawned ones claim queries from one shared cursor
+      until none are left, so the caller solves a share instead of
+      waiting;
     - {e caching}: completed solves are stored in an LRU-bounded cache
       keyed by [spec digest x platform digest x request].  An exact
       key hit replays the stored response without solving; a miss on a

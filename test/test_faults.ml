@@ -20,13 +20,13 @@ let probe_app () =
 
 let run_probe ?(n_nodes = 1) ?(duration = 30.) ?(rate = 2.) ?(payload = 110)
     ?(seed = 7) ?(faults = Netsim.Faults.none)
-    ?(transport = Netsim.Transport.Unreliable) ?(link = link)
-    ?(sched = Netsim.Sched.Heap) ?cells ?(domains = 1) () =
+    ?(transport = Netsim.Transport.Unreliable) ?(link = link) ?cells
+    ?(domains = 1) () =
   let graph, src = probe_app () in
   let config =
     Netsim.Testbed.default_config ~n_nodes ~duration ~seed
-      ~platform:Profiler.Platform.tmote_sky ~link ~faults ~transport ~sched
-      ?cells ~domains ()
+      ~platform:Profiler.Platform.tmote_sky ~link ~faults ~transport ?cells
+      ~domains ()
   in
   let sources =
     [
@@ -45,12 +45,12 @@ let speech = lazy (Apps.Speech.build ())
 
 let run_speech ?(faults = Netsim.Faults.none)
     ?(transport = Netsim.Transport.Unreliable) ?(duration = 60.) ?(seed = 5)
-    ?(rate_mult = 1.0) ?(sched = Netsim.Sched.Heap) ~cut () =
+    ?(rate_mult = 1.0) ~cut () =
   let t = Lazy.force speech in
   let assignment = Apps.Speech.cut_assignment t cut in
   let config =
     Netsim.Testbed.default_config ~n_nodes:1 ~duration ~seed
-      ~platform:Profiler.Platform.tmote_sky ~link ~faults ~transport ~sched ()
+      ~platform:Profiler.Platform.tmote_sky ~link ~faults ~transport ()
   in
   Netsim.Testbed.run config ~graph:t.Apps.Speech.graph
     ~node_of:(fun i -> assignment.(i))
@@ -100,28 +100,10 @@ let test_regression_speech_cut4 () =
     ~offered:2400 ~processed:2400 ~msent:2400 ~mrecv:1 ~psent:4169 ~coll:2
     ~chan:125 ~queue:31810 ~sink:1 ~busy:0.485937500
 
-(* ---- scale-out: wheel scheduler / domain sharding bit-identical ---- *)
+(* ---- scale-out: timing wheel / domain sharding bit-identical ---- *)
 
-let test_wheel_probe_1n () =
-  check_counters "wheel probe 1n r10"
-    (run_probe ~n_nodes:1 ~rate:10. ~sched:Netsim.Sched.Wheel ())
-    ~offered:300 ~processed:300 ~msent:300 ~mrecv:270 ~psent:1200 ~coll:0
-    ~chan:29 ~queue:0 ~sink:270 ~busy:0.030020125
-
-let test_wheel_probe_20n () =
-  check_counters "wheel probe 20n r4"
-    (run_probe ~n_nodes:20 ~rate:4. ~sched:Netsim.Sched.Wheel ())
-    ~offered:2400 ~processed:2400 ~msent:2400 ~mrecv:300 ~psent:2508
-    ~coll:569 ~chan:61 ~queue:7171 ~sink:300 ~busy:0.012005529
-
-let test_wheel_speech_cut4 () =
-  check_counters "wheel speech cut4"
-    (run_speech ~cut:4 ~sched:Netsim.Sched.Wheel ())
-    ~offered:2400 ~processed:2400 ~msent:2400 ~mrecv:1 ~psent:4169 ~coll:2
-    ~chan:125 ~queue:31810 ~sink:1 ~busy:0.485937500
-
-(* every result field, floats compared bit-for-bit: scheduler choice
-   and domain count must not move a single ULP *)
+(* every result field, floats compared bit-for-bit: the domain count
+   must not move a single ULP *)
 let check_same_result name (a : Netsim.Testbed.result)
     (b : Netsim.Testbed.result) =
   let ck what = Alcotest.(check int) (name ^ ": " ^ what) in
@@ -168,30 +150,98 @@ let heavy_faults =
     reboot_s = 2.;
     clock_drift = 50e-6 }
 
-let test_wheel_equals_heap_under_faults () =
-  let go sched =
-    run_probe ~n_nodes:8 ~rate:6. ~seed:11 ~faults:heavy_faults
-      ~transport:(Netsim.Transport.default_reliable ())
-      ~sched ()
+(* Every field of the probe app on 8 nodes sharing one channel under
+   heavy faults and reliable transport, as the binary-heap scheduler
+   the testbed once used by default produced it.  The run has no exact
+   timestamp ties, so the wheel must reproduce it to the bit. *)
+let heap_golden : Netsim.Testbed.result =
+  {
+    inputs_offered = 1440;
+    inputs_processed = 1392;
+    msgs_sent = 1392;
+    msgs_received = 194;
+    packets_sent = 2073;
+    packets_lost_collision = 247;
+    packets_lost_channel = 263;
+    packets_lost_queue = 22840;
+    sink_outputs = 194;
+    input_fraction = 0x1.eeeeeeeeeeeefp-1;
+    msg_fraction = 0x1.1d6cdfa1d6cep-3;
+    goodput_fraction = 0x1.13e93e93e93eap-3;
+    node_busy_fraction = 0x1.1d45d8fd31c3ep-6;
+    offered_bytes_per_sec = 0x1.3fp+12;
+    msgs_duplicate = 35;
+    msgs_expired = 865;
+    msgs_pending = 333;
+    retransmissions = 4848;
+    acks_sent = 229;
+    acks_lost = 8;
+    crashes = 4;
+    inputs_lost_down = 48;
+    edge_bytes_per_sec = [| 0x1.3fp+12 |];
+    events_processed = 16171;
+  }
+
+let test_heap_equals_wheel_under_faults () =
+  check_same_result "heap golden vs wheel, faults + reliable" heap_golden
+    (run_probe ~n_nodes:8 ~rate:6. ~seed:11 ~faults:heavy_faults
+       ~transport:(Netsim.Transport.default_reliable ())
+       ())
+
+(* Every field of the probe app on 2 nodes at 4 Hz under 30% burst
+   loss, reliable transport and no clock drift.  Windows and timeouts
+   are exact binary fractions, so retransmit timers of different
+   messages land on one instant and the wheel's FIFO order among them
+   is part of the result: the binary heap popped these ties in another
+   order and gave 186 sink outputs, not 190. *)
+let tie_golden : Netsim.Testbed.result =
+  {
+    inputs_offered = 240;
+    inputs_processed = 240;
+    msgs_sent = 240;
+    msgs_received = 190;
+    packets_sent = 1701;
+    packets_lost_collision = 40;
+    packets_lost_channel = 360;
+    packets_lost_queue = 1023;
+    sink_outputs = 190;
+    input_fraction = 0x1p+0;
+    msg_fraction = 0x1.9555555555555p-1;
+    goodput_fraction = 0x1.9555555555555p-1;
+    node_busy_fraction = 0x1.897ad304f5322p-7;
+    offered_bytes_per_sec = 0x1.b8p+9;
+    msgs_duplicate = 26;
+    msgs_expired = 22;
+    msgs_pending = 28;
+    retransmissions = 440;
+    acks_sent = 216;
+    acks_lost = 19;
+    crashes = 0;
+    inputs_lost_down = 0;
+    edge_bytes_per_sec = [| 0x1.b8p+9 |];
+    events_processed = 5237;
+  }
+
+let test_wheel_golden_on_exact_ties () =
+  let faults =
+    { Netsim.Faults.none with
+      burst = Some (Netsim.Faults.burst_of_loss 0.3) }
   in
-  check_same_result "heap vs wheel, faults + reliable"
-    (go Netsim.Sched.Heap) (go Netsim.Sched.Wheel)
+  check_same_result "wheel golden, exact ties" tie_golden
+    (run_probe ~n_nodes:2 ~rate:4. ~seed:11 ~faults
+       ~transport:(Netsim.Transport.default_reliable ())
+       ())
 
 let test_domains_identical () =
   let cells = Array.init 12 (fun i -> i / 4) in
-  let go ~sched ~domains =
+  let go ~domains =
     run_probe ~n_nodes:12 ~rate:4. ~seed:13 ~faults:heavy_faults
       ~transport:(Netsim.Transport.default_reliable ())
-      ~sched ~cells ~domains ()
+      ~cells ~domains ()
   in
-  let base = go ~sched:Netsim.Sched.Wheel ~domains:1 in
-  check_same_result "wheel domains 1 vs 2" base
-    (go ~sched:Netsim.Sched.Wheel ~domains:2);
-  check_same_result "wheel domains 1 vs 4" base
-    (go ~sched:Netsim.Sched.Wheel ~domains:4);
-  (* the cell decomposition is scheduler-independent too *)
-  check_same_result "wheel vs heap, 3 cells, domains 2" base
-    (go ~sched:Netsim.Sched.Heap ~domains:2)
+  let base = go ~domains:1 in
+  check_same_result "domains 1 vs 2" base (go ~domains:2);
+  check_same_result "domains 1 vs 4" base (go ~domains:4)
 
 (* Every field of the probe app on 64 nodes in four 16-node cells
    under heavy faults and reliable transport, pinned at the values the
@@ -228,17 +278,13 @@ let multicell_golden : Netsim.Testbed.result =
 
 let test_multicell_golden_under_faults () =
   let cells = Array.init 64 (fun i -> i / 16) in
-  let go ~sched ~domains =
+  let go ~domains =
     run_probe ~n_nodes:64 ~rate:6. ~seed:17 ~faults:heavy_faults
       ~transport:(Netsim.Transport.default_reliable ())
-      ~sched ~cells ~domains ()
+      ~cells ~domains ()
   in
-  check_same_result "wheel d=1 golden" multicell_golden
-    (go ~sched:Netsim.Sched.Wheel ~domains:1);
-  check_same_result "wheel d=2 golden" multicell_golden
-    (go ~sched:Netsim.Sched.Wheel ~domains:2);
-  check_same_result "heap d=1 golden" multicell_golden
-    (go ~sched:Netsim.Sched.Heap ~domains:1)
+  check_same_result "d=1 golden" multicell_golden (go ~domains:1);
+  check_same_result "d=2 golden" multicell_golden (go ~domains:2)
 
 (* ---- fault injection ---- *)
 
@@ -586,11 +632,10 @@ let () =
         ] );
       ( "scale-out (wheel + domains bit-identical)",
         [
-          tc "wheel re-pins probe 1n" test_wheel_probe_1n;
-          tc "wheel re-pins probe 20n" test_wheel_probe_20n;
-          tc "wheel re-pins speech cut4" test_wheel_speech_cut4;
           tc "heap = wheel under faults + reliable"
-            test_wheel_equals_heap_under_faults;
+            test_heap_equals_wheel_under_faults;
+          tc "wheel golden on exact ties (reliable, no drift)"
+            test_wheel_golden_on_exact_ties;
           tc "domains 1/2/4 identical" test_domains_identical;
           tc "4-cell golden under faults + reliable"
             test_multicell_golden_under_faults;

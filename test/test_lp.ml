@@ -310,13 +310,8 @@ let test_warm_keeps_cold_verdict () =
   expect_optimal "dense" dense
     (Simplex.solve_warm ?warm:dense.Simplex.basis p);
   let data = Sparse.of_problem p in
-  List.iter
-    (fun (tag, pricing) ->
-      let options = { Simplex.default_options with pricing } in
-      let cold = Sparse.solve_warm ~options data in
-      expect_optimal tag cold
-        (Sparse.solve_warm ~options ?warm:cold.Simplex.basis data))
-    [ ("sparse devex", Simplex.Devex); ("sparse dantzig", Simplex.Dantzig) ]
+  let cold = Sparse.solve_warm data in
+  expect_optimal "sparse" cold (Sparse.solve_warm ?warm:cold.Simplex.basis data)
 
 let test_warm_rescaled_coefficients () =
   (* rate-search shape: same structure, uniformly scaled data *)
@@ -600,28 +595,6 @@ let prop_sparse_matches_dense =
           let dw = Simplex.solve_warm ~warm:b ~lo ~hi p in
           let sw = Sparse.solve_warm ~warm:b ~lo ~hi data in
           status_agrees seed "warm" sw.Simplex.status dw.Simplex.status
-      | _ -> true)
-
-(* The pricing rules explore different pivot sequences but must land
-   on the same optimum: devex (the default) against the candidate-list
-   Dantzig rule, cold and warm-started from the devex basis. *)
-let prop_devex_matches_dantzig =
-  QCheck.Test.make ~count:1000 ~name:"devex and dantzig pricing agree"
-    QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let rng = Prng.create seed in
-      let p = Check.Gen.lp rng ~size:(3 + (seed mod 26)) in
-      let data = Sparse.of_problem p in
-      let dv = { Simplex.default_options with pricing = Simplex.Devex } in
-      let dz = { Simplex.default_options with pricing = Simplex.Dantzig } in
-      let a = Sparse.solve_warm ~options:dv data in
-      let b = Sparse.solve_warm ~options:dz data in
-      status_agrees seed "dantzig-cold" b.Simplex.status a.Simplex.status
-      &&
-      match a.Simplex.basis with
-      | Some warm when Solution.is_optimal a.Simplex.status ->
-          let w = Sparse.solve_warm ~options:dz ~warm data in
-          status_agrees seed "dantzig-warm" w.Simplex.status a.Simplex.status
       | _ -> true)
 
 (* Forrest–Tomlin updates against a fresh refactorisation of the same
@@ -933,68 +906,50 @@ let test_sparse_basis_roundtrip () =
     (Solution.get s.Simplex.status).objective
     (Solution.get s2.Simplex.status).objective
 
-(* ---- parallel branch & bound ---- *)
+(* ---- one answer from every LP engine ---- *)
 
-let solve_with ~workers ~solver p =
-  let options = { Branch_bound.default_options with workers; solver } in
+let solve_with ~solver p =
+  let options = { Branch_bound.default_options with solver } in
   Branch_bound.solve ~options p
 
-(* The acceptance property: the same optimum for workers 1, 2 and 4,
-   and for the dense and sparse LP engines. *)
-let prop_parallel_bb_same_optimum =
-  QCheck.Test.make ~count:120 ~name:"parallel B&B optimum independent of workers"
+(* The same optimum from the dense and sparse LP engines. *)
+let prop_engines_same_optimum =
+  QCheck.Test.make ~count:120 ~name:"sparse and dense B&B optimum agree"
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Prng.create seed in
       let p = Check.Gen.ilp rng ~size:(3 + (seed mod 10)) in
-      let base, _ = solve_with ~workers:1 ~solver:Branch_bound.Dense p in
-      List.for_all
-        (fun (workers, solver, tag) ->
-          let st, _ = solve_with ~workers ~solver p in
-          match (st, base) with
-          | Solution.Optimal a, Solution.Optimal b ->
-              let tol = 1e-6 *. Float.max 1. (Float.abs b.objective) in
-              if Float.abs (a.objective -. b.objective) > tol then
-                QCheck.Test.fail_reportf "seed %d: %s=%.9g base=%.9g" seed tag
-                  a.objective b.objective
-              else if Problem.constraint_violation p a.x > 1e-5 then
-                QCheck.Test.fail_reportf "seed %d: %s infeasible" seed tag
-              else true
-          | Solution.Infeasible, Solution.Infeasible -> true
-          | Solution.Iteration_limit, _ | _, Solution.Iteration_limit -> true
-          | a, b ->
-              QCheck.Test.fail_reportf "seed %d: %s=%a base=%a" seed tag
-                Solution.pp_status a Solution.pp_status b)
-        [
-          (2, Branch_bound.Dense, "dense-w2");
-          (4, Branch_bound.Dense, "dense-w4");
-          (1, Branch_bound.Sparse_revised, "sparse-w1");
-          (4, Branch_bound.Sparse_revised, "sparse-w4");
-        ])
+      let base, _ = solve_with ~solver:Branch_bound.Dense p in
+      match (fst (solve_with ~solver:Branch_bound.Sparse_revised p), base) with
+      | Solution.Optimal a, Solution.Optimal b ->
+          let tol = 1e-6 *. Float.max 1. (Float.abs b.objective) in
+          if Float.abs (a.objective -. b.objective) > tol then
+            QCheck.Test.fail_reportf "seed %d: sparse=%.9g dense=%.9g" seed
+              a.objective b.objective
+          else if Problem.constraint_violation p a.x > 1e-5 then
+            QCheck.Test.fail_reportf "seed %d: sparse infeasible" seed
+          else true
+      | Solution.Infeasible, Solution.Infeasible -> true
+      | Solution.Iteration_limit, _ | _, Solution.Iteration_limit -> true
+      | a, b ->
+          QCheck.Test.fail_reportf "seed %d: sparse=%a dense=%a" seed
+            Solution.pp_status a Solution.pp_status b)
 
-let test_parallel_bb_deterministic () =
-  (* same workers value, same problem: bit-identical solution vectors *)
+let test_engines_deterministic () =
+  (* same problem, solved twice: bit-identical solution vectors *)
   let p = random_problem 4242 in
-  List.iter
-    (fun workers ->
-      match (solve_with ~workers ~solver:Branch_bound.Auto p,
-             solve_with ~workers ~solver:Branch_bound.Auto p)
-      with
-      | (Solution.Optimal a, _), (Solution.Optimal b, _) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "workers=%d reproducible" workers)
-            true (a.x = b.x && a.objective = b.objective)
-      | (a, _), (b, _) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "workers=%d same status" workers)
-            true
-            (Solution.pp_status Format.str_formatter a |> ignore;
-             let sa = Format.flush_str_formatter () in
-             Solution.pp_status Format.str_formatter b |> ignore;
-             sa = Format.flush_str_formatter ()))
-    [ 1; 3 ]
+  match (solve_with ~solver:Branch_bound.Auto p,
+         solve_with ~solver:Branch_bound.Auto p)
+  with
+  | (Solution.Optimal a, _), (Solution.Optimal b, _) ->
+      Alcotest.(check bool) "reproducible" true
+        (a.x = b.x && a.objective = b.objective)
+  | (a, _), (b, _) ->
+      Alcotest.(check string) "same status"
+        (Format.asprintf "%a" Solution.pp_status a)
+        (Format.asprintf "%a" Solution.pp_status b)
 
-let test_parallel_bb_knapsack () =
+let knapsack12 () =
   let p = Problem.create () in
   let vars = Array.init 12 (fun _ -> Problem.add_var ~hi:1. ~integer:true p) in
   Problem.add_constr p
@@ -1003,25 +958,74 @@ let test_parallel_bb_knapsack () =
   Problem.set_objective p Problem.Maximize
     (Array.to_list
        (Array.mapi (fun i v -> (v, Float.of_int ((i * 5 mod 13) + 1))) vars));
-  let reference, _ = solve_with ~workers:1 ~solver:Branch_bound.Dense p in
+  p
+
+let test_engines_knapsack () =
+  let p = knapsack12 () in
+  let reference, _ = solve_with ~solver:Branch_bound.Dense p in
   let robj = (Solution.get reference).objective in
   List.iter
-    (fun (workers, solver) ->
-      let st, stats = solve_with ~workers ~solver p in
-      check_close
-        (Printf.sprintf "workers=%d optimum" workers)
-        robj
-        (Solution.get st).objective;
-      Alcotest.(check bool)
-        (Printf.sprintf "workers=%d proved" workers)
-        true stats.Branch_bound.proved_optimal)
+    (fun (solver, tag) ->
+      let st, stats = solve_with ~solver p in
+      check_close (tag ^ " optimum") robj (Solution.get st).objective;
+      Alcotest.(check bool) (tag ^ " proved") true
+        stats.Branch_bound.proved_optimal)
     [
-      (2, Branch_bound.Dense);
-      (4, Branch_bound.Dense);
-      (1, Branch_bound.Sparse_revised);
-      (2, Branch_bound.Sparse_revised);
-      (4, Branch_bound.Auto);
+      (Branch_bound.Dense, "dense");
+      (Branch_bound.Sparse_revised, "sparse");
+      (Branch_bound.Auto, "auto");
     ]
+
+(* Work counters and objective bits of the sequential search, pinned
+   at the values the search gave before its parallel-wave variant was
+   deleted: the same nodes, LP solves, hot-tableau solves and pivots in
+   the same order, under the dense engine (hot ring live) and the
+   sparse one, plus two pivot-budgeted runs.  [None] is a budgeted run
+   that ends without an incumbent. *)
+let test_bb_stats_pinned () =
+  let ilp seed size () = Check.Gen.ilp (Prng.create seed) ~size in
+  List.iter
+    (fun (tag, build, solver, pivot_budget, (nodes, lps, hot, pivots, proved),
+          obj) ->
+      let options =
+        { Branch_bound.default_options with solver; pivot_budget }
+      in
+      let st, s = Branch_bound.solve ~options (build ()) in
+      let ck what = Alcotest.(check int) (tag ^ " " ^ what) in
+      ck "nodes" nodes s.Branch_bound.nodes_explored;
+      ck "LP solves" lps s.Branch_bound.lp_solves;
+      ck "hot solves" hot s.Branch_bound.hot_solves;
+      ck "pivots" pivots s.Branch_bound.total_pivots;
+      Alcotest.(check bool) (tag ^ " proved") proved
+        s.Branch_bound.proved_optimal;
+      Alcotest.(check (option int64)) (tag ^ " objective bits") obj
+        (match st with
+        | Solution.Optimal x -> Some (Int64.bits_of_float x.objective)
+        | Solution.Iteration_limit -> None
+        | st -> Alcotest.failf "%s: %a" tag Solution.pp_status st))
+    Branch_bound.
+      [
+        ("knapsack dense", knapsack12, Dense, max_int, (5, 9, 8, 29, true),
+         Some 0x4048800000000000L);
+        ("knapsack sparse", knapsack12, Sparse_revised, max_int,
+         (5, 9, 0, 30, true), Some 0x4048800000000000L);
+        ("ilp 79 dense", ilp 79 12, Dense, max_int, (7, 14, 12, 33, true),
+         Some 0x401c000000000000L);
+        ("ilp 79 sparse", ilp 79 12, Sparse_revised, max_int,
+         (7, 13, 0, 32, true), Some 0x401c000000000000L);
+        ("ilp 231 dense", ilp 231 21, Dense, max_int, (11, 22, 20, 48, true),
+         Some 0xc018000000000000L);
+        ("ilp 231 sparse", ilp 231 21, Sparse_revised, max_int,
+         (9, 17, 0, 39, true), Some 0xc018000000000000L);
+        ("ilp 271 dense", ilp 271 4, Dense, max_int, (10, 21, 18, 48, true),
+         Some 0x3ff0000000000000L);
+        ("ilp 271 sparse", ilp 271 4, Sparse_revised, max_int,
+         (9, 17, 0, 41, true), Some 0x3ff0000000000000L);
+        ("knapsack dense, 20 pivots", knapsack12, Dense, 20,
+         (2, 5, 4, 21, false), None);
+        ("knapsack sparse, 30 pivots", knapsack12, Sparse_revised, 30,
+         (4, 9, 0, 30, false), None);
+      ]
 
 (* ---- delta-encoded node bounds ---- *)
 
@@ -1119,6 +1123,7 @@ let () =
           tc "equality binaries" test_ilp_gap_between_lp_and_ip;
           tc "mixed integer" test_ilp_mixed_integer;
           tc "incumbent trace" test_ilp_incumbent_trace;
+          tc "stats pinned" test_bb_stats_pinned;
         ] );
       ( "warm_start",
         [
@@ -1144,19 +1149,20 @@ let () =
           tc "basis round-trip" test_sparse_basis_roundtrip;
           tc "session bit-identical" test_sparse_session_identical;
           QCheck_alcotest.to_alcotest prop_sparse_matches_dense;
-          QCheck_alcotest.to_alcotest prop_devex_matches_dantzig;
         ] );
       ( "factor",
         [
           tc "FT updates vs fresh refactorise" test_ft_update_vs_refresh;
           tc "snapshot round-trip" test_factor_snapshot_roundtrip;
         ] );
+      (* the group's tests once also ran a parallel search; they now
+         hold the LP engines to one answer *)
       ( "parallel",
         [
-          tc "knapsack all engines" test_parallel_bb_knapsack;
-          tc "deterministic" test_parallel_bb_deterministic;
+          tc "knapsack all engines" test_engines_knapsack;
+          tc "deterministic" test_engines_deterministic;
           tc "delta bounds round-trip" test_delta_bounds_roundtrip;
-          QCheck_alcotest.to_alcotest prop_parallel_bb_same_optimum;
+          QCheck_alcotest.to_alcotest prop_engines_same_optimum;
         ] );
       ( "pqueue",
         [ tc "heap order" test_pqueue_order; tc "empty" test_pqueue_empty ] );

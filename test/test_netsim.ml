@@ -46,7 +46,7 @@ let test_sched_wheel_sorted () =
   (* random times spanning lv0, lv1 and the overflow bucket; expect a
      stable sort by time (FIFO on equal timestamps) *)
   let rng = Prng.create 42 in
-  let s = Netsim.Sched.create ~kind:Netsim.Sched.Wheel ~tick:1e-3 () in
+  let s = Netsim.Sched.create ~tick:1e-3 () in
   let evs =
     List.init 500 (fun i ->
         let t =
@@ -66,24 +66,11 @@ let test_sched_wheel_sorted () =
   Alcotest.(check (list (pair (float 0.) int))) "stable time order"
     expect (drain s)
 
-let test_sched_wheel_matches_heap () =
-  (* distinct keys: both kinds must pop the identical sequence *)
-  let rng = Prng.create 9 in
-  let evs = List.init 300 (fun i -> ((Prng.float rng *. 300.) +. 1e-9, i)) in
-  let go kind =
-    let s = Netsim.Sched.create ~kind () in
-    List.iter (fun (t, e) -> Netsim.Sched.push s t e) evs;
-    drain s
-  in
-  Alcotest.(check (list (pair (float 0.) int)))
-    "heap and wheel agree"
-    (go Netsim.Sched.Heap) (go Netsim.Sched.Wheel)
-
 let test_sched_wheel_interleaved () =
   (* simulation-shaped usage: each pop schedules followers at or after
      the popped time; compare against a reference stable sort *)
   let rng = Prng.create 77 in
-  let s = Netsim.Sched.create ~kind:Netsim.Sched.Wheel ~tick:1e-4 () in
+  let s = Netsim.Sched.create ~tick:1e-4 () in
   let seq = ref 0 in
   let pushed = ref [] in
   let push t =
@@ -120,22 +107,24 @@ let test_sched_wheel_interleaved () =
    cleared scheduler and on a fresh one, then both drain *)
 type sched_op = Push of float * int | Pop
 
+(* event times for a 1 ms tick *)
+let gen_time =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, float_bound_exclusive 0.25) (* lv0 frame *);
+        (3, float_bound_exclusive 60.) (* lv1 frame *);
+        (1, map (fun x -> 1000. +. x) (float_bound_exclusive 1000.))
+        (* overflow *);
+        (2, map (fun k -> Float.of_int k *. 0.125) (int_bound 20))
+        (* exact ties *);
+      ])
+
 let gen_sched_trace =
   QCheck.Gen.(
-    let time =
-      frequency
-        [
-          (3, float_bound_exclusive 0.25) (* lv0 frame *);
-          (3, float_bound_exclusive 60.) (* lv1 frame *);
-          (1, map (fun x -> 1000. +. x) (float_bound_exclusive 1000.))
-          (* overflow *);
-          (2, map (fun k -> Float.of_int k *. 0.125) (int_bound 20))
-          (* exact ties *);
-        ]
-    in
     let op =
       frequency
-        [ (3, map2 (fun t e -> Push (t, e)) time (int_bound 1_000_000));
+        [ (3, map2 (fun t e -> Push (t, e)) gen_time (int_bound 1_000_000));
           (2, return Pop) ]
     in
     list_size (int_bound 300) op)
@@ -163,23 +152,95 @@ let prop_sched_clear =
        ~print:(QCheck.Print.pair print_sched_trace print_sched_trace)
        QCheck.Gen.(pair gen_sched_trace gen_sched_trace))
     (fun (first, second) ->
-      List.for_all
-        (fun kind ->
-          let fresh () = Netsim.Sched.create ~kind ~tick:1e-3 () in
-          let used = fresh () in
-          ignore (play used first);
-          Netsim.Sched.clear used;
-          let emptied =
-            Netsim.Sched.length used = 0
-            && Netsim.Sched.time used = 0.
-            && Netsim.Sched.event used = 0
-          in
-          let replay s =
-            let pops = play s second in
-            (pops, drain s)
-          in
-          emptied && replay used = replay (fresh ()))
-        [ Netsim.Sched.Heap; Netsim.Sched.Wheel ])
+      let fresh () = Netsim.Sched.create ~tick:1e-3 () in
+      let used = fresh () in
+      ignore (play used first);
+      Netsim.Sched.clear used;
+      let emptied =
+        Netsim.Sched.length used = 0
+        && Netsim.Sched.time used = 0.
+        && Netsim.Sched.event used = 0
+      in
+      let replay s =
+        let pops = play s second in
+        (pops, drain s)
+      in
+      emptied && replay used = replay (fresh ()))
+
+(* The wheel against [Check.Reference]'s (time, push sequence)
+   scheduler on interleaved push/pop traces: pushes at [gen_time]
+   (exact ties on its 0.125 s grid, both wheel levels, the overflow
+   bucket), at the last popped time and before it, with a [clear]
+   mid-trace.  Every pop and the final drain must agree. *)
+type ref_step = At of float | At_last | Before_last of float | Pop_next | Clear
+
+let gen_ref_trace =
+  QCheck.Gen.(
+    let step =
+      frequency
+        [
+          (4, map (fun t -> At t) gen_time);
+          (1, return At_last);
+          (1, map (fun f -> Before_last f) (float_bound_exclusive 1.));
+          (4, return Pop_next);
+        ]
+    in
+    map2
+      (fun a b -> a @ (Clear :: b))
+      (list_size (int_bound 150) step)
+      (list_size (int_bound 150) step))
+
+let print_ref_trace steps =
+  String.concat " "
+    (List.map
+       (function
+         | At t -> Printf.sprintf "at(%h)" t
+         | At_last -> "at-last"
+         | Before_last f -> Printf.sprintf "before-last(%h)" f
+         | Pop_next -> "pop"
+         | Clear -> "clear")
+       steps)
+
+let prop_wheel_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"wheel matches the reference scheduler"
+    (QCheck.make ~print:print_ref_trace gen_ref_trace)
+    (fun steps ->
+      let w = Netsim.Sched.create ~capacity:16 ~tick:1e-3 () in
+      let r = Check.Reference.sched () in
+      let last = ref 0. and n = ref 0 in
+      let push t =
+        Netsim.Sched.push w t !n;
+        Check.Reference.sched_push r t !n;
+        incr n
+      in
+      let pop () =
+        let got =
+          if Netsim.Sched.pop w then
+            Some (Netsim.Sched.time w, Netsim.Sched.event w)
+          else None
+        in
+        Option.iter (fun (t, _) -> last := t) got;
+        (got, Check.Reference.sched_pop r)
+      in
+      let step = function
+        | At t -> push t; true
+        | At_last -> push !last; true
+        | Before_last f -> push (f *. !last); true
+        | Pop_next ->
+            let got, want = pop () in
+            got = want
+        | Clear ->
+            Netsim.Sched.clear w;
+            Check.Reference.sched_clear r;
+            last := 0.;
+            true
+      in
+      let rec drained () =
+        match pop () with
+        | None, None -> true
+        | got, want -> got = want && drained ()
+      in
+      List.for_all step steps && drained ())
 
 (* ---- Itbl: the testbed's int -> int tables ---- *)
 
@@ -505,10 +566,9 @@ let () =
       ( "sched",
         [
           tc "wheel pops in stable (time, seq) order" test_sched_wheel_sorted;
-          tc "wheel matches heap on distinct keys"
-            test_sched_wheel_matches_heap;
           tc "interleaved push/pop total order" test_sched_wheel_interleaved;
           QCheck_alcotest.to_alcotest prop_sched_clear;
+          QCheck_alcotest.to_alcotest prop_wheel_matches_reference;
         ] );
       ( "itbl",
         [

@@ -6,8 +6,8 @@
      equal to the direct no-service solve path, with exact cache
      counters;
    - qcheck: cache-hit replay is byte-identical to the cold solve for
-     the dense and sparse LP engines under both pricing rules, and an
-     evicted entry re-solves to the first answer;
+     the dense and sparse LP engines, and an evicted entry re-solves
+     to the first answer;
    - cache safety: the instance key covers every budget, so specs
      equal modulo CPU (or radio) budget never collide, the query key
      separates rates and searches, the keys of profiled tier chains
@@ -109,28 +109,15 @@ let test_shard_determinism () =
 
 (* ---- qcheck: replay and eviction equivalences --------------------- *)
 
-let engine_options =
-  [
-    ("dense/devex", Lp.Branch_bound.Dense, Lp.Simplex.Devex);
-    ("dense/dantzig", Lp.Branch_bound.Dense, Lp.Simplex.Dantzig);
-    ("sparse/devex", Lp.Branch_bound.Sparse_revised, Lp.Simplex.Devex);
-    ("sparse/dantzig", Lp.Branch_bound.Sparse_revised, Lp.Simplex.Dantzig);
-  ]
-
-let options_for solver pricing =
-  let o = Lp.Branch_bound.default_options in
-  {
-    o with
-    Lp.Branch_bound.solver;
-    simplex = { o.Lp.Branch_bound.simplex with Lp.Simplex.pricing };
-  }
+let engines = [| Lp.Branch_bound.Dense; Lp.Branch_bound.Sparse_revised |]
 
 let prop_replay_equals_cold =
   QCheck.Test.make ~count:40 ~name:"cache-hit replay = cold solve"
-    QCheck.(pair small_int (int_bound 3))
+    QCheck.(pair small_int (int_bound 1))
     (fun (seed, engine) ->
-      let _, solver, pricing = List.nth engine_options engine in
-      let options = options_for solver pricing in
+      let options =
+        { Lp.Branch_bound.default_options with solver = engines.(engine) }
+      in
       let pl = synth (1 + seed) in
       let queries = [| rate pl 0.9; rate pl 1.2; search pl; rate pl 0.9 |] in
       let svc = Service.create ~capacity:8 ~options () in
