@@ -241,8 +241,8 @@ let run () =
   Bench_util.row "wrote BENCH_service.json\n"
 
 (* CI smoke: a tiny synthetic batch, shards=2, asserting byte-identity
-   against the direct path and counter conservation — seconds, not
-   minutes *)
+   against the direct path and counter conservation, then six batches
+   of new placements on shards 1 and 2 — seconds, not minutes *)
 let smoke () =
   Bench_util.header "placement service: smoke";
   let pl seed = Wishbone.Placement.of_spec (Apps.Synthetic.random_spec ~seed ~n_ops:8 ()) in
@@ -277,4 +277,28 @@ let smoke () =
   Bench_util.row
     "smoke ok: %d queries x2 passes, %d hits, %d misses, digests match the \
      direct path\n"
-    (Array.length queries) c.Wishbone.Service.hits c.Wishbone.Service.misses
+    (Array.length queries) c.Wishbone.Service.hits c.Wishbone.Service.misses;
+  (* new placements batch after batch, so the reused pool workers solve
+     in every batch: shards=2 must answer as shards=1 does *)
+  let one = Wishbone.Service.create ~capacity:4 ()
+  and two = Wishbone.Service.create ~capacity:4 () in
+  let n_batches = 6 in
+  for b = 0 to n_batches - 1 do
+    let batch =
+      Array.init 4 (fun j ->
+          let p = pl (100 + (4 * b) + j) in
+          if j = 3 then q p Wishbone.Service.Search
+          else q p (Wishbone.Service.Rate (0.8 +. (0.2 *. Float.of_int j))))
+    in
+    let r1 = run_pass ~shards:1 one batch in
+    let r2 = run_pass ~shards:2 two batch in
+    let differ what = Printf.sprintf "smoke: batch %d %s differ" b what in
+    check (differ "digests") (r1.digests = r2.digests);
+    check (differ "counters")
+      (Wishbone.Service.counters one = Wishbone.Service.counters two)
+  done;
+  let c = Wishbone.Service.counters two in
+  Bench_util.row
+    "smoke ok: %d batches of new placements, %d solved, %d failed; shards=2 \
+     answers and counters equal shards=1\n"
+    n_batches c.Wishbone.Service.misses c.Wishbone.Service.failed

@@ -55,10 +55,17 @@ val solve_warm :
   data ->
   Simplex.result
 (** Like {!Simplex.solve_warm} on the compiled problem.  The returned
-    [hot] field is always [None] — sparse refactorisation is cheap
-    enough that the basis snapshot {e is} the hot path.  [warm_used]
-    reports whether the supplied basis survived the sparse warm
-    start; [pivots] counts sparse and (rare) dense-fallback pivots
+    [hot] field is always [None]: a warm start refactorises the basis
+    snapshot.  That is not free.  In the eeg14 rate search under a
+    1,000-node budget, [Factor.factorize] took 330–345 ms of
+    1,502–1,583 ms of [solve_warm] time (about 22 %, 2,001
+    refactorisations; timed around each call on a 2-vCPU Xeon VM).
+    A ring of the last nodes' final factors cut eeg22 ×0.92699's
+    refactorisations from 252 to 49 but did not lower the [compile]
+    benchmark's pass time (ROADMAP.md).
+
+    [warm_used] reports whether the supplied basis survived the sparse
+    warm start; [pivots] counts sparse and (rare) dense-fallback pivots
     together and feeds the same process-wide cumulative counter. *)
 
 val solve :

@@ -11,10 +11,12 @@
 
     - {e batches}: queries arrive as arrays and independent solves are
       sharded across [Domain]s at the {e query} level (each branch &
-      bound search is sequential): the calling domain and
-      [shards - 1] spawned ones claim queries from one shared cursor
-      until none are left, so the caller solves a share instead of
-      waiting;
+      bound search is sequential): the calling domain and up to
+      [shards - 1] workers of a process-wide pool claim queries from
+      one shared cursor until none are left, so the caller solves a
+      share instead of waiting.  The pool's domains are spawned on
+      first demand and reused by every later batch of every service;
+      the batch's placements are keyed the same way;
     - {e caching}: completed solves are stored in an LRU-bounded cache
       keyed by [spec digest x platform digest x request].  An exact
       key hit replays the stored response without solving; a miss on a
@@ -32,8 +34,9 @@
       {!Failed} answer carrying the exception rendering — it never
       takes the batch down, and [ok + degraded + failed = queries]
       holds after every batch.  A simulated worker death
-      ({!Fault_plan}) stops the domain that claimed the query, the
-      calling one included; the others keep claiming, and the batch
+      ({!Fault_plan}) ends the batch's claims on the domain that
+      claimed the query, the calling one included (a pool worker goes
+      back to the pool); the others keep claiming, and the batch
       re-runs whatever was stranded inline, so even that path changes
       no response byte.  All containment counters are pure functions
       of the query history and fault plan — identical on 1, 2 or 8
@@ -49,7 +52,8 @@
     hints chosen from already-resident entries), the planned solves
     are data-independent and run on any number of shards in any claim
     order, and cache insertion/eviction replays sequentially in
-    query-index order after the shards join.  Shard count therefore changes wall-clock only.
+    query-index order after every shard has finished.  Shard count
+    therefore changes wall-clock only.
     Warm hints never change answers (the repo-wide warm-start
     contract, PR 1/5/6); the service additionally runs full proofs
     ([gap_tol = 0], no wall-clock limit) by default so that a
@@ -153,10 +157,10 @@ exception Injected_fault of string
     - {e mid-solve crash}: the first attempt raises from inside branch
       & bound at its k-th node expansion (via
       {!Lp.Branch_bound.options.on_node}); a retry runs clean;
-    - {e worker death}: the first attempt kills the domain that
-      claimed the query (the calling one included); the batch absorbs
-      the death, re-runs the stranded queries inline, and resumes the
-      victim at attempt 1.
+    - {e worker death}: the first attempt stops the domain that
+      claimed the query (the calling one included) from claiming more
+      of the batch; the batch absorbs the death, re-runs the stranded
+      queries inline, and resumes the victim at attempt 1.
 
     Decisions derive as [Prng.derive seed [11; seq]] ([11] is the
     service-fault namespace; the network testbed uses [[1; k]], the
@@ -244,18 +248,23 @@ val add_int : Buffer.t -> int -> unit
 (** [add_int buf n] appends [string_of_int n]. *)
 
 val run_batch : ?shards:int -> t -> query array -> response array
-(** Serve one batch: plan against the cache, solve the misses on
-    [shards] domains (default 1) — the calling one and [shards - 1]
-    spawned ones, each claiming the next unsolved query from a shared
-    cursor — then commit results to the cache in query order.
-    [responses.(i)] answers [queries.(i)]; answers, digests and
-    counters are identical for every shard count.  Each distinct
-    placement value (by physical equality) is keyed once per batch,
-    so do not mutate a placement while the call runs.  Exact-duplicate
-    queries within one batch are solved once and the copies served as
-    {!Hit}s.  No exception escapes: solver faults (real or injected)
-    surface as {!Failed} answers, and simulated worker deaths, the
-    caller's included, are absorbed and re-run. *)
+(** Serve one batch: key its placements, plan against the cache, solve
+    the misses, then commit results to the cache in query order.
+    Keying and solving each run on up to [shards] domains (default 1):
+    the calling one and [shards - 1] workers of the shared pool, each
+    claiming the next item from a shared cursor.  A call spawns a
+    domain only when it asks for more workers than the pool has; it
+    waits for its own work only, so several domains may serve at once
+    (each on its own [t]).  [responses.(i)] answers [queries.(i)];
+    answers, digests and counters are identical for every shard
+    count.  Each distinct placement value (by physical equality) is
+    keyed once per batch, so do not mutate a placement while the call
+    runs.  Exact-duplicate queries within one batch are solved once
+    and the copies served as {!Hit}s.  Solver faults (real or
+    injected) surface as {!Failed} answers, and simulated worker
+    deaths, the caller's included, are absorbed and re-run; only an
+    exception from keying (a malformed placement) escapes, once every
+    domain working on the batch has stopped. *)
 
 val solve_direct :
   ?options:Lp.Branch_bound.options ->

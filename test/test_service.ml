@@ -1,6 +1,6 @@
 (* Fleet placement service regression suite (DESIGN.md §16).
 
-   Five groups:
+   Six groups:
    - a pinned 32-query mixed eeg14/eeg22/synthetic batch whose
      response digests must be identical for shard counts 1/2/4 and
      equal to the direct no-service solve path, with exact cache
@@ -17,7 +17,11 @@
      the resident bound, conserves the counter algebra, and serves
      only direct-path answers throughout;
    - warm hints: a seed that is infeasible at the queried rate is
-     dropped, so a warm solve answers as the cold one does. *)
+     dropped, so a warm solve answers as the cold one does;
+   - the worker pool: faulted batch streams on 2 and 4 shards and on a
+     second service answer as shards=1 does, two domains serving at
+     once answer as they do one after the other, and an exception
+     raised on a worker reaches the caller. *)
 
 open Wishbone
 
@@ -341,6 +345,124 @@ let test_infeasible_seed_is_dropped () =
         (Service.answer_digest cold) warm.Service.digest)
     [ 0.35; 0.385 ]
 
+(* ---- the worker pool ---------------------------------------------- *)
+
+let pp_counters (c : Service.counters) =
+  Printf.sprintf "q%d h%d m%d w%d i%d e%d r%d | ok%d d%d f%d rt%d wd%d"
+    c.Service.queries c.Service.hits c.Service.misses c.Service.warm_starts
+    c.Service.inserts c.Service.evictions c.Service.resident c.Service.ok
+    c.Service.degraded c.Service.failed c.Service.retries
+    c.Service.worker_deaths
+
+(* [n] batches of four queries over placements no earlier batch used,
+   so every query is a cold solve *)
+let fresh_batches ~first n =
+  Array.init n (fun b ->
+      let pl j = synth (5000 + (4 * (first + b)) + j) in
+      let p0 = pl 0 in
+      [| rate p0 0.9; rate (pl 1) 1.1; search (pl 2); rate p0 1.2 |])
+
+let faulted () =
+  Service.create ~capacity:16
+    ~fault_plan:(Service.Fault_plan.seeded ~rate:0.35 3)
+    ()
+
+(* every batch's digests, serve tags and counters *)
+let serve ~shards svc batches =
+  Array.map
+    (fun batch ->
+      let responses = Service.run_batch ~shards svc batch in
+      ( digests responses,
+        Array.map (fun (r : Service.response) -> r.Service.served) responses,
+        pp_counters (Service.counters svc) ))
+    batches
+
+let check_served name expected got =
+  Array.iteri
+    (fun b (d, s, c) ->
+      let d', s', c' = got.(b) in
+      let label what = Printf.sprintf "%s, batch %d: %s" name b what in
+      Alcotest.(check (array string)) (label "digests") d d';
+      Alcotest.(check bool) (label "serve tags") true (s = s');
+      Alcotest.(check string) (label "counters") c c')
+    expected
+
+(* The pool's workers are reused by every batch and every service:
+   sixty faulted batches on 2, then 4 (the pool grows), then 2 shards on
+   a second service answer as the shards=1 replay does, worker kills
+   and retries included. *)
+let test_pool_reuse_under_faults () =
+  let p0 = fresh_batches ~first:0 20
+  and p1 = fresh_batches ~first:20 20
+  and p2 = fresh_batches ~first:40 20 in
+  let one = faulted () and one' = faulted () in
+  let e0 = serve ~shards:1 one p0 in
+  let e1 = serve ~shards:1 one p1 in
+  let e2 = serve ~shards:1 one' p2 in
+  let svc = faulted () and svc' = faulted () in
+  let a = serve ~shards:2 svc p0 in
+  let deaths_a = (Service.counters svc).Service.worker_deaths in
+  let b = serve ~shards:4 svc p1 in
+  let deaths_b = (Service.counters svc).Service.worker_deaths in
+  let c = serve ~shards:2 svc' p2 in
+  check_served "shards=2" e0 a;
+  check_served "shards=4" e1 b;
+  check_served "second service" e2 c;
+  (* the plan must kill workers in every phase *)
+  Alcotest.(check bool) "kills on 2 shards" true (deaths_a > 0);
+  Alcotest.(check bool) "kills on 4 shards" true (deaths_b > deaths_a);
+  Alcotest.(check bool) "kills on the second service" true
+    ((Service.counters svc').Service.worker_deaths > 0)
+
+(* Two domains drive [run_batch ~shards:2] on their own services at
+   once, sharing the pool: each call waits for its own work only, so
+   both answer as they do one after the other.  Every batch also keys
+   the eeg14 and eeg22 placements (hits after the first batch), whose
+   long keys keep both calls' copies busy at once. *)
+let test_concurrent_callers () =
+  let mixed = Lazy.force mixed_batch in
+  let with_eeg = Array.map (Array.append [| mixed.(0); mixed.(5) |]) in
+  let xs = with_eeg (fresh_batches ~first:100 16)
+  and ys = with_eeg (fresh_batches ~first:116 16) in
+  let seq_x = serve ~shards:2 (faulted ()) xs in
+  let seq_y = serve ~shards:2 (faulted ()) ys in
+  let ready = Atomic.make 0 in
+  let racer batches () =
+    let svc = faulted () in
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    serve ~shards:2 svc batches
+  in
+  let dx = Domain.spawn (racer xs) and dy = Domain.spawn (racer ys) in
+  let par_x = Domain.join dx and par_y = Domain.join dy in
+  check_served "first caller" seq_x par_x;
+  check_served "second caller" seq_y par_y
+
+(* An exception from a job reaches the caller, whichever domain raised
+   it, and the pool keeps serving.  The caller claims the long eeg14
+   key first, so a worker usually keys the malformed placement (no
+   bandwidths); ten rounds make that near certain. *)
+let test_job_exception_reaches_caller () =
+  let eeg14 = (Lazy.force mixed_batch).(0).Service.placement in
+  for seed = 1 to 10 do
+    let pl = synth seed in
+    let spec = { pl.Placement.spec with Spec.bandwidth = [||] } in
+    let bad = { pl with Placement.spec } in
+    match
+      Service.run_batch ~shards:2 (Service.create ())
+        [| rate eeg14 0.9; rate bad 0.9 |]
+    with
+    | _ -> Alcotest.fail "keying a malformed placement must raise"
+    | exception Invalid_argument _ -> ()
+  done;
+  let batch = [| rate (synth 7) 0.9; rate (synth 8) 1.1; search (synth 9) |] in
+  let svc = Service.create () in
+  Alcotest.(check (array string)) "the pool serves on"
+    (direct_digests svc batch)
+    (digests (Service.run_batch ~shards:2 svc batch))
+
 let () =
   Alcotest.run "service"
     [
@@ -369,5 +491,14 @@ let () =
         [
           Alcotest.test_case "infeasible seed gives the cold answer" `Quick
             test_infeasible_seed_is_dropped;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "reuse under faults, shards 2/4, two services"
+            `Quick test_pool_reuse_under_faults;
+          Alcotest.test_case "concurrent callers" `Quick
+            test_concurrent_callers;
+          Alcotest.test_case "job exceptions reach the caller" `Quick
+            test_job_exception_reaches_caller;
         ] );
     ]
