@@ -142,17 +142,80 @@ let write_json ~n_channels ~(cold : mode_result) ~(warm : mode_result)
     (cold.wall_s /. Float.max 1e-9 warm.wall_s);
   close_out oc
 
+(* The node-LP work gate: eeg22 at x0.92699 on the sparse engine, a
+   search of a few hundred nodes whose LPs are almost all one- or
+   two-pivot warm re-solves.  Its trajectory (nodes, LP solves, pivots,
+   factor work, objective bits) is deterministic and pinned, and so is
+   the minor-heap allocation of each node LP: about 20,400 words while
+   every solve copied its bases and snapshots through [Array.blit] and
+   boxed a column value per constraint term, about 5,500 since.  The
+   ceiling sits between the two. *)
+let max_words_per_node_lp = 10_000.
+
+let node_lp_gate () =
+  let fail fmt =
+    Printf.ksprintf (fun m -> prerr_endline ("smoke eeg22: " ^ m); exit 1) fmt
+  in
+  let spec =
+    Bench_util.spec_exn ~mode:Wishbone.Movable.Permissive
+      ~platform:Profiler.Platform.tmote_sky
+      (Apps.Eeg.profile ~duration:30. (Apps.Eeg.build ()))
+  in
+  let pl = Wishbone.Placement.of_spec (Wishbone.Spec.scale_rate spec 0.92699) in
+  let options =
+    {
+      Lp.Branch_bound.default_options with
+      solver = Lp.Branch_bound.Sparse_revised;
+    }
+  in
+  let c0 = Lp.Sparse.counters () and fb0 = Lp.Sparse.dense_fallbacks () in
+  let w0 = Gc.minor_words () in
+  let r =
+    match Wishbone.Placement.solve ~options pl with
+    | Wishbone.Placement.Partitioned r -> r
+    | Wishbone.Placement.No_feasible_partition -> fail "unexpectedly infeasible"
+    | Wishbone.Placement.Solver_failure m -> fail "solver failure: %s" m
+  in
+  let words = Gc.minor_words () -. w0 in
+  let c1 = Lp.Sparse.counters () in
+  let s = r.Wishbone.Placement.solver in
+  let per_lp = words /. Float.of_int (Int.max 1 s.Lp.Branch_bound.lp_solves) in
+  Bench_util.row
+    "eeg22 x0.92699 sparse: %d nodes, %d LPs, %d pivots, %d refactorisations, \
+     %d FT updates, %d FT entries, objective %.17g, %.0f minor words/node LP\n"
+    s.nodes_explored s.lp_solves s.total_pivots
+    (c1.refactorisations - c0.refactorisations)
+    (c1.ft_updates - c0.ft_updates) (c1.ft_entries - c0.ft_entries)
+    r.objective per_lp;
+  List.iter
+    (fun (what, got, want) ->
+      if got <> want then fail "%s %d, pinned %d" what got want)
+    [
+      ("nodes", s.nodes_explored, 253);
+      ("LP solves", s.lp_solves, 505);
+      ("pivots", s.total_pivots, 1_968);
+      ("refactorisations", c1.refactorisations - c0.refactorisations, 252);
+      ("FT updates", c1.ft_updates - c0.ft_updates, 1_465);
+      ("FT entries", c1.ft_entries - c0.ft_entries, 142_097);
+      ("dense fallbacks", Lp.Sparse.dense_fallbacks () - fb0, 0);
+    ];
+  if not (Float.equal r.objective 1062.3305399999988) then
+    fail "objective %.17g, pinned 1062.3305399999988" r.objective;
+  if per_lp > max_words_per_node_lp then
+    fail "%.0f minor words per node LP (> %.0f)" per_lp max_words_per_node_lp
+
 (* CI smoke: partition the speech and eeg14 instances with the dense
    tableau and with the sparse revised simplex forced (devex pricing
    over the Forrest–Tomlin factor path), and fail loudly if the
    engines disagree on the objective, or if the sparse run never
-   refactorised (meaning the LU path silently did not run).  Kept
+   refactorised (meaning the LU path silently did not run); then run
+   the node-LP work gate above.  Kept
    small enough that the CI step's wall-clock ceiling (see
    .github/workflows/ci.yml) catches any solver-path regression that
    turns sub-second solves into minutes. *)
 let smoke () =
   Bench_util.header
-    "bench smoke: dense vs sparse LP engines, speech + eeg14";
+    "bench smoke: dense vs sparse LP engines, speech + eeg14; eeg22 node LPs";
   let run name rate spec =
     let pl = Wishbone.Placement.of_spec (Wishbone.Spec.scale_rate spec rate) in
     let solve solver =
@@ -192,6 +255,7 @@ let smoke () =
     (Bench_util.spec_exn ~mode:Wishbone.Movable.Permissive
        ~platform:Profiler.Platform.tmote_sky
        (Apps.Eeg.profile ~duration:30. (Apps.Eeg.build ~n_channels:14 ())));
+  node_lp_gate ();
   Bench_util.row "smoke ok\n"
 
 (* Default to 14 channels: the largest EEG instance where neither mode

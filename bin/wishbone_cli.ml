@@ -17,19 +17,26 @@ let die m =
 
 (* ---- shared arguments ---- *)
 
-(* A finite number > 0 for [flag].  A bad value is reported as
-   [error: FLAG: ...] with exit status 1, as every other bad input
-   is, rather than as a cmdliner usage error. *)
-let positive of_string to_float pp ~flag =
+(* A finite number that [ok] accepts, for [flag].  A bad value is
+   reported as [error: FLAG: ...] with exit status 1, as every other
+   bad input is, rather than as a cmdliner usage error. *)
+let number ~what ~ok of_string to_float pp ~flag =
   let parse s =
     match of_string s with
-    | Some x when to_float x > 0. && Float.is_finite (to_float x) -> Ok x
-    | _ -> die (Printf.sprintf "%s: expected a positive number, got %S" flag s)
+    | Some x when ok (to_float x) && Float.is_finite (to_float x) -> Ok x
+    | _ -> die (Printf.sprintf "%s: expected %s, got %S" flag what s)
   in
   Arg.conv (parse, pp)
 
+let positive of_string =
+  number ~what:"a positive number" ~ok:(fun x -> x > 0.) of_string
+
 let pos_float = positive float_of_string_opt Fun.id Format.pp_print_float
 let pos_int = positive int_of_string_opt Float.of_int Format.pp_print_int
+
+let nonneg_int =
+  number ~what:"a non-negative integer" ~ok:(fun x -> x >= 0.)
+    int_of_string_opt Float.of_int Format.pp_print_int
 
 type app = Speech | Eeg | Eeg1
 
@@ -332,7 +339,7 @@ let partition_cmd =
   let max_pivots_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (pos_int ~flag:"--max-pivots")) None
       & info [ "max-pivots" ] ~docv:"N"
           ~doc:
             "Simplex pivot budget per LP relaxation.  When the budget \
@@ -342,7 +349,7 @@ let partition_cmd =
   let time_limit_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some (pos_float ~flag:"--time-limit-ms")) None
       & info [ "time-limit-ms" ] ~docv:"MS"
           ~doc:
             "Wall-clock budget for the branch & bound, in milliseconds. \
@@ -352,7 +359,7 @@ let partition_cmd =
   let node_budget_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (pos_int ~flag:"--node-budget")) None
       & info [ "node-budget" ] ~docv:"N"
           ~doc:
             "Deterministic branch & bound node budget: counts work \
@@ -363,7 +370,7 @@ let partition_cmd =
   let pivot_budget_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (pos_int ~flag:"--pivot-budget")) None
       & info [ "pivot-budget" ] ~docv:"N"
           ~doc:
             "Deterministic tree-wide simplex pivot budget, checked at \
@@ -862,7 +869,7 @@ let serve_cmd =
   let node_budget_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (pos_int ~flag:"--node-budget")) None
       & info [ "node-budget" ] ~docv:"N"
           ~doc:
             "Deterministic branch & bound node budget per solve; \
@@ -871,7 +878,8 @@ let serve_cmd =
   in
   let retry_arg =
     Arg.(
-      value & opt int 1
+      value
+      & opt (nonneg_int ~flag:"--retry") 1
       & info [ "retry" ] ~docv:"N"
           ~doc:
             "Extra solve attempts the per-query supervisor makes after a \

@@ -154,63 +154,65 @@ let needs_refresh f =
   || f.n_updates >= Int.max 64 (Int.min 1024 f.m)
   || f.lnnz + f.unnz + f.rnnz > (4 * f.base_entries) + (16 * f.m)
 
-let grow_int_pool arr need =
-  let cap = ref (Array.length !arr) in
-  if !cap < need then begin
-    while !cap < need do
-      cap := 2 * !cap
-    done;
-    let a = Array.make !cap 0 in
-    Array.blit !arr 0 a 0 (Array.length !arr);
-    arr := a
+(* Copy [len] entries of [src] into [dst] with a plain loop.  The
+   workspaces live in the major heap, where [Array.blit] would pay a
+   [caml_modify] write barrier for every element. *)
+let blit_ints (src : int array) (dst : int array) len =
+  for i = 0 to len - 1 do
+    dst.(i) <- src.(i)
+  done
+
+(* the first doubling of [cap] that holds [need] entries *)
+let doubled cap need =
+  let c = ref cap in
+  while !c < need do
+    c := 2 * !c
+  done;
+  !c
+
+(* [a] itself when it holds [need] entries, else a doubled copy *)
+let grow_ints (a : int array) need =
+  let cap = Array.length a in
+  if cap >= need then a
+  else begin
+    let b = Array.make (doubled cap need) 0 in
+    blit_ints a b cap;
+    b
   end
 
-let grow_float_pool (p : pool ref) need =
-  let cap = ref (A1.dim !p) in
-  if !cap < need then begin
-    while !cap < need do
-      cap := 2 * !cap
-    done;
-    let a = pool_create !cap in
-    A1.blit !p (A1.sub a 0 (A1.dim !p));
-    p := a
+let grow_pool (p : pool) need =
+  let cap = A1.dim p in
+  if cap >= need then p
+  else begin
+    let b = pool_create (doubled cap need) in
+    A1.blit p (A1.sub b 0 cap);
+    b
   end
 
 let grow_l f need =
-  let r = ref f.lidx in
-  grow_int_pool r need;
-  f.lidx <- !r;
-  let r = ref f.lpool in
-  grow_float_pool r need;
-  f.lpool <- !r
+  if Array.length f.lidx < need || A1.dim f.lpool < need then begin
+    f.lidx <- grow_ints f.lidx need;
+    f.lpool <- grow_pool f.lpool need
+  end
 
 let grow_u f need =
-  let r = ref f.uidx in
-  grow_int_pool r need;
-  f.uidx <- !r;
-  let r = ref f.upool in
-  grow_float_pool r need;
-  f.upool <- !r
+  if Array.length f.uidx < need || A1.dim f.upool < need then begin
+    f.uidx <- grow_ints f.uidx need;
+    f.upool <- grow_pool f.upool need
+  end
 
 let grow_r_etas f =
   let cap = Array.length f.rr in
   if f.n_r >= cap then begin
-    let cap' = 2 * cap in
-    let rr = Array.make cap' 0 in
-    Array.blit f.rr 0 rr 0 cap;
-    f.rr <- rr;
-    let rs = Array.make (cap' + 1) 0 in
-    Array.blit f.rstart 0 rs 0 (cap + 1);
-    f.rstart <- rs
+    f.rr <- grow_ints f.rr (2 * cap);
+    f.rstart <- grow_ints f.rstart ((2 * cap) + 1)
   end
 
 let grow_r_pool f need =
-  let r = ref f.ridx in
-  grow_int_pool r need;
-  f.ridx <- !r;
-  let r = ref f.rpool in
-  grow_float_pool r need;
-  f.rpool <- !r
+  if Array.length f.ridx < need || A1.dim f.rpool < need then begin
+    f.ridx <- grow_ints f.ridx need;
+    f.rpool <- grow_pool f.rpool need
+  end
 
 (* ---- snapshots ------------------------------------------------- *)
 
@@ -269,52 +271,39 @@ let snapshot_create ~m =
     s_unstable = false;
   }
 
-let ensure_int (get : unit -> int array) (set : int array -> unit) need =
-  let a = get () in
-  if Array.length a < need then begin
-    let r = ref a in
-    grow_int_pool r need;
-    set !r
-  end
-
-let ensure_pool (get : unit -> pool) (set : pool -> unit) need =
-  let a = get () in
-  if A1.dim a < need then begin
-    let r = ref a in
-    grow_float_pool r need;
-    set !r
-  end
+let blit_pool (src : pool) (dst : pool) len =
+  if len > 0 then A1.blit (A1.sub src 0 len) (A1.sub dst 0 len)
 
 let save f (s : snapshot) =
   if s.s_m <> f.m then invalid_arg "Factor.save: size mismatch";
   let m = f.m in
   s.s_n_l <- f.n_l;
-  Array.blit f.lr 0 s.s_lr 0 f.n_l;
-  Array.blit f.lstart 0 s.s_lstart 0 (f.n_l + 1);
-  ensure_int (fun () -> s.s_lidx) (fun a -> s.s_lidx <- a) f.lnnz;
-  ensure_pool (fun () -> s.s_lpool) (fun a -> s.s_lpool <- a) f.lnnz;
-  Array.blit f.lidx 0 s.s_lidx 0 f.lnnz;
-  if f.lnnz > 0 then A1.blit (A1.sub f.lpool 0 f.lnnz) (A1.sub s.s_lpool 0 f.lnnz);
+  blit_ints f.lr s.s_lr f.n_l;
+  blit_ints f.lstart s.s_lstart (f.n_l + 1);
+  s.s_lidx <- grow_ints s.s_lidx f.lnnz;
+  s.s_lpool <- grow_pool s.s_lpool f.lnnz;
+  blit_ints f.lidx s.s_lidx f.lnnz;
+  blit_pool f.lpool s.s_lpool f.lnnz;
   s.s_lnnz <- f.lnnz;
-  Array.blit f.porder 0 s.s_porder 0 m;
-  Array.blit f.pos_of 0 s.s_pos_of 0 m;
+  blit_ints f.porder s.s_porder m;
+  blit_ints f.pos_of s.s_pos_of m;
   Array.blit f.udiag 0 s.s_udiag 0 m;
-  Array.blit f.ustart 0 s.s_ustart 0 m;
-  Array.blit f.ulen 0 s.s_ulen 0 m;
-  ensure_int (fun () -> s.s_uidx) (fun a -> s.s_uidx <- a) f.unnz;
-  ensure_pool (fun () -> s.s_upool) (fun a -> s.s_upool <- a) f.unnz;
-  Array.blit f.uidx 0 s.s_uidx 0 f.unnz;
-  if f.unnz > 0 then A1.blit (A1.sub f.upool 0 f.unnz) (A1.sub s.s_upool 0 f.unnz);
+  blit_ints f.ustart s.s_ustart m;
+  blit_ints f.ulen s.s_ulen m;
+  s.s_uidx <- grow_ints s.s_uidx f.unnz;
+  s.s_upool <- grow_pool s.s_upool f.unnz;
+  blit_ints f.uidx s.s_uidx f.unnz;
+  blit_pool f.upool s.s_upool f.unnz;
   s.s_unnz <- f.unnz;
   s.s_n_r <- f.n_r;
-  ensure_int (fun () -> s.s_rr) (fun a -> s.s_rr <- a) f.n_r;
-  ensure_int (fun () -> s.s_rstart) (fun a -> s.s_rstart <- a) (f.n_r + 1);
-  Array.blit f.rr 0 s.s_rr 0 f.n_r;
-  Array.blit f.rstart 0 s.s_rstart 0 (f.n_r + 1);
-  ensure_int (fun () -> s.s_ridx) (fun a -> s.s_ridx <- a) f.rnnz;
-  ensure_pool (fun () -> s.s_rpool) (fun a -> s.s_rpool <- a) f.rnnz;
-  Array.blit f.ridx 0 s.s_ridx 0 f.rnnz;
-  if f.rnnz > 0 then A1.blit (A1.sub f.rpool 0 f.rnnz) (A1.sub s.s_rpool 0 f.rnnz);
+  s.s_rr <- grow_ints s.s_rr f.n_r;
+  s.s_rstart <- grow_ints s.s_rstart (f.n_r + 1);
+  blit_ints f.rr s.s_rr f.n_r;
+  blit_ints f.rstart s.s_rstart (f.n_r + 1);
+  s.s_ridx <- grow_ints s.s_ridx f.rnnz;
+  s.s_rpool <- grow_pool s.s_rpool f.rnnz;
+  blit_ints f.ridx s.s_ridx f.rnnz;
+  blit_pool f.rpool s.s_rpool f.rnnz;
   s.s_rnnz <- f.rnnz;
   s.s_n_updates <- f.n_updates;
   s.s_base_entries <- f.base_entries;
@@ -324,37 +313,29 @@ let restore (s : snapshot) f =
   if s.s_m <> f.m then invalid_arg "Factor.restore: size mismatch";
   let m = f.m in
   f.n_l <- s.s_n_l;
-  Array.blit s.s_lr 0 f.lr 0 s.s_n_l;
-  Array.blit s.s_lstart 0 f.lstart 0 (s.s_n_l + 1);
+  blit_ints s.s_lr f.lr s.s_n_l;
+  blit_ints s.s_lstart f.lstart (s.s_n_l + 1);
   grow_l f s.s_lnnz;
-  Array.blit s.s_lidx 0 f.lidx 0 s.s_lnnz;
-  if s.s_lnnz > 0 then A1.blit (A1.sub s.s_lpool 0 s.s_lnnz) (A1.sub f.lpool 0 s.s_lnnz);
+  blit_ints s.s_lidx f.lidx s.s_lnnz;
+  blit_pool s.s_lpool f.lpool s.s_lnnz;
   f.lnnz <- s.s_lnnz;
-  Array.blit s.s_porder 0 f.porder 0 m;
-  Array.blit s.s_pos_of 0 f.pos_of 0 m;
+  blit_ints s.s_porder f.porder m;
+  blit_ints s.s_pos_of f.pos_of m;
   Array.blit s.s_udiag 0 f.udiag 0 m;
-  Array.blit s.s_ustart 0 f.ustart 0 m;
-  Array.blit s.s_ulen 0 f.ulen 0 m;
+  blit_ints s.s_ustart f.ustart m;
+  blit_ints s.s_ulen f.ulen m;
   grow_u f s.s_unnz;
-  Array.blit s.s_uidx 0 f.uidx 0 s.s_unnz;
-  if s.s_unnz > 0 then A1.blit (A1.sub s.s_upool 0 s.s_unnz) (A1.sub f.upool 0 s.s_unnz);
+  blit_ints s.s_uidx f.uidx s.s_unnz;
+  blit_pool s.s_upool f.upool s.s_unnz;
   f.unnz <- s.s_unnz;
   f.n_r <- s.s_n_r;
-  if Array.length f.rr < s.s_n_r then begin
-    let r = ref f.rr in
-    grow_int_pool r s.s_n_r;
-    f.rr <- !r
-  end;
-  if Array.length f.rstart < s.s_n_r + 1 then begin
-    let r = ref f.rstart in
-    grow_int_pool r (s.s_n_r + 1);
-    f.rstart <- !r
-  end;
-  Array.blit s.s_rr 0 f.rr 0 s.s_n_r;
-  Array.blit s.s_rstart 0 f.rstart 0 (s.s_n_r + 1);
+  f.rr <- grow_ints f.rr s.s_n_r;
+  f.rstart <- grow_ints f.rstart (s.s_n_r + 1);
+  blit_ints s.s_rr f.rr s.s_n_r;
+  blit_ints s.s_rstart f.rstart (s.s_n_r + 1);
   grow_r_pool f s.s_rnnz;
-  Array.blit s.s_ridx 0 f.ridx 0 s.s_rnnz;
-  if s.s_rnnz > 0 then A1.blit (A1.sub s.s_rpool 0 s.s_rnnz) (A1.sub f.rpool 0 s.s_rnnz);
+  blit_ints s.s_ridx f.ridx s.s_rnnz;
+  blit_pool s.s_rpool f.rpool s.s_rnnz;
   f.rnnz <- s.s_rnnz;
   f.n_updates <- s.s_n_updates;
   f.base_entries <- s.s_base_entries;
@@ -711,13 +692,9 @@ let factorize f ~basis ~ptr ~idx ~vs =
     row_ptr.(i + 1) <- row_ptr.(i) + row_cnt.(i)
   done;
   let fill = f.row_fill in
-  Array.blit row_ptr 0 fill 0 m;
+  blit_ints row_ptr fill m;
   let total = row_ptr.(m) in
-  if Array.length f.row_pos < total then begin
-    let r = ref f.row_pos in
-    grow_int_pool r total;
-    f.row_pos <- !r
-  end;
+  f.row_pos <- grow_ints f.row_pos total;
   let row_pos = f.row_pos in
   for k = 0 to m - 1 do
     let j = basis.(k) in
@@ -845,7 +822,7 @@ let factorize f ~basis ~ptr ~idx ~vs =
   if !ok then begin
     (* the factorisation defines the slot order: basis.(r) is the
        column pivoted at row r *)
-    Array.blit slot_col 0 basis 0 m;
+    blit_ints slot_col basis m;
     f.base_entries <- f.lnnz + f.unnz + m;
     f.n_updates <- 0;
     f.unstable <- false;

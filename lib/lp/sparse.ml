@@ -167,15 +167,17 @@ type state = {
   w : float array;  (* FTRAN scratch *)
   rho : float array;  (* BTRAN scratch (dual row) *)
   dw : float array;  (* devex reference-framework weights per column *)
+  x : float array;  (* structural point lo + value, filled by [violated] *)
   mutable pivots_left : int ref;
 }
 
-(* A session keeps one solve state and a factor snapshot alive across
-   warm solves of the same compiled problem, so a sequence of
-   warm-started solves (the branch & bound hot loop) pays no per-solve
-   allocation — and no refactorisation at all when the requested warm
-   basis is the one already snapshotted, as happens for the second
-   child of every branch node.  Single-domain use only. *)
+(* A session keeps one solve state (shifted rhs included) and a factor
+   snapshot alive across warm solves of the same compiled problem, so
+   a sequence of warm-started solves (the branch & bound hot loop)
+   allocates only the point and basis it returns — and pays no
+   refactorisation at all when the requested warm basis is the one
+   already snapshotted, as happens for the second child of every
+   branch node.  Single-domain use only. *)
 type session = {
   sd : data;
   sstate : state;
@@ -205,7 +207,8 @@ let reset_counters () =
   Atomic.set ft_update_count 0;
   Atomic.set ft_entry_count 0
 
-let col_value st j =
+(* inlined so the point pass in [solve_warm] boxes no float per column *)
+let[@inline] col_value st j =
   match st.stat.(j) with
   | Basic -> st.beta.(st.in_row.(j))
   | At_lower -> st.wlo.(j)
@@ -303,7 +306,9 @@ let pivot st ~r ~j ~leaving_stat ~enter_val ~y_done =
 
 type step = Optimal_reached | Unbounded_ray | Budget_exhausted
 
-let primal st ~allowed =
+(* Only columns below [limit] may enter: [d.ncols] in phase 1,
+   [d.n_real] (no artificials) otherwise. *)
+let primal st ~limit =
   let opts = st.opts in
   let d = st.d in
   let ncols = st.d.ncols in
@@ -328,8 +333,8 @@ let primal st ~allowed =
   let devex_scan () =
     let enter = ref (-1) in
     let best = ref 0. in
-    for j = 0 to ncols - 1 do
-      if movable st j && allowed j then begin
+    for j = 0 to limit - 1 do
+      if movable st j then begin
         let dj = price st j in
         if eligible j dj then begin
           let score = dj *. dj /. st.dw.(j) in
@@ -347,9 +352,9 @@ let primal st ~allowed =
   let bland_scan () =
     let enter = ref (-1) in
     let j = ref 0 in
-    while !j < ncols && !enter < 0 do
+    while !j < limit && !enter < 0 do
       let jj = !j in
-      if movable st jj && allowed jj && eligible jj (price st jj) then
+      if movable st jj && eligible jj (price st jj) then
         enter := jj;
       incr j
     done;
@@ -647,7 +652,7 @@ let dual st =
 let fallbacks = Atomic.make 0
 let dense_fallbacks () = Atomic.get fallbacks
 
-let make_state d =
+let make_state d ~rhs =
   {
     d;
     opts = Simplex.default_options;
@@ -659,18 +664,19 @@ let make_state d =
     beta = Array.make d.m 0.;
     y = Array.make d.m 0.;
     cost = Array.make d.ncols 0.;
-    rhs = Array.make d.m 0.;
+    rhs;
     f = Factor.create ~m:d.m;
     w = Array.make d.m 0.;
     rho = Array.make d.m 0.;
     dw = Array.make d.ncols 1.;
+    x = Array.make d.n 0.;
     pivots_left = ref 0;
   }
 
 let session d =
   {
     sd = d;
-    sstate = make_state d;
+    sstate = make_state d ~rhs:(Array.make d.m 0.);
     snap = Factor.snapshot_create ~m:d.m;
     snap_basis = Array.make (Int.max 1 d.m) 0;
     snap_mark = Array.make d.ncols false;
@@ -717,43 +723,33 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
     let pivots_left = ref options.max_pivots in
     let spent () = options.max_pivots - !pivots_left in
     let warm_used = ref false in
-    (* shifted rhs for the current lower bounds *)
-    let rhs = Array.copy d.rhs0 in
+    (* shifted rhs for the current lower bounds, in the session's
+       buffer when there is one *)
+    let rhs =
+      match ses with Some s -> s.sstate.rhs | None -> Array.make d.m 0.
+    in
+    Array.blit d.rhs0 0 rhs 0 d.m;
     for j = 0 to n - 1 do
       if lo.(j) <> 0. then
         for p = d.ptr.(j) to d.ptr.(j + 1) - 1 do
           rhs.(d.idx.(p)) <- rhs.(d.idx.(p)) -. (d.vs.(p) *. lo.(j))
         done
     done;
-    let fresh () =
-      let wlo = Array.make d.ncols 0. in
-      let wup = Array.make d.ncols infinity in
+    (* set a fresh or pooled state up for this solve's bounds and
+       budget; artificials default to fixed-at-zero, and the cold path
+       widens them for phase 1 *)
+    let prepare st =
+      st.opts <- options;
+      st.pivots_left <- pivots_left;
       for j = 0 to n - 1 do
-        wup.(j) <- Float.max 0. (hi.(j) -. lo.(j))
+        st.wlo.(j) <- 0.;
+        st.wup.(j) <- Float.max 0. (hi.(j) -. lo.(j))
       done;
-      (* artificials default to fixed-at-zero; the cold path widens
-         them for phase 1 *)
-      for j = d.n_real to d.ncols - 1 do
-        wup.(j) <- 0.
+      for j = n to d.ncols - 1 do
+        st.wlo.(j) <- 0.;
+        st.wup.(j) <- (if j >= d.n_real then 0. else infinity)
       done;
-      {
-        d;
-        opts = options;
-        wlo;
-        wup;
-        stat = Array.make d.ncols At_lower;
-        basis = Array.init d.m (fun i -> d.n_real + i);
-        in_row = Array.make d.ncols (-1);
-        beta = Array.make d.m 0.;
-        y = Array.make d.m 0.;
-        cost = Array.make d.ncols 0.;
-        rhs;
-        f = Factor.create ~m:d.m;
-        w = Array.make d.m 0.;
-        rho = Array.make d.m 0.;
-        dw = Array.make d.ncols 1.;
-        pivots_left;
-      }
+      st
     in
     let set_phase2_cost st =
       Array.fill st.cost 0 d.ncols 0.;
@@ -761,9 +757,13 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
     in
     (* same check as folding [Problem.constrs] term lists — identical
        operations in identical order, so the verdict is bit-identical
-       — but over the de-boxed term arrays and with column values read
-       on demand, so it allocates nothing *)
+       — but over the de-boxed term arrays and the point [st.x],
+       computed once per column, so it allocates nothing *)
     let violated st =
+      let x = st.x in
+      for j = 0 to n - 1 do
+        x.(j) <- lo.(j) +. col_value st j
+      done;
       let bad = ref false in
       let i = ref 0 in
       while (not !bad) && !i < d.m do
@@ -771,8 +771,7 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
         let cv = d.c_vars.(!i) and cc = d.c_coefs.(!i) in
         let lhs = ref 0. in
         for t = 0 to Array.length cv - 1 do
-          let v = cv.(t) in
-          lhs := !lhs +. (cc.(t) *. (lo.(v) +. col_value st v))
+          lhs := !lhs +. (cc.(t) *. x.(cv.(t)))
         done;
         let viol =
           match c.sense with
@@ -788,26 +787,33 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
       done;
       !bad
     in
+    (* the point [violated] just checked, and its objective *)
     let extract st =
-      let x = Array.make n 0. in
+      let x = Array.copy st.x in
       let obj = ref 0. in
       for j = 0 to n - 1 do
-        let v = col_value st j in
-        x.(j) <- lo.(j) +. v;
         obj := !obj +. (d.cobj.(j) *. x.(j))
       done;
       let obj = if d.minimize then !obj else -. !obj in
       Solution.Optimal { Solution.x; objective = obj }
     in
+    (* plain loops into fresh arrays, which for large bases start in
+       the major heap: [Array.copy] would initialise element by
+       element through the runtime *)
     let snapshot st =
-      { Basis.rows = Array.copy st.basis; stat = Array.copy st.stat }
+      let rows = Array.make d.m 0 and stat = Array.make d.ncols At_lower in
+      for r = 0 to d.m - 1 do
+        rows.(r) <- st.basis.(r)
+      done;
+      for j = 0 to d.ncols - 1 do
+        stat.(j) <- st.stat.(j)
+      done;
+      { Basis.rows; stat }
     in
-    (* shared tail of warm starts: dual repair, primal cleanup, then
-       accept only a verified-feasible point (mirrors
-       Simplex.reoptimise) *)
+    (* shared tail of warm starts, which leave the phase-2 duals of
+       their basis in [st.y]: dual repair, primal cleanup, then accept
+       only a verified-feasible point (mirrors Simplex.reoptimise) *)
     let reoptimise st ~on_fallback =
-      set_phase2_cost st;
-      compute_y st;
       match dual st with
       | Dual_budget -> Some (Solution.Iteration_limit, None)
       | Primal_infeasible -> Some (Solution.Infeasible, None)
@@ -815,7 +821,7 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
           on_fallback ();
           None
       | Dual_feasible_point -> (
-          match primal st ~allowed:(fun j -> j < d.n_real) with
+          match primal st ~limit:d.n_real with
           | Budget_exhausted -> Some (Solution.Iteration_limit, None)
           | Unbounded_ray -> Some (Solution.Unbounded, None)
           | Optimal_reached ->
@@ -829,25 +835,11 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
     let try_warm b =
       if not (Basis.compatible b ~rows:d.m ~cols:d.ncols) then None
       else begin
+        (* the pooled state is reinitialised in place (its [rhs] is
+           already this solve's) *)
         let st =
-          match ses with
-          | Some s ->
-              (* reinitialise the pooled state in place: no per-solve
-                 allocation on the branch & bound hot path *)
-              let st = s.sstate in
-              st.opts <- options;
-              st.pivots_left <- pivots_left;
-              Array.blit rhs 0 st.rhs 0 d.m;
-              for j = 0 to n - 1 do
-                st.wlo.(j) <- 0.;
-                st.wup.(j) <- Float.max 0. (hi.(j) -. lo.(j))
-              done;
-              for j = n to d.ncols - 1 do
-                st.wlo.(j) <- 0.;
-                st.wup.(j) <- (if j >= d.n_real then 0. else infinity)
-              done;
-              st
-          | None -> fresh ()
+          prepare
+            (match ses with Some s -> s.sstate | None -> make_state d ~rhs)
         in
         for j = 0 to d.ncols - 1 do
           st.stat.(j) <-
@@ -855,8 +847,12 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
             | Basis.At_upper when Float.is_finite st.wup.(j) -> At_upper
             | _ -> At_lower)
         done;
-        Array.blit b.Basis.rows 0 st.basis 0 d.m;
-        Array.iter (fun j -> st.stat.(j) <- Basic) st.basis;
+        (* plain loops, not [Array.blit]: these int arrays are old *)
+        for r = 0 to d.m - 1 do
+          let j = b.Basis.rows.(r) in
+          st.basis.(r) <- j;
+          st.stat.(j) <- Basic
+        done;
         set_phase2_cost st;
         (* With a session, an identical warm basis (as a set) can skip
            the refactorisation entirely: restoring the snapshot replays
@@ -877,7 +873,9 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
           if hit then begin
             let s = Option.get ses in
             Factor.restore s.snap st.f;
-            Array.blit s.snap_basis 0 st.basis 0 d.m;
+            for r = 0 to d.m - 1 do
+              st.basis.(r) <- s.snap_basis.(r)
+            done;
             rebuild_in_row st;
             compute_beta st;
             compute_y st
@@ -887,7 +885,9 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
             match ses with
             | Some s ->
                 Factor.save st.f s.snap;
-                Array.blit st.basis 0 s.snap_basis 0 d.m;
+                for r = 0 to d.m - 1 do
+                  s.snap_basis.(r) <- st.basis.(r)
+                done;
                 Array.fill s.snap_mark 0 d.ncols false;
                 for r = 0 to d.m - 1 do
                   s.snap_mark.(st.basis.(r)) <- true
@@ -904,7 +904,7 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
     in
     (* ---- cold path: two-phase primal from the artificial basis ---- *)
     let cold () =
-      let st = fresh () in
+      let st = prepare (make_state d ~rhs) in
       (* phase 1: artificial i spans [min(0, rhs_i), max(0, rhs_i)]
          with cost sign(rhs_i) — the sparse build keeps row signs
          as-is (no dense-style rhs flip), so infeasibility is driven
@@ -921,7 +921,7 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
       done;
       Factor.set_identity st.f;
       compute_y st;
-      (match primal st ~allowed:(fun _ -> true) with
+      (match primal st ~limit:d.ncols with
       | Budget_exhausted -> (Solution.Iteration_limit, None)
       | Unbounded_ray ->
           (* cannot happen: the phase-1 objective is bounded below *)
@@ -972,7 +972,7 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
             (* clamping the artificial bounds moved their resting
                values; refresh recomputes beta and y exactly *)
             refresh st;
-            match primal st ~allowed:(fun j -> j < d.n_real) with
+            match primal st ~limit:d.n_real with
             | Budget_exhausted -> (Solution.Iteration_limit, None)
             | Unbounded_ray -> (Solution.Unbounded, None)
             | Optimal_reached ->

@@ -34,11 +34,13 @@ val n_rows : data -> int
 
 type session
 (** A reusable solve workspace bound to one {!data}: the per-solve
-    state arrays plus a snapshot of the most recent warm-start
-    factorisation, keyed by its basis.  Passing a session to
-    {!solve_warm} removes per-solve allocation, and when the requested
-    warm basis matches the snapshotted one (as a column set — bounds
-    may differ) the refactorisation is skipped and the byte-identical
+    state arrays, the shifted right-hand side included, plus a
+    snapshot of the most recent warm-start factorisation, keyed by its
+    basis.  With a session, {!solve_warm} allocates no workspace; it
+    still allocates the point and the basis it returns, which for a
+    large model start in the major heap.  When the requested warm
+    basis matches the snapshotted one (as a column set — bounds may
+    differ) the refactorisation is skipped and the byte-identical
     factorisation restored, which is the common case for the second
     child of every branch & bound node.  A session is single-domain:
     never share one across threads.  Results are bit-identical with
@@ -56,13 +58,17 @@ val solve_warm :
   Simplex.result
 (** Like {!Simplex.solve_warm} on the compiled problem.  The returned
     [hot] field is always [None]: a warm start refactorises the basis
-    snapshot.  That is not free.  In the eeg14 rate search under a
-    1,000-node budget, [Factor.factorize] took 330–345 ms of
-    1,502–1,583 ms of [solve_warm] time (about 22 %, 2,001
-    refactorisations; timed around each call on a 2-vCPU Xeon VM).
-    A ring of the last nodes' final factors cut eeg22 ×0.92699's
-    refactorisations from 252 to 49 but did not lower the [compile]
-    benchmark's pass time (ROADMAP.md).
+    snapshot.  That is not free.  Over the [compile] benchmark's
+    solves the refactorisation (factorise, then basic values and
+    duals) takes 23 % of [solve_warm] time and the dual repair 19 %;
+    primal cleanup takes 10 %, warm re-initialisation, point and
+    basis extraction and snapshot restore 6–7 % each, the
+    feasibility check 4 % and the snapshot save 3 %, and cold root
+    solves the rest (timed around each phase in an instrumented
+    build on a 2-vCPU Xeon VM; DESIGN.md §15).  A ring of the last
+    nodes' final factors cut eeg22 ×0.92699's refactorisations from
+    252 to 49 but did not lower the [compile] benchmark's pass time
+    (ROADMAP.md).
 
     [warm_used] reports whether the supplied basis survived the sparse
     warm start; [pivots] counts sparse and (rare) dense-fallback pivots

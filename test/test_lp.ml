@@ -723,17 +723,23 @@ let test_ft_update_vs_refresh () =
 
 (* A factor snapshot must replay the identical factorisation: restore
    into a workspace whose state was clobbered by other work, and both
-   FTRAN and BTRAN must agree exactly with the factor that was saved. *)
+   FTRAN and BTRAN must agree exactly with the factor that was saved —
+   saved right after a refactorisation, and again after Forrest–Tomlin
+   updates have filed row etas. *)
 let test_factor_snapshot_roundtrip () =
   let m = 12 in
   let ncols = 2 * m in
   (* identity head, then diagonally dominant columns: any mix of the
-     two factorises *)
+     two factorises.  Their values differ column to column, so a row
+     eta restored from stale entries cannot pass for the saved one. *)
   let cols =
     Array.init ncols (fun j ->
         if j < m then [ (j, 1.) ]
         else
-          List.sort compare [ (j - m, 2.); ((j - m + 1) mod m, 0.5) ])
+          let k = Float.of_int (j - m) in
+          List.sort compare
+            [ (j - m, 2. +. (0.1 *. k));
+              ((j - m + 1) mod m, 0.5 +. (0.03 *. k)) ])
   in
   let nnz = Array.fold_left (fun a l -> a + List.length l) 0 cols in
   let ptr = Array.make (ncols + 1) 0 in
@@ -749,35 +755,66 @@ let test_factor_snapshot_roundtrip () =
           vs.(ptr.(j) + k) <- v)
         l)
     cols;
-  let basis = Array.init m (fun i -> if i mod 2 = 0 then i else m + i) in
   let f = Factor.create ~m in
-  Alcotest.(check bool) "factorises" true (Factor.factorize f ~basis ~ptr ~idx ~vs);
-  let snap = Factor.snapshot_create ~m in
-  Factor.save f snap;
-  let probe = Array.init m (fun i -> Float.of_int (i + 1) /. 7.) in
-  let want_f = Array.copy probe in
-  Factor.ftran f want_f;
-  let want_b = Array.copy probe in
-  Factor.btran f want_b;
-  (* clobber the workspace with a different basis, then restore *)
-  let other = Array.init m (fun i -> i) in
-  Alcotest.(check bool) "clobber factorises" true
-    (Factor.factorize f ~basis:other ~ptr ~idx ~vs);
-  Factor.restore snap f;
-  let got_f = Array.copy probe in
-  Factor.ftran f got_f;
-  let got_b = Array.copy probe in
-  Factor.btran f got_b;
-  for i = 0 to m - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "ftran slot %d identical" i)
-      true
-      (Float.equal want_f.(i) got_f.(i));
-    Alcotest.(check bool)
-      (Printf.sprintf "btran slot %d identical" i)
-      true
-      (Float.equal want_b.(i) got_b.(i))
-  done
+  (* factorise [basis], then let each entering column replace the slot
+     of its largest FTRAN entry, as a simplex pivot would *)
+  let factor_and_update tag basis entering =
+    Alcotest.(check bool) (tag ^ ": factorises") true
+      (Factor.factorize f ~basis ~ptr ~idx ~vs);
+    let w = Array.make m 0. in
+    List.iter
+      (fun q ->
+        Array.fill w 0 m 0.;
+        for p = ptr.(q) to ptr.(q + 1) - 1 do
+          w.(idx.(p)) <- vs.(p)
+        done;
+        Factor.ftran f w;
+        let r = ref 0 in
+        Array.iteri
+          (fun i v -> if Float.abs v > Float.abs w.(!r) then r := i)
+          w;
+        Factor.update f ~w ~r:!r;
+        basis.(!r) <- q)
+      entering
+  in
+  let roundtrip ~entering =
+    let tag = Printf.sprintf "%d updates" (List.length entering) in
+    factor_and_update tag
+      (Array.init m (fun i -> if i mod 2 = 0 then i else m + i))
+      entering;
+    if entering <> [] then
+      Alcotest.(check bool) (tag ^ ": row etas filed") true
+        (Factor.ft_entries f > 0);
+    let snap = Factor.snapshot_create ~m in
+    Factor.save f snap;
+    let probe = Array.init m (fun i -> Float.of_int (i + 1) /. 7.) in
+    let want_f = Array.copy probe in
+    Factor.ftran f want_f;
+    let want_b = Array.copy probe in
+    Factor.btran f want_b;
+    (* clobber the workspace with a different basis and row etas, then
+       restore *)
+    factor_and_update (tag ^ ": clobber")
+      (Array.init m (fun i -> if i mod 2 = 1 then i else m + i))
+      [ 0; m + 3; 6; m + 7; m + 11; 2; m + 5; 8; m + 9; 4; 10 ];
+    Factor.restore snap f;
+    let got_f = Array.copy probe in
+    Factor.ftran f got_f;
+    let got_b = Array.copy probe in
+    Factor.btran f got_b;
+    for i = 0 to m - 1 do
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: ftran slot %d identical" tag i)
+        true
+        (Float.equal want_f.(i) got_f.(i));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: btran slot %d identical" tag i)
+        true
+        (Float.equal want_b.(i) got_b.(i))
+    done
+  in
+  roundtrip ~entering:[];
+  roundtrip ~entering:[ 1; m; m + 4; 7; m + 10 ]
 
 (* Sessions are a pure performance vehicle: a sequence of warm
    bound-tightened solves through one session must return bit-identical
@@ -813,7 +850,11 @@ let test_sparse_session_identical () =
                 Alcotest.failf "case %d: session status diverged" case);
           Alcotest.(check bool)
             "same warm acceptance" plain.Simplex.warm_used
-            pooled.Simplex.warm_used
+            pooled.Simplex.warm_used;
+          Alcotest.(check bool) "same basis" true
+            (Option.equal Basis.equal plain.Simplex.basis pooled.Simplex.basis);
+          Alcotest.(check int) "same pivots" plain.Simplex.pivots
+            pooled.Simplex.pivots
         done
     | _ -> ()
   done
@@ -960,6 +1001,25 @@ let knapsack12 () =
        (Array.mapi (fun i v -> (v, Float.of_int ((i * 5 mod 13) + 1))) vars));
   p
 
+(* A 0-1 knapsack over [n] items with 48 capacity rows, each at half
+   its row's total weight: enough rows for [Auto] to pick the sparse
+   engine. *)
+let multi_knapsack seed ~n () =
+  let rng = Prng.create seed in
+  let p = Problem.create () in
+  let vars = Array.init n (fun _ -> Problem.add_var ~hi:1. ~integer:true p) in
+  for _ = 1 to 48 do
+    let w = Array.map (fun _ -> Float.of_int (1 + Prng.int rng 9)) vars in
+    Problem.add_constr p
+      (Array.to_list (Array.mapi (fun i v -> (v, w.(i))) vars))
+      Problem.Le
+      (Float.round (Array.fold_left ( +. ) 0. w /. 2.))
+  done;
+  Problem.set_objective p Problem.Maximize
+    (Array.to_list
+       (Array.map (fun v -> (v, Float.of_int (1 + Prng.int rng 20))) vars));
+  p
+
 let test_engines_knapsack () =
   let p = knapsack12 () in
   let reference, _ = solve_with ~solver:Branch_bound.Dense p in
@@ -981,21 +1041,32 @@ let test_engines_knapsack () =
    deleted: the same nodes, LP solves, hot-tableau solves and pivots in
    the same order, under the dense engine (hot ring live) and the
    sparse one, plus two pivot-budgeted runs.  [None] is a budgeted run
-   that ends without an incumbent. *)
+   that ends without an incumbent.  The sparse rows also pin the factor
+   work (refactorisations, Forrest–Tomlin updates and their row-eta
+   entries), and the 48-row knapsack, where [Auto] picks the sparse
+   engine, pins a search of 78 nodes of mostly one-refactorisation
+   warm re-solves. *)
 let test_bb_stats_pinned () =
   let ilp seed size () = Check.Gen.ilp (Prng.create seed) ~size in
   List.iter
     (fun (tag, build, solver, pivot_budget, (nodes, lps, hot, pivots, proved),
-          obj) ->
+          (refac, ft_updates, ft_entries), obj) ->
       let options =
         { Branch_bound.default_options with solver; pivot_budget }
       in
+      let c0 = Sparse.counters () and fb0 = Sparse.dense_fallbacks () in
       let st, s = Branch_bound.solve ~options (build ()) in
+      let c1 = Sparse.counters () in
       let ck what = Alcotest.(check int) (tag ^ " " ^ what) in
       ck "nodes" nodes s.Branch_bound.nodes_explored;
       ck "LP solves" lps s.Branch_bound.lp_solves;
       ck "hot solves" hot s.Branch_bound.hot_solves;
       ck "pivots" pivots s.Branch_bound.total_pivots;
+      ck "refactorisations" refac
+        (c1.Sparse.refactorisations - c0.Sparse.refactorisations);
+      ck "FT updates" ft_updates (c1.Sparse.ft_updates - c0.Sparse.ft_updates);
+      ck "FT entries" ft_entries (c1.Sparse.ft_entries - c0.Sparse.ft_entries);
+      ck "dense fallbacks" 0 (Sparse.dense_fallbacks () - fb0);
       Alcotest.(check bool) (tag ^ " proved") proved
         s.Branch_bound.proved_optimal;
       Alcotest.(check (option int64)) (tag ^ " objective bits") obj
@@ -1006,25 +1077,27 @@ let test_bb_stats_pinned () =
     Branch_bound.
       [
         ("knapsack dense", knapsack12, Dense, max_int, (5, 9, 8, 29, true),
-         Some 0x4048800000000000L);
+         (0, 0, 0), Some 0x4048800000000000L);
         ("knapsack sparse", knapsack12, Sparse_revised, max_int,
-         (5, 9, 0, 30, true), Some 0x4048800000000000L);
+         (5, 9, 0, 30, true), (5, 15, 0), Some 0x4048800000000000L);
         ("ilp 79 dense", ilp 79 12, Dense, max_int, (7, 14, 12, 33, true),
-         Some 0x401c000000000000L);
+         (0, 0, 0), Some 0x401c000000000000L);
         ("ilp 79 sparse", ilp 79 12, Sparse_revised, max_int,
-         (7, 13, 0, 32, true), Some 0x401c000000000000L);
+         (7, 13, 0, 32, true), (5, 15, 1), Some 0x401c000000000000L);
         ("ilp 231 dense", ilp 231 21, Dense, max_int, (11, 22, 20, 48, true),
-         Some 0xc018000000000000L);
+         (0, 0, 0), Some 0xc018000000000000L);
         ("ilp 231 sparse", ilp 231 21, Sparse_revised, max_int,
-         (9, 17, 0, 39, true), Some 0xc018000000000000L);
+         (9, 17, 0, 39, true), (8, 21, 9), Some 0xc018000000000000L);
         ("ilp 271 dense", ilp 271 4, Dense, max_int, (10, 21, 18, 48, true),
-         Some 0x3ff0000000000000L);
+         (0, 0, 0), Some 0x3ff0000000000000L);
         ("ilp 271 sparse", ilp 271 4, Sparse_revised, max_int,
-         (9, 17, 0, 41, true), Some 0x3ff0000000000000L);
+         (9, 17, 0, 41, true), (9, 23, 18), Some 0x3ff0000000000000L);
         ("knapsack dense, 20 pivots", knapsack12, Dense, 20,
-         (2, 5, 4, 21, false), None);
+         (2, 5, 4, 21, false), (0, 0, 0), None);
         ("knapsack sparse, 30 pivots", knapsack12, Sparse_revised, 30,
-         (4, 9, 0, 30, false), None);
+         (4, 9, 0, 30, false), (5, 15, 0), None);
+        ("48-row knapsack auto", multi_knapsack 1 ~n:16, Auto, max_int,
+         (78, 155, 0, 814, true), (79, 653, 3645), Some 0x4056000000000000L);
       ]
 
 (* ---- delta-encoded node bounds ---- *)
