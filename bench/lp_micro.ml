@@ -14,7 +14,6 @@
 type mode_result = {
   pivots : int;
   lp_solves : int;
-  hot_solves : int;
   refactorisations : int;
   ft_updates : int;
   ft_entries : int;
@@ -39,23 +38,21 @@ let run_mode ~label ~warm spec =
   let wall_s = Unix.gettimeofday () -. t0 in
   let pivots = Lp.Simplex.cumulative_pivots () - p0 in
   let c1 = Lp.Sparse.counters () in
-  let lp_solves, hot_solves, rate =
+  let lp_solves, rate =
     match result with
     | Some r ->
         let solver =
           r.Wishbone.Rate_search.placement_report.Wishbone.Placement.solver
         in
         ( solver.Lp.Branch_bound.lp_solves,
-          solver.Lp.Branch_bound.hot_solves,
           r.Wishbone.Rate_search.placement_multiplier )
-    | None -> (0, 0, nan)
+    | None -> (0, nan)
   in
   Bench_util.row "%-6s %10d pivots  %8.3f s  rate x%.4f\n" label pivots wall_s
     rate;
   {
     pivots;
     lp_solves;
-    hot_solves;
     refactorisations =
       c1.Lp.Sparse.refactorisations - c0.Lp.Sparse.refactorisations;
     ft_updates = c1.Lp.Sparse.ft_updates - c0.Lp.Sparse.ft_updates;
@@ -110,11 +107,10 @@ let write_json ~n_channels ~(cold : mode_result) ~(warm : mode_result)
   let mode name (r : mode_result) =
     Printf.sprintf
       "  \"%s\": {\"total_pivots\": %d, \"final_solve_lps\": %d, \
-       \"final_solve_hot_lps\": %d, \"refactorisations\": %d, \
-       \"ft_updates\": %d, \"ft_entries\": %d, \"wall_s\": %.6f, \
-       \"rate_multiplier\": %.6f}"
-      name r.pivots r.lp_solves r.hot_solves r.refactorisations r.ft_updates
-      r.ft_entries r.wall_s r.rate
+       \"refactorisations\": %d, \"ft_updates\": %d, \"ft_entries\": %d, \
+       \"wall_s\": %.6f, \"rate_multiplier\": %.6f}"
+      name r.pivots r.lp_solves r.refactorisations r.ft_updates r.ft_entries
+      r.wall_s r.rate
   in
   let resolve name = function
     | Some r ->
@@ -162,16 +158,10 @@ let node_lp_gate () =
       (Apps.Eeg.profile ~duration:30. (Apps.Eeg.build ()))
   in
   let pl = Wishbone.Placement.of_spec (Wishbone.Spec.scale_rate spec 0.92699) in
-  let options =
-    {
-      Lp.Branch_bound.default_options with
-      solver = Lp.Branch_bound.Sparse_revised;
-    }
-  in
   let c0 = Lp.Sparse.counters () and fb0 = Lp.Sparse.dense_fallbacks () in
   let w0 = Gc.minor_words () in
   let r =
-    match Wishbone.Placement.solve ~options pl with
+    match Wishbone.Placement.solve pl with
     | Wishbone.Placement.Partitioned r -> r
     | Wishbone.Placement.No_feasible_partition -> fail "unexpectedly infeasible"
     | Wishbone.Placement.Solver_failure m -> fail "solver failure: %s" m
@@ -181,7 +171,7 @@ let node_lp_gate () =
   let s = r.Wishbone.Placement.solver in
   let per_lp = words /. Float.of_int (Int.max 1 s.Lp.Branch_bound.lp_solves) in
   Bench_util.row
-    "eeg22 x0.92699 sparse: %d nodes, %d LPs, %d pivots, %d refactorisations, \
+    "eeg22 x0.92699: %d nodes, %d LPs, %d pivots, %d refactorisations, \
      %d FT updates, %d FT entries, objective %.17g, %.0f minor words/node LP\n"
     s.nodes_explored s.lp_solves s.total_pivots
     (c1.refactorisations - c0.refactorisations)
@@ -204,54 +194,46 @@ let node_lp_gate () =
   if per_lp > max_words_per_node_lp then
     fail "%.0f minor words per node LP (> %.0f)" per_lp max_words_per_node_lp
 
-(* CI smoke: partition the speech and eeg14 instances with the dense
-   tableau and with the sparse revised simplex forced (devex pricing
-   over the Forrest–Tomlin factor path), and fail loudly if the
-   engines disagree on the objective, or if the sparse run never
-   refactorised (meaning the LU path silently did not run); then run
-   the node-LP work gate above.  Kept
-   small enough that the CI step's wall-clock ceiling (see
-   .github/workflows/ci.yml) catches any solver-path regression that
-   turns sub-second solves into minutes. *)
+(* CI smoke: partition the speech and eeg14 instances once each and
+   fail loudly if an objective leaves its pin (the values the
+   repository benchmark pins for the same instances), if the sparse
+   run never refactorised (meaning the LU path silently did not run),
+   or if any solve declined to the dense fallback; then run the
+   node-LP work gate above.  Kept small enough that the CI step's
+   wall-clock ceiling (see .github/workflows/ci.yml) catches any
+   solver-path regression that turns sub-second solves into minutes. *)
 let smoke () =
-  Bench_util.header
-    "bench smoke: dense vs sparse LP engines, speech + eeg14; eeg22 node LPs";
-  let run name rate spec =
-    let pl = Wishbone.Placement.of_spec (Wishbone.Spec.scale_rate spec rate) in
-    let solve solver =
-      let options = { Lp.Branch_bound.default_options with solver } in
-      let t0 = Unix.gettimeofday () in
-      match Wishbone.Placement.solve ~options pl with
-      | Wishbone.Placement.Partitioned r ->
-          (r.Wishbone.Placement.objective, Unix.gettimeofday () -. t0)
-      | Wishbone.Placement.No_feasible_partition ->
-          Printf.eprintf "smoke %s: unexpectedly infeasible\n" name;
-          exit 1
-      | Wishbone.Placement.Solver_failure m ->
-          Printf.eprintf "smoke %s: solver failure: %s\n" name m;
-          exit 1
+  Bench_util.header "bench smoke: speech + eeg14 objectives; eeg22 node LPs";
+  let run name rate ~pin spec =
+    let fail fmt =
+      Printf.ksprintf
+        (fun m -> prerr_endline ("smoke " ^ name ^ ": " ^ m); exit 1)
+        fmt
     in
-    let od, td = solve Lp.Branch_bound.Dense in
-    let c0 = Lp.Sparse.counters () in
-    let os, ts = solve Lp.Branch_bound.Sparse_revised in
+    let pl = Wishbone.Placement.of_spec (Wishbone.Spec.scale_rate spec rate) in
+    let c0 = Lp.Sparse.counters () and fb0 = Lp.Sparse.dense_fallbacks () in
+    let t0 = Unix.gettimeofday () in
+    let obj =
+      match Wishbone.Placement.solve pl with
+      | Wishbone.Placement.Partitioned r -> r.Wishbone.Placement.objective
+      | Wishbone.Placement.No_feasible_partition ->
+          fail "unexpectedly infeasible"
+      | Wishbone.Placement.Solver_failure m -> fail "solver failure: %s" m
+    in
+    let t = Unix.gettimeofday () -. t0 in
     let c1 = Lp.Sparse.counters () in
-    Bench_util.row "%-8s dense %12.6f (%6.3f s)   sparse %12.6f (%6.3f s)\n"
-      name od td os ts;
-    let agree a b = Float.abs (a -. b) <= 1e-6 *. Float.max 1. (Float.abs a) in
-    if not (agree od os) then (
-      Printf.eprintf "smoke %s: engines disagree: dense %.9g sparse %.9g\n"
-        name od os;
-      exit 1);
-    if c1.Lp.Sparse.refactorisations <= c0.Lp.Sparse.refactorisations then (
-      Printf.eprintf
-        "smoke %s: the sparse run never refactorised — LU path did not run\n"
-        name;
-      exit 1)
+    Bench_util.row "%-8s x%-5g objective %12.6f (%6.3f s)\n" name rate obj t;
+    if Float.abs (obj -. pin) > 1e-6 *. Float.max 1. (Float.abs pin) then
+      fail "objective %.9g, pinned %.9g" obj pin;
+    if c1.Lp.Sparse.refactorisations <= c0.Lp.Sparse.refactorisations then
+      fail "the sparse run never refactorised — LU path did not run";
+    if Lp.Sparse.dense_fallbacks () <> fb0 then
+      fail "%d dense fallbacks" (Lp.Sparse.dense_fallbacks () - fb0)
   in
-  run "speech" 0.05
+  run "speech" 0.05 ~pin:260.
     (Bench_util.spec_exn ~platform:Profiler.Platform.tmote_sky
        (Lazy.force Bench_util.speech_profile));
-  run "eeg14" 1.0
+  run "eeg14" 1.0 ~pin:84.
     (Bench_util.spec_exn ~mode:Wishbone.Movable.Permissive
        ~platform:Profiler.Platform.tmote_sky
        (Apps.Eeg.profile ~duration:30. (Apps.Eeg.build ~n_channels:14 ())));
@@ -283,11 +265,8 @@ let run ?(n_channels = 14) () =
   let ratio =
     Float.of_int cold.pivots /. Float.max 1. (Float.of_int warm.pivots)
   in
-  Bench_util.row "pivot reduction: %.1fx  (wall-clock %.1fx, %d/%d final \
-                  LPs hot)\n"
-    ratio
-    (cold.wall_s /. Float.max 1e-9 warm.wall_s)
-    warm.hot_solves warm.lp_solves;
+  Bench_util.row "pivot reduction: %.1fx  (wall-clock %.1fx)\n" ratio
+    (cold.wall_s /. Float.max 1e-9 warm.wall_s);
   (* fixed-rate re-solve at the cold search's found rate: both modes
      complete, partitions are identical, only the work differs *)
   let rc, rw =

@@ -38,6 +38,10 @@ let nonneg_int =
   number ~what:"a non-negative integer" ~ok:(fun x -> x >= 0.)
     int_of_string_opt Float.of_int Format.pp_print_int
 
+let nonneg_float =
+  number ~what:"a non-negative number" ~ok:(fun x -> x >= 0.)
+    float_of_string_opt Fun.id Format.pp_print_float
+
 type app = Speech | Eeg | Eeg1
 
 let app_conv =
@@ -596,7 +600,8 @@ let deploy_cmd =
   in
   let crash_rate_arg =
     Arg.(
-      value & opt float 0.
+      value
+      & opt (nonneg_float ~flag:"--crash-rate") 0.
       & info [ "crash-rate" ] ~docv:"PER_SEC"
           ~doc:"Per-node crash rate in crashes/second (with --faults); state \
                 is lost and the node reboots after a fixed delay.")
@@ -854,7 +859,8 @@ let serve_cmd =
   in
   let cache_arg =
     Arg.(
-      value & opt int 512
+      value
+      & opt (nonneg_int ~flag:"--cache") 512
       & info [ "cache" ] ~docv:"N" ~doc:"LRU cache capacity in entries.")
   in
   let repeat_arg =
@@ -1154,7 +1160,12 @@ let serve_cmd =
 let netprofile_cmd =
   let target_arg =
     Arg.(
-      value & opt float 0.9
+      value
+      & opt
+          (number ~what:"a fraction in (0, 1]"
+             ~ok:(fun x -> x > 0. && x <= 1.)
+             float_of_string_opt Fun.id Format.pp_print_float ~flag:"--target")
+          0.9
       & info [ "target" ] ~docv:"FRACTION" ~doc:"Target reception rate.")
   in
   let run nodes target =

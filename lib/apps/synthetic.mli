@@ -28,7 +28,11 @@ val random_pipeline_spec :
     speech application. *)
 
 val fig3_spec : cpu_budget:float -> Wishbone.Spec.t
-(** The 6-operator motivating example of Figure 3: vertex CPU costs
-    [1;2;5;4;1;1] and the edge bandwidths drawn in the figure.  With
-    [alpha = 0, beta = 1] the optimal node partition's cut bandwidth
-    is 8, 6, 5 at CPU budgets 2, 3, 4. *)
+(** The 6-operator motivating example of Figure 3: a source S feeding
+    two mirrored chains A1→A2 and B1→B2 into a server sink T, with
+    vertex CPU costs [[1;2;1;2;1;0]] (S, A1, A2, B1, B2, T) and the
+    edge bandwidths drawn in the figure.  With [alpha = 0, beta = 1]
+    the optimal node partition's cut bandwidth is 8, 6, 5 at CPU
+    budgets 2, 3, 4.  Budgets 3 and 4 each have two optimal cuts,
+    one per chain: {S,A1} and {S,B1} both cut 6, {S,A1,A2} and
+    {S,B1,B2} both cut 5. *)

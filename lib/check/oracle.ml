@@ -24,11 +24,11 @@ let certified label ?lo ?hi problem (r : Lp.Simplex.result) =
            (String.concat "; " msgs))
 
 let lp_certificate rng problem =
-  let r0 = Lp.Simplex.solve_warm ~keep_hot:true problem in
+  let r0 = Lp.Simplex.solve_warm problem in
   match certified "cold" problem r0 with
   | Error msg -> Fail msg
   | Ok () -> (
-      (* perturb one variable's bounds and re-solve three ways *)
+      (* perturb one variable's bounds and re-solve four ways *)
       let n = Lp.Problem.n_vars problem in
       let vars = Lp.Problem.vars problem in
       let lo = Array.map (fun (v : Lp.Problem.var_info) -> v.lo) vars in
@@ -46,9 +46,8 @@ let lp_certificate rng problem =
            else lo.(v) +. Prng.uniform rng 0. 4.);
       let cold = Lp.Simplex.solve_warm ~lo ~hi problem in
       let warm = Lp.Simplex.solve_warm ?warm:r0.basis ~lo ~hi problem in
-      let hot = Lp.Simplex.solve_warm ?hot:r0.hot ~lo ~hi problem in
       (* the sparse revised simplex (devex pricing over the
-         Forrest–Tomlin factor path) must agree with every dense path,
+         Forrest–Tomlin factor path) must agree with both dense paths,
          cold and warm-started from a dense basis alike; its bases are
          certified by the same dense reconstruction *)
       let sdata = Lp.Sparse.of_problem problem in
@@ -58,7 +57,6 @@ let lp_certificate rng problem =
         [
           ("cold", cold);
           ("warm", warm);
-          ("hot", hot);
           ("sparse-cold", sparse_cold);
           ("sparse-warm", sparse_warm);
         ]

@@ -11,13 +11,13 @@ val is_pass : outcome -> bool
 val describe : outcome -> string
 
 val lp_certificate : Prng.t -> Lp.Problem.t -> outcome
-(** Solve the LP relaxation cold (keeping the basis and hot tableau),
-    certify the answer with {!Certificate.check_result}; then perturb
-    one variable's bounds and re-solve five ways: dense cold, dense
-    warm (basis), dense hot (tableau replay), sparse revised simplex
-    cold, and sparse warm-started from the dense basis.  All five must
-    agree on status and, when optimal, on the objective — and every
-    optimal answer must carry a valid certificate. *)
+(** Solve the LP relaxation cold on the dense tableau (keeping the
+    basis), certify the answer with {!Certificate.check_result}; then
+    perturb one variable's bounds and re-solve four ways: dense cold,
+    dense warm (basis), sparse revised simplex cold, and sparse
+    warm-started from the dense basis.  All four must agree on status
+    and, when optimal, on the objective — and every optimal answer
+    must carry a valid certificate. *)
 
 val ilp_brute : Lp.Problem.t -> outcome
 (** Branch & bound versus exhaustive enumeration on a small all-integer

@@ -1,5 +1,3 @@
-type lp_solver = Auto | Dense | Sparse_revised
-
 type options = {
   max_nodes : int;
   int_tol : float;
@@ -8,7 +6,6 @@ type options = {
   pivot_budget : int;
   on_node : (nodes:int -> pivots:int -> unit) option;
   warm_start : bool;
-  solver : lp_solver;
   simplex : Simplex.options;
 }
 
@@ -21,14 +18,8 @@ let default_options =
     pivot_budget = max_int;
     on_node = None;
     warm_start = true;
-    solver = Auto;
     simplex = Simplex.default_options;
   }
-
-(* Auto picks the sparse revised simplex once the LP is big enough
-   for the revised machinery to pay for itself; tiny models (fig3,
-   unit fixtures) stay on the dense tableau they were tuned on. *)
-let sparse_threshold = 48
 
 type stats = {
   nodes_explored : int;
@@ -70,10 +61,6 @@ type node = {
   delta : bound_delta;  (* the one bound this node tightened *)
   relax : Solution.t;
   basis : Basis.t option;  (* optimal basis of this node's relaxation *)
-  mutable hot : Simplex.hot option;
-      (* final tableau of this node's relaxation (dense solver only),
-         kept for at most [hot_cache] recent nodes so child LPs can
-         skip refactorisation; dropped tableaus degrade to [basis] *)
 }
 
 let deltas_of_node node =
@@ -81,12 +68,6 @@ let deltas_of_node node =
     match nd.parent with None -> acc | Some p -> go p (nd.delta :: acc)
   in
   go node []
-
-(* How many recent nodes keep their full tableau alive.  Each costs
-   O(rows * cols) floats, so this bounds warm-start memory while still
-   covering best-first search's common case of popping a just-pushed
-   child. *)
-let hot_cache = 4
 
 (* Most fractional integer variable, or [None] when integral within
    [int_tol]: score each candidate by its distance to the nearest
@@ -116,10 +97,11 @@ let snap ~int_tol int_vars (x : float array) =
     int_vars;
   x
 
-(* Deterministic incumbent tie-breaking: when two feasible points have
-   (numerically) the same objective, keep the lexicographically
-   smallest, so the returned point does not depend on which of the
-   tied leaves the search happened to reach first. *)
+(* Deterministic incumbent tie-breaking: when two integer leaves the
+   search reaches have (numerically) the same objective, keep the
+   lexicographically smallest point.  A tied leaf that is never
+   reached is never compared: a subtree whose bound only ties the
+   incumbent is pruned ([key >= incumbent_key - 1e-12]). *)
 let lex_smaller (a : float array) (b : float array) =
   let n = Array.length a in
   let rec go i =
@@ -139,33 +121,21 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
   let obj_of_key key = if minimize then key else -.key in
   let vars = Problem.vars problem in
   let int_vars = Problem.integer_vars problem in
-  let use_sparse =
-    match options.solver with
-    | Dense -> false
-    | Sparse_revised -> true
-    | Auto -> Problem.n_constrs problem >= sparse_threshold
-  in
-  let sdata = if use_sparse then Some (Sparse.of_problem problem) else None in
+  let sdata = Sparse.of_problem problem in
   (* one reusable sparse solve session: state arrays are pooled across
      solves, and re-solving the warm basis the session last
      refactorised (the second child of every node) restores the
      snapshotted factorisation instead of rebuilding it.  Sessions
      never change results, only the work to reach them. *)
-  let session = Option.map Sparse.session sdata in
+  let session = Sparse.session sdata in
   let lp_solves = ref 0 in
-  let hot_solves = ref 0 in
   let pivots = ref 0 in
   let root_b = ref None in
   (* one LP relaxation solve; [simplex] carries the per-solve pivot cap
      derived from the tree-wide budget *)
-  let relaxation ?hot ~simplex ~warm ~lo ~hi () =
-    let warm, hot = if options.warm_start then (warm, hot) else (None, None) in
-    match sdata with
-    | Some data ->
-        Sparse.solve_warm ~options:simplex ?warm ~lo ~hi ?session data
-    | None ->
-        Simplex.solve_warm ~options:simplex ?warm ?hot
-          ~keep_hot:options.warm_start ~lo ~hi problem
+  let relaxation ~simplex ~warm ~lo ~hi =
+    let warm = if options.warm_start then warm else None in
+    Sparse.solve_warm ~options:simplex ?warm ~lo ~hi ~session sdata
   in
   (* the tree-wide pivot budget, capped into each LP solve so a single
      relaxation cannot blow through it unboundedly.  With the default
@@ -186,35 +156,7 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
   in
   let account (r : Simplex.result) =
     incr lp_solves;
-    if r.Simplex.hot_used then incr hot_solves;
     pivots := !pivots + r.Simplex.pivots
-  in
-  (* ring of nodes currently holding a hot tableau, newest first *)
-  let hot_nodes = ref [] in
-  let retain_hot node =
-    if node.hot <> None then begin
-      let rest = List.filter (fun o -> o != node) !hot_nodes in
-      let keep, drop =
-        let rec split i = function
-          | [] -> ([], [])
-          | l when i = 0 -> ([], l)
-          | x :: tl ->
-              let k, d = split (i - 1) tl in
-              (x :: k, d)
-        in
-        split (hot_cache - 1) rest
-      in
-      List.iter (fun o -> o.hot <- None) drop;
-      hot_nodes := node :: keep
-    end
-  in
-  (* a node that has been expanded or pruned never needs its tableau
-     again; free the slot for live nodes *)
-  let release_hot node =
-    if node.hot <> None then begin
-      node.hot <- None;
-      hot_nodes := List.filter (fun o -> o != node) !hot_nodes
-    end
   in
   let lo0 = Array.map (fun (v : Problem.var_info) -> v.lo) vars in
   let hi0 = Array.map (fun (v : Problem.var_info) -> v.hi) vars in
@@ -223,7 +165,7 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
       {
         nodes_explored = nodes;
         lp_solves = !lp_solves;
-        hot_solves = !hot_solves;
+        hot_solves = 0;
         total_pivots = !pivots;
         time_to_incumbent = t_inc;
         time_total = elapsed ();
@@ -236,7 +178,6 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
   on_node ~nodes:0 ~pivots:0;
   let root =
     relaxation ~simplex:(budgeted_simplex ()) ~warm:root_basis ~lo:lo0 ~hi:hi0
-      ()
   in
   account root;
   root_b := root.Simplex.basis;
@@ -254,9 +195,8 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
       let open_nodes : node Heap.Pqueue.t = Heap.Pqueue.create () in
       let root_node =
         { parent = None; delta = no_delta; relax = root_relax;
-          basis = root.Simplex.basis; hot = root.Simplex.hot }
+          basis = root.Simplex.basis }
       in
-      retain_hot root_node;
       Heap.Pqueue.push open_nodes (key_of_obj root_relax.objective) root_node;
       let node_bounds node = materialise ~lo0 ~hi0 (deltas_of_node node) in
       let incumbent = ref None in
@@ -310,10 +250,8 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
             let key = key_of_obj relax.Solution.objective in
             if key < !incumbent_key -. 1e-12 then begin
               let child =
-                { parent = Some node; delta; relax; basis = r.Simplex.basis;
-                  hot = r.Simplex.hot }
+                { parent = Some node; delta; relax; basis = r.Simplex.basis }
               in
-              retain_hot child;
               Heap.Pqueue.push open_nodes key child
             end
         | Solution.Infeasible -> ()
@@ -323,26 +261,11 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
             ()
         | Solution.Iteration_limit -> hit_budget := true
       in
-      (* both children of [node] on variable [v].  A dense node whose
-         hot tableau was evicted first re-solves its own relaxation
-         from the basis snapshot to recover one, shared by both
-         children.  The parent leaves the hot ring only after both
-         children are solved, and each child joins it as it is
-         pushed. *)
+      (* both children of [node] on variable [v], each warm-started
+         from the node's optimal basis *)
       let expand node v =
         let simplex = budgeted_simplex () in
         let lo, hi = node_bounds node in
-        let recovery =
-          if node.hot = None && options.warm_start && sdata = None then
-            Some (relaxation ~simplex ~warm:node.basis ~lo ~hi ())
-          else None
-        in
-        let parent_hot =
-          match (node.hot, recovery) with
-          | (Some _ as h), _ -> h
-          | None, Some { Simplex.status = Solution.Optimal _; hot; _ } -> hot
-          | None, _ -> None
-        in
         let xv = node.relax.x.(v) in
         let fl = Float.of_int (int_of_float (Float.floor xv)) in
         let ce = Float.of_int (int_of_float (Float.ceil xv)) in
@@ -350,15 +273,8 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
         hi_down.(v) <- fl;
         let lo_up = Array.copy lo in
         lo_up.(v) <- ce;
-        let down =
-          relaxation ?hot:parent_hot ~simplex ~warm:node.basis ~lo ~hi:hi_down
-            ()
-        in
-        let up =
-          relaxation ?hot:parent_hot ~simplex ~warm:node.basis ~lo:lo_up ~hi ()
-        in
-        Option.iter account recovery;
-        release_hot node;
+        let down = relaxation ~simplex ~warm:node.basis ~lo ~hi:hi_down in
+        let up = relaxation ~simplex ~warm:node.basis ~lo:lo_up ~hi in
         push_child node down { bvar = v; bup = false; bval = fl };
         push_child node up { bvar = v; bup = true; bval = ce }
       in
@@ -384,17 +300,14 @@ let solve ?(options = default_options) ?initial ?root_basis problem =
                   (* stale-node pruning: the bound was checked when the
                      node was pushed, but the incumbent may have
                      improved since; discard without branching *)
-                  if key >= !incumbent_key -. 1e-12 || gap_closed key then
-                    release_hot node
-                  else begin
+                  if not (key >= !incumbent_key -. 1e-12 || gap_closed key)
+                  then begin
                     incr nodes;
                     match
                       fractional_var ~int_tol:options.int_tol int_vars
                         node.relax.x
                     with
-                    | None ->
-                        release_hot node;
-                        try_incumbent node.relax
+                    | None -> try_incumbent node.relax
                     | Some v -> expand node v
                   end)
       done;

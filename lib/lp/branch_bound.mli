@@ -1,44 +1,32 @@
 (** Best-first branch & bound for mixed-integer linear programs, with
     warm-started LP re-solves.
 
-    LP relaxations are solved by {!Simplex}; open nodes are kept in a
-    min-heap ordered by relaxation bound so the most promising subtree
-    is explored first (this mirrors how [lp_solve]'s branch-and-bound
-    behaves on the Wishbone formulations and lets us reproduce the
-    paper's Figure 6 "time to discover" vs "time to prove"
-    distinction).
+    Every LP relaxation is solved by the sparse revised simplex
+    ({!Sparse}); open nodes are kept in a min-heap ordered by
+    relaxation bound so the most promising subtree is explored first
+    (this mirrors how [lp_solve]'s branch-and-bound behaves on the
+    Wishbone formulations and lets us reproduce the paper's Figure 6
+    "time to discover" vs "time to prove" distinction).
 
-    Each node stores the optimal basis of its LP relaxation, and the
-    most recently solved nodes additionally keep their final tableau
-    ({!Simplex.hot}) alive: a child LP then re-solves by cloning the
-    parent tableau and repairing one bound change with a handful of
-    dual pivots — no refactorisation at all.  Nodes whose tableau has
-    been evicted from the small hot ring fall back to refactorising
-    their basis snapshot (once per expansion, shared by both
-    children), and from there to a cold two-phase solve.  Disable with
-    [warm_start = false] to measure the difference (see
-    [bench/lp_micro.ml]).
+    Each node stores the optimal basis of its LP relaxation, and both
+    children re-solve from it: the basis is refactorised and a few
+    dual pivots repair the one bound change.  One reusable
+    {!Sparse.session} serves the whole tree, so the second child
+    restores the factorisation the first child built instead of
+    refactorising again.  Disable with [warm_start = false] to measure
+    the difference (see [bench/lp_micro.ml]).
 
-    LP relaxations run on either the dense tableau ({!Simplex}) or
-    the sparse revised simplex ({!Sparse}); [Auto] picks sparse once
-    the model has enough rows for the revised machinery to pay for
-    itself.  In sparse mode the warm-start vehicle is the basis
-    snapshot, served from one reusable {!Sparse.session}, so the
-    hot-tableau ring stays empty.
-
-    The search is sequential, so the returned optimum and every
-    statistic except wall-clock time are reproducible run-to-run.
-    Tied incumbents are broken lexicographically, so the returned
-    point does not depend on which tied leaf was reached first.
+    The search is sequential, so the returned point and every
+    statistic except wall-clock time are the same on every run of a
+    build.  Among the integer leaves the search reaches with
+    numerically tied objectives, the lexicographically smallest point
+    is kept.  A subtree whose bound only ties the incumbent is pruned
+    unexplored, so which of several tied optima is returned can depend
+    on the order the search meets them.
 
     Statistics record when the final incumbent was found
     ([time_to_incumbent]) separately from when optimality was proved
     ([time_total]). *)
-
-type lp_solver =
-  | Auto  (** sparse for models with >= 48 rows, dense below *)
-  | Dense  (** always the dense tableau ({!Simplex}) *)
-  | Sparse_revised  (** always the sparse revised simplex ({!Sparse}) *)
 
 type options = {
   max_nodes : int;
@@ -71,7 +59,6 @@ type options = {
       (** start child LPs from the parent's optimal basis (default
           [true]; results are identical either way, only pivot counts
           differ) *)
-  solver : lp_solver;  (** LP engine selection (default [Auto]) *)
   simplex : Simplex.options;
 }
 
@@ -81,9 +68,8 @@ type stats = {
   nodes_explored : int;
   lp_solves : int;
   hot_solves : int;
-      (** LP solves served by replaying a retained parent tableau
-          (subset of [lp_solves]); the rest refactorised a basis
-          snapshot or ran cold *)
+      (** always [0]: no LP solve replays a retained tableau.  Kept
+          only because the repository benchmark reads it. *)
   total_pivots : int;
       (** simplex pivots summed over every LP solve of the tree *)
   time_to_incumbent : float;

@@ -438,80 +438,6 @@ let build problem ~options ~lo ~hi ~n ~n_slack =
 let snapshot tab =
   { Basis.rows = Array.copy tab.basis; stat = Array.copy tab.stat }
 
-(* ---- hot tableau handoff ------------------------------------------
-
-   A basis snapshot is compact but costs a full Gauss-Jordan
-   refactorisation to reinstall — O(m) eliminations, which dwarfs the
-   handful of dual pivots a branch & bound child actually needs.  A
-   [hot] value instead keeps the parent's final *reduced tableau*;
-   re-solving under new variable bounds is then a row-copy plus a
-   direct rhs update (the reduced columns B^-1 A_j are already in the
-   tableau), skipping refactorisation entirely.
-
-   Validity: the tableau encodes the constraint coefficients, so a hot
-   value may only be replayed against the SAME problem (possibly with
-   different variable bounds).  Branch & bound guarantees this; the
-   snapshot API remains the vehicle for cross-problem reuse such as
-   rate-search steps where coefficients rescale. *)
-type hot = {
-  h_tab : tableau;  (* final reduced tableau, owned by this value *)
-  h_lo : float array;  (* structural bounds the tableau was solved under *)
-  h_hi : float array;
-}
-
-let clone_tableau tab ~options =
-  {
-    tab with
-    t = Array.map Array.copy tab.t;
-    beta = Array.copy tab.beta;
-    basis = Array.copy tab.basis;
-    in_row = Array.copy tab.in_row;
-    stat = Array.copy tab.stat;
-    up = Array.copy tab.up;
-    d = Array.copy tab.d;
-    opts = options;
-  }
-
-(* Rebase a cloned hot tableau from the bounds it was solved under to
-   [lo]/[hi].  Uses the identity
-
-     beta_i = (B^-1 b)_i - sum_{nonbasic j} t_ij * rest_j - lo_basis(i)
-
-   where rest_j is the actual resting value of nonbasic column j, so a
-   bound change is a rank-1 rhs update per affected column.  The
-   resulting basic values may violate the new bounds; the dual simplex
-   repairs that. *)
-let rebase_bounds tab ~old_lo ~old_hi ~lo ~hi =
-  let n = tab.n in
-  for j = 0 to n - 1 do
-    let up_new = Float.max 0. (hi.(j) -. lo.(j)) in
-    (match tab.stat.(j) with
-    | Basic ->
-        let dlo = lo.(j) -. old_lo.(j) in
-        if dlo <> 0. then begin
-          let r = tab.in_row.(j) in
-          tab.beta.(r) <- tab.beta.(r) -. dlo
-        end
-    | s ->
-        let old_rest =
-          match s with At_upper -> old_hi.(j) | _ -> old_lo.(j)
-        in
-        let new_stat =
-          if s = At_upper && Float.is_finite up_new then At_upper
-          else At_lower
-        in
-        let new_rest =
-          match new_stat with At_upper -> hi.(j) | _ -> lo.(j)
-        in
-        tab.stat.(j) <- new_stat;
-        let dv = new_rest -. old_rest in
-        if dv <> 0. then
-          for i = 0 to tab.m - 1 do
-            tab.beta.(i) <- tab.beta.(i) -. (tab.t.(i).(j) *. dv)
-          done);
-    tab.up.(j) <- up_new
-  done
-
 (* Restore a recorded basis into a freshly built tableau: Gauss-Jordan
    eliminate each recorded basic column (carrying the rhs in [beta]),
    then shift the rhs by the nonbasic-at-upper-bound columns.  Returns
@@ -591,14 +517,11 @@ let install_basis tab (b : Basis.t) =
 type result = {
   status : Solution.status;
   basis : Basis.t option;
-  hot : hot option;  (* only when [keep_hot] and the solve was optimal *)
   pivots : int;
   warm_used : bool;
-  hot_used : bool;
 }
 
-let solve_warm ?(options = default_options) ?warm ?hot ?(keep_hot = false) ?lo
-    ?hi problem =
+let solve_warm ?(options = default_options) ?warm ?lo ?hi problem =
   let n = Problem.n_vars problem in
   let vars = Problem.vars problem in
   let constrs = Problem.constrs problem in
@@ -624,8 +547,8 @@ let solve_warm ?(options = default_options) ?warm ?hot ?(keep_hot = false) ?lo
     if lo.(j) > hi.(j) +. options.feas_tol then bound_conflict := true
   done;
   if !bound_conflict then
-    { status = Solution.Infeasible; basis = None; hot = None; pivots = 0;
-      warm_used = false; hot_used = false }
+    { status = Solution.Infeasible; basis = None; pivots = 0;
+      warm_used = false }
   else begin
     let n_slack =
       Array.fold_left
@@ -647,7 +570,6 @@ let solve_warm ?(options = default_options) ?warm ?hot ?(keep_hot = false) ?lo
       (Problem.objective problem);
     let pivots_left = ref options.max_pivots in
     let spent () = options.max_pivots - !pivots_left in
-    let warm_used = ref false in
     (* feasibility judged by the actual violation of each original
        constraint, with a tolerance that grows mildly with the
        right-hand-side magnitude (rounding accumulates in absolute
@@ -683,47 +605,10 @@ let solve_warm ?(options = default_options) ?warm ?hot ?(keep_hot = false) ?lo
       Solution.Optimal { Solution.x; objective = obj }
     in
     let fresh () = build problem ~options ~lo ~hi ~n ~n_slack in
-    let hot_used = ref false in
-    (* Shared tail of both warm entries: dual repair, primal cleanup,
+    (* ---- warm path: refactorise a basis snapshot, repair primal
+       infeasibility with the dual simplex, mop up with a primal pass,
        then accept only if the point truly satisfies the original
-       constraints; [on_fallback] unwinds the used flags before the
-       caller retries a colder path. *)
-    let reoptimise tab ~on_fallback =
-      compute_duals tab c2;
-      match dual_iterate tab ~pivots_left with
-      | Dual_budget -> Some (Solution.Iteration_limit, None, None)
-      | Primal_infeasible -> Some (Solution.Infeasible, None, None)
-      | Dual_stalled ->
-          on_fallback ();
-          None
-      | Dual_feasible_point -> (
-          match iterate tab ~allowed:(fun j -> j < n_real) ~pivots_left with
-          | Budget_exhausted -> Some (Solution.Iteration_limit, None, None)
-          | Unbounded_ray -> Some (Solution.Unbounded, None, None)
-          | Optimal_reached ->
-              if violated tab then begin
-                (* numerical drift through the warm path; retry colder *)
-                on_fallback ();
-                None
-              end
-              else Some (extract tab, Some (snapshot tab), Some tab))
-    in
-    (* ---- hottest path: replay a final tableau under new bounds ---- *)
-    let try_hot (h : hot) =
-      let t0 = h.h_tab in
-      if t0.m <> m || t0.ncols <> ncols || t0.n <> n then None
-      else begin
-        let tab = clone_tableau t0 ~options in
-        rebase_bounds tab ~old_lo:h.h_lo ~old_hi:h.h_hi ~lo ~hi;
-        hot_used := true;
-        warm_used := true;
-        reoptimise tab
-          ~on_fallback:(fun () ->
-            hot_used := false;
-            warm_used := false)
-      end
-    in
-    (* ---- warm path: refactorise a basis snapshot, then repair ---- *)
+       constraints; [None] falls back to the cold solve ---- *)
     let try_warm b =
       if not (Basis.compatible b ~rows:m ~cols:ncols) then None
       else begin
@@ -733,8 +618,21 @@ let solve_warm ?(options = default_options) ?warm ?hot ?(keep_hot = false) ?lo
         done;
         if not (install_basis tab b) then None
         else begin
-          warm_used := true;
-          reoptimise tab ~on_fallback:(fun () -> warm_used := false)
+          compute_duals tab c2;
+          match dual_iterate tab ~pivots_left with
+          | Dual_budget -> Some (Solution.Iteration_limit, None)
+          | Primal_infeasible -> Some (Solution.Infeasible, None)
+          | Dual_stalled -> None
+          | Dual_feasible_point -> (
+              match
+                iterate tab ~allowed:(fun j -> j < n_real) ~pivots_left
+              with
+              | Budget_exhausted -> Some (Solution.Iteration_limit, None)
+              | Unbounded_ray -> Some (Solution.Unbounded, None)
+              | Optimal_reached ->
+                  (* numerical drift through the warm path; retry cold *)
+                  if violated tab then None
+                  else Some (extract tab, Some (snapshot tab)))
         end
       end
     in
@@ -747,12 +645,12 @@ let solve_warm ?(options = default_options) ?warm ?hot ?(keep_hot = false) ?lo
       done;
       compute_duals tab c1;
       match iterate tab ~allowed:(fun _ -> true) ~pivots_left with
-      | Budget_exhausted -> (Solution.Iteration_limit, None, None)
+      | Budget_exhausted -> (Solution.Iteration_limit, None)
       | Unbounded_ray ->
           (* cannot happen: the phase-1 objective is bounded below *)
-          (Solution.Infeasible, None, None)
+          (Solution.Infeasible, None)
       | Optimal_reached ->
-          if violated tab then (Solution.Infeasible, None, None)
+          if violated tab then (Solution.Infeasible, None)
           else begin
             (* remove artificials from the basis where possible *)
             for i = 0 to m - 1 do
@@ -764,32 +662,19 @@ let solve_warm ?(options = default_options) ?warm ?hot ?(keep_hot = false) ?lo
             done;
             compute_duals tab c2;
             match iterate tab ~allowed:(fun j -> j < n_real) ~pivots_left with
-            | Budget_exhausted -> (Solution.Iteration_limit, None, None)
-            | Unbounded_ray -> (Solution.Unbounded, None, None)
-            | Optimal_reached -> (extract tab, Some (snapshot tab), Some tab)
+            | Budget_exhausted -> (Solution.Iteration_limit, None)
+            | Unbounded_ray -> (Solution.Unbounded, None)
+            | Optimal_reached -> (extract tab, Some (snapshot tab))
           end
     in
-    (* fallback ladder: hot tableau -> basis snapshot -> cold *)
-    let attempt = match hot with Some h -> try_hot h | None -> None in
-    let attempt =
-      match attempt with
-      | Some _ -> attempt
-      | None -> ( match warm with Some b -> try_warm b | None -> None)
-    in
-    let status, basis, tab =
-      match attempt with Some r -> r | None -> cold ()
+    (* fallback ladder: basis snapshot -> cold *)
+    let (status, basis), warm_used =
+      match Option.bind warm try_warm with
+      | Some r -> (r, true)
+      | None -> (cold (), false)
     in
     add_pivots (spent ());
-    let hot_out =
-      if keep_hot then
-        match tab with
-        | Some tab ->
-            Some { h_tab = tab; h_lo = Array.copy lo; h_hi = Array.copy hi }
-        | None -> None
-      else None
-    in
-    { status; basis; hot = hot_out; pivots = spent ();
-      warm_used = !warm_used; hot_used = !hot_used }
+    { status; basis; pivots = spent (); warm_used }
   end
 
 let solve ?options ?lo ?hi problem =

@@ -7,9 +7,13 @@
     bound flips, and phase 1 drives a full set of artificial variables
     to zero.  Dantzig pricing is used with a Bland's-rule fallback
     after a run of degenerate pivots, which guarantees termination.
-    (The sparse engine, {!Sparse}, prices devex instead; the two must
-    agree on every optimum, and this tableau is the reference the
-    tests and fuzz oracles hold it to.)
+
+    Branch & bound never calls this engine directly: its LPs run on
+    the sparse revised simplex ({!Sparse}).  The tableau has two jobs.
+    It is {!Sparse}'s verified fallback when the sparse path declines
+    a solve, and it is the reference the tests and the
+    [lp-certificate] fuzz oracle hold the sparse engine to.  The two
+    must agree on every optimum.
 
     {!solve_warm} additionally accepts a {!Basis.t} snapshot from a
     previous solve of a structurally identical problem: the basis is
@@ -21,11 +25,7 @@
     dimension mismatch, singular basis, numerically marginal dual
     pivot, or a post-solve feasibility check failure — it falls back
     to the cold two-phase solve, so warm starts never change results,
-    only the work needed to reach them.
-
-    Problem sizes in Wishbone are small (at most a few thousand rows
-    after preprocessing), so a dense tableau is both simple and fast
-    enough; see DESIGN.md §10. *)
+    only the work needed to reach them.  See DESIGN.md §10. *)
 
 type options = {
   max_pivots : int;  (** total pivot budget across all phases *)
@@ -45,22 +45,8 @@ val solve :
   Solution.status
 (** [solve p] ignores integrality markers and solves the LP
     relaxation.  [lo] / [hi], when given, override the problem's
-    variable bounds without mutating it (used by branch & bound).
+    variable bounds without mutating it (used by {!Brute}).
     Overriding arrays must have length [Problem.n_vars p]. *)
-
-type hot
-(** A retained final tableau from a previous optimal solve.  Replaying
-    it under new variable bounds skips the refactorisation a
-    {!Basis.t} snapshot would need: the clone is a flat copy and the
-    bound change a direct right-hand-side update, after which the dual
-    simplex repairs the (usually tiny) primal infeasibility.
-
-    A [hot] value is only valid against the {e same} problem — the
-    tableau embeds the constraint coefficients — whereas a basis
-    snapshot survives uniform coefficient rescales.  Branch & bound
-    replays hot tableaus within one tree and falls back to the basis
-    snapshot (then to a cold solve) whenever a hot replay is
-    unavailable or numerically untrustworthy. *)
 
 type result = {
   status : Solution.status;
@@ -68,39 +54,25 @@ type result = {
       (** the optimal basis, present exactly when [status] is
           [Optimal]; feed it back as [?warm] to re-solve after a bound
           change or a uniform coefficient rescale *)
-  hot : hot option;
-      (** the final tableau, present when [keep_hot] was set and
-          [status] is [Optimal]; feed it back as [?hot] to re-solve
-          the same problem under different bounds without
-          refactorising.  Costs the tableau's memory (O(m * ncols))
-          for as long as the value is retained. *)
   pivots : int;  (** simplex pivots spent, all phases combined *)
   warm_used : bool;
-      (** the supplied warm basis or hot tableau was accepted (the
-          result may still have required a cold fallback afterwards —
-          in that case this is [false] again) *)
-  hot_used : bool;
-      (** the supplied hot tableau specifically was accepted *)
+      (** the supplied warm basis was accepted (the result may still
+          have required a cold fallback afterwards — in that case this
+          is [false] again) *)
 }
 
 val solve_warm :
   ?options:options ->
   ?warm:Basis.t ->
-  ?hot:hot ->
-  ?keep_hot:bool ->
   ?lo:float array ->
   ?hi:float array ->
   Problem.t ->
   result
 (** Like {!solve} but instrumented: returns the final basis alongside
-    the solution and the pivot count, and optionally starts warm.
-    [solve_warm ~hot ~lo ~hi p] is the branch & bound hot path: same
-    problem, one changed bound, parent tableau in — child optimum out
-    in a few dual pivots with no refactorisation.  The start ladder is
-    [hot] (tableau replay), then [warm] (snapshot refactorisation),
-    then the cold two-phase solve; every rung falls through to the
-    next when it cannot be trusted, so warm starts never change
-    results. *)
+    the solution and the pivot count, and optionally starts warm from
+    [warm] (snapshot refactorisation, dual repair, primal cleanup).
+    When the warm start cannot be trusted the solve falls through to
+    the cold two-phase solve, so warm starts never change results. *)
 
 (** {1 Pivot accounting}
 

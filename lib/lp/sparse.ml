@@ -717,8 +717,8 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
     if lo.(j) > hi.(j) +. options.feas_tol then bound_conflict := true
   done;
   if !bound_conflict then
-    { Simplex.status = Solution.Infeasible; basis = None; hot = None;
-      pivots = 0; warm_used = false; hot_used = false }
+    { Simplex.status = Solution.Infeasible; basis = None; pivots = 0;
+      warm_used = false }
   else begin
     let pivots_left = ref options.max_pivots in
     let spent () = options.max_pivots - !pivots_left in
@@ -812,7 +812,7 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
     in
     (* shared tail of warm starts, which leave the phase-2 duals of
        their basis in [st.y]: dual repair, primal cleanup, then accept
-       only a verified-feasible point (mirrors Simplex.reoptimise) *)
+       only a verified-feasible point (mirrors Simplex's warm path) *)
     let reoptimise st ~on_fallback =
       match dual st with
       | Dual_budget -> Some (Solution.Iteration_limit, None)
@@ -991,14 +991,13 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
     match attempt with
     | Some (status, basis) ->
         Simplex.add_pivots (spent ());
-        { Simplex.status; basis; hot = None; pivots = spent ();
-          warm_used = !warm_used; hot_used = false }
+        { Simplex.status; basis; pivots = spent (); warm_used = !warm_used }
     | None -> (
         match cold () with
         | status, basis ->
             Simplex.add_pivots (spent ());
-            { Simplex.status; basis; hot = None; pivots = spent ();
-              warm_used = !warm_used; hot_used = false }
+            { Simplex.status; basis; pivots = spent ();
+              warm_used = !warm_used }
         | exception Decline ->
             (* verified dense fallback, with the remaining budget *)
             Atomic.incr fallbacks;

@@ -1,4 +1,5 @@
-(** Sparse revised simplex for the partitioning hot path.
+(** Sparse revised simplex for the partitioning hot path, and the only
+    LP engine {!Branch_bound} calls.
 
     The partition ILPs are near-network-flow: 2-3 nonzeros in almost
     every row.  The dense tableau in {!Simplex} pays O(rows x cols)
@@ -56,11 +57,11 @@ val solve_warm :
   ?session:session ->
   data ->
   Simplex.result
-(** Like {!Simplex.solve_warm} on the compiled problem.  The returned
-    [hot] field is always [None]: a warm start refactorises the basis
-    snapshot.  That is not free.  Over the [compile] benchmark's
-    solves the refactorisation (factorise, then basic values and
-    duals) takes 23 % of [solve_warm] time and the dual repair 19 %;
+(** Like {!Simplex.solve_warm} on the compiled problem.  A warm start
+    refactorises the basis snapshot.  That is not free.  Over the
+    [compile] benchmark's solves the refactorisation (factorise, then
+    basic values and duals) takes 23 % of [solve_warm] time and the
+    dual repair 19 %;
     primal cleanup takes 10 %, warm re-initialisation, point and
     basis extraction and snapshot restore 6–7 % each, the
     feasibility check 4 % and the snapshot save 3 %, and cold root

@@ -273,11 +273,10 @@ val solve :
     accept it within its row tolerance and could prune the true
     optimum.
 
-    [options] also selects the LP engine
-    ({!Lp.Branch_bound.options.solver}): by default eeg-scale
-    encodings run on the sparse revised simplex and small ones on the
-    dense tableau, and either engine returns the same partition (see
-    DESIGN.md §14). *)
+    Every encoding, whatever its size, is solved by branch & bound on
+    the sparse revised simplex (DESIGN.md §14).  Where several
+    assignments tie at the optimum, which one is returned is fixed per
+    build but can depend on search order. *)
 
 val ops_on : report -> int -> int list
 (** Original operator ids the report places on a tier, ascending. *)

@@ -30,9 +30,7 @@ val default_search_options : Lp.Branch_bound.options
     knapsack and exact proofs can take minutes (the paper's §7.1 tail);
     the search trades marginal optimality for bounded runtime, as the
     paper itself suggests ("use an approximate lower bound to establish
-    a termination condition").  Engine selection is inherited from
-    {!Lp.Branch_bound.default_options} ([Auto]); override [solver] here
-    to force an engine — the rates found are identical either way. *)
+    a termination condition"). *)
 
 val search_placement :
   ?encoding:Placement.encoding ->

@@ -249,32 +249,6 @@ let test_warm_bound_change () =
     (Solution.get c.Simplex.status).objective
     (Solution.get w.Simplex.status).objective
 
-let test_hot_tableau_replay () =
-  (* same model as the bound-change test, but re-solving by replaying
-     the retained final tableau instead of refactorising the basis *)
-  let p = Problem.create () in
-  let x = Problem.add_var ~hi:4. p and y = Problem.add_var ~hi:3. p in
-  Problem.add_constr p [ (x, 1.); (y, 2.) ] Problem.Le 6.;
-  Problem.set_objective p Problem.Maximize [ (x, 2.); (y, 3.) ];
-  let r = Simplex.solve_warm ~keep_hot:true p in
-  check_close "cold objective" 11. (Solution.get r.Simplex.status).objective;
-  let hot =
-    match r.Simplex.hot with
-    | Some h -> h
-    | None -> Alcotest.fail "keep_hot solve returned no hot tableau"
-  in
-  let lo = [| 0.; 0. |] and hi = [| 2.; 3. |] in
-  let h = Simplex.solve_warm ~hot ~lo ~hi p in
-  Alcotest.(check bool) "hot tableau accepted" true h.Simplex.hot_used;
-  check_close "hot objective" 10. (Solution.get h.Simplex.status).objective;
-  (* a hot value can be replayed more than once: loosen back *)
-  let h2 = Simplex.solve_warm ~hot p in
-  Alcotest.(check bool) "hot replayed twice" true h2.Simplex.hot_used;
-  check_close "replay objective" 11.
-    (Solution.get h2.Simplex.status).objective;
-  (* without keep_hot, no tableau is retained *)
-  Alcotest.(check bool) "no hot unless requested" true (h.Simplex.hot = None)
-
 let test_warm_detects_infeasible () =
   let p = Problem.create () in
   let x = Problem.add_var ~hi:1. p and y = Problem.add_var ~hi:1. p in
@@ -292,8 +266,8 @@ let test_warm_detects_infeasible () =
    [feas_tol * 100]; re-solving warm from that optimum's own basis must
    not then certify the LP infeasible.  Generator case 787219: the cold
    optimum 6.22373 violates row c2 by ~8e-6, and the warm start's dual
-   repair finds no entering column for that row, on all three engines;
-   it must fall back to the cold verdict. *)
+   repair finds no entering column for that row, on both engines; it
+   must fall back to the cold verdict. *)
 let test_warm_keeps_cold_verdict () =
   let seed = 787219 in
   let p = Check.Gen.lp (Prng.create seed) ~size:(3 + (seed mod 26)) in
@@ -472,8 +446,8 @@ let prop_warm_lp_matches_cold =
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let p = random_lp seed in
-      match Simplex.solve_warm ~keep_hot:true p with
-      | { Simplex.status = Solution.Optimal _; basis = Some b; hot; _ } -> (
+      match Simplex.solve_warm p with
+      | { Simplex.status = Solution.Optimal _; basis = Some b; _ } -> (
           (* tighten a few bounds, as branch & bound would *)
           let rng = Prng.create (seed + 77) in
           let vars = Problem.vars p in
@@ -487,21 +461,17 @@ let prop_warm_lp_matches_cold =
             else lo.(v) <- lo.(v) +. ((hi.(v) -. lo.(v)) /. 2.)
           done;
           let w = Simplex.solve_warm ~warm:b ~lo ~hi p in
-          let h = Simplex.solve_warm ?hot ~lo ~hi p in
           let c = Simplex.solve_warm ~lo ~hi p in
-          let agree tag (a : Simplex.result) =
-            match (a.Simplex.status, c.Simplex.status) with
-            | Solution.Optimal a, Solution.Optimal b2 ->
-                if Float.abs (a.objective -. b2.objective) > 1e-5 then
-                  QCheck.Test.fail_reportf "seed %d: %s=%.9g cold=%.9g" seed
-                    tag a.objective b2.objective
-                else true
-            | Solution.Infeasible, Solution.Infeasible -> true
-            | a, b2 ->
-                QCheck.Test.fail_reportf "seed %d: %s=%a cold=%a" seed tag
-                  Solution.pp_status a Solution.pp_status b2
-          in
-          agree "warm" w && agree "hot" h)
+          match (w.Simplex.status, c.Simplex.status) with
+          | Solution.Optimal a, Solution.Optimal b2 ->
+              if Float.abs (a.objective -. b2.objective) > 1e-5 then
+                QCheck.Test.fail_reportf "seed %d: warm=%.9g cold=%.9g" seed
+                  a.objective b2.objective
+              else true
+          | Solution.Infeasible, Solution.Infeasible -> true
+          | a, b2 ->
+              QCheck.Test.fail_reportf "seed %d: warm=%a cold=%a" seed
+                Solution.pp_status a Solution.pp_status b2)
       | _ -> true)
 
 (* The satellite property from ISSUE 1: across random Wishbone ILP
@@ -947,41 +917,38 @@ let test_sparse_basis_roundtrip () =
     (Solution.get s.Simplex.status).objective
     (Solution.get s2.Simplex.status).objective
 
-(* ---- one answer from every LP engine ---- *)
+(* ---- branch & bound against exhaustive enumeration ---- *)
 
-let solve_with ~solver p =
-  let options = { Branch_bound.default_options with solver } in
-  Branch_bound.solve ~options p
-
-(* The same optimum from the dense and sparse LP engines. *)
-let prop_engines_same_optimum =
-  QCheck.Test.make ~count:120 ~name:"sparse and dense B&B optimum agree"
+(* Branch & bound on the fuzz generator's ILPs against [Brute], which
+   enumerates the integer points and shares only the dense LP with the
+   search.  Every instance has at most four rows, so this holds the
+   sparse engine to exhaustive enumeration on the smallest models it
+   solves. *)
+let prop_bb_matches_brute_gen =
+  QCheck.Test.make ~count:120 ~name:"B&B matches brute force (Gen.ilp)"
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Prng.create seed in
       let p = Check.Gen.ilp rng ~size:(3 + (seed mod 10)) in
-      let base, _ = solve_with ~solver:Branch_bound.Dense p in
-      match (fst (solve_with ~solver:Branch_bound.Sparse_revised p), base) with
+      match (fst (Branch_bound.solve p), Brute.solve p) with
       | Solution.Optimal a, Solution.Optimal b ->
           let tol = 1e-6 *. Float.max 1. (Float.abs b.objective) in
           if Float.abs (a.objective -. b.objective) > tol then
-            QCheck.Test.fail_reportf "seed %d: sparse=%.9g dense=%.9g" seed
+            QCheck.Test.fail_reportf "seed %d: bb=%.9g brute=%.9g" seed
               a.objective b.objective
           else if Problem.constraint_violation p a.x > 1e-5 then
-            QCheck.Test.fail_reportf "seed %d: sparse infeasible" seed
+            QCheck.Test.fail_reportf "seed %d: bb solution infeasible" seed
           else true
       | Solution.Infeasible, Solution.Infeasible -> true
-      | Solution.Iteration_limit, _ | _, Solution.Iteration_limit -> true
+      | Solution.Iteration_limit, _ -> true
       | a, b ->
-          QCheck.Test.fail_reportf "seed %d: sparse=%a dense=%a" seed
+          QCheck.Test.fail_reportf "seed %d: bb=%a brute=%a" seed
             Solution.pp_status a Solution.pp_status b)
 
-let test_engines_deterministic () =
+let test_bb_deterministic () =
   (* same problem, solved twice: bit-identical solution vectors *)
   let p = random_problem 4242 in
-  match (solve_with ~solver:Branch_bound.Auto p,
-         solve_with ~solver:Branch_bound.Auto p)
-  with
+  match (Branch_bound.solve p, Branch_bound.solve p) with
   | (Solution.Optimal a, _), (Solution.Optimal b, _) ->
       Alcotest.(check bool) "reproducible" true
         (a.x = b.x && a.objective = b.objective)
@@ -1002,8 +969,7 @@ let knapsack12 () =
   p
 
 (* A 0-1 knapsack over [n] items with 48 capacity rows, each at half
-   its row's total weight: enough rows for [Auto] to pick the sparse
-   engine. *)
+   its row's total weight. *)
 let multi_knapsack seed ~n () =
   let rng = Prng.create seed in
   let p = Problem.create () in
@@ -1020,47 +986,32 @@ let multi_knapsack seed ~n () =
        (Array.map (fun v -> (v, Float.of_int (1 + Prng.int rng 20))) vars));
   p
 
-let test_engines_knapsack () =
+let test_knapsack_matches_brute () =
   let p = knapsack12 () in
-  let reference, _ = solve_with ~solver:Branch_bound.Dense p in
-  let robj = (Solution.get reference).objective in
-  List.iter
-    (fun (solver, tag) ->
-      let st, stats = solve_with ~solver p in
-      check_close (tag ^ " optimum") robj (Solution.get st).objective;
-      Alcotest.(check bool) (tag ^ " proved") true
-        stats.Branch_bound.proved_optimal)
-    [
-      (Branch_bound.Dense, "dense");
-      (Branch_bound.Sparse_revised, "sparse");
-      (Branch_bound.Auto, "auto");
-    ]
+  let st, stats = Branch_bound.solve p in
+  check_close "optimum" (Solution.get (Brute.solve p)).objective
+    (Solution.get st).objective;
+  Alcotest.(check bool) "proved" true stats.Branch_bound.proved_optimal
 
-(* Work counters and objective bits of the sequential search, pinned
-   at the values the search gave before its parallel-wave variant was
-   deleted: the same nodes, LP solves, hot-tableau solves and pivots in
-   the same order, under the dense engine (hot ring live) and the
-   sparse one, plus two pivot-budgeted runs.  [None] is a budgeted run
-   that ends without an incumbent.  The sparse rows also pin the factor
-   work (refactorisations, Forrest–Tomlin updates and their row-eta
-   entries), and the 48-row knapsack, where [Auto] picks the sparse
-   engine, pins a search of 78 nodes of mostly one-refactorisation
-   warm re-solves. *)
+(* Work counters and objective bits of the sequential search: nodes,
+   LP solves and pivots, the factor work (refactorisations,
+   Forrest–Tomlin updates and their row-eta entries), under the
+   default options and one pivot-budgeted run.  [None] is a budgeted
+   run that ends without an incumbent.  The 48-row knapsack pins a
+   search of 78 nodes of mostly one-refactorisation warm re-solves. *)
 let test_bb_stats_pinned () =
   let ilp seed size () = Check.Gen.ilp (Prng.create seed) ~size in
   List.iter
-    (fun (tag, build, solver, pivot_budget, (nodes, lps, hot, pivots, proved),
+    (fun (tag, build, pivot_budget, (nodes, lps, pivots, proved),
           (refac, ft_updates, ft_entries), obj) ->
-      let options =
-        { Branch_bound.default_options with solver; pivot_budget }
-      in
+      let options = { Branch_bound.default_options with pivot_budget } in
       let c0 = Sparse.counters () and fb0 = Sparse.dense_fallbacks () in
       let st, s = Branch_bound.solve ~options (build ()) in
       let c1 = Sparse.counters () in
       let ck what = Alcotest.(check int) (tag ^ " " ^ what) in
       ck "nodes" nodes s.Branch_bound.nodes_explored;
       ck "LP solves" lps s.Branch_bound.lp_solves;
-      ck "hot solves" hot s.Branch_bound.hot_solves;
+      ck "hot solves" 0 s.Branch_bound.hot_solves;
       ck "pivots" pivots s.Branch_bound.total_pivots;
       ck "refactorisations" refac
         (c1.Sparse.refactorisations - c0.Sparse.refactorisations);
@@ -1074,31 +1025,20 @@ let test_bb_stats_pinned () =
         | Solution.Optimal x -> Some (Int64.bits_of_float x.objective)
         | Solution.Iteration_limit -> None
         | st -> Alcotest.failf "%s: %a" tag Solution.pp_status st))
-    Branch_bound.
-      [
-        ("knapsack dense", knapsack12, Dense, max_int, (5, 9, 8, 29, true),
-         (0, 0, 0), Some 0x4048800000000000L);
-        ("knapsack sparse", knapsack12, Sparse_revised, max_int,
-         (5, 9, 0, 30, true), (5, 15, 0), Some 0x4048800000000000L);
-        ("ilp 79 dense", ilp 79 12, Dense, max_int, (7, 14, 12, 33, true),
-         (0, 0, 0), Some 0x401c000000000000L);
-        ("ilp 79 sparse", ilp 79 12, Sparse_revised, max_int,
-         (7, 13, 0, 32, true), (5, 15, 1), Some 0x401c000000000000L);
-        ("ilp 231 dense", ilp 231 21, Dense, max_int, (11, 22, 20, 48, true),
-         (0, 0, 0), Some 0xc018000000000000L);
-        ("ilp 231 sparse", ilp 231 21, Sparse_revised, max_int,
-         (9, 17, 0, 39, true), (8, 21, 9), Some 0xc018000000000000L);
-        ("ilp 271 dense", ilp 271 4, Dense, max_int, (10, 21, 18, 48, true),
-         (0, 0, 0), Some 0x3ff0000000000000L);
-        ("ilp 271 sparse", ilp 271 4, Sparse_revised, max_int,
-         (9, 17, 0, 41, true), (9, 23, 18), Some 0x3ff0000000000000L);
-        ("knapsack dense, 20 pivots", knapsack12, Dense, 20,
-         (2, 5, 4, 21, false), (0, 0, 0), None);
-        ("knapsack sparse, 30 pivots", knapsack12, Sparse_revised, 30,
-         (4, 9, 0, 30, false), (5, 15, 0), None);
-        ("48-row knapsack auto", multi_knapsack 1 ~n:16, Auto, max_int,
-         (78, 155, 0, 814, true), (79, 653, 3645), Some 0x4056000000000000L);
-      ]
+    [
+      ("knapsack", knapsack12, max_int, (5, 9, 30, true), (5, 15, 0),
+       Some 0x4048800000000000L);
+      ("ilp 79", ilp 79 12, max_int, (7, 13, 32, true), (5, 15, 1),
+       Some 0x401c000000000000L);
+      ("ilp 231", ilp 231 21, max_int, (9, 17, 39, true), (8, 21, 9),
+       Some 0xc018000000000000L);
+      ("ilp 271", ilp 271 4, max_int, (9, 17, 41, true), (9, 23, 18),
+       Some 0x3ff0000000000000L);
+      ("knapsack, 30 pivots", knapsack12, 30, (4, 9, 30, false), (5, 15, 0),
+       None);
+      ("48-row knapsack", multi_knapsack 1 ~n:16, max_int,
+       (78, 155, 814, true), (79, 653, 3645), Some 0x4056000000000000L);
+    ]
 
 (* ---- delta-encoded node bounds ---- *)
 
@@ -1201,7 +1141,6 @@ let () =
       ( "warm_start",
         [
           tc "bound change" test_warm_bound_change;
-          tc "hot tableau replay" test_hot_tableau_replay;
           tc "detects infeasible" test_warm_detects_infeasible;
           tc "keeps the cold verdict" test_warm_keeps_cold_verdict;
           tc "rescaled coefficients" test_warm_rescaled_coefficients;
@@ -1229,13 +1168,13 @@ let () =
           tc "snapshot round-trip" test_factor_snapshot_roundtrip;
         ] );
       (* the group's tests once also ran a parallel search; they now
-         hold the LP engines to one answer *)
+         hold branch & bound to exhaustive enumeration and to itself *)
       ( "parallel",
         [
-          tc "knapsack all engines" test_engines_knapsack;
-          tc "deterministic" test_engines_deterministic;
+          tc "knapsack matches brute force" test_knapsack_matches_brute;
+          tc "deterministic" test_bb_deterministic;
           tc "delta bounds round-trip" test_delta_bounds_roundtrip;
-          QCheck_alcotest.to_alcotest prop_engines_same_optimum;
+          QCheck_alcotest.to_alcotest prop_bb_matches_brute_gen;
         ] );
       ( "pqueue",
         [ tc "heap order" test_pqueue_order; tc "empty" test_pqueue_empty ] );

@@ -172,10 +172,17 @@ let test_fig3_partition_shape () =
       (fun i -> r.Placement.tier_of.(i) = 0)
       (List.init (Array.length r.Placement.tier_of) Fun.id)
   in
-  Alcotest.(check (list int)) "ops on the node at budget 4" [ 0; 1; 2 ]
+  Alcotest.(check (list int)) "ops on the node at budget 4" [ 0; 3; 4 ]
     node_ops;
   feq "objective = cut bandwidth" r.Placement.link_net.(0)
-    r.Placement.objective
+    r.Placement.objective;
+  (* the mirror A chain cuts the same 5 *)
+  let pl = Placement.of_spec (Apps.Synthetic.fig3_spec ~cpu_budget:4.) in
+  let a_chain = [| 0; 0; 0; 1; 1; 1 |] in
+  Alcotest.(check bool) "A chain feasible" true
+    (Placement.feasible pl ~tier_of:a_chain);
+  feq "A chain co-optimal" r.Placement.objective
+    (Placement.objective_value pl ~tier_of:a_chain)
 
 (* ---- hand-checked three-tier fixture ------------------------------ *)
 

@@ -5,9 +5,8 @@
      response digests must be identical for shard counts 1/2/4 and
      equal to the direct no-service solve path, with exact cache
      counters;
-   - qcheck: cache-hit replay is byte-identical to the cold solve for
-     the dense and sparse LP engines, and an evicted entry re-solves
-     to the first answer;
+   - qcheck: cache-hit replay is byte-identical to the cold solve, and
+     an evicted entry re-solves to the first answer;
    - cache safety: the instance key covers every budget, so specs
      equal modulo CPU (or radio) budget never collide, the query key
      separates rates and searches, the keys of profiled tier chains
@@ -113,23 +112,17 @@ let test_shard_determinism () =
 
 (* ---- qcheck: replay and eviction equivalences --------------------- *)
 
-let engines = [| Lp.Branch_bound.Dense; Lp.Branch_bound.Sparse_revised |]
-
 let prop_replay_equals_cold =
   QCheck.Test.make ~count:40 ~name:"cache-hit replay = cold solve"
-    QCheck.(pair small_int (int_bound 1))
-    (fun (seed, engine) ->
-      let options =
-        { Lp.Branch_bound.default_options with solver = engines.(engine) }
-      in
+    QCheck.small_int (fun seed ->
       let pl = synth (1 + seed) in
       let queries = [| rate pl 0.9; rate pl 1.2; search pl; rate pl 0.9 |] in
-      let svc = Service.create ~capacity:8 ~options () in
+      let svc = Service.create ~capacity:8 () in
       let cold = digests (Service.run_batch svc queries) in
       let warm = digests (Service.run_batch svc queries) in
       let direct =
         Array.map
-          (fun qu -> Service.answer_digest (Service.solve_direct ~options qu))
+          (fun qu -> Service.answer_digest (Service.solve_direct qu))
           queries
       in
       cold = warm && cold = direct)

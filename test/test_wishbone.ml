@@ -210,11 +210,19 @@ let test_fig3_budgets () =
     [ (2., 8.); (3., 6.); (4., 5.) ]
 
 let test_fig3_partition_shape () =
-  (* at budget 4 the whole A chain moves to the node (vertical cut) *)
+  (* at budget 4 a whole chain moves to the node (vertical cut).  The A
+     and B chains mirror each other, so {S,A1,A2} and {S,B1,B2} both
+     cut 5; the search returns B, and A must be just as good *)
   let spec = Apps.Synthetic.fig3_spec ~cpu_budget:4. in
   match solve spec with
   | Placement.Partitioned r ->
-      Alcotest.(check (list int)) "node ops" [ 0; 1; 2 ] (Placement.ops_on r 0)
+      Alcotest.(check (list int)) "node ops" [ 0; 3; 4 ] (Placement.ops_on r 0);
+      let pl = Placement.of_spec spec in
+      let a_chain = [| 0; 0; 0; 1; 1; 1 |] in
+      Alcotest.(check bool) "A chain feasible" true
+        (Placement.feasible pl ~tier_of:a_chain);
+      feq "A chain co-optimal" r.objective
+        (Placement.objective_value pl ~tier_of:a_chain)
   | _ -> Alcotest.fail "no partition"
 
 (* ---- encodings ---- *)
