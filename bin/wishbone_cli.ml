@@ -1,19 +1,26 @@
-(* The wishbone command-line tool: profile, partition, rate-sweep and
-   deploy the bundled applications from the shell.
+(* The wishbone command-line tool: profile, partition, rate-sweep,
+   deploy and serve the bundled applications from the shell.
 
      wishbone platforms
      wishbone profile  -a speech -p tmote
-     wishbone partition -a eeg -p tmote --mode permissive --rate 0.5
+     wishbone partition -a eeg22 -p tmote --mode permissive --rate 0.5
+     wishbone partition -a eeg1 --topology "tmote>2,tmote>2,gumstix" --search
      wishbone sweep    -a speech -p tmote --from 0.01 --to 0.2 --steps 10
-     wishbone deploy   -a speech -p tmote --nodes 20 --cut 6
+     wishbone deploy   -p tmote --nodes 20 --cut 6
      wishbone serve    --queries fleet.txt --shards 2 --repeat 2
-     wishbone netprofile --nodes 20 --target 0.9 *)
+     wishbone netprofile --nodes 20 --target 0.9
+
+   Apps, tier topologies and requests are spelled in the one query
+   grammar of [Apps.Query]: [partition] answers one query, [serve] a
+   file of them, and [deploy] runs one on the simulated testbed. *)
 
 open Cmdliner
 
 let die m =
   Printf.eprintf "error: %s\n" m;
   exit 1
+
+let or_die ?(prefix = "") = function Ok x -> x | Error m -> die (prefix ^ m)
 
 (* ---- shared arguments ---- *)
 
@@ -42,29 +49,18 @@ let nonneg_float =
   number ~what:"a non-negative number" ~ok:(fun x -> x >= 0.)
     float_of_string_opt Fun.id Format.pp_print_float
 
-type app = Speech | Eeg | Eeg1
-
-let app_conv =
-  let parse = function
-    | "speech" -> Ok Speech
-    | "eeg" -> Ok Eeg
-    | "eeg1" -> Ok Eeg1
-    | s -> Error (`Msg (Printf.sprintf "unknown app %S (speech|eeg|eeg1)" s))
-  in
-  let print ppf = function
-    | Speech -> Format.fprintf ppf "speech"
-    | Eeg -> Format.fprintf ppf "eeg"
-    | Eeg1 -> Format.fprintf ppf "eeg1"
-  in
-  Arg.conv (parse, print)
-
 let app_arg =
+  let parse s = Result.map_error (fun m -> `Msg m) (Apps.Query.app_of_string s)
+  and print ppf a = Format.pp_print_string ppf (Apps.Query.app_to_string a) in
   Arg.(
     value
-    & opt app_conv Speech
+    & opt (conv (parse, print)) Apps.Query.Speech
     & info [ "a"; "app" ] ~docv:"APP"
-        ~doc:"Application: speech (MFCC pipeline), eeg (22 channels), eeg1 \
-              (single channel).")
+        ~doc:
+          ("Application: " ^ Apps.Query.apps
+         ^ ".  speech is the MFCC pipeline, eegN the N-channel EEG \
+            detector; a synthetic app is a random spec with its own \
+            budgets, so the platform flags do not apply to it."))
 
 let platform_conv =
   let parse s =
@@ -117,162 +113,30 @@ let mode_arg =
            upstream of state; permissive relocates with per-node state \
            tables (§2.1.1).")
 
-(* ---- tier chains (--tiers) ---- *)
-
-let tiers_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "tiers" ] ~docv:"PLAT,PLAT,..."
-        ~doc:
-          "Solve over a multi-tier platform chain instead of the two-way \
-           cut: comma-separated platform names, node-most first (e.g. \
-           $(b,tmote,gumstix)); an unbudgeted central server is appended \
-           implicitly.  Overrides $(b,--platform) for the node tier.")
-
-(* [flag] names the option the chain came from in error messages *)
-let parse_chain ~flag s =
-  let names =
-    String.split_on_char ',' s
-    |> List.map String.trim
-    |> List.filter (fun x -> x <> "")
-  in
-  if names = [] then Error (flag ^ ": empty platform chain")
-  else
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | n :: rest -> (
-          match Profiler.Platform.find n with
-          | p -> go (p :: acc) rest
-          | exception Not_found ->
-              Error (Printf.sprintf "%s: unknown platform %S" flag n))
-    in
-    go [] names
-
-(* ---- tier trees (--topology) ---- *)
-
-(* A rooted tier tree over the listed platforms, node-most first, plus
-   the implicit unbudgeted central server as the root (one past the
-   last listed platform).  [parents = None] is the plain chain, exactly
-   as --tiers builds it; see [Wishbone.Placement.of_platforms]. *)
-type topo_spec = {
-  plats : Profiler.Platform.t list;
-  parents : int array option;
-}
-
 let topology_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "topology" ] ~docv:"PLAT[>K],..."
         ~doc:
-          "Solve over a rooted tier $(i,tree) instead of a chain: \
-           comma-separated $(b,PLATFORM[>K]) entries, node-most first, \
-           where $(b,>K) uplinks the tier to the K'th entry (0-based; K \
-           may also be one past the last entry, naming the implicit \
-           unbudgeted central server at the root).  Without $(b,>K) an \
-           entry uplinks to the next one, so a list with no $(b,>K) at \
-           all is exactly the $(b,--tiers) chain.  Example: \
+          "Solve over a multi-tier platform chain or rooted tier \
+           $(i,tree) instead of the two-way cut: comma-separated \
+           $(b,PLATFORM[>K]) entries, node-most first, where $(b,>K) \
+           uplinks the tier to the K'th entry (0-based; K may also be one \
+           past the last entry, naming the implicit unbudgeted central \
+           server at the root).  Without $(b,>K) an entry uplinks to the \
+           next one, so $(b,tmote,meraki) is a chain.  Example: \
            $(b,tmote>2,tmote>2,gumstix) is a Y — two motes sharing one \
-           gumstix whose uplink reaches the server.")
+           gumstix whose uplink reaches the server.  Overrides \
+           $(b,--platform) for the node tier.")
 
-(* [flag] names the option or field the tree came from in errors *)
-let parse_topology ~flag s =
-  if not (String.contains s '>') then
-    Result.map
-      (fun plats -> { plats; parents = None })
-      (parse_chain ~flag s)
-  else
-    let toks =
-      String.split_on_char ',' s
-      |> List.map String.trim
-      |> List.filter (fun x -> x <> "")
-    in
-    let n = List.length toks in
-    if n = 0 then Error (flag ^ ": empty platform list")
-    else
-      let rec go i plats parents = function
-        | [] -> (
-            let parents = Array.of_list (List.rev (-1 :: parents)) in
-            match Wishbone.Placement.Topology.of_parents parents with
-            | _ -> Ok { plats = List.rev plats; parents = Some parents }
-            | exception Invalid_argument m -> Error (flag ^ ": " ^ m))
-        | tok :: rest -> (
-            let name, parent =
-              match String.index_opt tok '>' with
-              | None -> (tok, Ok (i + 1))
-              | Some j -> (
-                  let k =
-                    String.sub tok (j + 1) (String.length tok - j - 1)
-                  in
-                  ( String.sub tok 0 j,
-                    match int_of_string_opt (String.trim k) with
-                    | Some p when p > i && p <= n -> Ok p
-                    | Some p ->
-                        Error
-                          (Printf.sprintf
-                             "%s: %S: parent %d not in (%d, %d] (parents \
-                              must sit later in the list; %d is the \
-                              server)"
-                             flag tok p i n n)
-                    | None ->
-                        Error
-                          (Printf.sprintf "%s: bad parent index in %S" flag
-                             tok) ))
-            in
-            match parent with
-            | Error m -> Error m
-            | Ok p -> (
-                match Profiler.Platform.find (String.trim name) with
-                | plat -> go (i + 1) (plat :: plats) (p :: parents) rest
-                | exception Not_found ->
-                    Error (Printf.sprintf "%s: unknown platform %S" flag name)))
-      in
-      go 0 [] [] toks
+(* the one query a command's flags name, with no budget overrides *)
+let flag_query profiles ~mode app topology request =
+  or_die
+    (Apps.Query.build profiles ~mode
+       { app; topology = Some topology; request; cpu = None; net = None })
 
-(* --tiers and --topology are mutually exclusive; [None] when neither
-   was given *)
-let tier_spec tiers topology =
-  match (tiers, topology) with
-  | Some _, Some _ -> Error "--tiers and --topology are mutually exclusive"
-  | Some s, None ->
-      Result.map
-        (fun plats -> Some { plats; parents = None })
-        (parse_chain ~flag:"--tiers" s)
-  | None, Some s ->
-      Result.map Option.some (parse_topology ~flag:"--topology" s)
-  | None, None -> Ok None
-
-(* ---- app construction ---- *)
-
-type built = {
-  graph : Dataflow.Graph.t;
-  profile : duration:float -> Profiler.Profile.raw;
-  label : string;
-}
-
-let build_app = function
-  | Speech ->
-      let t = Apps.Speech.build () in
-      {
-        graph = t.Apps.Speech.graph;
-        profile = (fun ~duration -> Apps.Speech.profile ~duration t);
-        label = "speech detection (MFCC pipeline)";
-      }
-  | Eeg ->
-      let t = Apps.Eeg.build () in
-      {
-        graph = t.Apps.Eeg.graph;
-        profile = (fun ~duration -> Apps.Eeg.profile ~duration t);
-        label = "EEG seizure detection, 22 channels";
-      }
-  | Eeg1 ->
-      let t = Apps.Eeg.single_channel () in
-      {
-        graph = t.Apps.Eeg.graph;
-        profile = (fun ~duration -> Apps.Eeg.profile ~duration t);
-        label = "EEG seizure detection, single channel";
-      }
+let node_only platform = { Apps.Query.plats = [ platform ]; parents = None }
 
 (* ---- commands ---- *)
 
@@ -292,9 +156,10 @@ let platforms_cmd =
 
 let profile_cmd =
   let run app platform duration =
-    let b = build_app app in
-    Printf.printf "profiling %s for %.0f s...\n" b.label duration;
-    let raw = b.profile ~duration in
+    let raw = or_die (Apps.Query.profile (Apps.Query.cache ~duration) app) in
+    let graph = Profiler.Profile.graph raw in
+    Printf.printf "profiling %s for %.0f s...\n" (Apps.Query.describe app)
+      duration;
     let costed = Profiler.Profile.cost raw platform in
     Printf.printf "%-16s %6s %14s %10s %12s\n" "operator" "fires" "us/fire"
       "cpu %" "out B/s";
@@ -305,27 +170,27 @@ let profile_cmd =
             (fun acc (e : Dataflow.Graph.edge) ->
               acc +. Profiler.Profile.edge_bytes_per_sec raw e.eid)
             0.
-            (Dataflow.Graph.succs b.graph op.id)
+            (Dataflow.Graph.succs graph op.id)
         in
         Printf.printf "%-16s %6d %14.1f %10.3f %12.1f\n" op.name
           (Profiler.Profile.op_fires raw op.id)
           (costed.seconds_per_fire.(op.id) *. 1e6)
           (100. *. costed.cpu_fraction.(op.id))
           out_bps)
-      (Dataflow.Graph.ops b.graph)
+      (Dataflow.Graph.ops graph)
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:"Profile an application on synthetic sample data (§3).")
     Term.(const run $ app_arg $ platform_arg $ duration_arg)
 
+let rate_arg =
+  Arg.(
+    value
+    & opt (pos_float ~flag:"--rate") 1.0
+    & info [ "rate" ] ~docv:"X" ~doc:"Input rate multiplier (§4.3).")
+
 let partition_cmd =
-  let rate_arg =
-    Arg.(
-      value
-      & opt (pos_float ~flag:"--rate") 1.0
-      & info [ "rate" ] ~docv:"X" ~doc:"Input rate multiplier (§4.3).")
-  in
   let dot_arg =
     Arg.(
       value
@@ -424,14 +289,7 @@ let partition_cmd =
           /. Float.max 1. (Float.abs objective))
           objective bound
   in
-  let budget_failure m =
-    Printf.eprintf
-      "%s before any feasible partition was found; raise --max-pivots, \
-       --node-budget, --pivot-budget or --time-limit-ms\n"
-      m;
-    exit 1
-  in
-  let run app platform duration mode rate dot search tiers topology max_pivots
+  let run app platform duration mode rate dot search topology max_pivots
       time_limit_ms node_budget pivot_budget =
     (* the rate search keeps its looser per-solve budgets unless
        overridden explicitly *)
@@ -444,74 +302,72 @@ let partition_cmd =
     Lp.Simplex.reset_cumulative_pivots ();
     Lp.Sparse.reset_counters ();
     let fb0 = Lp.Sparse.dense_fallbacks () in
-    let b = build_app app in
-    let raw = b.profile ~duration in
-    let ts =
-      match tier_spec tiers topology with
-      | Ok (Some ts) -> ts
-      | Ok None -> { plats = [ platform ]; parents = None }
-      | Error m -> die m
+    let topology =
+      match topology with
+      | None -> node_only platform
+      | Some s -> or_die (Apps.Query.topology_of_string ~flag:"--topology" s)
     in
-    let node_platform = List.hd ts.plats in
-    let spec =
-      match Wishbone.Spec.of_profile ~mode ~node_platform raw with
-      | Ok spec -> spec
-      | Error m -> die m
+    let profiles = Apps.Query.cache ~duration in
+    let q =
+      flag_query profiles ~mode app topology
+        (if search then Search else Rate rate)
     in
-    let pl =
-      Wishbone.Placement.of_platforms ?parents:ts.parents spec raw ts.plats
+    (* --dot colours the graph by the profiled trace, so a synthetic app
+       is refused before solving *)
+    let dot =
+      let trace () = Apps.Query.profile profiles app in
+      Option.map (fun path -> (path, or_die ~prefix:"--dot: " (trace ()))) dot
     in
-    let finish pl (r : Wishbone.Placement.report) =
-      Format.printf "%a@." (Wishbone.Placement.pp_report b.graph pl) r;
+    let finish rate (r : Wishbone.Placement.report) =
+      let pl = Wishbone.Placement.scale_rate q.placement rate in
+      Format.printf "%a@."
+        (Wishbone.Placement.pp_report q.placement.spec.graph pl)
+        r;
       report_counters ~fb0;
       report_budget ~objective:r.objective r.solver;
-      match dot with
-      | Some path ->
-          let costed = Profiler.Profile.cost raw node_platform in
+      Option.iter
+        (fun (path, raw) ->
+          let costed = Profiler.Profile.cost raw (List.hd topology.plats) in
           let assignment = Array.map (fun tier -> tier = 0) r.tier_of in
-          Wishbone.Viz.save ~path ~assignment ~costed raw;
-          Printf.printf "wrote %s\n" path
-      | None -> ()
+          (try Wishbone.Viz.save ~path ~assignment ~costed raw
+           with Sys_error m -> die ("--dot: " ^ m));
+          Printf.printf "wrote %s\n" path)
+        dot
     in
-    if search then
-      match Wishbone.Rate_search.search_placement ~options pl with
-      | Some { placement_multiplier; placement_report; placement_exact } ->
-          Printf.printf "maximum sustainable rate: x%.4f%s\n"
-            placement_multiplier
-            (if placement_exact then ""
-             else
-               " (degraded: a search probe died on the solver budget; this \
-                rate is a safe lower bound)");
-          finish
-            (Wishbone.Placement.scale_rate pl placement_multiplier)
-            placement_report
-      | None ->
-          print_endline "no feasible placement at any rate";
-          exit 1
-    else
-      let pl = Wishbone.Placement.scale_rate pl rate in
-      match Wishbone.Placement.solve ~options pl with
-      | Wishbone.Placement.Partitioned r -> finish pl r
-      | Wishbone.Placement.No_feasible_partition ->
-          print_endline "no feasible placement at this rate; try --search";
-          exit 1
-      | Wishbone.Placement.Solver_failure m when m = "solver budget exhausted"
-        ->
-          budget_failure m
-      | Wishbone.Placement.Solver_failure m ->
-          Printf.eprintf "solver failure: %s\n" m;
-          exit 1
+    match Wishbone.Service.solve_direct ~options q with
+    | (Placed { rate; report } | Degraded { rate; report; _ }) as answer ->
+        if search then
+          Printf.printf "maximum sustainable rate: x%.4f%s\n" rate
+            (match answer with
+            | Degraded _ ->
+                " (degraded: a search probe died on the solver budget; this \
+                 rate is a safe lower bound)"
+            | _ -> "");
+        finish rate report
+    | Infeasible ->
+        print_endline
+          (if search then "no feasible placement at any rate"
+           else "no feasible placement at this rate; try --search");
+        exit 1
+    | Failed m ->
+        if m = "solver budget exhausted" then
+          Printf.eprintf
+            "%s before any feasible partition was found; raise \
+             --max-pivots, --node-budget, --pivot-budget or --time-limit-ms\n"
+            m
+        else Printf.eprintf "solver failure: %s\n" m;
+        exit 1
   in
   Cmd.v
     (Cmd.info "partition"
        ~doc:
          "Compute the optimal node/server partition (§4), or — with \
-          $(b,--tiers) / $(b,--topology) — the optimal placement over a \
-          multi-tier platform chain or rooted tier tree.")
+          $(b,--topology) — the optimal placement over a multi-tier \
+          platform chain or rooted tier tree.")
     Term.(
       const run $ app_arg $ platform_arg $ duration_arg $ mode_arg $ rate_arg
-      $ dot_arg $ search_arg $ tiers_arg $ topology_arg $ max_pivots_arg
-      $ time_limit_arg $ node_budget_arg $ pivot_budget_arg)
+      $ dot_arg $ search_arg $ topology_arg $ max_pivots_arg $ time_limit_arg
+      $ node_budget_arg $ pivot_budget_arg)
 
 let sweep_cmd =
   let from_arg =
@@ -533,31 +389,25 @@ let sweep_cmd =
       & info [ "steps" ] ~docv:"N" ~doc:"Sweep points.")
   in
   let run app platform duration mode lo hi steps =
-    let b = build_app app in
-    let raw = b.profile ~duration in
-    match Wishbone.Spec.of_profile ~mode ~node_platform:platform raw with
-    | Error m -> die m
-    | Ok spec ->
-        let pl = Wishbone.Placement.of_spec spec in
-        Printf.printf "%-10s %16s %16s %12s\n" "rate x" "ops on node"
-          "cut B/s" "node cpu %";
-        for i = 0 to steps - 1 do
-          let mult =
-            lo +. ((hi -. lo) *. Float.of_int i /. Float.of_int (Int.max 1 (steps - 1)))
-          in
-          match
-            Wishbone.Placement.solve (Wishbone.Placement.scale_rate pl mult)
-          with
-          | Wishbone.Placement.Partitioned r ->
-              Printf.printf "%-10.3f %16d %16.1f %12.1f\n" mult
-                (List.length (Wishbone.Placement.ops_on r 0))
-                r.link_net.(0)
-                (100. *. r.tier_cpu.(0))
-          | Wishbone.Placement.No_feasible_partition ->
-              Printf.printf "%-10.3f %16s\n" mult "(does not fit)"
-          | Wishbone.Placement.Solver_failure m ->
-              Printf.printf "%-10.3f solver failure: %s\n" mult m
-        done
+    let q =
+      flag_query (Apps.Query.cache ~duration) ~mode app (node_only platform)
+        (Rate lo)
+    in
+    Printf.printf "%-10s %16s %16s %12s\n" "rate x" "ops on node" "cut B/s"
+      "node cpu %";
+    for i = 0 to steps - 1 do
+      let mult =
+        lo +. ((hi -. lo) *. Float.of_int i /. Float.of_int (Int.max 1 (steps - 1)))
+      in
+      match Wishbone.Service.solve_direct { q with request = Rate mult } with
+      | Placed { report = r; _ } | Degraded { report = r; _ } ->
+          Printf.printf "%-10.3f %16d %16.1f %12.1f\n" mult
+            (List.length (Wishbone.Placement.ops_on r 0))
+            r.link_net.(0)
+            (100. *. r.tier_cpu.(0))
+      | Infeasible -> Printf.printf "%-10.3f %16s\n" mult "(does not fit)"
+      | Failed m -> Printf.printf "%-10.3f solver failure: %s\n" mult m
+    done
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Partition across a range of input rates.")
@@ -621,106 +471,91 @@ let deploy_cmd =
                 goodput and steps the rate down the §4.3 lattice and/or \
                 repartitions until the target is met.")
   in
-  let rate_arg =
-    Arg.(
-      value
-      & opt (pos_float ~flag:"--rate") 1.0
-      & info [ "rate" ] ~docv:"X" ~doc:"Input rate multiplier.")
-  in
   let seed_arg =
     Arg.(value & opt int 5 & info [ "seed" ] ~docv:"N" ~doc:"Simulation seed.")
   in
+  (* deploy runs the speech app, profiled for 10 s under the
+     conservative mode *)
+  let speech_query topology rate =
+    flag_query
+      (Apps.Query.cache ~duration:10.)
+      ~mode:Wishbone.Movable.Conservative Speech topology (Rate rate)
+  in
   let run_tiers_deploy ~ts ~replicas ~sim_duration ~rate ~seed t =
-    let node_platform = List.hd ts.plats in
-    let raw = Apps.Speech.profile ~duration:10. t in
-    match
-      Wishbone.Spec.of_profile ~mode:Wishbone.Movable.Conservative
-        ~node_platform raw
-    with
-    | Error m -> die m
-    | Ok spec -> (
-        (* build at rate 1, then scale every tier, not just tier 0 *)
-        let pl =
-          Wishbone.Placement.scale_rate
-            (Wishbone.Placement.of_platforms ?parents:ts.parents spec raw
-               ts.plats)
-            rate
+    let q = speech_query ts rate in
+    match Wishbone.Service.solve_direct q with
+    | Infeasible ->
+        print_endline "no feasible placement at this rate";
+        exit 1
+    | Failed m ->
+        Printf.eprintf "solver failure: %s\n" m;
+        exit 1
+    | Placed { report = r; _ } | Degraded { report = r; _ } ->
+        (* every tier is costed at --rate, not just tier 0 *)
+        let pl = Wishbone.Placement.scale_rate q.placement rate in
+        Format.printf "%a@."
+          (Wishbone.Placement.pp_report q.placement.spec.graph pl)
+          r;
+        let n_links = Wishbone.Placement.n_tiers pl - 1 in
+        (* every link is a bounded shedding channel so overload shows up
+           as per-link drop counters, not silence *)
+        let links =
+          List.init n_links (fun k ->
+              Some
+                {
+                  Runtime.Multirun.policy = Runtime.Shed.Drop_newest;
+                  capacity = 8;
+                  service = 1;
+                  seed = seed + k;
+                })
         in
-        match Wishbone.Placement.solve pl with
-        | Wishbone.Placement.No_feasible_partition ->
-            print_endline "no feasible placement at this rate";
-            exit 1
-        | Wishbone.Placement.Solver_failure m ->
-            Printf.eprintf "solver failure: %s\n" m;
-            exit 1
-        | Wishbone.Placement.Partitioned r ->
-            Format.printf "%a@."
-              (Wishbone.Placement.pp_report t.Apps.Speech.graph pl)
-              r;
-            let n_links = Wishbone.Placement.n_tiers pl - 1 in
-            (* every link is a bounded shedding channel so overload
-               shows up as per-link drop counters, not silence *)
-            let links =
-              List.init n_links (fun k ->
-                  Some
-                    {
-                      Runtime.Multirun.policy = Runtime.Shed.Drop_newest;
-                      capacity = 8;
-                      service = 1;
-                      seed = seed + k;
-                    })
-            in
-            let sources =
-              List.map
-                (fun (s : Netsim.Testbed.source_spec) -> (s.source, s.gen))
-                (Apps.Speech.testbed_sources ~rate_mult:rate t)
-            in
-            let rounds = Int.max 1 (int_of_float sim_duration) in
-            let tc =
-              Wishbone.Deploy.run_tiers ~n_nodes:replicas ~links ~rounds
-                ~placement:pl ~tier_of:r.tier_of ~sources ()
-            in
-            (* rounds injections per node at frame_rate*rate windows/s
-               -> per-node offered B/s for the predicted-vs-measured
-               comparison *)
-            let per_sec bytes =
-              Float.of_int bytes
-              *. Apps.Speech.frame_rate *. rate
-              /. Float.of_int (rounds * replicas)
-            in
-            Printf.printf "%-10s %16s %16s %10s\n" "link" "predicted B/s"
-              "offered B/s" "dropped";
-            for k = 0 to n_links - 1 do
-              Printf.printf "%-10s %16.1f %16.1f %10d\n"
-                pl.Wishbone.Placement.links.(k).Wishbone.Placement.lname
-                tc.Wishbone.Deploy.predicted_link_net.(k)
-                (per_sec tc.Wishbone.Deploy.offered_bytes.(k))
-                tc.Wishbone.Deploy.link_dropped.(k)
-            done;
-            Printf.printf "sink outputs: %d\n"
-              tc.Wishbone.Deploy.sink_outputs)
+        let sources =
+          List.map
+            (fun (s : Netsim.Testbed.source_spec) -> (s.source, s.gen))
+            (Apps.Speech.testbed_sources ~rate_mult:rate t)
+        in
+        let rounds = Int.max 1 (int_of_float sim_duration) in
+        let tc =
+          Wishbone.Deploy.run_tiers ~n_nodes:replicas ~links ~rounds
+            ~placement:pl ~tier_of:r.tier_of ~sources ()
+        in
+        (* rounds injections per node at frame_rate*rate windows/s ->
+           per-node offered B/s for the predicted-vs-measured comparison *)
+        let per_sec bytes =
+          Float.of_int bytes *. Apps.Speech.frame_rate *. rate
+          /. Float.of_int (rounds * replicas)
+        in
+        Printf.printf "%-10s %16s %16s %10s\n" "link" "predicted B/s"
+          "offered B/s" "dropped";
+        for k = 0 to n_links - 1 do
+          Printf.printf "%-10s %16.1f %16.1f %10d\n"
+            pl.Wishbone.Placement.links.(k).Wishbone.Placement.lname
+            tc.Wishbone.Deploy.predicted_link_net.(k)
+            (per_sec tc.Wishbone.Deploy.offered_bytes.(k))
+            tc.Wishbone.Deploy.link_dropped.(k)
+        done;
+        Printf.printf "sink outputs: %d\n" tc.Wishbone.Deploy.sink_outputs
   in
   let run platform nodes cut sim_duration faults burst_loss crash_rate
-      reliable adaptive rate seed tiers topology =
+      reliable adaptive rate seed topology =
     let t = Apps.Speech.build () in
     (* the tier placement to execute and its tier-0 replica count *)
     let tiered =
-      match (tiers, topology) with
-      | None, Some "testbed" ->
+      match topology with
+      | Some "testbed" ->
           (* the fig. 9/10 routing tree: every mote a leaf tier of the
              node platform, one radio hop from the basestation root;
              the sensing sources sit on tier 0, so the fan-out IS the
              topology and no extra tier-0 replication applies *)
           Some
             ( {
-                plats = List.init nodes (fun _ -> platform);
+                Apps.Query.plats = List.init nodes (fun _ -> platform);
                 parents = Some (Netsim.Testbed.routing_parents ~n_nodes:nodes);
               },
               1 )
-      | _ -> (
-          match tier_spec tiers topology with
-          | Error m -> die m
-          | Ok ts -> Option.map (fun ts -> (ts, nodes)) ts)
+      | Some s ->
+          Some (or_die (Apps.Query.topology_of_string ~flag:"--topology" s), nodes)
+      | None -> None
     in
     match tiered with
     | Some (ts, replicas) ->
@@ -766,25 +601,20 @@ let deploy_cmd =
       Apps.Speech.testbed_sources ~rate_mult:rate t
     in
     if adaptive then begin
-      let raw = Apps.Speech.profile ~duration:10. t in
-      match
-        Wishbone.Spec.of_profile ~mode:Wishbone.Movable.Conservative
-          ~node_platform:platform raw
-      with
-      | Error m -> die m
-      | Ok spec ->
-          let probe ~rate:r ~assignment =
-            Wishbone.Adaptive.testbed_probe ~config ~graph:t.Apps.Speech.graph
-              ~sources:(fun ~rate:r' -> sources ~rate:(rate *. r'))
-              ~rate:r ~assignment
-          in
-          let out = Wishbone.Adaptive.run ~spec ~assignment ~probe () in
-          Format.printf "%a" Wishbone.Adaptive.pp_trace out.Wishbone.Adaptive.trace;
-          Printf.printf
-            "final: rate x%.4f, goodput %.1f%%%s\n"
-            (rate *. out.Wishbone.Adaptive.rate)
-            (100. *. out.Wishbone.Adaptive.goodput)
-            (if out.Wishbone.Adaptive.converged then "" else " (not converged)")
+      let q = speech_query (node_only platform) 1. in
+      let probe ~rate:r ~assignment =
+        Wishbone.Adaptive.testbed_probe ~config ~graph:t.Apps.Speech.graph
+          ~sources:(fun ~rate:r' -> sources ~rate:(rate *. r'))
+          ~rate:r ~assignment
+      in
+      let out =
+        Wishbone.Adaptive.run ~spec:q.placement.spec ~assignment ~probe ()
+      in
+      Format.printf "%a" Wishbone.Adaptive.pp_trace out.Wishbone.Adaptive.trace;
+      Printf.printf "final: rate x%.4f, goodput %.1f%%%s\n"
+        (rate *. out.Wishbone.Adaptive.rate)
+        (100. *. out.Wishbone.Adaptive.goodput)
+        (if out.Wishbone.Adaptive.converged then "" else " (not converged)")
     end
     else begin
       let r =
@@ -818,16 +648,15 @@ let deploy_cmd =
     (Cmd.info "deploy"
        ~doc:
          "Run the speech app on the simulated wireless testbed (§7.3), \
-          optionally under injected faults; with $(b,--tiers) or \
-          $(b,--topology), execute a multi-tier placement through the \
-          tier-level engine with bounded inter-tier channels and a \
+          optionally under injected faults; with $(b,--topology), execute \
+          a multi-tier placement through the tier-level engine with bounded inter-tier channels and a \
           per-edge predicted-vs-offered table.  $(b,--topology testbed) \
           places against the testbed's own routing tree ($(b,--nodes) \
           motes, one hop from the basestation).")
     Term.(
       const run $ platform_arg $ nodes_arg $ cut_arg $ sim_duration_arg
       $ faults_arg $ burst_loss_arg $ crash_rate_arg $ reliable_arg
-      $ adaptive_arg $ rate_arg $ seed_arg $ tiers_arg $ topology_arg)
+      $ adaptive_arg $ rate_arg $ seed_arg $ topology_arg)
 
 (* ---- serve: the fleet placement service over a query file ---- *)
 
@@ -839,14 +668,12 @@ let serve_cmd =
       & info [ "queries" ] ~docv:"FILE"
           ~doc:
             "Newline-delimited query file.  Each line is $(b,APP CHAIN \
-             REQUEST [cpu=F] [net=F]) where APP is \
-             speech|eeg1|eeg14|eeg22|synthetic:SEED[:NOPS], CHAIN is a \
-             comma-separated platform chain (node-most first; $(b,-) for \
-             synthetic specs, which carry their own budgets) — or, with \
-             $(b,PLAT>K) entries, a rooted tier tree as in \
-             $(b,--topology) — REQUEST is $(b,rate X) or $(b,search), \
-             and cpu=/net= override the node CPU and radio budgets.  \
-             Blank lines and $(b,#) comments are skipped.")
+             REQUEST [cpu=F] [net=F]) in the query grammar that \
+             $(b,partition) also speaks: APP is as for $(b,--app), CHAIN \
+             a $(b,--topology) tier list ($(b,-) for synthetic specs, \
+             which carry their own budgets), REQUEST is $(b,rate X) or \
+             $(b,search), and cpu=/net= override the node CPU and radio \
+             budgets.  Blank lines and $(b,#) comments are skipped.")
   in
   let shards_arg =
     Arg.(
@@ -914,132 +741,6 @@ let serve_cmd =
   in
   let run queries_file shards cache repeat node_budget retry checkpoint
       inject_faults mode duration =
-    let fail line msg =
-      Printf.eprintf "serve: line %d: %s\n" line msg;
-      exit 1
-    in
-    (* profiling dominates query construction, so raw traces are
-       cached per app token and re-costed per platform *)
-    let profiles : (string, Dataflow.Graph.t * Profiler.Profile.raw) Hashtbl.t =
-      Hashtbl.create 4
-    in
-    let profile_app line token =
-      match Hashtbl.find_opt profiles token with
-      | Some gr -> gr
-      | None ->
-          let build () =
-            match token with
-            | "speech" ->
-                let t = Apps.Speech.build () in
-                (t.Apps.Speech.graph, Apps.Speech.profile ~duration t)
-            | "eeg1" ->
-                let t = Apps.Eeg.single_channel () in
-                (t.Apps.Eeg.graph, Apps.Eeg.profile ~duration t)
-            | "eeg14" ->
-                let t = Apps.Eeg.build ~n_channels:14 () in
-                (t.Apps.Eeg.graph, Apps.Eeg.profile ~duration t)
-            | "eeg22" ->
-                let t = Apps.Eeg.build ~n_channels:22 () in
-                (t.Apps.Eeg.graph, Apps.Eeg.profile ~duration t)
-            | _ -> fail line (Printf.sprintf "unknown app %S" token)
-          in
-          let gr = build () in
-          Hashtbl.add profiles token gr;
-          gr
-    in
-    let synthetic_spec line token =
-      let spec ~seed ?n_ops () =
-        match Apps.Synthetic.random_spec ~seed ?n_ops ~mode () with
-        | spec -> spec
-        | exception Invalid_argument m ->
-            fail line (Printf.sprintf "%s: %s" token m)
-      in
-      match String.split_on_char ':' token with
-      | [ _; seed ] -> (
-          match int_of_string_opt seed with
-          | Some seed -> spec ~seed ()
-          | None -> fail line (Printf.sprintf "bad synthetic seed %S" seed))
-      | [ _; seed; n_ops ] -> (
-          match (int_of_string_opt seed, int_of_string_opt n_ops) with
-          | Some seed, Some n_ops -> spec ~seed ~n_ops ()
-          | _ -> fail line (Printf.sprintf "bad synthetic token %S" token))
-      | _ ->
-          fail line
-            (Printf.sprintf "bad synthetic token %S (synthetic:SEED[:NOPS])"
-               token)
-    in
-    (* budgets may be unbounded ([inf]) but not NaN or negative *)
-    let parse_overrides line (spec : Wishbone.Spec.t) tokens =
-      let budget tok v =
-        match float_of_string_opt v with
-        | Some f when f >= 0. -> f
-        | _ ->
-            fail line
-              (Printf.sprintf "bad override %S (budgets are numbers >= 0)" tok)
-      in
-      List.fold_left
-        (fun (spec : Wishbone.Spec.t) tok ->
-          match String.split_on_char '=' tok with
-          | [ "cpu"; v ] ->
-              { spec with Wishbone.Spec.cpu_budget = budget tok v }
-          | [ "net"; v ] ->
-              { spec with Wishbone.Spec.net_budget = budget tok v }
-          | _ -> fail line (Printf.sprintf "unknown override %S" tok))
-        spec tokens
-    in
-    let parse_line lineno text =
-      let tokens =
-        String.split_on_char ' ' text
-        |> List.concat_map (String.split_on_char '\t')
-        |> List.filter (fun t -> t <> "")
-      in
-      match tokens with
-      | [] -> None
-      | _ when String.length (List.hd tokens) > 0
-               && (List.hd tokens).[0] = '#' -> None
-      | app :: chain :: rest ->
-          let request, overrides =
-            match rest with
-            | "search" :: o -> (Wishbone.Service.Search, o)
-            | "rate" :: x :: o -> (
-                match float_of_string_opt x with
-                | Some r when r > 0. && Float.is_finite r ->
-                    (Wishbone.Service.Rate r, o)
-                | _ ->
-                    fail lineno
-                      (Printf.sprintf "bad rate %S (rates are finite and > 0)"
-                         x))
-            | _ -> fail lineno "expected `rate X' or `search'"
-          in
-          let placement =
-            if String.length app >= 9 && String.sub app 0 9 = "synthetic"
-            then begin
-              if chain <> "-" then
-                fail lineno
-                  "synthetic specs carry their own budgets; use `-' for \
-                   the chain";
-              let spec = synthetic_spec lineno app in
-              Wishbone.Placement.of_spec (parse_overrides lineno spec overrides)
-            end
-            else begin
-              let ts =
-                match parse_topology ~flag:"chain" chain with
-                | Ok t -> t
-                | Error m -> fail lineno m
-              in
-              let _, raw = profile_app lineno app in
-              let node_platform = List.hd ts.plats in
-              match Wishbone.Spec.of_profile ~mode ~node_platform raw with
-              | Error m -> fail lineno m
-              | Ok spec ->
-                  Wishbone.Placement.of_platforms ?parents:ts.parents
-                    (parse_overrides lineno spec overrides)
-                    raw ts.plats
-            end
-          in
-          Some (text, { Wishbone.Service.placement; request })
-      | _ -> fail lineno "expected `APP CHAIN REQUEST'"
-    in
     let lines =
       match In_channel.with_open_text queries_file In_channel.input_all with
       | text ->
@@ -1051,8 +752,24 @@ let serve_cmd =
           else Printf.eprintf "serve: %s: %s\n" queries_file m;
           exit 1
     in
+    (* each app is profiled once, on first use *)
+    let profiles = Apps.Query.cache ~duration in
     let labelled =
-      List.filter_map (fun (n, l) -> parse_line n l) lines |> Array.of_list
+      List.filter_map
+        (fun (n, text) ->
+          let fail msg =
+            Printf.eprintf "serve: line %d: %s\n" n msg;
+            exit 1
+          in
+          match Apps.Query.parse text with
+          | Ok None -> None
+          | Ok (Some l) -> (
+              match Apps.Query.build profiles ~mode l with
+              | Ok q -> Some (text, q)
+              | Error m -> fail m)
+          | Error m -> fail m)
+        lines
+      |> Array.of_list
     in
     if Array.length labelled = 0 then begin
       Printf.eprintf "serve: %s: no queries\n" queries_file;
@@ -1075,19 +792,18 @@ let serve_cmd =
       | None ->
           Wishbone.Service.create ~capacity:cache ~options ~retries:retry
             ~fault_plan ()
-      | Some path -> (
+      | Some path ->
           let svc, outcome =
             Wishbone.Service.restore ~capacity:cache ~options ~retries:retry
               ~fault_plan path
           in
-          match outcome with
-          | Wishbone.Service.Restored n ->
+          (match outcome with
+          | Restored n ->
               Printf.printf "checkpoint: restored %d cache entries from %s\n"
-                n path;
-              svc
-          | Wishbone.Service.Cold_start reason ->
-              Printf.printf "checkpoint: cold start (%s)\n" reason;
-              svc)
+                n path
+          | Cold_start reason ->
+              Printf.printf "checkpoint: cold start (%s)\n" reason);
+          svc
     in
     for pass = 1 to repeat do
       let t0 = Unix.gettimeofday () in
@@ -1095,57 +811,47 @@ let serve_cmd =
       let dt = Unix.gettimeofday () -. t0 in
       Array.iteri
         (fun i (r : Wishbone.Service.response) ->
-          let label, _ = labelled.(i) in
+          let node_ops report = List.length (Wishbone.Placement.ops_on report 0)
+          and digest = String.sub r.digest 0 12 in
           Printf.printf "[%d.%02d] %-9s %8.2f ms  %s\n    %s\n" pass i
-            (match r.Wishbone.Service.served with
-            | Wishbone.Service.Hit -> "hit"
-            | Wishbone.Service.Warm_start -> "warm"
-            | Wishbone.Service.Cold -> "cold")
-            r.Wishbone.Service.latency_ms
-            (let node_ops (report : Wishbone.Placement.report) =
-               Array.fold_left
-                 (fun acc t -> if t = 0 then acc + 1 else acc)
-                 0 report.Wishbone.Placement.tier_of
-             in
-             match r.Wishbone.Service.answer with
-            | Wishbone.Service.Placed { rate; report } ->
+            (match r.served with
+            | Hit -> "hit"
+            | Warm_start -> "warm"
+            | Cold -> "cold")
+            r.latency_ms
+            (match r.answer with
+            | Placed { rate; report } ->
                 Printf.sprintf
                   "placed: rate x%.4f, objective %.6g, %d ops on node \
                    (digest %s)"
-                  rate report.Wishbone.Placement.objective (node_ops report)
-                  (String.sub r.Wishbone.Service.digest 0 12)
-            | Wishbone.Service.Degraded { rate; report; gap } ->
+                  rate report.objective (node_ops report) digest
+            | Degraded { rate; report; gap } ->
                 Printf.sprintf
                   "degraded: rate x%.4f, objective %.6g within %.2f%% of \
                    optimal, %d ops on node (digest %s)"
-                  rate report.Wishbone.Placement.objective (100. *. gap)
-                  (node_ops report)
-                  (String.sub r.Wishbone.Service.digest 0 12)
-            | Wishbone.Service.Infeasible -> "infeasible"
-            | Wishbone.Service.Failed m -> "failed: " ^ m)
-            label)
+                  rate report.objective (100. *. gap) (node_ops report) digest
+            | Infeasible -> "infeasible"
+            | Failed m -> "failed: " ^ m)
+            (fst labelled.(i)))
         responses;
       Printf.printf "pass %d: %d queries in %.1f ms (%.1f queries/s)\n" pass
         (Array.length queries) (1000. *. dt)
         (Float.of_int (Array.length queries) /. Float.max 1e-9 dt);
       match checkpoint with
       | None -> ()
-      | Some path -> Wishbone.Service.checkpoint svc path
+      | Some path -> (
+          try Wishbone.Service.checkpoint svc path
+          with Sys_error m -> die ("--checkpoint: " ^ m))
     done;
-    let c = Wishbone.Service.counters svc in
+    let c : Wishbone.Service.counters = Wishbone.Service.counters svc in
     Printf.printf
       "counters: %d queries, %d hits, %d misses (%d warm starts), %d \
        inserts, %d evictions, %d resident\n"
-      c.Wishbone.Service.queries c.Wishbone.Service.hits
-      c.Wishbone.Service.misses c.Wishbone.Service.warm_starts
-      c.Wishbone.Service.inserts c.Wishbone.Service.evictions
-      c.Wishbone.Service.resident;
+      c.queries c.hits c.misses c.warm_starts c.inserts c.evictions c.resident;
     Printf.printf
       "health:   %d ok, %d degraded, %d failed, %d retries, %d worker \
        deaths\n"
-      c.Wishbone.Service.ok c.Wishbone.Service.degraded
-      c.Wishbone.Service.failed c.Wishbone.Service.retries
-      c.Wishbone.Service.worker_deaths
+      c.ok c.degraded c.failed c.retries c.worker_deaths
   in
   Cmd.v
     (Cmd.info "serve"

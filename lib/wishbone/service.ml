@@ -792,17 +792,19 @@ let run_batch ?(shards = 1) t queries =
 
 type restore_outcome = Restored of int | Cold_start of string
 
-let magic = "WISHBONE-SERVICE-CHECKPOINT v1"
+let magic = "WISHBONE-SERVICE-CHECKPOINT v2"
 
 (* Snapshot layout: the magic line, then framed sections — an ASCII
    "length md5hex" header line followed by that many Marshal bytes.
    Section 0 is the header tuple (capacity, tol/max-multiplier bits,
-   clock, counters, entry count); each entry follows as its own
-   section.  Every section's bytes are digest-checked on load, and
-   each entry's stored answer digest is recomputed from the answer
-   itself, so bit rot anywhere degrades to a cold cache rather than a
-   wrong replay.  Options, retries and the fault plan hold closures /
-   configuration and are deliberately not persisted. *)
+   solver options, clock, counters, entry count); each entry follows
+   as its own section.  Every section's bytes are digest-checked on
+   load, and each entry's stored answer digest is recomputed from the
+   answer itself, so bit rot anywhere degrades to a cold cache rather
+   than a wrong replay.  The solver options are stored so that answers
+   cached under one budget never replay under another; the [on_node]
+   hook, retries and the fault plan are configuration and are not
+   persisted. *)
 
 let write_section oc payload =
   let s = Marshal.to_string payload [] in
@@ -825,7 +827,21 @@ let read_section ic =
             failwith "section bytes fail their digest";
           Marshal.from_string s 0)
 
-type header = int * int64 * int64 * int * int list * int
+(* every solver option but the [on_node] hook, floats as bits; the
+   record pattern is exhaustive, so a new option must be added here *)
+type options_wire = int list * int64 list * bool
+
+let options_wire
+    { Lp.Branch_bound.max_nodes; int_tol; gap_tol; time_limit; pivot_budget;
+      on_node = _; warm_start;
+      simplex = { Lp.Simplex.max_pivots; feas_tol; cost_tol; degen_window } }
+    : options_wire =
+  ( [ max_nodes; pivot_budget; max_pivots; degen_window ],
+    List.map Int64.bits_of_float
+      [ int_tol; gap_tol; time_limit; feas_tol; cost_tol ],
+    warm_start )
+
+type header = int * int64 * int64 * options_wire * int * int list * int
 
 type entry_wire =
   string * string * answer * string * int array option * Lp.Basis.t option
@@ -842,6 +858,7 @@ let checkpoint t path =
         (( t.capacity,
            Int64.bits_of_float t.tol,
            Int64.bits_of_float t.max_multiplier,
+           options_wire t.options,
            t.clock,
            [
              t.c_queries; t.c_hits; t.c_misses; t.c_warm; t.c_inserts;
@@ -873,6 +890,9 @@ let restore ?capacity ?options ?tol ?max_multiplier ?retries ?fault_plan path =
   in
   let want_tol = Option.value tol ~default:0.01 in
   let want_mm = Option.value max_multiplier ~default:65536. in
+  let want_opts =
+    options_wire (Option.value options ~default:default_options)
+  in
   match open_in_bin path with
   | exception Sys_error m -> cold ("cannot open snapshot: " ^ m)
   | ic ->
@@ -880,7 +900,8 @@ let restore ?capacity ?options ?tol ?max_multiplier ?retries ?fault_plan path =
         try
           if input_line ic <> magic then failwith "bad magic"
           else begin
-            let ((cap, tol_bits, mm_bits, clock, counts, n_entries) : header) =
+            let ((cap, tol_bits, mm_bits, opts, clock, counts, n_entries)
+                  : header) =
               read_section ic
             in
             if cap < 0 || n_entries < 0 || clock < 0 then
@@ -889,6 +910,8 @@ let restore ?capacity ?options ?tol ?max_multiplier ?retries ?fault_plan path =
               tol_bits <> Int64.bits_of_float want_tol
               || mm_bits <> Int64.bits_of_float want_mm
             then failwith "stale parameters (tol/max-multiplier changed)";
+            if opts <> want_opts then
+              failwith "stale parameters (solver options changed)";
             let t =
               create ~capacity:cap ?options ~tol:want_tol
                 ~max_multiplier:want_mm ?retries ?fault_plan ()

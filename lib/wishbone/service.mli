@@ -287,10 +287,11 @@ val solve_direct :
     byte-identically to one that never died.  The file carries a
     per-section MD5 and each entry's stored answer digest is
     recomputed on load; any mismatch (corruption, truncation, a stale
-    format, changed [tol]/[max_multiplier]) degrades to a cold cache —
-    never to wrong answers.  Solver options, retry budget and fault
-    plan are configuration, not state: they are not persisted and are
-    supplied afresh to {!restore}. *)
+    format, changed [tol]/[max_multiplier] or solver options) degrades
+    to a cold cache — never to wrong answers.  The solver options are
+    recorded (all but the [on_node] hook, floats bit-exactly) only to
+    detect that change; they, the retry budget and the fault plan are
+    configuration, supplied afresh to {!restore}. *)
 
 type restore_outcome =
   | Restored of int  (** the cache came back with this many entries *)
@@ -316,9 +317,10 @@ val restore :
     clock, counters and entries come from the file ([?capacity] is
     ignored); on any integrity or staleness failure the optional
     arguments feed a fresh {!create} and the outcome says why.
-    Passing [tol]/[max_multiplier] different (bit-exactly) from the
-    snapshot's is a staleness failure: cached [Search] answers were
-    computed under the old parameters and must not be replayed under
-    new ones. *)
+    Passing [tol]/[max_multiplier], or any {!Lp.Branch_bound.options}
+    field but [on_node], different (bit-exactly) from the snapshot's is
+    a staleness failure: cached answers were computed under the old
+    parameters (under a node budget, say, as degraded incumbents) and
+    must not be replayed under new ones. *)
 
 val pp_response : Format.formatter -> response -> unit

@@ -261,6 +261,154 @@ let test_fig3_spec_numbers () =
     (Graph.n_ops spec.Wishbone.Spec.graph);
   Alcotest.(check (float 0.)) "budget" 3. spec.Wishbone.Spec.cpu_budget
 
+(* ---- the query grammar ---- *)
+
+module Q = Apps.Query
+
+let parse_error line =
+  match Q.parse line with
+  | Error m -> m
+  | Ok _ -> Alcotest.failf "%S parsed" line
+
+let check_prefix what ~prefix m =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %S starts with %S" what m prefix)
+    true
+    (String.starts_with ~prefix m)
+
+let parse_ok line =
+  match Q.parse line with
+  | Ok (Some l) -> l
+  | Ok None -> Alcotest.failf "%S parsed as blank" line
+  | Error m -> Alcotest.failf "%S: %s" line m
+
+let build_line ?(duration = 5.) line =
+  Q.build (Q.cache ~duration) ~mode:Wishbone.Movable.Conservative
+    (parse_ok line)
+
+(* one case per message the command-line smoke test rejects a query
+   line with *)
+let test_query_rejects () =
+  List.iter
+    (fun x ->
+      check_prefix ("rate " ^ x) ~prefix:"bad rate"
+        (parse_error ("synthetic:11:12 - rate " ^ x)))
+    [ "0"; "-1"; "nan"; "inf" ];
+  check_prefix "cpu=nan" ~prefix:"bad override"
+    (parse_error "synthetic:11:12 - rate 0.5 cpu=nan");
+  check_prefix "unknown platform" ~prefix:"chain: unknown platform"
+    (parse_error "eeg1 foo rate 1");
+  Alcotest.(check string) ">K out of range"
+    "chain: \"tmote>3\": parent 3 not in (0, 2] (parents must sit later in \
+     the list; 2 is the server)"
+    (parse_error "speech tmote>3,meraki rate 1");
+  (* synthetic:1:0 is well formed; building its spec is what fails *)
+  match build_line "synthetic:1:0 - rate 1" with
+  | Error m -> check_prefix "synthetic:1:0" ~prefix:"synthetic:1:0:" m
+  | Ok _ -> Alcotest.fail "a 0-operator synthetic spec was built"
+
+let test_query_lines () =
+  Alcotest.(check bool) "blank" true (Q.parse " \t " = Ok None);
+  Alcotest.(check bool) "comment" true (Q.parse "# speech tmote search" = Ok None);
+  let l = parse_ok "eeg1\ttmote>2,tmote>2,gumstix search cpu=0.5 net=inf" in
+  Alcotest.(check bool) "app, request, overrides" true
+    (l.Q.app = Q.Eeg1 && l.Q.request = Wishbone.Service.Search
+    && l.Q.cpu = Some 0.5 && l.Q.net = Some infinity);
+  (match l.Q.topology with
+  | Some { Q.plats; parents = Some p } ->
+      Alcotest.(check (list string)) "platforms" [ "tmote"; "tmote"; "gumstix" ]
+        (List.map (fun (p : Profiler.Platform.t) -> p.name) plats);
+      Alcotest.(check (array int)) "parents, server last" [| 2; 2; 3; -1 |] p
+  | _ -> Alcotest.fail "expected a tier tree");
+  (* a list with no '>' is the chain *)
+  (match (parse_ok "speech tmote,meraki rate 0.05").Q.topology with
+  | Some { Q.plats = [ _; _ ]; parents = None } -> ()
+  | _ -> Alcotest.fail "expected a two-platform chain");
+  List.iter
+    (fun a ->
+      Alcotest.(check bool) ("round trip " ^ a) true
+        (Result.map Q.app_to_string (Q.app_of_string a) = Ok a))
+    [ "speech"; "eeg1"; "eeg14"; "eeg22"; "synthetic:3"; "synthetic:3:12" ]
+
+(* [build] assembles exactly the placement the library calls would *)
+let test_query_build () =
+  let key line =
+    match build_line line with
+    | Ok q -> Wishbone.Service.instance_key q.Wishbone.Service.placement
+    | Error m -> Alcotest.failf "%S: %s" line m
+  in
+  let spec = Apps.Synthetic.random_spec ~seed:7 ~n_ops:12 () in
+  Alcotest.(check string) "synthetic with a cpu override"
+    (Wishbone.Service.instance_key
+       (Wishbone.Placement.of_spec { spec with Wishbone.Spec.cpu_budget = 0.5 }))
+    (key "synthetic:7:12 - rate 1 cpu=0.5");
+  let raw = Apps.Speech.profile ~duration:5. (Apps.Speech.build ()) in
+  let plats = Profiler.Platform.[ tmote_sky; find "meraki" ] in
+  let spec =
+    match
+      Wishbone.Spec.of_profile ~node_platform:Profiler.Platform.tmote_sky raw
+    with
+    | Ok s -> s
+    | Error m -> Alcotest.fail m
+  in
+  Alcotest.(check string) "profiled speech chain"
+    (Wishbone.Service.instance_key
+       (Wishbone.Placement.of_platforms spec raw plats))
+    (key "speech tmote,meraki rate 0.05");
+  Alcotest.(check bool) "a synthetic app has no trace" true
+    (Result.is_error (Q.profile (Q.cache ~duration:5.) (Q.Synthetic { seed = 1; n_ops = None })))
+
+(* [parse] returns a value on any input: random token soup, and valid
+   lines after truncation, doubled separators, overflowing integers,
+   non-finite numbers and tabs *)
+let prop_parse_total =
+  let open QCheck.Gen in
+  let vocab =
+    [| "speech"; "eeg1"; "eeg14"; "eeg22"; "eeg"; "synthetic"; "synthetic:";
+       "synthetic:1"; "synthetic:1:12"; "synthetic::"; ":"; "-"; "#"; "tmote";
+       "meraki"; "gumstix"; "tmote>1"; "tmote>"; ">"; ">>"; ","; ",,";
+       "tmote,meraki"; "rate"; "search"; "0.5"; "0"; "-1"; "nan"; "inf";
+       "-inf"; "1e308"; "0x1p3"; "99999999999999999999"; "cpu="; "net=";
+       "cpu=0.5"; "net=nan"; "cpu=inf"; "="; "=="; "\t" |]
+  in
+  let soup =
+    let* n = int_range 0 8 in
+    let* toks =
+      list_repeat n
+        (oneof [ oneofa vocab; string_size ~gen:printable (int_range 0 6) ])
+    in
+    let* seps = list_repeat n (oneofa [| " "; "\t"; ""; "  " |]) in
+    return (String.concat "" (List.concat (List.map2 (fun t s -> [ t; s ]) toks seps)))
+  in
+  let valid =
+    [| "speech tmote,meraki rate 0.05"; "eeg1 tmote>2,tmote>2,gumstix rate 0.5";
+       "speech tmote search"; "synthetic:11:12 - rate 0.5 cpu=0.7 net=300";
+       "eeg22 tmote rate 1.0 cpu=0.8"; "eeg14 tmote>1,gumstix search net=inf" |]
+  in
+  let mutate s =
+    let n = String.length s in
+    let* i = int_bound (Int.max 0 n) in
+    let before = String.sub s 0 i and after = String.sub s i (n - i) in
+    oneof
+      [
+        return before;
+        map (fun c -> before ^ String.make 2 c ^ after) (oneofa [| '>'; ','; ':'; '=' |]);
+        map (fun x -> before ^ x ^ after)
+          (oneofa [| "99999999999999999999"; "-99999999999999999999"; "nan"; "inf"; "\t" |]);
+        return (String.map (fun c -> if c = ' ' then '\t' else c) s);
+        map (fun c -> before ^ String.make 1 c ^ after) printable;
+      ]
+  in
+  let mutated =
+    let* s = oneofa valid in
+    let* k = int_range 1 3 in
+    let rec go k s = if k = 0 then return s else mutate s >>= go (k - 1) in
+    go k s
+  in
+  QCheck.Test.make ~count:2000 ~name:"Query.parse never raises"
+    (QCheck.make ~print:(Printf.sprintf "%S") (oneof [ soup; mutated ]))
+    (fun line -> match Q.parse line with Ok _ | Error _ -> true)
+
 let () =
   (* the pivot counter is process-wide; start every suite from a
      clean slate so no test depends on which suite ran before it
@@ -293,5 +441,13 @@ let () =
           tc "random specs valid" test_synthetic_random_valid;
           tc "pipeline shape" test_synthetic_pipeline_shape;
           tc "fig3 numbers" test_fig3_spec_numbers;
+        ] );
+      ( "query",
+        [
+          tc "rejected lines" test_query_rejects;
+          tc "parsed lines" test_query_lines;
+          tc "built placements" test_query_build;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20 |])
+            prop_parse_total;
         ] );
     ]

@@ -326,6 +326,36 @@ let test_checkpoint_rejects_damage () =
       | _, Service.Cold_start reason ->
           Alcotest.fail ("intact snapshot went cold: " ^ reason))
 
+let test_checkpoint_rejects_stale_options () =
+  (* under a one-node budget both searches answer degraded; a service
+     with the default options must solve them afresh, not replay the
+     budgeted incumbents as hits *)
+  let budgeted = { Lp.Branch_bound.default_options with max_nodes = 1 } in
+  let queries = [| search (synth ~n_ops:12 2); search (synth ~n_ops:12 5) |] in
+  let svc = Service.create ~options:budgeted () in
+  let _ = Service.run_batch svc queries in
+  Alcotest.(check int) "budgeted answers degraded" 2
+    (Service.counters svc).Service.degraded;
+  let path = tmpfile "stale-options.ckpt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Service.checkpoint svc path;
+      (match Service.restore path with
+      | _, Service.Cold_start reason ->
+          Alcotest.(check bool)
+            ("stale options named: " ^ reason)
+            true
+            (String.starts_with ~prefix:"snapshot rejected: stale parameters"
+               reason)
+      | _, Service.Restored _ ->
+          Alcotest.fail "budgeted snapshot restored under the defaults");
+      match Service.restore ~options:budgeted path with
+      | _, Service.Restored n ->
+          Alcotest.(check int) "the same options restore" 2 n
+      | _, Service.Cold_start reason ->
+          Alcotest.fail ("the same options went cold: " ^ reason))
+
 (* ---- degradation under work-unit budgets -------------------------- *)
 
 let test_degraded_answers () =
@@ -391,6 +421,8 @@ let () =
             test_checkpoint_roundtrip_faulted;
           Alcotest.test_case "damaged snapshots fall back to cold" `Quick
             test_checkpoint_rejects_damage;
+          Alcotest.test_case "changed solver options fall back to cold"
+            `Quick test_checkpoint_rejects_stale_options;
         ] );
       ( "degraded",
         [

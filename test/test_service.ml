@@ -169,7 +169,7 @@ let test_key_covers_budgets () =
     (Service.query_key svc (rate pl 0.9))
 
 (* [serve] keys its cache and checkpoints by [instance_key]; the
-   profiled instances [Placement.of_platforms] builds for a --tiers
+   profiled instances [Placement.of_platforms] builds for a --topology
    chain, a --topology tree and a single platform must keep these
    bytes (pinned as MD5 digests of the key) *)
 let test_profiled_keys_pinned () =
