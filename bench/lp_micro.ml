@@ -28,7 +28,6 @@ let run_mode ~label ~warm spec =
       Lp.Branch_bound.warm_start = warm;
     }
   in
-  let p0 = Lp.Simplex.cumulative_pivots () in
   let c0 = Lp.Sparse.counters () in
   let t0 = Unix.gettimeofday () in
   let result =
@@ -36,8 +35,8 @@ let run_mode ~label ~warm spec =
       (Wishbone.Placement.of_spec spec)
   in
   let wall_s = Unix.gettimeofday () -. t0 in
-  let pivots = Lp.Simplex.cumulative_pivots () - p0 in
   let c1 = Lp.Sparse.counters () in
+  let pivots = c1.Lp.Sparse.pivots - c0.Lp.Sparse.pivots in
   let lp_solves, rate =
     match result with
     | Some r ->
@@ -84,7 +83,6 @@ let resolve_at ~warm spec rate =
       time_limit = 120.;
     }
   in
-  let p0 = Lp.Simplex.cumulative_pivots () in
   let c0 = Lp.Sparse.counters () in
   let t0 = Unix.gettimeofday () in
   match Wishbone.Placement.solve ~options scaled with
@@ -92,7 +90,7 @@ let resolve_at ~warm spec rate =
       let c1 = Lp.Sparse.counters () in
       Some
         {
-          r_pivots = Lp.Simplex.cumulative_pivots () - p0;
+          r_pivots = c1.Lp.Sparse.pivots - c0.Lp.Sparse.pivots;
           r_refactorisations =
             c1.Lp.Sparse.refactorisations - c0.Lp.Sparse.refactorisations;
           r_ft_updates = c1.Lp.Sparse.ft_updates - c0.Lp.Sparse.ft_updates;

@@ -91,11 +91,9 @@ let bench_two_tier ~name ~reps spec =
   (* work counters over one bare solve: unlike wall time these are
      deterministic, so regressions in the pivot/refactorisation
      trajectory show through machine noise *)
-  Lp.Sparse.reset_counters ();
-  Lp.Simplex.reset_cumulative_pivots ();
+  let c0 = Lp.Sparse.counters () in
   ignore (Lp.Branch_bound.solve enc.Wishbone.Placement.problem);
-  let cnt = Lp.Sparse.counters () in
-  let pivots = Lp.Simplex.cumulative_pivots () in
+  let c1 = Lp.Sparse.counters () in
   let overhead_pct = 100. *. (total_ms -. solver_ms) /. Float.max 1e-9 total_ms in
   Bench_util.row
     "%-8s x%.4f  %8.3f ms/solve  (solver floor %8.3f ms)  overhead %5.1f%%\n"
@@ -110,10 +108,10 @@ let bench_two_tier ~name ~reps spec =
     solver_ms;
     overhead_pct;
     objective;
-    pivots;
-    refactorisations = cnt.Lp.Sparse.refactorisations;
-    ft_updates = cnt.Lp.Sparse.ft_updates;
-    ft_entries = cnt.Lp.Sparse.ft_entries;
+    pivots = c1.pivots - c0.pivots;
+    refactorisations = c1.refactorisations - c0.refactorisations;
+    ft_updates = c1.ft_updates - c0.ft_updates;
+    ft_entries = c1.ft_entries - c0.ft_entries;
   }
 
 (* four platforms deep: node radio, then two successively fatter

@@ -260,16 +260,18 @@ let partition_cmd =
         { s with max_pivots = Option.value ~default:s.max_pivots max_pivots };
     }
   in
-  (* process-wide solver work counters, reset at solve entry: the
-     verbose tail of the report, showing the work the solve did *)
-  let report_counters ~fb0 =
+  (* process-wide solver work counters, read as deltas from solve
+     entry: the verbose tail of the report, showing the work the solve
+     did *)
+  let report_counters ~(c0 : Lp.Sparse.counters) ~fb0 =
     let c = Lp.Sparse.counters () in
     Printf.printf
       "solver counters: %d pivots, %d refactorisations, %d FT updates (%d \
        entries), %d dense fallbacks\n"
-      (Lp.Simplex.cumulative_pivots ())
-      c.Lp.Sparse.refactorisations c.Lp.Sparse.ft_updates
-      c.Lp.Sparse.ft_entries
+      (c.pivots - c0.pivots)
+      (c.refactorisations - c0.refactorisations)
+      (c.ft_updates - c0.ft_updates)
+      (c.ft_entries - c0.ft_entries)
       (Lp.Sparse.dense_fallbacks () - fb0)
   in
   (* on budget exhaustion the solver keeps its best incumbent; surface
@@ -299,9 +301,7 @@ let partition_cmd =
          else Lp.Branch_bound.default_options)
         max_pivots time_limit_ms node_budget pivot_budget
     in
-    Lp.Simplex.reset_cumulative_pivots ();
-    Lp.Sparse.reset_counters ();
-    let fb0 = Lp.Sparse.dense_fallbacks () in
+    let c0 = Lp.Sparse.counters () and fb0 = Lp.Sparse.dense_fallbacks () in
     let topology =
       match topology with
       | None -> node_only platform
@@ -323,7 +323,7 @@ let partition_cmd =
       Format.printf "%a@."
         (Wishbone.Placement.pp_report q.placement.spec.graph pl)
         r;
-      report_counters ~fb0;
+      report_counters ~c0 ~fb0;
       report_budget ~objective:r.objective r.solver;
       Option.iter
         (fun (path, raw) ->
@@ -741,6 +741,17 @@ let serve_cmd =
   in
   let run queries_file shards cache repeat node_budget retry checkpoint
       inject_faults mode duration =
+    (* the snapshot is first written after pass 1: refuse a path that
+       cannot hold it before solving anything *)
+    Option.iter
+      (fun path ->
+        let dir = Filename.dirname path in
+        let refuse file why = die ("--checkpoint: " ^ file ^ ": " ^ why) in
+        if not (Sys.file_exists dir) then refuse dir "no such directory"
+        else if not (Sys.is_directory dir) then refuse dir "not a directory"
+        else if Sys.file_exists path && Sys.is_directory path then
+          refuse path "is a directory")
+      checkpoint;
     let lines =
       match In_channel.with_open_text queries_file In_channel.input_all with
       | text ->

@@ -1,12 +1,12 @@
 (** LP optimality certificates.
 
-    {!Lp.Simplex.solve_warm} returns, alongside an [Optimal] solution,
-    the final simplex {!Lp.Basis.t}.  That pair is a checkable
-    certificate: rebuilding the (unscaled) augmented equality system
-    [A z = b] — structural columns, one slack per inequality in
-    constraint order ([Le] +1, [Ge] -1), one artificial per row — and
-    solving [B^T y = c_B] for the dual prices recovers everything
-    optimality requires:
+    {!Lp.Simplex.solve} and {!Lp.Sparse.solve_warm} return, alongside
+    an [Optimal] solution, the final simplex {!Lp.Basis.t}.  That pair
+    is a checkable certificate: rebuilding the (unscaled) augmented
+    equality system [A z = b] — structural columns, one slack per
+    inequality in constraint order ([Le] +1, [Ge] -1), one artificial
+    per row — and solving [B^T y = c_B] for the dual prices recovers
+    everything optimality requires:
 
     - primal feasibility: bounds, constraint rows, slack signs;
     - the recorded nonbasic columns actually rest at their recorded
@@ -50,7 +50,8 @@ val check_result :
   Lp.Problem.t ->
   Lp.Simplex.result ->
   verdict
-(** Certify a {!Lp.Simplex.solve_warm} result: [Optimal] results must
+(** Certify a {!Lp.Simplex.solve} or {!Lp.Sparse.solve_warm} result
+    (both engines record one column layout): [Optimal] results must
     carry a basis and pass {!check}; an [Optimal] without a basis is
     itself [Invalid].  [Infeasible] / [Unbounded] / [Iteration_limit]
     results are accepted as-is (no certificate is available for

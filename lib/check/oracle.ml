@@ -24,11 +24,11 @@ let certified label ?lo ?hi problem (r : Lp.Simplex.result) =
            (String.concat "; " msgs))
 
 let lp_certificate rng problem =
-  let r0 = Lp.Simplex.solve_warm problem in
+  let r0 = Lp.Simplex.solve problem in
   match certified "cold" problem r0 with
   | Error msg -> Fail msg
   | Ok () -> (
-      (* perturb one variable's bounds and re-solve four ways *)
+      (* perturb one variable's bounds and re-solve three ways *)
       let n = Lp.Problem.n_vars problem in
       let vars = Lp.Problem.vars problem in
       let lo = Array.map (fun (v : Lp.Problem.var_info) -> v.lo) vars in
@@ -44,19 +44,17 @@ let lp_certificate rng problem =
           (if Float.is_finite hi.(v) then
              hi.(v) -. Prng.uniform rng 0. (0.6 *. span)
            else lo.(v) +. Prng.uniform rng 0. 4.);
-      let cold = Lp.Simplex.solve_warm ~lo ~hi problem in
-      let warm = Lp.Simplex.solve_warm ?warm:r0.basis ~lo ~hi problem in
+      let cold = Lp.Simplex.solve ~lo ~hi problem in
       (* the sparse revised simplex (devex pricing over the
-         Forrest–Tomlin factor path) must agree with both dense paths,
-         cold and warm-started from a dense basis alike; its bases are
-         certified by the same dense reconstruction *)
+         Forrest–Tomlin factor path) must agree with the dense cold
+         reference, both cold and warm-started from the dense basis;
+         its bases are certified by the same dense reconstruction *)
       let sdata = Lp.Sparse.of_problem problem in
       let sparse_cold = Lp.Sparse.solve_warm ~lo ~hi sdata in
       let sparse_warm = Lp.Sparse.solve_warm ?warm:r0.basis ~lo ~hi sdata in
       let runs =
         [
           ("cold", cold);
-          ("warm", warm);
           ("sparse-cold", sparse_cold);
           ("sparse-warm", sparse_warm);
         ]

@@ -32,6 +32,26 @@ let two_tier_brute_force (spec : Wishbone.Spec.t) =
   done;
   !best
 
+let pipeline_prefix_cut (spec : Wishbone.Spec.t) =
+  let g = spec.graph in
+  if not (Graph.is_linear_pipeline g) then
+    invalid_arg "Reference.pipeline_prefix_cut: not a linear pipeline";
+  let order = Graph.topo_order g in
+  let n = Array.length order in
+  let best = ref None in
+  let assignment = Array.make n false in
+  (* prefix of length k on the node, k = 1 .. n-1 *)
+  for k = 1 to n - 1 do
+    Array.iteri (fun pos op -> assignment.(op) <- pos < k) order;
+    if Wishbone.Spec.feasible spec ~node_side:assignment then begin
+      let obj = Wishbone.Spec.objective_value spec ~node_side:assignment in
+      match !best with
+      | Some (_, b) when b <= obj -> ()
+      | _ -> best := Some (Array.copy assignment, obj)
+    end
+  done;
+  !best
+
 let three_tier ?(micro_cpu_budget = infinity) ?(micro_net_budget = infinity)
     ?(beta_micro = 0.3) ~micro_cpu (spec : Wishbone.Spec.t) =
   let n = Graph.n_ops spec.graph in

@@ -14,6 +14,15 @@ val two_tier_brute_force : Wishbone.Spec.t -> (bool array * float) option
     assignment and its objective, or [None] when none is feasible.
     @raise Invalid_argument past 20 movable operators. *)
 
+val pipeline_prefix_cut : Wishbone.Spec.t -> (bool array * float) option
+(** The prefix-cut oracle for linear pipelines.  On a pipeline the
+    single-crossing assignments are exactly the prefixes of the
+    topological order, so trying each of the O(n) cut points finds the
+    optimum (the paper's §7.2: "a brute force testing of all cut
+    points will suffice").  Returns the best feasible prefix cut and
+    its objective, or [None] if no prefix is feasible.
+    @raise Invalid_argument when the graph is not a linear pipeline. *)
+
 val three_tier :
   ?micro_cpu_budget:float ->
   ?micro_net_budget:float ->

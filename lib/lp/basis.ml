@@ -2,31 +2,9 @@ type cstat = At_lower | At_upper | Basic
 
 type t = { rows : int array; stat : cstat array }
 
-let n_rows b = Array.length b.rows
-let n_cols b = Array.length b.stat
-let copy b = { rows = Array.copy b.rows; stat = Array.copy b.stat }
-
 let compatible b ~rows ~cols =
   Array.length b.rows = rows
   && Array.length b.stat = cols
   && Array.for_all (fun j -> j >= 0 && j < cols) b.rows
 
 let equal a b = a.rows = b.rows && a.stat = b.stat
-
-(* Canonical serialisation: row list, then one status character per
-   column.  The encoding is injective (rows are decimal-rendered with
-   separators), so digest equality coincides with [equal]. *)
-let digest b =
-  let buf = Buffer.create (Array.length b.stat + (8 * Array.length b.rows)) in
-  Array.iter
-    (fun j ->
-      Buffer.add_string buf (string_of_int j);
-      Buffer.add_char buf ',')
-    b.rows;
-  Buffer.add_char buf '|';
-  Array.iter
-    (fun s ->
-      Buffer.add_char buf
-        (match s with At_lower -> 'l' | At_upper -> 'u' | Basic -> 'b'))
-    b.stat;
-  Digest.to_hex (Digest.string (Buffer.contents buf))

@@ -39,7 +39,7 @@ let enumerate ?(max_combinations = 2_000_000) problem visit =
             lo.(v) <- x;
             hi.(v) <- x)
           int_vars;
-        visit assignment (Simplex.solve ~lo ~hi problem)
+        visit assignment (Simplex.solve ~lo ~hi problem).status
       end
       else begin
         let lo, hi = ranges.(i) in

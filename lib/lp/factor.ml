@@ -122,9 +122,6 @@ let create ~m =
     slot_col = Array.make m (-1);
   }
 
-let m f = f.m
-let updates_since_refresh f = f.n_updates
-let eta_entries f = f.lnnz + f.unnz + f.rnnz
 let ft_entries f = f.rnnz
 
 let set_identity f =

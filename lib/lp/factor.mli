@@ -27,8 +27,6 @@ type t
 val create : m:int -> t
 (** Workspace for bases with [m] rows.  All pools grow on demand. *)
 
-val m : t -> int
-
 val set_identity : t -> unit
 (** Reset to [B = I] (the all-artificial start): empty L, identity U. *)
 
@@ -66,14 +64,6 @@ val needs_refresh : t -> bool
     numerically marginal diagonal, or when the accumulated update
     count / fill passes a generous cost cap.  Callers refactorise
     (and rebuild their right-hand side) when this fires. *)
-
-val updates_since_refresh : t -> int
-(** Forrest–Tomlin updates applied since the last {!factorize} /
-    {!set_identity} (diagnostic). *)
-
-val eta_entries : t -> int
-(** Total stored entries — L multipliers, U off-diagonals and
-    Forrest–Tomlin row-eta entries (diagnostic). *)
 
 val ft_entries : t -> int
 (** Row-eta entries accumulated by {!update} since the last

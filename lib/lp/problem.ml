@@ -88,27 +88,6 @@ let constrs p =
       p.constrs_cache <- Some a;
       a
 
-let var p i =
-  if i < 0 || i >= p.n then invalid_arg "Problem.var: index out of range";
-  (vars p).(i)
-
-let update_var p i f =
-  let a = Array.copy (vars p) in
-  a.(i) <- f a.(i);
-  p.vars_rev <- List.rev (Array.to_list a);
-  p.vars_cache <- Some a
-
-let fix_var p i x =
-  if i < 0 || i >= p.n then invalid_arg "Problem.fix_var: index out of range";
-  update_var p i (fun v -> { v with lo = x; hi = x })
-
-let set_bounds p i ~lo ~hi =
-  if i < 0 || i >= p.n then invalid_arg "Problem.set_bounds: index out of range";
-  if not (Float.is_finite lo) then
-    invalid_arg "Problem.set_bounds: lower bound must be finite";
-  if lo > hi then invalid_arg "Problem.set_bounds: lo > hi";
-  update_var p i (fun v -> { v with lo; hi })
-
 let n_vars p = p.n
 let n_constrs p = p.m
 let objective p = p.obj

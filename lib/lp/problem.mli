@@ -2,8 +2,11 @@
 
     A problem is a set of bounded variables, a list of linear
     constraints, and a linear objective.  Variables are identified by
-    the integer index returned from {!add_var}.  The builder is
-    mutable; once handed to a solver it is treated as read-only.
+    the integer index returned from {!add_var}.  Variables and
+    constraints are only appended: a variable's bounds are fixed when
+    it is added, and solvers take per-solve bound overrides ([?lo] /
+    [?hi]) instead of editing them.  Once handed to a solver a problem
+    is treated as read-only.
 
     This module replaces the role of [lp_solve] in the original
     Wishbone system (see DESIGN.md, substitution table). *)
@@ -46,17 +49,10 @@ val add_constr :
 val set_objective : t -> direction -> (int * float) list -> unit
 (** Replaces the objective.  The default objective is [Minimize 0]. *)
 
-val fix_var : t -> int -> float -> unit
-(** [fix_var p v x] clamps both bounds of [v] to [x]; used by branch &
-    bound and by partition pinning. *)
-
-val set_bounds : t -> int -> lo:float -> hi:float -> unit
-
 (** {1 Accessors} *)
 
 val n_vars : t -> int
 val n_constrs : t -> int
-val var : t -> int -> var_info
 val vars : t -> var_info array
 val constrs : t -> constr array
 val objective : t -> (int * float) list
@@ -65,7 +61,7 @@ val integer_vars : t -> int list
 (** Indices of variables declared integral, in increasing order. *)
 
 val copy : t -> t
-(** Deep copy; bound changes on the copy do not affect the original. *)
+(** Deep copy; changes to the copy do not affect the original. *)
 
 val objective_value : t -> float array -> float
 (** Evaluate the objective (in the problem's own direction) at a point. *)

@@ -14,7 +14,7 @@ let default_options =
   }
 
 (* Column status in the bounded-variable simplex; shared with basis
-   snapshots so warm starts can replay a previous solve's state. *)
+   snapshots, so a dense basis warm-starts the sparse engine. *)
 type cstat = Basis.cstat = At_lower | At_upper | Basic
 
 type tableau = {
@@ -30,16 +30,6 @@ type tableau = {
   d : float array;  (* reduced costs for the current phase *)
   opts : options;
 }
-
-(* ---- process-wide pivot accounting: benchmarks read the deltas to
-   aggregate across whole branch & bound trees and rate searches.
-   Atomic so the placement service's shard domains account
-   correctly. ---- *)
-let cumulative = Atomic.make 0
-let cumulative_pivots () = Atomic.get cumulative
-let reset_cumulative_pivots () = Atomic.set cumulative 0
-
-let add_pivots k = if k <> 0 then ignore (Atomic.fetch_and_add cumulative k)
 
 (* Value of column [j] in shifted space. *)
 let col_value tab j =
@@ -220,131 +210,6 @@ let iterate tab ~allowed ~pivots_left =
   done;
   match !result with Some s -> s | None -> assert false
 
-(* ---- bounded-variable dual simplex -------------------------------
-
-   Starting from a basis whose reduced costs are (near) dual feasible,
-   repair primal infeasibility — basic values outside their bounds —
-   one leaving row at a time.  This is what makes warm starts cheap: a
-   branch & bound child differs from its parent by a single bound
-   change, so the parent's optimal basis stays dual feasible for the
-   child and a handful of dual pivots restore primal feasibility,
-   replacing a full phase-1/phase-2 cold solve. *)
-
-type dual_step =
-  | Dual_feasible_point  (* all basic values inside their bounds *)
-  | Primal_infeasible  (* a row certifies the LP infeasible *)
-  | Dual_budget
-  | Dual_stalled  (* only numerically marginal pivots available *)
-
-let dual_iterate tab ~pivots_left =
-  let opts = tab.opts in
-  let result = ref None in
-  while !result = None do
-    if !pivots_left <= 0 then result := Some Dual_budget
-    else begin
-      (* --- leaving row: the largest bound violation --- *)
-      let r = ref (-1) in
-      let worst = ref opts.feas_tol in
-      let above = ref false in
-      for i = 0 to tab.m - 1 do
-        let bi = tab.beta.(i) in
-        if -.bi > !worst then begin
-          worst := -.bi;
-          r := i;
-          above := false
-        end;
-        let ub = tab.up.(tab.basis.(i)) in
-        if Float.is_finite ub && bi -. ub > !worst then begin
-          worst := bi -. ub;
-          r := i;
-          above := true
-        end
-      done;
-      if !r < 0 then result := Some Dual_feasible_point
-      else begin
-        decr pivots_left;
-        let r = !r and above = !above in
-        let row = tab.t.(r) in
-        (* --- dual ratio test: entering column minimising |d_j /
-           alpha_rj| among sign-compatible movable nonbasic columns,
-           so the reduced costs stay dual feasible --- *)
-        let enter = ref (-1) in
-        let best_ratio = ref infinity in
-        let best_mag = ref 0. in
-        let marginal = ref false in
-        for j = 0 to tab.ncols - 1 do
-          if tab.stat.(j) <> Basic && tab.up.(j) > opts.feas_tol then begin
-            let a = row.(j) in
-            let good_sign =
-              match (tab.stat.(j), above) with
-              | At_lower, false -> a < 0.
-              | At_upper, false -> a > 0.
-              | At_lower, true -> a > 0.
-              | At_upper, true -> a < 0.
-              | Basic, _ -> false
-            in
-            let mag = Float.abs a in
-            if good_sign && mag > 1e-9 then begin
-              if mag <= opts.feas_tol then marginal := true
-              else begin
-                let d = tab.d.(j) in
-                let dj =
-                  match tab.stat.(j) with
-                  | At_lower -> Float.max d 0.
-                  | _ -> Float.max (-.d) 0.
-                in
-                let ratio = dj /. mag in
-                if
-                  ratio < !best_ratio -. 1e-12
-                  || (ratio <= !best_ratio +. 1e-12 && mag > !best_mag)
-                then begin
-                  best_ratio := ratio;
-                  best_mag := mag;
-                  enter := j
-                end
-              end
-            end
-          end
-        done;
-        if !enter < 0 then
-          (* no column can move the violated basic variable towards its
-             bound.  With all candidate entries at machine zero the row
-             is a sound infeasibility certificate — unless a marginal
-             entry exists, or the violation is within the [feas_tol *
-             100] a cold solve accepts (see [violated]): then let the
-             caller fall back to a cold solve rather than decide
-             feasibility on noise, so a warm start never flips a cold
-             verdict. *)
-          result :=
-            Some
-              (if !marginal || !worst <= opts.feas_tol *. 100. then
-                 Dual_stalled
-               else Primal_infeasible)
-        else begin
-          let j = !enter in
-          let target = if above then tab.up.(tab.basis.(r)) else 0. in
-          let delta = (tab.beta.(r) -. target) /. row.(j) in
-          for i = 0 to tab.m - 1 do
-            tab.beta.(i) <- tab.beta.(i) -. (delta *. tab.t.(i).(j))
-          done;
-          let old = tab.basis.(r) in
-          tab.stat.(old) <- (if above then At_upper else At_lower);
-          tab.in_row.(old) <- -1;
-          let xj =
-            (match tab.stat.(j) with At_upper -> tab.up.(j) | _ -> 0.)
-            +. delta
-          in
-          tab.basis.(r) <- j;
-          tab.in_row.(j) <- r;
-          tab.stat.(j) <- Basic;
-          row_reduce tab r j;
-          tab.beta.(r) <- xj
-        end
-      end
-    end
-  done;
-  match !result with Some s -> s | None -> assert false
-
 (* Degenerate pivot to remove a basic artificial variable sitting at
    zero after phase 1; returns false when the row is redundant. *)
 let pivot_out_artificial tab r ~n_real =
@@ -374,8 +239,7 @@ let pivot_out_artificial tab r ~n_real =
     true
   end
 
-(* Fresh tableau over the all-artificial basis with beta = rhs; the
-   shared starting point of both cold solves and warm refactorisation. *)
+(* Fresh tableau over the all-artificial basis with beta = rhs. *)
 let build problem ~options ~lo ~hi ~n ~n_slack =
   let constrs = Problem.constrs problem in
   let m = Array.length constrs in
@@ -438,82 +302,6 @@ let build problem ~options ~lo ~hi ~n ~n_slack =
 let snapshot tab =
   { Basis.rows = Array.copy tab.basis; stat = Array.copy tab.stat }
 
-(* Restore a recorded basis into a freshly built tableau: Gauss-Jordan
-   eliminate each recorded basic column (carrying the rhs in [beta]),
-   then shift the rhs by the nonbasic-at-upper-bound columns.  Returns
-   false when the recorded basis is singular for the current
-   coefficients (caller falls back to a cold solve). *)
-let install_basis tab (b : Basis.t) =
-  for j = 0 to tab.ncols - 1 do
-    tab.in_row.(j) <- -1;
-    tab.stat.(j) <-
-      (match b.Basis.stat.(j) with
-      | Basis.At_upper when Float.is_finite tab.up.(j) -> At_upper
-      | _ -> At_lower)
-  done;
-  let assigned = Array.make tab.m false in
-  let ok = ref true in
-  Array.iter
-    (fun j ->
-      if !ok then begin
-        (* the unassigned row with the largest pivot in column j *)
-        let r = ref (-1) in
-        let mag = ref 1e-8 in
-        for i = 0 to tab.m - 1 do
-          if not assigned.(i) then begin
-            let a = Float.abs tab.t.(i).(j) in
-            if a > !mag then begin
-              mag := a;
-              r := i
-            end
-          end
-        done;
-        if !r < 0 then ok := false
-        else begin
-          let r = !r in
-          let piv = tab.t.(r) in
-          let inv = 1. /. piv.(j) in
-          for k = 0 to tab.ncols - 1 do
-            piv.(k) <- piv.(k) *. inv
-          done;
-          piv.(j) <- 1.;
-          tab.beta.(r) <- tab.beta.(r) *. inv;
-          for i = 0 to tab.m - 1 do
-            if i <> r then begin
-              let f = tab.t.(i).(j) in
-              if f <> 0. then begin
-                let row = tab.t.(i) in
-                for k = 0 to tab.ncols - 1 do
-                  row.(k) <- row.(k) -. (f *. piv.(k))
-                done;
-                row.(j) <- 0.;
-                tab.beta.(i) <- tab.beta.(i) -. (f *. tab.beta.(r))
-              end
-            end
-          done;
-          assigned.(r) <- true;
-          tab.basis.(r) <- j;
-          tab.in_row.(j) <- r;
-          tab.stat.(j) <- Basic
-        end
-      end)
-    b.Basis.rows;
-  if !ok then begin
-    (* beta is now B^-1 rhs; account for nonbasic columns resting at
-       their upper bound *)
-    for j = 0 to tab.ncols - 1 do
-      if tab.stat.(j) = At_upper then begin
-        let u = tab.up.(j) in
-        if u <> 0. then
-          for i = 0 to tab.m - 1 do
-            tab.beta.(i) <- tab.beta.(i) -. (tab.t.(i).(j) *. u)
-          done
-      end
-    done;
-    true
-  end
-  else false
-
 type result = {
   status : Solution.status;
   basis : Basis.t option;
@@ -521,7 +309,7 @@ type result = {
   warm_used : bool;
 }
 
-let solve_warm ?(options = default_options) ?warm ?lo ?hi problem =
+let solve ?(options = default_options) ?lo ?hi problem =
   let n = Problem.n_vars problem in
   let vars = Problem.vars problem in
   let constrs = Problem.constrs problem in
@@ -559,7 +347,7 @@ let solve_warm ?(options = default_options) ?warm ?lo ?hi problem =
     let ncols = n + n_slack + m in
     let n_real = n + n_slack in
     let minimize = Problem.direction problem = Problem.Minimize in
-    (* phase-2 cost vector, shared by the cold and warm paths *)
+    (* phase-2 cost vector *)
     let c2 = Array.make ncols 0. in
     let offset = ref 0. in
     List.iter
@@ -569,7 +357,6 @@ let solve_warm ?(options = default_options) ?warm ?lo ?hi problem =
         offset := !offset +. (coef *. lo.(v)))
       (Problem.objective problem);
     let pivots_left = ref options.max_pivots in
-    let spent () = options.max_pivots - !pivots_left in
     (* feasibility judged by the actual violation of each original
        constraint, with a tolerance that grows mildly with the
        right-hand-side magnitude (rounding accumulates in absolute
@@ -604,46 +391,14 @@ let solve_warm ?(options = default_options) ?warm ?lo ?hi problem =
       let obj = if minimize then obj else -.obj in
       Solution.Optimal { Solution.x; objective = obj }
     in
-    let fresh () = build problem ~options ~lo ~hi ~n ~n_slack in
-    (* ---- warm path: refactorise a basis snapshot, repair primal
-       infeasibility with the dual simplex, mop up with a primal pass,
-       then accept only if the point truly satisfies the original
-       constraints; [None] falls back to the cold solve ---- *)
-    let try_warm b =
-      if not (Basis.compatible b ~rows:m ~cols:ncols) then None
-      else begin
-        let tab = fresh () in
-        for j = n_real to ncols - 1 do
-          tab.up.(j) <- 0.
-        done;
-        if not (install_basis tab b) then None
-        else begin
-          compute_duals tab c2;
-          match dual_iterate tab ~pivots_left with
-          | Dual_budget -> Some (Solution.Iteration_limit, None)
-          | Primal_infeasible -> Some (Solution.Infeasible, None)
-          | Dual_stalled -> None
-          | Dual_feasible_point -> (
-              match
-                iterate tab ~allowed:(fun j -> j < n_real) ~pivots_left
-              with
-              | Budget_exhausted -> Some (Solution.Iteration_limit, None)
-              | Unbounded_ray -> Some (Solution.Unbounded, None)
-              | Optimal_reached ->
-                  (* numerical drift through the warm path; retry cold *)
-                  if violated tab then None
-                  else Some (extract tab, Some (snapshot tab)))
-        end
-      end
-    in
-    (* ---- cold path: two-phase primal from the artificial basis ---- *)
-    let cold () =
-      let tab = fresh () in
-      let c1 = Array.make ncols 0. in
-      for j = n_real to ncols - 1 do
-        c1.(j) <- 1.
-      done;
-      compute_duals tab c1;
+    (* two-phase primal from the artificial basis *)
+    let tab = build problem ~options ~lo ~hi ~n ~n_slack in
+    let c1 = Array.make ncols 0. in
+    for j = n_real to ncols - 1 do
+      c1.(j) <- 1.
+    done;
+    compute_duals tab c1;
+    let status, basis =
       match iterate tab ~allowed:(fun _ -> true) ~pivots_left with
       | Budget_exhausted -> (Solution.Iteration_limit, None)
       | Unbounded_ray ->
@@ -667,15 +422,6 @@ let solve_warm ?(options = default_options) ?warm ?lo ?hi problem =
             | Optimal_reached -> (extract tab, Some (snapshot tab))
           end
     in
-    (* fallback ladder: basis snapshot -> cold *)
-    let (status, basis), warm_used =
-      match Option.bind warm try_warm with
-      | Some r -> (r, true)
-      | None -> (cold (), false)
-    in
-    add_pivots (spent ());
-    { status; basis; pivots = spent (); warm_used }
+    { status; basis; pivots = options.max_pivots - !pivots_left;
+      warm_used = false }
   end
-
-let solve ?options ?lo ?hi problem =
-  (solve_warm ?options ?lo ?hi problem).status

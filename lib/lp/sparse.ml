@@ -1,9 +1,9 @@
 (* Sparse revised simplex.  See sparse.mli for the contract; the
    solve semantics deliberately mirror simplex.ml line for line where
    they overlap (column layout, equilibration, tolerances, pricing
-   eligibility, ratio-test tie-breaking, dual-repair ladder) so that
-   the two solvers agree bit-for-bit on which bases are optimal and
-   basis snapshots stay interchangeable. *)
+   eligibility, ratio-test tie-breaking) so that the two solvers agree
+   on which bases are optimal and a dense basis warm-starts this
+   engine. *)
 
 type cstat = Basis.cstat = At_lower | At_upper | Basic
 
@@ -26,9 +26,6 @@ type data = {
   c_vars : int array array;  (* per-row term variables, list order *)
   c_coefs : float array array;  (* per-row term coefficients, list order *)
 }
-
-let problem d = d.problem
-let n_rows d = d.m
 
 let of_problem problem =
   let vars = Problem.vars problem in
@@ -189,23 +186,25 @@ type session = {
 
 (* ---- process-wide solver counters (benchmarks / verbose CLI) ---- *)
 
-type counters = { refactorisations : int; ft_updates : int; ft_entries : int }
+type counters = {
+  pivots : int;
+  refactorisations : int;
+  ft_updates : int;
+  ft_entries : int;
+}
 
+let pivot_count = Atomic.make 0
 let refactor_count = Atomic.make 0
 let ft_update_count = Atomic.make 0
 let ft_entry_count = Atomic.make 0
 
 let counters () =
   {
+    pivots = Atomic.get pivot_count;
     refactorisations = Atomic.get refactor_count;
     ft_updates = Atomic.get ft_update_count;
     ft_entries = Atomic.get ft_entry_count;
   }
-
-let reset_counters () =
-  Atomic.set refactor_count 0;
-  Atomic.set ft_update_count 0;
-  Atomic.set ft_entry_count 0
 
 (* inlined so the point pass in [solve_warm] boxes no float per column *)
 let[@inline] col_value st j =
@@ -602,9 +601,13 @@ let dual st =
           end
         done;
         if !enter < 0 then
-          (* as in [Simplex.dual_iterate]: a violation the cold path
-             would accept stalls to a cold solve instead of certifying
-             infeasibility *)
+          (* no column can move the violated basic variable towards its
+             bound.  With all candidate entries at machine zero the row
+             is a sound infeasibility certificate, unless a marginal
+             entry exists or the violation is within the [feas_tol *
+             100] a cold solve accepts (see [violated]): then stall to
+             a cold solve rather than decide feasibility on noise, so a
+             warm start never flips a cold verdict *)
           result :=
             Some
               (if !marginal || !worst <= opts.feas_tol *. 100. then
@@ -700,7 +703,7 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
     match lo with
     | Some a ->
         if Array.length a <> n then
-          invalid_arg "Sparse.solve: lo override has wrong length";
+          invalid_arg "Sparse.solve_warm: lo override has wrong length";
         a
     | None -> Array.map (fun (v : Problem.var_info) -> v.lo) vars
   in
@@ -708,7 +711,7 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
     match hi with
     | Some a ->
         if Array.length a <> n then
-          invalid_arg "Sparse.solve: hi override has wrong length";
+          invalid_arg "Sparse.solve_warm: hi override has wrong length";
         a
     | None -> Array.map (fun (v : Problem.var_info) -> v.hi) vars
   in
@@ -722,7 +725,6 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
   else begin
     let pivots_left = ref options.max_pivots in
     let spent () = options.max_pivots - !pivots_left in
-    let warm_used = ref false in
     (* shifted rhs for the current lower bounds, in the session's
        buffer when there is one *)
     let rhs =
@@ -810,25 +812,20 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
       done;
       { Basis.rows; stat }
     in
-    (* shared tail of warm starts, which leave the phase-2 duals of
-       their basis in [st.y]: dual repair, primal cleanup, then accept
-       only a verified-feasible point (mirrors Simplex's warm path) *)
-    let reoptimise st ~on_fallback =
+    (* tail of the warm start, which leaves the phase-2 duals of its
+       basis in [st.y]: dual repair, primal cleanup, then accept only a
+       verified-feasible point; [None] falls back to a cold solve *)
+    let reoptimise st =
       match dual st with
       | Dual_budget -> Some (Solution.Iteration_limit, None)
       | Primal_infeasible -> Some (Solution.Infeasible, None)
-      | Dual_stalled ->
-          on_fallback ();
-          None
+      | Dual_stalled -> None
       | Dual_feasible_point -> (
           match primal st ~limit:d.n_real with
           | Budget_exhausted -> Some (Solution.Iteration_limit, None)
           | Unbounded_ray -> Some (Solution.Unbounded, None)
           | Optimal_reached ->
-              if violated st then begin
-                on_fallback ();
-                None
-              end
+              if violated st then None
               else Some (extract st, Some (snapshot st)))
     in
     (* ---- warm path: refactorise a basis snapshot, then repair ---- *)
@@ -896,9 +893,7 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
             | None -> ()
           end
         with
-        | () ->
-            warm_used := true;
-            reoptimise st ~on_fallback:(fun () -> warm_used := false)
+        | () -> reoptimise st
         | exception Decline -> None
       end
     in
@@ -976,41 +971,36 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
             | Budget_exhausted -> (Solution.Iteration_limit, None)
             | Unbounded_ray -> (Solution.Unbounded, None)
             | Optimal_reached ->
-                (* the dense cold path trusts its endpoint; the sparse
+                (* the dense cold solve trusts its endpoint; the sparse
                    one re-verifies and declines to the dense solver on
                    any breach, so results never change *)
                 if violated st then raise Decline
                 else (extract st, Some (snapshot st))
           end)
     in
+    (* fallback ladder: sparse warm -> sparse cold -> dense cold, the
+       last with the remaining pivot budget *)
     let attempt =
       match warm with
-      | Some b -> ( try try_warm b with Decline -> warm_used := false; None)
+      | Some b -> ( try try_warm b with Decline -> None)
       | None -> None
     in
-    match attempt with
-    | Some (status, basis) ->
-        Simplex.add_pivots (spent ());
-        { Simplex.status; basis; pivots = spent (); warm_used = !warm_used }
-    | None -> (
-        match cold () with
-        | status, basis ->
-            Simplex.add_pivots (spent ());
-            { Simplex.status; basis; pivots = spent ();
-              warm_used = !warm_used }
-        | exception Decline ->
-            (* verified dense fallback, with the remaining budget *)
-            Atomic.incr fallbacks;
-            Simplex.add_pivots (spent ());
-            let sparse_spent = spent () in
-            let options =
-              { options with Simplex.max_pivots = Int.max 1 !pivots_left }
-            in
-            let r = Simplex.solve_warm ~options ?warm ~lo ~hi d.problem in
-            { r with
-              Simplex.pivots = r.Simplex.pivots + sparse_spent;
-              warm_used = !warm_used || r.Simplex.warm_used })
+    let r =
+      match attempt with
+      | Some (status, basis) ->
+          { Simplex.status; basis; pivots = spent (); warm_used = true }
+      | None -> (
+          match cold () with
+          | status, basis ->
+              { Simplex.status; basis; pivots = spent (); warm_used = false }
+          | exception Decline ->
+              Atomic.incr fallbacks;
+              let options =
+                { options with Simplex.max_pivots = Int.max 1 !pivots_left }
+              in
+              let r = Simplex.solve ~options ~lo ~hi d.problem in
+              { r with Simplex.pivots = r.Simplex.pivots + spent () })
+    in
+    ignore (Atomic.fetch_and_add pivot_count r.Simplex.pivots);
+    r
   end
-
-let solve ?options ?lo ?hi problem =
-  (solve_warm ?options ?lo ?hi (of_problem problem)).Simplex.status

@@ -14,15 +14,20 @@
     BTRAN of the basic costs.  After [degen_window] degenerate pivots
     it falls back to Bland's rule, as the dense tableau does.
 
-    The solve semantics mirror {!Simplex.solve_warm} exactly: same
-    column layout (structural, slack, artificial), same {!Basis.t}
-    snapshots — a basis recorded by either solver warm-starts the
-    other — same bounded-variable dual-repair warm path, and the same
-    fallback discipline: whenever the sparse path cannot be trusted
-    (singular basis, marginal dual pivot, post-solve feasibility
-    breach) it falls back to a colder sparse start and finally to the
-    verified dense solver, so results never change, only the work to
-    reach them. *)
+    This is the one warm-start path.  A solve may start from a
+    {!Basis.t} snapshot of a structurally identical problem: the basis
+    is refactorised against the current coefficients and bounds, a
+    bounded-variable {e dual} simplex repairs primal infeasibility
+    (typically a handful of pivots after one bound change, as in
+    branch & bound), and a primal pass mops up.  Cold solves mirror
+    {!Simplex.solve}: the same column layout (structural, slack,
+    artificial) and row equilibration, so a basis recorded by either
+    engine warm-starts this one.  Whenever the sparse path cannot be
+    trusted (singular basis, marginal dual pivot, post-solve
+    feasibility breach) the solve falls down a ladder: sparse warm,
+    then sparse cold, then a dense cold {!Simplex.solve} with the
+    remaining pivot budget.  Results never change, only the work to
+    reach them.  See DESIGN.md §14–15. *)
 
 type data
 (** A problem compiled to CSC form.  Immutable once built; safe to
@@ -30,8 +35,6 @@ type data
     are forced at build time). *)
 
 val of_problem : Problem.t -> data
-val problem : data -> Problem.t
-val n_rows : data -> int
 
 type session
 (** A reusable solve workspace bound to one {!data}: the per-solve
@@ -57,8 +60,10 @@ val solve_warm :
   ?session:session ->
   data ->
   Simplex.result
-(** Like {!Simplex.solve_warm} on the compiled problem.  A warm start
-    refactorises the basis snapshot.  That is not free.  Over the
+(** Solve the LP relaxation of the compiled problem, starting warm
+    from [warm] when it is given.  [lo] / [hi] override the bounds as
+    in {!Simplex.solve}.  A warm start refactorises the basis
+    snapshot.  That is not free.  Over the
     [compile] benchmark's solves the refactorisation (factorise, then
     basic values and duals) takes 23 % of [solve_warm] time and the
     dual repair 19 %;
@@ -73,25 +78,22 @@ val solve_warm :
 
     [warm_used] reports whether the supplied basis survived the sparse
     warm start; [pivots] counts sparse and (rare) dense-fallback pivots
-    together and feeds the same process-wide cumulative counter. *)
-
-val solve :
-  ?options:Simplex.options ->
-  ?lo:float array ->
-  ?hi:float array ->
-  Problem.t ->
-  Solution.status
-(** One-shot convenience: compile and solve cold. *)
+    together, and each solve adds it once to {!counters}' [pivots]. *)
 
 val dense_fallbacks : unit -> int
 (** Process-wide count of solves that ended on the dense fallback
     path; tests read deltas to assert the sparse path actually ran. *)
 
-type counters = { refactorisations : int; ft_updates : int; ft_entries : int }
-(** Process-wide factorisation work: basis refactorisations,
-    Forrest–Tomlin updates applied, and row-eta entries appended by
-    those updates.  Benchmarks and the verbose CLI report read deltas
+type counters = {
+  pivots : int;
+  refactorisations : int;
+  ft_updates : int;
+  ft_entries : int;
+}
+(** Process-wide solver work: simplex pivots (dense-fallback pivots
+    included), basis refactorisations, Forrest–Tomlin updates applied,
+    and row-eta entries appended by those updates.  The counters only
+    grow; benchmarks, tests and the verbose CLI report read deltas
     around a solve to track the pivot/refactorisation trajectory. *)
 
 val counters : unit -> counters
-val reset_counters : unit -> unit

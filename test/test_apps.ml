@@ -410,10 +410,6 @@ let prop_parse_total =
     (fun line -> match Q.parse line with Ok _ | Error _ -> true)
 
 let () =
-  (* the pivot counter is process-wide; start every suite from a
-     clean slate so no test depends on which suite ran before it
-     (asserted centrally in test_check.ml) *)
-  Lp.Simplex.reset_cumulative_pivots ();
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "apps"
     [

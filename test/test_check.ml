@@ -1,14 +1,15 @@
 (* The correctness-tooling layer itself: certificate checker, seeded
-   generators, shrinking, the fuzz driver, and the cross-test pivot
+   generators, shrinking, the fuzz driver, and the solver's pivot
    accounting (DESIGN.md §11). *)
 
 open Check
 
 (* ---- pivot accounting -------------------------------------------
 
-   [Lp.Simplex.cumulative_pivots] is a process-wide counter.  Every
-   test suite resets it in its main; this group is the single place
-   that asserts its behaviour. *)
+   [Lp.Sparse.counters] are process-wide and only grow; every reader
+   takes deltas.  This group is the single place that asserts the
+   pivot count's behaviour: each sparse solve adds its result's
+   [pivots] once, dense-fallback pivots included. *)
 
 let small_lp () =
   let p = Lp.Problem.create () in
@@ -20,21 +21,26 @@ let small_lp () =
   p
 
 let test_pivot_accounting () =
-  Lp.Simplex.reset_cumulative_pivots ();
-  Alcotest.(check int) "reset clears the counter" 0
-    (Lp.Simplex.cumulative_pivots ());
-  let r = Lp.Simplex.solve_warm (small_lp ()) in
-  Alcotest.(check bool) "optimal" true (Lp.Solution.is_optimal r.status);
+  let solve ?warm p =
+    let c0 = Lp.Sparse.counters () in
+    let r = Lp.Sparse.solve_warm ?warm (Lp.Sparse.of_problem p) in
+    Alcotest.(check int) "counter adds exactly the solve's pivots" r.pivots
+      ((Lp.Sparse.counters ()).pivots - c0.pivots);
+    Alcotest.(check bool) "optimal" true (Lp.Solution.is_optimal r.status);
+    r
+  in
+  let r = solve (small_lp ()) in
   Alcotest.(check bool) "solving pivots at least once" true (r.pivots > 0);
-  Alcotest.(check int) "counter accumulates exactly the solve's pivots"
-    r.pivots
-    (Lp.Simplex.cumulative_pivots ());
-  let r2 = Lp.Simplex.solve_warm (small_lp ()) in
-  Alcotest.(check int) "second solve adds its pivots"
-    (r.pivots + r2.pivots)
-    (Lp.Simplex.cumulative_pivots ());
-  Lp.Simplex.reset_cumulative_pivots ();
-  Alcotest.(check int) "reset again" 0 (Lp.Simplex.cumulative_pivots ())
+  ignore (solve ?warm:r.basis (small_lp ()));
+  (* generator case 787219: the sparse solve declines and the dense
+     cold solve answers; its pivots are counted with the sparse ones *)
+  let p = Gen.lp (Prng.create 787219) ~size:(3 + (787219 mod 26)) in
+  let fb0 = Lp.Sparse.dense_fallbacks () in
+  let r = solve p in
+  Alcotest.(check int) "one dense fallback" 1
+    (Lp.Sparse.dense_fallbacks () - fb0);
+  Alcotest.(check bool) "more pivots than the dense solve alone" true
+    (r.pivots > (Lp.Simplex.solve p).pivots)
 
 (* ---- certificate checker ---- *)
 
@@ -46,7 +52,7 @@ let test_certificate_accepts_valid () =
   let optimal = ref 0 in
   for _ = 1 to 200 do
     let p = Gen.lp rng ~size:7 in
-    let r = Lp.Simplex.solve_warm p in
+    let r = Lp.Simplex.solve p in
     if Lp.Solution.is_optimal r.status then begin
       incr optimal;
       match Certificate.check_result p r with
@@ -66,7 +72,7 @@ let test_certificate_catches_suboptimal () =
      vertex for the maximisation, with a perfectly consistent basis *)
   let wrong = Lp.Problem.copy p in
   Lp.Problem.set_objective wrong Lp.Problem.Minimize [ (0, 3.); (1, 4.) ];
-  let r = Lp.Simplex.solve_warm wrong in
+  let r = Lp.Simplex.solve wrong in
   let sol = Lp.Solution.get r.status in
   let basis = Option.get r.basis in
   (* same x, same basis, claimed optimal for the maximisation *)
@@ -81,7 +87,7 @@ let test_certificate_catches_suboptimal () =
 
 let test_certificate_catches_corrupt_solution () =
   let p = small_lp () in
-  let r = Lp.Simplex.solve_warm p in
+  let r = Lp.Simplex.solve p in
   let sol = Lp.Solution.get r.status in
   let basis = Option.get r.basis in
   (* corrupt one coordinate: breaks either feasibility or the
@@ -100,7 +106,7 @@ let test_certificate_catches_corrupt_solution () =
 
 let test_certificate_catches_corrupt_basis () =
   let p = small_lp () in
-  let r = Lp.Simplex.solve_warm p in
+  let r = Lp.Simplex.solve p in
   let sol = Lp.Solution.get r.status in
   let basis = Option.get r.basis in
   let stat = Array.copy basis.Lp.Basis.stat in
@@ -317,9 +323,6 @@ let test_rate_search_feasibility_monotone () =
     true (monotone flags)
 
 let () =
-  (* the pivot counter is process-wide; start every suite from a
-     clean slate so no test depends on which suite ran before it *)
-  Lp.Simplex.reset_cumulative_pivots ();
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "check"
     [

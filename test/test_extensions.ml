@@ -252,10 +252,6 @@ let test_three_tier_matches_brute_force_tight () =
     (snd (three_tier_of_speech ~micro_net_budget:300. ()))
 
 let () =
-  (* the pivot counter is process-wide; start every suite from a
-     clean slate so no test depends on which suite ran before it
-     (asserted centrally in test_check.ml) *)
-  Lp.Simplex.reset_cumulative_pivots ();
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "extensions"
     [

@@ -319,10 +319,6 @@ let test_eeg_conservative_vs_permissive () =
   | _ -> Alcotest.fail "classification failed"
 
 let () =
-  (* the pivot counter is process-wide; start every suite from a
-     clean slate so no test depends on which suite ran before it
-     (asserted centrally in test_check.ml) *)
-  Lp.Simplex.reset_cumulative_pivots ();
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "integration"
     [

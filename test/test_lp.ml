@@ -8,7 +8,7 @@ let check_close ?(tol = 1e-6) msg expected actual =
     Alcotest.failf "%s: expected %.9g, got %.9g" msg expected actual
 
 let solve_lp p =
-  match Simplex.solve p with
+  match (Simplex.solve p).status with
   | Solution.Optimal s -> s
   | st -> Alcotest.failf "expected optimal, got %a" Solution.pp_status st
 
@@ -77,7 +77,7 @@ let test_lp_infeasible () =
   let p = Problem.create () in
   let x = Problem.add_var ~hi:1. p in
   Problem.add_constr p [ (x, 1.) ] Problem.Ge 2.;
-  match Simplex.solve p with
+  match (Simplex.solve p).status with
   | Solution.Infeasible -> ()
   | st -> Alcotest.failf "expected infeasible, got %a" Solution.pp_status st
 
@@ -85,7 +85,7 @@ let test_lp_unbounded () =
   let p = Problem.create () in
   let x = Problem.add_var p in
   Problem.set_objective p Problem.Maximize [ (x, 1.) ];
-  match Simplex.solve p with
+  match (Simplex.solve p).status with
   | Solution.Unbounded -> ()
   | st -> Alcotest.failf "expected unbounded, got %a" Solution.pp_status st
 
@@ -120,7 +120,7 @@ let test_lp_bound_override () =
   let x = Problem.add_var ~hi:10. p in
   Problem.set_objective p Problem.Maximize [ (x, 1.) ];
   let s =
-    match Simplex.solve ~lo:[| 0. |] ~hi:[| 3. |] p with
+    match (Simplex.solve ~lo:[| 0. |] ~hi:[| 3. |] p).status with
     | Solution.Optimal s -> s
     | st -> Alcotest.failf "expected optimal, got %a" Solution.pp_status st
   in
@@ -132,7 +132,7 @@ let test_lp_bound_override () =
 let test_lp_conflicting_override () =
   let p = Problem.create () in
   let _ = Problem.add_var ~hi:10. p in
-  match Simplex.solve ~lo:[| 5. |] ~hi:[| 3. |] p with
+  match (Simplex.solve ~lo:[| 5. |] ~hi:[| 3. |] p).status with
   | Solution.Infeasible -> ()
   | st -> Alcotest.failf "expected infeasible, got %a" Solution.pp_status st
 
@@ -146,7 +146,7 @@ let test_lp_mixed_scale () =
   Problem.set_objective p Problem.Maximize [ (x, 1.); (y, 1.) ];
   let s = solve_lp p in
   check_close "objective" 1. s.objective;
-  match Simplex.solve ~lo:[| 1.; 1. |] ~hi:[| 1.; 1. |] p with
+  match (Simplex.solve ~lo:[| 1.; 1. |] ~hi:[| 1.; 1. |] p).status with
   | Solution.Infeasible -> ()
   | st -> Alcotest.failf "expected infeasible, got %a" Solution.pp_status st
 
@@ -223,7 +223,11 @@ let test_ilp_incumbent_trace () =
     "incumbent time <= total" true
     (stats.time_to_incumbent <= stats.time_total +. 1e-9)
 
-(* ---- warm starts ---- *)
+(* ---- warm starts ----
+
+   Every warm start runs on the sparse engine, from a basis the dense
+   cold reference records, and is held to a dense cold solve of the
+   same bounds. *)
 
 let test_warm_bound_change () =
   (* max 2x + 3y st x + 2y <= 6, x <= 4, y <= 3 -> (4, 1), obj 11;
@@ -232,7 +236,7 @@ let test_warm_bound_change () =
   let x = Problem.add_var ~hi:4. p and y = Problem.add_var ~hi:3. p in
   Problem.add_constr p [ (x, 1.); (y, 2.) ] Problem.Le 6.;
   Problem.set_objective p Problem.Maximize [ (x, 2.); (y, 3.) ];
-  let r = Simplex.solve_warm p in
+  let r = Simplex.solve p in
   check_close "cold objective" 11. (Solution.get r.Simplex.status).objective;
   let basis =
     match r.Simplex.basis with
@@ -240,11 +244,11 @@ let test_warm_bound_change () =
     | None -> Alcotest.fail "optimal solve returned no basis"
   in
   let lo = [| 0.; 0. |] and hi = [| 2.; 3. |] in
-  let w = Simplex.solve_warm ~warm:basis ~lo ~hi p in
+  let w = Sparse.solve_warm ~warm:basis ~lo ~hi (Sparse.of_problem p) in
   Alcotest.(check bool) "warm basis accepted" true w.Simplex.warm_used;
   (* x <= 2 -> (2, 2), obj 10 *)
   check_close "warm objective" 10. (Solution.get w.Simplex.status).objective;
-  let c = Simplex.solve_warm ~lo ~hi p in
+  let c = Simplex.solve ~lo ~hi p in
   check_close "warm = cold"
     (Solution.get c.Simplex.status).objective
     (Solution.get w.Simplex.status).objective
@@ -254,38 +258,55 @@ let test_warm_detects_infeasible () =
   let x = Problem.add_var ~hi:1. p and y = Problem.add_var ~hi:1. p in
   Problem.add_constr p [ (x, 1.); (y, 1.) ] Problem.Ge 1.5;
   Problem.set_objective p Problem.Minimize [ (x, 1.); (y, 1.) ];
-  let r = Simplex.solve_warm p in
+  let r = Simplex.solve p in
   let basis = Option.get r.Simplex.basis in
   (* x, y <= 0.5 makes the covering constraint unsatisfiable *)
-  let w = Simplex.solve_warm ~warm:basis ~lo:[| 0.; 0. |] ~hi:[| 0.5; 0.5 |] p in
-  match w.Simplex.status with
-  | Solution.Infeasible -> ()
-  | st -> Alcotest.failf "expected infeasible, got %a" Solution.pp_status st
+  let lo = [| 0.; 0. |] and hi = [| 0.5; 0.5 |] in
+  let w = Sparse.solve_warm ~warm:basis ~lo ~hi (Sparse.of_problem p) in
+  match (w.Simplex.status, (Simplex.solve ~lo ~hi p).status) with
+  | Solution.Infeasible, Solution.Infeasible -> ()
+  | st, cold ->
+      Alcotest.failf "expected infeasible, got %a (cold %a)"
+        Solution.pp_status st Solution.pp_status cold
 
 (* A cold solve accepts a point whose rows are violated by up to
    [feas_tol * 100]; re-solving warm from that optimum's own basis must
-   not then certify the LP infeasible.  Generator case 787219: the cold
-   optimum 6.22373 violates row c2 by ~8e-6, and the warm start's dual
-   repair finds no entering column for that row, on both engines; it
-   must fall back to the cold verdict. *)
+   not then certify the LP infeasible.  Generator case 787219: the dense
+   cold optimum 6.22373 violates row c2 by ~8e-6.  The sparse cold
+   solve declines and falls back to the dense cold solve; warm from
+   that basis, the dual repair finds no entering column for c2, so the
+   warm start is declined and the same ladder ends on the dense cold
+   solve.  Both answers are the dense one, bit for bit. *)
 let test_warm_keeps_cold_verdict () =
   let seed = 787219 in
   let p = Check.Gen.lp (Prng.create seed) ~size:(3 + (seed mod 26)) in
-  let expect_optimal tag (cold : Simplex.result) (warm : Simplex.result) =
-    match (cold.Simplex.status, warm.Simplex.status) with
-    | Solution.Optimal c, Solution.Optimal w ->
-        Alcotest.(check (float 1e-6)) (tag ^ " objective") c.objective
-          w.objective
-    | Solution.Optimal _, st ->
-        Alcotest.failf "%s: cold optimal, warm %a" tag Solution.pp_status st
-    | st, _ -> Alcotest.failf "%s: cold %a" tag Solution.pp_status st
+  let reference =
+    match (Simplex.solve p).Simplex.status with
+    | Solution.Optimal s -> s.objective
+    | st -> Alcotest.failf "dense cold: %a" Solution.pp_status st
   in
-  let dense = Simplex.solve_warm p in
-  expect_optimal "dense" dense
-    (Simplex.solve_warm ?warm:dense.Simplex.basis p);
   let data = Sparse.of_problem p in
-  let cold = Sparse.solve_warm data in
-  expect_optimal "sparse" cold (Sparse.solve_warm ?warm:cold.Simplex.basis data)
+  let one_fallback tag solve =
+    let fb0 = Sparse.dense_fallbacks () in
+    let r : Simplex.result = solve () in
+    Alcotest.(check int) (tag ^ " dense fallbacks") 1
+      (Sparse.dense_fallbacks () - fb0);
+    (match r.status with
+    | Solution.Optimal s ->
+        Alcotest.(check int64) (tag ^ " objective bits")
+          (Int64.bits_of_float reference)
+          (Int64.bits_of_float s.objective)
+    | st ->
+        Alcotest.failf "%s: dense cold optimal, got %a" tag Solution.pp_status
+          st);
+    r
+  in
+  let cold = one_fallback "cold" (fun () -> Sparse.solve_warm data) in
+  let warm =
+    one_fallback "warm" (fun () ->
+        Sparse.solve_warm ?warm:cold.Simplex.basis data)
+  in
+  Alcotest.(check bool) "warm basis declined" false warm.Simplex.warm_used
 
 let test_warm_rescaled_coefficients () =
   (* rate-search shape: same structure, uniformly scaled data *)
@@ -300,11 +321,11 @@ let test_warm_rescaled_coefficients () =
     Problem.set_objective p Problem.Maximize [ (x, 10.); (y, 6.); (z, 4.) ];
     p
   in
-  let r = Simplex.solve_warm (build 1.) in
+  let r = Simplex.solve (build 1.) in
   let basis = Option.get r.Simplex.basis in
   let p2 = build 1.7 in
-  let w = Simplex.solve_warm ~warm:basis p2 in
-  let c = Simplex.solve_warm p2 in
+  let w = Sparse.solve_warm ~warm:basis (Sparse.of_problem p2) in
+  let c = Simplex.solve p2 in
   check_close "rescaled warm = cold"
     (Solution.get c.Simplex.status).objective
     (Solution.get w.Simplex.status).objective
@@ -418,7 +439,7 @@ let prop_lp_feasible_optimal =
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let p = random_lp seed in
-      match Simplex.solve p with
+      match (Simplex.solve p).status with
       | Solution.Optimal s ->
           if Problem.constraint_violation p s.x > 1e-5 then
             QCheck.Test.fail_reportf "seed %d: violation %g" seed
@@ -432,7 +453,7 @@ let prop_lp_relaxation_bounds_ilp =
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let p = random_problem seed in
-      match (Simplex.solve p, Branch_bound.solve p) with
+      match ((Simplex.solve p).status, Branch_bound.solve p) with
       | Solution.Optimal lp, (Solution.Optimal ip, _) -> (
           match Problem.direction p with
           | Problem.Maximize -> lp.objective >= ip.objective -. 1e-5
@@ -446,7 +467,7 @@ let prop_warm_lp_matches_cold =
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let p = random_lp seed in
-      match Simplex.solve_warm p with
+      match Simplex.solve p with
       | { Simplex.status = Solution.Optimal _; basis = Some b; _ } -> (
           (* tighten a few bounds, as branch & bound would *)
           let rng = Prng.create (seed + 77) in
@@ -460,8 +481,8 @@ let prop_warm_lp_matches_cold =
               hi.(v) <- Float.max lo.(v) (hi.(v) /. 2.)
             else lo.(v) <- lo.(v) +. ((hi.(v) -. lo.(v)) /. 2.)
           done;
-          let w = Simplex.solve_warm ~warm:b ~lo ~hi p in
-          let c = Simplex.solve_warm ~lo ~hi p in
+          let w = Sparse.solve_warm ~warm:b ~lo ~hi (Sparse.of_problem p) in
+          let c = Simplex.solve ~lo ~hi p in
           match (w.Simplex.status, c.Simplex.status) with
           | Solution.Optimal a, Solution.Optimal b2 ->
               if Float.abs (a.objective -. b2.objective) > 1e-5 then
@@ -532,10 +553,10 @@ let status_agrees ?(tol = 1e-5) seed tag (a : Solution.status)
       QCheck.Test.fail_reportf "seed %d: %s sparse=%a dense=%a" seed tag
         Solution.pp_status a Solution.pp_status b
 
-(* The tentpole property from ISSUE 5: on random LPs the sparse
-   revised simplex and the dense tableau agree on status and (within
-   tolerance) on the objective — cold, and warm-started from each
-   other's bases. *)
+(* On random LPs the sparse revised simplex and the dense tableau
+   agree on status and (within tolerance) on the objective: cold, and
+   the sparse engine warm-started from the dense basis against a dense
+   cold solve of the same bounds. *)
 let prop_sparse_matches_dense =
   QCheck.Test.make ~count:1000 ~name:"sparse simplex matches dense (cold+warm)"
     QCheck.(int_range 0 1_000_000)
@@ -543,15 +564,15 @@ let prop_sparse_matches_dense =
       let rng = Prng.create seed in
       let p = Check.Gen.lp rng ~size:(3 + (seed mod 26)) in
       let data = Sparse.of_problem p in
-      let dense = Simplex.solve_warm p in
+      let dense = Simplex.solve p in
       let sparse = Sparse.solve_warm data in
       let cold_ok =
         status_agrees seed "cold" sparse.Simplex.status dense.Simplex.status
       in
       cold_ok
       &&
-      (* tighten a bound branch&bound-style and warm both solvers from
-         the *dense* basis: snapshots must be interchangeable *)
+      (* tighten a bound branch&bound-style and warm the sparse solver
+         from the *dense* basis: snapshots must be interchangeable *)
       match dense.Simplex.basis with
       | Some b when Solution.is_optimal dense.Simplex.status ->
           let vars = Problem.vars p in
@@ -562,9 +583,9 @@ let prop_sparse_matches_dense =
           if Prng.bool rng 0.5 then
             hi.(v) <- Float.max lo.(v) (lo.(v) +. ((hi.(v) -. lo.(v)) /. 2.))
           else lo.(v) <- lo.(v) +. Float.min 2. ((hi.(v) -. lo.(v)) /. 2.);
-          let dw = Simplex.solve_warm ~warm:b ~lo ~hi p in
+          let dc = Simplex.solve ~lo ~hi p in
           let sw = Sparse.solve_warm ~warm:b ~lo ~hi data in
-          status_agrees seed "warm" sw.Simplex.status dw.Simplex.status
+          status_agrees seed "warm" sw.Simplex.status dc.Simplex.status
       | _ -> true)
 
 (* Forrest–Tomlin updates against a fresh refactorisation of the same
@@ -835,8 +856,8 @@ let test_sparse_edge_cases () =
      replayed through the sparse solver *)
   let check_pair name build =
     let p = build () in
-    let d = Simplex.solve p in
-    let s = Sparse.solve p in
+    let d = (Simplex.solve p).status in
+    let s = (Sparse.solve_warm (Sparse.of_problem p)).status in
     match (d, s) with
     | Solution.Optimal a, Solution.Optimal b ->
         check_close (name ^ ": objective") a.objective b.objective
@@ -889,8 +910,8 @@ let test_sparse_edge_cases () =
       p)
 
 let test_sparse_basis_roundtrip () =
-  (* a sparse-produced basis must warm-start the dense solver with no
-     extra pivots, and vice versa *)
+  (* a basis the dense cold reference records must warm-start the
+     sparse solver *)
   let p = Problem.create () in
   let vars = Array.init 8 (fun _ -> Problem.add_var ~hi:4. p) in
   Array.iteri
@@ -903,14 +924,11 @@ let test_sparse_basis_roundtrip () =
     (Array.to_list (Array.mapi (fun i v -> (v, Float.of_int (1 + (i mod 3)))) vars));
   let data = Sparse.of_problem p in
   let s = Sparse.solve_warm data in
-  let sb =
-    match s.Simplex.basis with
+  let db =
+    match (Simplex.solve p).Simplex.basis with
     | Some b -> b
-    | None -> Alcotest.fail "sparse solve returned no basis"
+    | None -> Alcotest.fail "dense solve returned no basis"
   in
-  let d = Simplex.solve_warm ~warm:sb p in
-  Alcotest.(check bool) "dense accepts sparse basis" true d.Simplex.warm_used;
-  let db = Option.get d.Simplex.basis in
   let s2 = Sparse.solve_warm ~warm:db data in
   Alcotest.(check bool) "sparse accepts dense basis" true s2.Simplex.warm_used;
   check_close "objectives agree"
@@ -1104,10 +1122,6 @@ let test_pqueue_empty () =
   Alcotest.(check bool) "min none" true (Heap.Pqueue.min_key q = None)
 
 let () =
-  (* the pivot counter is process-wide; start every suite from a
-     clean slate so no test depends on which suite ran before it
-     (asserted centrally in test_check.ml) *)
-  Lp.Simplex.reset_cumulative_pivots ();
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "lp"
     [

@@ -496,9 +496,9 @@ let test_resource_wrong_length () =
     (Invalid_argument "Placement.encode: resource ram has wrong length")
     (fun () -> ignore (solve ~resources:[ bad ] spec))
 
-(* ---- pipeline fast path ---- *)
+(* ---- pipeline prefix-cut oracle ---- *)
 
-let prop_pipeline_dp_matches_ilp =
+let prop_pipeline_prefix_matches_ilp =
   QCheck.Test.make ~count:100 ~name:"pipeline enumeration matches the ILP"
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
@@ -508,7 +508,7 @@ let prop_pipeline_dp_matches_ilp =
           ~net_budget:(200. +. Float.of_int (seed mod 5) *. 150.)
           ()
       in
-      match (Pipeline_dp.solve spec, solve spec) with
+      match (Check.Reference.pipeline_prefix_cut spec, solve spec) with
       | Some (_, dp_obj), Placement.Partitioned r ->
           if Float.abs (dp_obj -. r.objective) > 1e-6 then
             QCheck.Test.fail_reportf "seed %d: dp %.9g vs ilp %.9g" seed dp_obj
@@ -522,17 +522,13 @@ let prop_pipeline_dp_matches_ilp =
       | _, Placement.Solver_failure m ->
           QCheck.Test.fail_reportf "seed %d: %s" seed m)
 
-let test_pipeline_dp_rejects_dag () =
+let test_pipeline_prefix_rejects_dag () =
   let spec = Apps.Synthetic.fig3_spec ~cpu_budget:2. in
   Alcotest.check_raises "dag rejected"
-    (Invalid_argument "Pipeline_dp.solve: not a linear pipeline") (fun () ->
-      ignore (Pipeline_dp.solve spec))
+    (Invalid_argument "Reference.pipeline_prefix_cut: not a linear pipeline")
+    (fun () -> ignore (Check.Reference.pipeline_prefix_cut spec))
 
 let () =
-  (* the pivot counter is process-wide; start every suite from a
-     clean slate so no test depends on which suite ran before it
-     (asserted centrally in test_check.ml) *)
-  Lp.Simplex.reset_cumulative_pivots ();
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "wishbone"
     [
@@ -595,7 +591,7 @@ let () =
         ] );
       ( "pipeline_dp",
         [
-          QCheck_alcotest.to_alcotest prop_pipeline_dp_matches_ilp;
-          tc "rejects non-pipelines" test_pipeline_dp_rejects_dag;
+          QCheck_alcotest.to_alcotest prop_pipeline_prefix_matches_ilp;
+          tc "rejects non-pipelines" test_pipeline_prefix_rejects_dag;
         ] );
     ]
