@@ -142,8 +142,10 @@ let write_json ~n_channels ~(cold : mode_result) ~(warm : mode_result)
    factor work, objective bits) is deterministic and pinned, and so is
    the minor-heap allocation of each node LP: about 20,400 words while
    every solve copied its bases and snapshots through [Array.blit] and
-   boxed a column value per constraint term, about 5,500 since.  The
-   ceiling sits between the two. *)
+   boxed a column value per constraint term, about 5,500 since, and
+   about 5,000 once the set-up before the first pivot stopped
+   formatting names and consing per entry.  The ceiling sits between
+   the two. *)
 let max_words_per_node_lp = 10_000.
 
 let node_lp_gate () =

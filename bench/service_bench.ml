@@ -240,9 +240,75 @@ let run () =
     (Wishbone.Service.counters svc1);
   Bench_util.row "wrote BENCH_service.json\n"
 
+(* Per-query set-up allocation gate: the words one query allocates
+   before its first pivot, minor-heap words plus blocks allocated
+   straight into the major heap (promotions excluded), both
+   deterministic counts.  Two places: keying the eeg14 chain (the
+   second keying on this domain, as every keying after the first is:
+   the first grows the domain's sink), and the eeg22 ×0.92699 solve's
+   contraction, encoding, CSC build and solve session.  The ceilings
+   sit at about 1.5x today's counts, 54 and 298,761 words
+   (DESIGN.md §16).  Before the key sink, the lazy LP names, the
+   list-free CSC build and the sorted quotient edges the same two
+   places allocated 47,883 and 518,098 words. *)
+let max_key_words = 80.
+let max_setup_words = 440_000.
+
+(* minor words come from [Gc.minor_words]: in OCaml 5.1 the minor
+   count of [Gc.counters] reads an eighth of the words allocated since
+   the last minor collection *)
+let words f =
+  let direct_major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let m0 = Gc.minor_words () and d0 = direct_major () in
+  let r = f () in
+  let minor = Gc.minor_words () -. m0 and major = direct_major () -. d0 in
+  (r, minor +. major, Printf.sprintf "%.0f minor + %.0f major" minor major)
+
+let setup_alloc_gate () =
+  let eeg n =
+    Bench_util.spec_exn ~mode:Wishbone.Movable.Permissive
+      ~platform:Profiler.Platform.tmote_sky
+      (Apps.Eeg.profile ~duration:10. (Apps.Eeg.build ~n_channels:n ()))
+  in
+  let eeg14 = Wishbone.Placement.of_spec (eeg 14) in
+  ignore (Wishbone.Service.instance_key eeg14);
+  let _, key_words, key_split =
+    words (fun () -> Wishbone.Service.instance_key eeg14)
+  in
+  let spec = Wishbone.Spec.scale_rate (eeg 22) 0.92699 in
+  let pl = Wishbone.Placement.of_spec spec in
+  let c, contract, contract_split =
+    words (fun () -> Wishbone.Preprocess.contract spec)
+  in
+  let enc, encode, encode_split =
+    words (fun () ->
+        Wishbone.Placement.encode Wishbone.Placement.Restricted pl c)
+  in
+  let data, csc, csc_split =
+    words (fun () -> Lp.Sparse.of_problem enc.Wishbone.Placement.problem)
+  in
+  let _, session, session_split = words (fun () -> Lp.Sparse.session data) in
+  let setup = contract +. encode +. csc +. session in
+  Bench_util.row
+    "set-up words: eeg14 key %s; eeg22 x0.92699 contract %s, encode %s, \
+     of_problem %s, session %s (%.0f in all)\n"
+    key_split contract_split encode_split csc_split session_split setup;
+  check
+    (Printf.sprintf "eeg14 keying allocated %.0f words (> %.0f)" key_words
+       max_key_words)
+    (key_words <= max_key_words);
+  check
+    (Printf.sprintf "eeg22 set-up allocated %.0f words (> %.0f)" setup
+       max_setup_words)
+    (setup <= max_setup_words)
+
 (* CI smoke: a tiny synthetic batch, shards=2, asserting byte-identity
    against the direct path and counter conservation, then six batches
-   of new placements on shards 1 and 2 — seconds, not minutes *)
+   of new placements on shards 1 and 2 — seconds, not minutes; last,
+   the per-query set-up allocation gate *)
 let smoke () =
   Bench_util.header "placement service: smoke";
   let pl seed = Wishbone.Placement.of_spec (Apps.Synthetic.random_spec ~seed ~n_ops:8 ()) in
@@ -301,4 +367,5 @@ let smoke () =
   Bench_util.row
     "smoke ok: %d batches of new placements, %d solved, %d failed; shards=2 \
      answers and counters equal shards=1\n"
-    n_batches c.Wishbone.Service.misses c.Wishbone.Service.failed
+    n_batches c.Wishbone.Service.misses c.Wishbone.Service.failed;
+  setup_alloc_gate ()

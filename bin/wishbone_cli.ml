@@ -678,11 +678,18 @@ let serve_cmd =
   let shards_arg =
     Arg.(
       value
-      & opt (pos_int ~flag:"--shards") 1
+      & opt
+          (number ~what:"an integer from 1 to 128"
+             ~ok:(fun x ->
+               x >= 1. && x <= Float.of_int Wishbone.Service.max_shards)
+             int_of_string_opt Float.of_int Format.pp_print_int
+             ~flag:"--shards")
+          1
       & info [ "shards" ] ~docv:"N"
           ~doc:
-            "Solver domains per batch.  Responses are identical for every \
-             shard count; only wall-clock changes.")
+            "Solver domains per batch, at most 128 (OCaml's domain \
+             limit).  Responses are identical for every shard count; \
+             only wall-clock changes.")
   in
   let cache_arg =
     Arg.(

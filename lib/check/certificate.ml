@@ -146,17 +146,14 @@ let check ?(tol = 1e-6) ?lo ?hi problem (sol : Lp.Solution.t)
             0. c.terms
         in
         let scale = 1. +. Float.max (Float.abs lhs) (Float.abs c.rhs) in
-        (match c.sense with
-        | Le ->
-            if lhs > c.rhs +. (tol *. scale) then
-              fail "row %d (%s): %g > rhs %g" i c.cname lhs c.rhs
-        | Ge ->
-            if lhs < c.rhs -. (tol *. scale) then
-              fail "row %d (%s): %g < rhs %g" i c.cname lhs c.rhs
-        | Eq ->
-            if Float.abs (lhs -. c.rhs) > tol *. scale then
-              fail "row %d (%s): %g <> rhs %g" i c.cname lhs c.rhs);
-        ())
+        let violated rel =
+          fail "row %d (%s): %g %s rhs %g" i
+            (Lp.Problem.constr_name problem i) lhs rel c.rhs
+        in
+        match c.sense with
+        | Le -> if lhs > c.rhs +. (tol *. scale) then violated ">"
+        | Ge -> if lhs < c.rhs -. (tol *. scale) then violated "<"
+        | Eq -> if Float.abs (lhs -. c.rhs) > tol *. scale then violated "<>")
       constrs;
     (* slack values close the equality system exactly *)
     for s = 0 to n_slack - 1 do

@@ -177,12 +177,12 @@ let problem_of parts =
   Array.iter
     (fun (v : Lp.Problem.var_info) ->
       ignore
-        (Lp.Problem.add_var ~name:v.vname ~lo:v.lo ~hi:v.hi
+        (Lp.Problem.add_var ?name:v.vname ~lo:v.lo ~hi:v.hi
            ~integer:v.integer p))
     parts.vars;
   Array.iter
     (fun (c : Lp.Problem.constr) ->
-      Lp.Problem.add_constr ~name:c.cname p c.terms c.sense c.rhs)
+      Lp.Problem.add_constr ?name:c.cname p c.terms c.sense c.rhs)
     parts.constrs;
   Lp.Problem.set_objective p parts.dir parts.obj;
   p

@@ -6,11 +6,11 @@ type constr = {
   terms : (int * float) list;
   sense : sense;
   rhs : float;
-  cname : string;
+  cname : string option;
 }
 
 type var_info = {
-  vname : string;
+  vname : string option;
   lo : float;
   hi : float;
   integer : bool;
@@ -45,8 +45,7 @@ let add_var ?name ?(lo = 0.) ?(hi = infinity) ?(integer = false) p =
     invalid_arg "Problem.add_var: lower bound must be finite";
   if lo > hi then invalid_arg "Problem.add_var: lo > hi";
   let id = p.n in
-  let vname = match name with Some s -> s | None -> Printf.sprintf "x%d" id in
-  p.vars_rev <- { vname; lo; hi; integer } :: p.vars_rev;
+  p.vars_rev <- { vname = name; lo; hi; integer } :: p.vars_rev;
   p.n <- id + 1;
   p.vars_cache <- None;
   id
@@ -60,10 +59,7 @@ let check_terms p terms =
 
 let add_constr ?name p terms sense rhs =
   check_terms p terms;
-  let cname =
-    match name with Some s -> s | None -> Printf.sprintf "c%d" p.m
-  in
-  p.constrs_rev <- { terms; sense; rhs; cname } :: p.constrs_rev;
+  p.constrs_rev <- { terms; sense; rhs; cname = name } :: p.constrs_rev;
   p.m <- p.m + 1;
   p.constrs_cache <- None
 
@@ -87,6 +83,13 @@ let constrs p =
       let a = Array.of_list (List.rev p.constrs_rev) in
       p.constrs_cache <- Some a;
       a
+
+(* an unnamed entry is rendered from its index only when asked for *)
+let var_name p i =
+  match (vars p).(i).vname with Some s -> s | None -> Printf.sprintf "x%d" i
+
+let constr_name p i =
+  match (constrs p).(i).cname with Some s -> s | None -> Printf.sprintf "c%d" i
 
 let n_vars p = p.n
 let n_constrs p = p.m
@@ -150,15 +153,15 @@ let pp_terms ppf terms names =
   if !first then Format.fprintf ppf "0"
 
 let pp ppf p =
-  let names = Array.map (fun v -> v.vname) (vars p) in
+  let names = Array.init p.n (var_name p) in
   let dir = match p.dir with Minimize -> "min" | Maximize -> "max" in
   Format.fprintf ppf "@[<v>%s: " dir;
   pp_terms ppf p.obj names;
   Format.fprintf ppf "@,subject to:@,";
-  Array.iter
-    (fun c ->
+  Array.iteri
+    (fun i c ->
       let s = match c.sense with Le -> "<=" | Ge -> ">=" | Eq -> "=" in
-      Format.fprintf ppf "  %s: " c.cname;
+      Format.fprintf ppf "  %s: " (constr_name p i);
       pp_terms ppf c.terms names;
       Format.fprintf ppf " %s %g@," s c.rhs)
     (constrs p);

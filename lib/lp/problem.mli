@@ -21,11 +21,11 @@ type constr = {
   terms : (int * float) list;
   sense : sense;
   rhs : float;
-  cname : string;
+  cname : string option;  (** [None]: rendered as [c<i>] *)
 }
 
 type var_info = {
-  vname : string;
+  vname : string option;  (** [None]: rendered as [x<i>] *)
   lo : float;  (** lower bound; must be finite *)
   hi : float;  (** upper bound; may be [infinity] *)
   integer : bool;
@@ -59,6 +59,12 @@ val objective : t -> (int * float) list
 val direction : t -> direction
 val integer_vars : t -> int list
 (** Indices of variables declared integral, in increasing order. *)
+
+val var_name : t -> int -> string
+(** [var_name p i]: variable [i]'s name, or [x<i>] when it has none. *)
+
+val constr_name : t -> int -> string
+(** [constr_name p i]: row [i]'s name, or [c<i>] when it has none. *)
 
 val copy : t -> t
 (** Deep copy; changes to the copy do not affect the original. *)

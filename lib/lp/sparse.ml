@@ -32,25 +32,32 @@ let of_problem problem =
   let n = Array.length vars in
   let constrs = Problem.constrs problem in
   let m = Array.length constrs in
-  let n_slack =
-    Array.fold_left
-      (fun acc (c : Problem.constr) ->
-        match c.sense with Le | Ge -> acc + 1 | Eq -> acc)
-      0 constrs
-  in
+  let n_slack = ref 0 and n_terms = ref 0 in
+  Array.iter
+    (fun (c : Problem.constr) ->
+      if c.sense <> Eq then incr n_slack;
+      n_terms := !n_terms + List.length c.terms)
+    constrs;
+  let n_slack = !n_slack in
   let n_real = n + n_slack in
   let ncols = n_real + m in
-  (* per-column entry lists, rows appended in increasing order *)
-  let cols : (int * float) list array = Array.make ncols [] in
+  (* Pass 1 over the rows: sum duplicate terms and equilibrate, exactly
+     as the dense row fill does, keep each row's nonzero structural
+     entries (row-major: row i's at [rptr.(i)] up to [rptr.(i + 1)],
+     at most one per column) and count every column's entries in
+     [ptr.(j + 1)]. *)
+  let rptr = Array.make (m + 1) 0 in
+  let rcol = Array.make (Int.max 1 !n_terms) 0 in
+  let rval = Array.make (Int.max 1 !n_terms) 0. in
+  let slack_val = Array.make m 0. in
+  let ptr = Array.make (ncols + 1) 0 in
   let rhs0 = Array.make m 0. in
-  let nnz = ref 0 in
   let acc = Array.make (Int.max 1 n) 0. in
   let stamp = Array.make (Int.max 1 n) (-1) in
   let touched = Array.make (Int.max 1 n) 0 in
-  let slack_idx = ref n in
+  let nz = ref 0 and slack_idx = ref n in
   Array.iteri
     (fun i (c : Problem.constr) ->
-      (* sum duplicate terms, exactly as the dense row fill does *)
       let n_touched = ref 0 in
       List.iter
         (fun (v, coef) ->
@@ -62,25 +69,13 @@ let of_problem problem =
           end;
           acc.(v) <- acc.(v) +. coef)
         c.terms;
-      let slack =
-        match c.sense with
-        | Le ->
-            let s = !slack_idx in
-            incr slack_idx;
-            Some (s, 1.)
-        | Ge ->
-            let s = !slack_idx in
-            incr slack_idx;
-            Some (s, -1.)
-        | Eq -> None
-      in
       (* row equilibration: same norm and threshold as the dense
          build (slack included, artificial not) *)
       let norm = ref 0. in
       for t = 0 to !n_touched - 1 do
         norm := Float.max !norm (Float.abs acc.(touched.(t)))
       done;
-      if slack <> None then norm := Float.max !norm 1.;
+      if c.sense <> Eq then norm := Float.max !norm 1.;
       let scale =
         if !norm > 0. && (!norm > 16. || !norm < 1. /. 16.) then 1. /. !norm
         else 1.
@@ -89,34 +84,46 @@ let of_problem problem =
         let v = touched.(t) in
         let a = acc.(v) *. scale in
         if a <> 0. then begin
-          cols.(v) <- (i, a) :: cols.(v);
-          incr nnz
+          rcol.(!nz) <- v;
+          rval.(!nz) <- a;
+          incr nz;
+          ptr.(v + 1) <- ptr.(v + 1) + 1
         end
       done;
-      (match slack with
-      | Some (s, sv) ->
-          cols.(s) <- [ (i, sv *. scale) ];
-          incr nnz
-      | None -> ());
-      cols.(n_real + i) <- [ (i, 1.) ];
-      incr nnz;
+      rptr.(i + 1) <- !nz;
+      if c.sense <> Eq then begin
+        slack_val.(i) <- (if c.sense = Le then scale else -.scale);
+        ptr.(!slack_idx + 1) <- 1;
+        incr slack_idx
+      end;
+      ptr.(n_real + i + 1) <- 1;
       rhs0.(i) <- c.rhs *. scale)
     constrs;
-  let ptr = Array.make (ncols + 1) 0 in
   for j = 0 to ncols - 1 do
-    ptr.(j + 1) <- ptr.(j) + List.length cols.(j)
+    ptr.(j + 1) <- ptr.(j) + ptr.(j + 1)
   done;
-  let idx = Array.make (Int.max 1 !nnz) 0 in
-  let vs = Array.make (Int.max 1 !nnz) 0. in
-  for j = 0 to ncols - 1 do
-    let p = ref ptr.(j + 1) in
-    (* lists were built backwards: fill from the end *)
-    List.iter
-      (fun (i, a) ->
-        decr p;
-        idx.(!p) <- i;
-        vs.(!p) <- a)
-      cols.(j)
+  (* Pass 2 over the rows, in order: each column receives its entries
+     in increasing row order *)
+  let nnz = ptr.(ncols) in
+  let idx = Array.make (Int.max 1 nnz) 0 in
+  let vs = Array.make (Int.max 1 nnz) 0. in
+  let next = Array.sub ptr 0 ncols in
+  let put j i a =
+    let p = next.(j) in
+    next.(j) <- p + 1;
+    idx.(p) <- i;
+    vs.(p) <- a
+  in
+  let slack_idx = ref n in
+  for i = 0 to m - 1 do
+    for t = rptr.(i) to rptr.(i + 1) - 1 do
+      put rcol.(t) i rval.(t)
+    done;
+    if constrs.(i).sense <> Eq then begin
+      put !slack_idx i slack_val.(i);
+      incr slack_idx
+    end;
+    put (n_real + i) i 1.
   done;
   let minimize = Problem.direction problem = Problem.Minimize in
   let cobj = Array.make (Int.max 1 n) 0. in
@@ -129,12 +136,18 @@ let of_problem problem =
      the boxed lists, without chasing cons cells on every solve *)
   let c_vars =
     Array.map
-      (fun (c : Problem.constr) -> Array.of_list (List.map fst c.terms))
+      (fun (c : Problem.constr) ->
+        let a = Array.make (List.length c.terms) 0 in
+        List.iteri (fun t (v, _) -> a.(t) <- v) c.terms;
+        a)
       constrs
   in
   let c_coefs =
     Array.map
-      (fun (c : Problem.constr) -> Array.of_list (List.map snd c.terms))
+      (fun (c : Problem.constr) ->
+        let a = Array.make (List.length c.terms) 0. in
+        List.iteri (fun t (_, coef) -> a.(t) <- coef) c.terms;
+        a)
       constrs
   in
   { problem; n; n_slack; m; n_real; ncols; ptr; idx; vs; rhs0; cobj; minimize;

@@ -4,10 +4,11 @@
     The partition ILPs are near-network-flow: 2-3 nonzeros in almost
     every row.  The dense tableau in {!Simplex} pays O(rows x cols)
     per pivot regardless; this solver stores the constraint matrix
-    once in compressed sparse column form, keeps the basis as a
-    sparse LU factorisation with Forrest–Tomlin updates ({!Factor},
-    refreshed when an update turns numerically marginal rather than
-    on a fixed cadence), and so pays O(nnz) per pivot.  Pricing is
+    once in compressed sparse column form (built by {!of_problem} in
+    two passes over the rows, at a cost of about its nonzeros), keeps
+    the basis as a sparse LU factorisation with Forrest–Tomlin updates
+    ({!Factor}, refreshed when an update turns numerically marginal
+    rather than on a fixed cadence), and so pays O(nnz) per pivot.  Pricing is
     devex: reference-framework weights pick the steepest scaled
     reduced cost, and the BTRAN of the pivot row that feeds the weight
     update also updates the duals incrementally, so no pivot pays a
@@ -35,6 +36,10 @@ type data
     are forced at build time). *)
 
 val of_problem : Problem.t -> data
+(** Compile a problem: one pass over the rows sums duplicate terms,
+    equilibrates each row and counts every column's entries, a second
+    scatters them, so each column lists its rows in increasing order.
+    Nothing is consed per entry. *)
 
 type session
 (** A reusable solve workspace bound to one {!data}: the per-solve

@@ -357,7 +357,9 @@ let encode ?(resources = []) encoding t (c : Preprocess.contracted) =
      (for a chain: tier(s) <= k, the historical meaning), k-major, for
      live tiers only (-1 marks a pruned tier's entries); pinning via
      bounds, eq. (1) — a pinned supernode fixes d_k = 1 on its tier's
-     root path and 0 elsewhere *)
+     root path and 0 elsewhere.  Only the budget rows ([cpu_*],
+     [net_*], resources) carry names; a rendering shows every other
+     variable and row by its index. *)
   let bounds s k =
     match pin_tier.(s) with
     | Some tp -> if Topology.on_root_path topo k tp then (1., 1.) else (0., 0.)
@@ -369,9 +371,7 @@ let encode ?(resources = []) encoding t (c : Preprocess.contracted) =
             if not live.(k) then -1
             else
               let lo, hi = bounds s k in
-              Lp.Problem.add_var
-                ~name:(Printf.sprintf "d%d_%d" k s)
-                ~lo ~hi ~integer:true p))
+              Lp.Problem.add_var ~lo ~hi ~integer:true p))
   in
   (* objective coefficients accumulate per level variable *)
   let obj = Array.make (Lp.Problem.n_vars p) 0. in
@@ -460,9 +460,7 @@ let encode ?(resources = []) encoding t (c : Preprocess.contracted) =
         (fun (u, v, r) ->
           for k = 0 to levels - 1 do
             if live.(k) then begin
-              Lp.Problem.add_constr
-                ~name:(Printf.sprintf "dir%d_%d_%d" k u v)
-                p
+              Lp.Problem.add_constr p
                 [ (level_var.(k).(u), 1.); (level_var.(k).(v), -1.) ]
                 Lp.Problem.Ge 0.;
               let b = t.links.(k).beta in
@@ -480,12 +478,8 @@ let encode ?(resources = []) encoding t (c : Preprocess.contracted) =
       Array.iter
         (fun (u, v, r) ->
           for k = 0 to levels - 1 do
-            let e =
-              Lp.Problem.add_var ~name:(Printf.sprintf "e%d_%d_%d" k u v) p
-            in
-            let e' =
-              Lp.Problem.add_var ~name:(Printf.sprintf "e'%d_%d_%d" k u v) p
-            in
+            let e = Lp.Problem.add_var p in
+            let e' = Lp.Problem.add_var p in
             Lp.Problem.add_constr p
               [ (level_var.(k).(u), 1.); (level_var.(k).(v), -1.); (e, 1.) ]
               Lp.Problem.Ge 0.;

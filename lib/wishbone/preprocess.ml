@@ -81,20 +81,43 @@ let build_quotient (spec : Spec.t) uf =
     cpu.(s) <- cpu.(s) +. spec.cpu.(i);
     placement.(s) <- uf.place.(uf_find uf i)
   done;
-  let bw : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun (e : Graph.edge) ->
-      let su = super_of.(e.src) and sv = super_of.(e.dst) in
-      if su <> sv then begin
-        let key = (su, sv) in
-        let prev = Option.value ~default:0. (Hashtbl.find_opt bw key) in
-        Hashtbl.replace bw key (prev +. spec.bandwidth.(e.eid))
-      end)
-    (Graph.edges spec.graph);
-  let edges =
-    Hashtbl.fold (fun (u, v) b acc -> (u, v, b) :: acc) bw []
-    |> List.sort compare |> Array.of_list
+  (* one quotient edge per (src, dst) supernode pair, in (src, dst)
+     order: a stable sort of the crossing edges on the integer key
+     [src * k + dst] keeps each pair's edges in graph order, so every
+     bandwidth sum adds in that order *)
+  let all = Graph.edges spec.graph in
+  let key =
+    Array.map
+      (fun (e : Graph.edge) -> (super_of.(e.src) * k) + super_of.(e.dst))
+      all
   in
+  let crossing = Array.make (Array.length all) 0 and n_cross = ref 0 in
+  Array.iteri
+    (fun j (e : Graph.edge) ->
+      if super_of.(e.src) <> super_of.(e.dst) then begin
+        crossing.(!n_cross) <- j;
+        incr n_cross
+      end)
+    all;
+  let n_cross = !n_cross in
+  let crossing = Array.sub crossing 0 n_cross in
+  Array.stable_sort (fun a b -> Int.compare key.(a) key.(b)) crossing;
+  let n_pairs = ref 0 in
+  for t = 0 to n_cross - 1 do
+    if t = 0 || key.(crossing.(t)) <> key.(crossing.(t - 1)) then
+      incr n_pairs
+  done;
+  let edges = Array.make !n_pairs (0, 0, 0.) and t = ref 0 in
+  for q = 0 to !n_pairs - 1 do
+    let first = crossing.(!t) in
+    let sum = ref 0. in
+    while !t < n_cross && key.(crossing.(!t)) = key.(first) do
+      sum := !sum +. spec.bandwidth.(all.(crossing.(!t)).eid);
+      incr t
+    done;
+    let e = all.(first) in
+    edges.(q) <- (super_of.(e.src), super_of.(e.dst), !sum)
+  done;
   { spec; n_super = k; super_of; members; cpu; placement; edges }
 
 let identity spec = build_quotient spec (uf_create spec.placement)

@@ -86,123 +86,187 @@ end
    placements that differ only in a CPU budget solve differently and
    must never collide.
 
-   The writers below append straight into the buffer rather than
-   through [Printf]: an eeg14 key renders about 72 KB of coefficients,
-   and every query is keyed.  The bytes are exactly what
-   [Printf.sprintf "%Lx"] and [string_of_int] produce, so every stored
-   key and digest stays valid. *)
+   An eeg14 key renders about 72 KB of coefficients, and every query
+   is keyed, so the writers below append straight into a byte sink
+   rather than through [Printf] or a [Buffer]: each domain keeps one
+   sink, grown once to the largest key it has rendered and reused
+   after that, and the digest reads the sink in place.  The bytes are
+   exactly what [Printf.sprintf "%Lx"] and [string_of_int] produce, so
+   every stored key and digest stays valid. *)
 
-let hex_digits = "0123456789abcdef"
+module Sink = struct
+  type t = { mutable buf : Bytes.t; mutable len : int }
 
-(* the nibbles of [x] from bit [shift] down, as lowercase hex *)
-let rec add_nibbles buf x shift =
-  if shift >= 0 then begin
-    Buffer.add_char buf hex_digits.[(x lsr shift) land 0xf];
-    add_nibbles buf x (shift - 4)
-  end
+  let create () = { buf = Bytes.create 4096; len = 0 }
+  let contents s = Bytes.sub_string s.buf 0 s.len
+  let digest s = Digest.to_hex (Digest.subbytes s.buf 0 s.len)
 
-(* [Printf.sprintf "%Lx;" (Int64.bits_of_float x)]: lowercase hex
-   without leading zeros.  The two 32-bit halves of the pattern each
-   fit an [int], so no boxed [Int64] arithmetic runs per nibble. *)
-let add_float_bits buf x =
-  let bits = Int64.bits_of_float x in
-  let hi = Int64.to_int (Int64.shift_right_logical bits 32) in
-  let lo = Int64.to_int bits land 0xffff_ffff in
-  let rec top x shift =
-    if shift > 0 && (x lsr shift) land 0xf = 0 then top x (shift - 4)
-    else shift
-  in
-  if hi = 0 then add_nibbles buf lo (top lo 28)
-  else begin
-    add_nibbles buf hi (top hi 28);
-    add_nibbles buf lo 28
-  end;
-  Buffer.add_char buf ';'
+  (* room for [k] more bytes *)
+  let reserve s k =
+    if s.len + k > Bytes.length s.buf then begin
+      let buf = Bytes.create (Int.max (2 * Bytes.length s.buf) (s.len + k)) in
+      Bytes.blit s.buf 0 buf 0 s.len;
+      s.buf <- buf
+    end
 
-(* digits of [n <= 0]; working on the non-positive side covers
-   [min_int], which has no positive counterpart *)
-let rec add_nonpos buf n =
-  if n <= -10 then add_nonpos buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+  let add_char s c =
+    reserve s 1;
+    Bytes.unsafe_set s.buf s.len c;
+    s.len <- s.len + 1
 
-let add_int buf n =
-  if n < 0 then begin
-    Buffer.add_char buf '-';
-    add_nonpos buf n
-  end
-  else add_nonpos buf (-n)
+  let add_string s str =
+    let k = String.length str in
+    reserve s k;
+    Bytes.blit_string str 0 s.buf s.len k;
+    s.len <- s.len + k
+
+  (* the two lowercase hex digits of every byte, "00" to "ff" *)
+  let hex_pairs =
+    String.init 512 (fun i ->
+        let byte = i / 2 in
+        "0123456789abcdef".[if i land 1 = 0 then byte lsr 4 else byte land 0xf])
+
+  (* the low [nd] hex digits of [x] into [b], the last one at [p - 1] *)
+  let rec put_hex b p x nd =
+    if nd >= 2 then begin
+      let i = 2 * (x land 0xff) in
+      Bytes.unsafe_set b (p - 2) (String.unsafe_get hex_pairs i);
+      Bytes.unsafe_set b (p - 1) (String.unsafe_get hex_pairs (i + 1));
+      put_hex b (p - 2) (x lsr 8) (nd - 2)
+    end
+    else if nd = 1 then
+      Bytes.unsafe_set b (p - 1)
+        (String.unsafe_get hex_pairs ((2 * (x land 0xf)) + 1))
+
+  (* hex digits of [0 <= x < 2^32]; one for [0] *)
+  let hex_len x =
+    if x < 0x10000 then
+      if x < 0x100 then if x < 0x10 then 1 else 2
+      else if x < 0x1000 then 3
+      else 4
+    else if x < 0x1000000 then if x < 0x100000 then 5 else 6
+    else if x < 0x10000000 then 7
+    else 8
+
+  (* [Printf.sprintf "%Lx;" (Int64.bits_of_float x)]: lowercase hex
+     without leading zeros.  The two 32-bit halves of the pattern each
+     fit an [int], so no boxed [Int64] arithmetic runs per digit. *)
+  let[@inline] add_float_bits s x =
+    let bits = Int64.bits_of_float x in
+    let hi = Int64.to_int (Int64.shift_right_logical bits 32) in
+    let lo = Int64.to_int bits land 0xffff_ffff in
+    let nd = if hi = 0 then hex_len lo else 8 + hex_len hi in
+    reserve s (nd + 1);
+    let p = s.len + nd in
+    put_hex s.buf p lo (Int.min nd 8);
+    if nd > 8 then put_hex s.buf (p - 8) hi (nd - 8);
+    Bytes.unsafe_set s.buf p ';';
+    s.len <- p + 1
+
+  (* decimal digits of [m <= 0]; the non-positive side covers
+     [min_int], which has no positive counterpart *)
+  let rec dec_len nd m = if m > -10 then nd else dec_len (nd + 1) (m / 10)
+
+  let rec put_dec b p m =
+    Bytes.unsafe_set b (p - 1) (Char.unsafe_chr (48 - (m mod 10)));
+    if m <= -10 then put_dec b (p - 1) (m / 10)
+
+  let add_int s n =
+    let m = if n < 0 then n else -n in
+    let sign = if n < 0 then 1 else 0 in
+    let nd = sign + dec_len 1 m in
+    reserve s nd;
+    put_dec s.buf (s.len + nd) m;
+    if n < 0 then Bytes.unsafe_set s.buf s.len '-';
+    s.len <- s.len + nd
+end
 
 (* an int and its ',' terminator *)
-let add_int_field buf n =
-  add_int buf n;
-  Buffer.add_char buf ','
+let add_int_field s n =
+  Sink.add_int s n;
+  Sink.add_char s ','
 
-let add_s buf s =
+let add_floats s a =
+  for i = 0 to Array.length a - 1 do
+    Sink.add_float_bits s a.(i)
+  done
+
+let add_s s str =
   (* length-prefixed so name boundaries cannot alias *)
-  add_int buf (String.length s);
-  Buffer.add_char buf ':';
-  Buffer.add_string buf s
+  Sink.add_int s (String.length str);
+  Sink.add_char s ':';
+  Sink.add_string s str
+
+(* the calling domain's sink, emptied: keying runs on every shard's
+   domain at once *)
+let domain_sink = Domain.DLS.new_key Sink.create
+
+let sink () =
+  let s = Domain.DLS.get domain_sink in
+  s.Sink.len <- 0;
+  s
 
 let instance_key (pl : Placement.t) =
   let spec = pl.Placement.spec in
   let g = spec.Spec.graph in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "ops";
-  add_int buf (Graph.n_ops g);
-  Buffer.add_char buf ';';
+  let s = sink () in
+  Sink.add_string s "ops";
+  Sink.add_int s (Graph.n_ops g);
+  Sink.add_char s ';';
   Array.iter
     (fun (o : Op.t) ->
-      add_int buf o.id;
-      add_s buf o.name;
-      add_s buf o.kind;
-      Buffer.add_char buf (match o.namespace with Op.Node -> 'n' | Op.Server -> 's');
-      Buffer.add_char buf (if o.stateful then 'T' else 'F');
-      Buffer.add_char buf
+      Sink.add_int s o.id;
+      add_s s o.name;
+      add_s s o.kind;
+      Sink.add_char s
+        (match o.namespace with Op.Node -> 'n' | Op.Server -> 's');
+      Sink.add_char s (if o.stateful then 'T' else 'F');
+      Sink.add_char s
         (match o.side_effect with
         | Op.Pure -> 'p'
         | Op.Sensor_input -> 'i'
         | Op.Actuator -> 'a'
         | Op.Display_output -> 'o'))
     (Graph.ops g);
-  Buffer.add_string buf "|pins";
+  Sink.add_string s "|pins";
   Array.iter
     (fun p ->
-      Buffer.add_char buf
+      Sink.add_char s
         (match p with
         | Movable.Pin_node -> 'N'
         | Movable.Pin_server -> 'S'
         | Movable.Movable -> 'M'))
     spec.Spec.placement;
-  Buffer.add_string buf "|cpu";
-  Array.iter (add_float_bits buf) spec.Spec.cpu;
-  Buffer.add_string buf "|edges";
+  Sink.add_string s "|cpu";
+  add_floats s spec.Spec.cpu;
+  Sink.add_string s "|edges";
   Array.iter
     (fun (e : Graph.edge) ->
-      add_int_field buf e.eid;
-      add_int_field buf e.src;
-      add_int_field buf e.dst;
-      add_int_field buf e.dst_port;
-      add_float_bits buf spec.Spec.bandwidth.(e.eid))
+      add_int_field s e.eid;
+      add_int_field s e.src;
+      add_int_field s e.dst;
+      add_int_field s e.dst_port;
+      Sink.add_float_bits s spec.Spec.bandwidth.(e.eid))
     (Graph.edges g);
-  Buffer.add_string buf "|spec";
-  add_float_bits buf spec.Spec.cpu_budget;
-  add_float_bits buf spec.Spec.net_budget;
-  add_float_bits buf spec.Spec.alpha;
-  add_float_bits buf spec.Spec.beta;
-  Buffer.add_string buf "|tiers";
+  Sink.add_string s "|spec";
+  Sink.add_float_bits s spec.Spec.cpu_budget;
+  Sink.add_float_bits s spec.Spec.net_budget;
+  Sink.add_float_bits s spec.Spec.alpha;
+  Sink.add_float_bits s spec.Spec.beta;
+  Sink.add_string s "|tiers";
   Array.iter
     (fun (t : Placement.tier) ->
-      add_s buf t.Placement.tname;
-      Array.iter (add_float_bits buf) t.Placement.cpu;
-      add_float_bits buf t.Placement.cpu_budget;
-      add_float_bits buf t.Placement.alpha)
+      add_s s t.Placement.tname;
+      add_floats s t.Placement.cpu;
+      Sink.add_float_bits s t.Placement.cpu_budget;
+      Sink.add_float_bits s t.Placement.alpha)
     pl.Placement.tiers;
-  Buffer.add_string buf "|links";
+  Sink.add_string s "|links";
   Array.iter
     (fun (l : Placement.link) ->
-      add_s buf l.Placement.lname;
-      add_float_bits buf l.Placement.net_budget;
-      add_float_bits buf l.Placement.beta)
+      add_s s l.Placement.lname;
+      Sink.add_float_bits s l.Placement.net_budget;
+      Sink.add_float_bits s l.Placement.beta)
     pl.Placement.links;
   (* tree topologies and per-operator tier pins extend the key; the
      degenerate chain with no pins keeps its historical bytes, so
@@ -211,39 +275,39 @@ let instance_key (pl : Placement.t) =
     (not (Placement.Topology.is_chain pl.Placement.topology))
     || Array.exists Option.is_some pl.Placement.tier_pins
   then begin
-    Buffer.add_string buf "|topo";
-    Array.iter (add_int_field buf)
+    Sink.add_string s "|topo";
+    Array.iter (add_int_field s)
       (Placement.Topology.parents pl.Placement.topology);
-    Buffer.add_string buf "|tpins";
+    Sink.add_string s "|tpins";
     Array.iter
       (fun p ->
         match p with
-        | None -> Buffer.add_char buf '.'
-        | Some tp -> add_int_field buf tp)
+        | None -> Sink.add_char s '.'
+        | Some tp -> add_int_field s tp)
       pl.Placement.tier_pins
   end;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  Sink.digest s
 
-let add_tiers buf tier_of = Array.iter (add_int_field buf) tier_of
-
-let answer_digest = function
+let answer_digest a =
+  let s = sink () in
+  let add_tiers tier_of = Array.iter (add_int_field s) tier_of in
+  (match a with
   | Placed { rate; report } ->
-      let buf = Buffer.create 256 in
-      Buffer.add_string buf "placed;";
-      add_float_bits buf rate;
-      add_float_bits buf report.Placement.objective;
-      add_tiers buf report.Placement.tier_of;
-      Digest.to_hex (Digest.string (Buffer.contents buf))
+      Sink.add_string s "placed;";
+      Sink.add_float_bits s rate;
+      Sink.add_float_bits s report.Placement.objective;
+      add_tiers report.Placement.tier_of
   | Degraded { rate; report; gap } ->
-      let buf = Buffer.create 256 in
-      Buffer.add_string buf "degraded;";
-      add_float_bits buf rate;
-      add_float_bits buf report.Placement.objective;
-      add_float_bits buf gap;
-      add_tiers buf report.Placement.tier_of;
-      Digest.to_hex (Digest.string (Buffer.contents buf))
-  | Infeasible -> Digest.to_hex (Digest.string "infeasible")
-  | Failed m -> Digest.to_hex (Digest.string ("failed;" ^ m))
+      Sink.add_string s "degraded;";
+      Sink.add_float_bits s rate;
+      Sink.add_float_bits s report.Placement.objective;
+      Sink.add_float_bits s gap;
+      add_tiers report.Placement.tier_of
+  | Infeasible -> Sink.add_string s "infeasible"
+  | Failed m ->
+      Sink.add_string s "failed;";
+      Sink.add_string s m);
+  Sink.digest s
 
 (* ---- the shared solve path --------------------------------------- *)
 
@@ -598,8 +662,15 @@ let parallel ~shards n f =
   in
   Pool.run ~helpers:(Int.min shards n - 1) claim
 
+(* OCaml 5.1 runs at most 128 domains, the calling one included
+   ([Max_domains] in caml/domain.h) *)
+let max_shards = 128
+
 let run_batch ?(shards = 1) t queries =
   if shards < 1 then invalid_arg "Service.run_batch: shards must be >= 1";
+  if shards > max_shards then
+    invalid_arg
+      "Service.run_batch: shards must be <= 128, OCaml's domain limit";
   let n = Array.length queries in
   (* global query sequence numbers key the fault plan: decisions
      depend on the query history, never on sharding *)

@@ -234,18 +234,31 @@ val answer_digest : answer -> string
 
 (** {2 Key rendering}
 
-    The writers {!instance_key} and {!answer_digest} render numbers
-    with.  They append straight into the buffer, byte for byte what
-    [Printf] would produce, so keys and digests stored by earlier
+    The writer {!instance_key} and {!answer_digest} render into.  Each
+    domain keeps one sink, grown to the largest rendering it has made
+    and reused after that, so keying a query allocates little more than
+    its 32-character digest.  Numbers are written byte for byte as
+    [Printf] would write them, so keys and digests stored by earlier
     builds stay valid. *)
 
-val add_float_bits : Buffer.t -> float -> unit
-(** [add_float_bits buf x] appends
-    [Printf.sprintf "%Lx;" (Int64.bits_of_float x)]: the IEEE-754 bit
-    pattern in lowercase hex without leading zeros, then [';']. *)
+module Sink : sig
+  type t
+  (** A growable byte buffer. *)
 
-val add_int : Buffer.t -> int -> unit
-(** [add_int buf n] appends [string_of_int n]. *)
+  val create : unit -> t
+  val contents : t -> string
+
+  val add_float_bits : t -> float -> unit
+  (** [add_float_bits s x] appends
+      [Printf.sprintf "%Lx;" (Int64.bits_of_float x)]: the IEEE-754 bit
+      pattern in lowercase hex without leading zeros, then [';']. *)
+
+  val add_int : t -> int -> unit
+  (** [add_int s n] appends [string_of_int n]. *)
+end
+
+val max_shards : int
+(** 128: OCaml 5.1 runs at most 128 domains, the calling one included. *)
 
 val run_batch : ?shards:int -> t -> query array -> response array
 (** Serve one batch: key its placements, plan against the cache, solve
@@ -264,7 +277,9 @@ val run_batch : ?shards:int -> t -> query array -> response array
     injected) surface as {!Failed} answers, and simulated worker
     deaths, the caller's included, are absorbed and re-run; only an
     exception from keying (a malformed placement) escapes, once every
-    domain working on the batch has stopped. *)
+    domain working on the batch has stopped.
+    @raise Invalid_argument when [shards] is below 1 or above
+    {!max_shards}, before any counter moves. *)
 
 val solve_direct :
   ?options:Lp.Branch_bound.options ->

@@ -123,6 +123,27 @@ let test_certificate_catches_corrupt_basis () =
     (is_valid
        (Certificate.check p sol { basis with Lp.Basis.stat }))
 
+(* a violated row without a name is reported by its index, c<i>, as
+   when every row was named eagerly *)
+let test_certificate_names_unnamed_rows () =
+  let p = Lp.Problem.create () in
+  let x = Lp.Problem.add_var ~name:"speed" p in
+  let y = Lp.Problem.add_var ~hi:4. ~integer:true p in
+  let z = Lp.Problem.add_var ~lo:(-1.) p in
+  Lp.Problem.add_constr ~name:"cap" p [ (x, 1.); (y, 2.) ] Lp.Problem.Le 10.;
+  Lp.Problem.add_constr p [ (y, 1.); (z, -1.) ] Lp.Problem.Ge 0.;
+  Lp.Problem.add_constr p [ (x, 1.); (z, 1.) ] Lp.Problem.Eq 3.;
+  Lp.Problem.set_objective p Lp.Problem.Maximize [ (x, 1.); (y, -0.5) ];
+  let r = Lp.Simplex.solve p in
+  let sol = Lp.Solution.get r.status in
+  let x = Array.copy sol.Lp.Solution.x in
+  x.(1) <- x.(1) -. 2.;
+  match Certificate.check p { sol with Lp.Solution.x } (Option.get r.basis) with
+  | Certificate.Valid -> Alcotest.fail "a violated row passed"
+  | Certificate.Invalid msgs ->
+      Alcotest.(check bool) "row 1 reported as c1" true
+        (List.mem "row 1 (c1): -1 < rhs 0" msgs)
+
 (* ---- generator determinism ---- *)
 
 let test_generators_deterministic () =
@@ -333,6 +354,7 @@ let () =
           tc "catches a suboptimal solver" test_certificate_catches_suboptimal;
           tc "catches corrupt solutions" test_certificate_catches_corrupt_solution;
           tc "catches corrupt bases" test_certificate_catches_corrupt_basis;
+          tc "names unnamed rows" test_certificate_names_unnamed_rows;
         ] );
       ( "generators",
         [

@@ -150,6 +150,39 @@ let test_lp_mixed_scale () =
   | Solution.Infeasible -> ()
   | st -> Alcotest.failf "expected infeasible, got %a" Solution.pp_status st
 
+(* ---- names ---- *)
+
+(* a problem mixing named and unnamed variables and rows *)
+let named_and_unnamed () =
+  let p = Problem.create () in
+  let x = Problem.add_var ~name:"speed" p in
+  let y = Problem.add_var ~hi:4. ~integer:true p in
+  let z = Problem.add_var ~lo:(-1.) p in
+  Problem.add_constr ~name:"cap" p [ (x, 1.); (y, 2.) ] Problem.Le 10.;
+  Problem.add_constr p [ (y, 1.); (z, -1.) ] Problem.Ge 0.;
+  Problem.add_constr p [ (x, 1.); (z, 1.) ] Problem.Eq 3.;
+  Problem.set_objective p Problem.Maximize [ (x, 1.); (y, -0.5) ];
+  p
+
+(* unnamed entries carry no name and render as x<i> / c<i>: the bytes
+   below are what the renderer printed while every entry was named
+   eagerly at [add_var] / [add_constr] *)
+let test_lazy_names_render () =
+  let p = named_and_unnamed () in
+  Alcotest.(check string) "rendering"
+    "max: 1 speed - 0.5 x1\nsubject to:\n  cap: 1 speed + 2 x1 <= 10\n  \
+     c1: 1 x1 - 1 x2 >= 0\n  c2: 1 speed + 1 x2 = 3\nbounds:\n  \
+     0 <= speed <= inf\n  0 <= x1 <= 4 (int)\n  -1 <= x2 <= inf\n"
+    (Format.asprintf "%a" Problem.pp p);
+  Alcotest.(check (option string)) "unnamed variable" None
+    (Problem.vars p).(1).vname;
+  Alcotest.(check (option string)) "unnamed row" None
+    (Problem.constrs p).(2).cname;
+  Alcotest.(check (list string)) "names on demand"
+    [ "speed"; "x1"; "x2"; "cap"; "c1"; "c2" ]
+    (List.map (Problem.var_name p) [ 0; 1; 2 ]
+    @ List.map (Problem.constr_name p) [ 0; 1; 2 ])
+
 (* ---- ILP ---- *)
 
 let solve_ilp p =
@@ -1142,6 +1175,7 @@ let () =
           tc "conflicting override" test_lp_conflicting_override;
           tc "mixed scale budgets" test_lp_mixed_scale;
         ] );
+      ( "problem", [ tc "lazy names render as before" test_lazy_names_render ] );
       ( "branch_bound",
         [
           tc "knapsack" test_ilp_knapsack;

@@ -11,7 +11,8 @@
      equal modulo CPU (or radio) budget never collide, the query key
      separates rates and searches, the keys of profiled tier chains
      and trees are pinned so cached answers and checkpoints stay
-     valid, and qcheck holds the key writers to [Printf];
+     valid, qcheck holds the key sink's writers to [Printf], and two
+     domains keying at once get the sequential keys;
    - LRU churn: a seeded workload against a capacity-4 cache keeps
      the resident bound, conserves the counter algebra, and serves
      only direct-path answers throughout;
@@ -19,8 +20,9 @@
      dropped, so a warm solve answers as the cold one does;
    - the worker pool: faulted batch streams on 2 and 4 shards and on a
      second service answer as shards=1 does, two domains serving at
-     once answer as they do one after the other, and an exception
-     raised on a worker reaches the caller. *)
+     once answer as they do one after the other, an exception
+     raised on a worker reaches the caller, and a batch asking for
+     more shards than OCaml has domains is refused untouched. *)
 
 open Wishbone
 
@@ -211,11 +213,17 @@ let test_profiled_keys_pinned () =
     (Service.answer_digest
        (Service.solve_direct (rate (Placement.of_spec spec) 0.35)))
 
-(* the direct writers render exactly what [Printf] does *)
+(* the sink's writers, which render every key and answer digest,
+   write exactly what [Printf] does; one sink takes many appends, as
+   a key does *)
 let rendered add x =
-  let buf = Buffer.create 24 in
-  add buf x;
-  Buffer.contents buf
+  let s = Service.Sink.create () in
+  add s x;
+  let once = Service.Sink.contents s in
+  add s x;
+  let twice = Service.Sink.contents s in
+  if twice <> once ^ once then Alcotest.fail "appending changed the sink";
+  once
 
 let prop_float_writer =
   let special =
@@ -244,7 +252,7 @@ let prop_float_writer =
        ~print:(fun x -> Printf.sprintf "%Lx" (Int64.bits_of_float x))
        gen)
     (fun x ->
-      rendered Service.add_float_bits x
+      rendered Service.Sink.add_float_bits x
       = Printf.sprintf "%Lx;" (Int64.bits_of_float x))
 
 let prop_int_writer =
@@ -259,7 +267,28 @@ let prop_int_writer =
   in
   QCheck.Test.make ~count:2000 ~name:"int writer matches string_of_int"
     (QCheck.make ~print:string_of_int gen)
-    (fun n -> rendered Service.add_int n = string_of_int n)
+    (fun n -> rendered Service.Sink.add_int n = string_of_int n)
+
+(* Keying runs on every shard's domain at once, each domain rendering
+   into its own sink: two domains keying the same long chains and a
+   synthetic placement, in opposite orders, get the sequential keys. *)
+let test_keys_on_two_domains () =
+  let mixed = Lazy.force mixed_batch in
+  let pls =
+    [| mixed.(0).Service.placement; mixed.(5).Service.placement; synth 3 |]
+  in
+  let sequential = Array.map Service.instance_key pls in
+  let key_all order () =
+    List.init 20 (fun _ ->
+        Array.map (fun i -> (i, Service.instance_key pls.(i))) order)
+  in
+  let other = Domain.spawn (key_all [| 2; 1; 0 |]) in
+  let here = key_all [| 0; 1; 2 |] () in
+  List.iter
+    (Array.iter (fun (i, k) ->
+         Alcotest.(check string) "key under concurrent keying"
+           sequential.(i) k))
+    (here @ Domain.join other)
 
 (* ---- LRU churn under a seeded workload ---------------------------- *)
 
@@ -456,6 +485,22 @@ let test_job_exception_reaches_caller () =
     (direct_digests svc batch)
     (digests (Service.run_batch ~shards:2 svc batch))
 
+(* OCaml 5.1 runs at most 128 domains.  A batch asking for more shards
+   is refused before it counts a query; neither call below spawns a
+   domain, because a one-query batch needs no helper. *)
+let test_shards_past_domain_limit () =
+  let svc = Service.create () in
+  let before = Service.counters svc in
+  (match Service.run_batch ~shards:129 svc [| rate (synth 1) 0.9 |] with
+  | _ -> Alcotest.fail "shards above 128 must be refused"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "counters unchanged" true
+    (Service.counters svc = before);
+  let served = Service.run_batch ~shards:128 svc [| rate (synth 1) 0.9 |] in
+  Alcotest.(check (array string)) "128 shards serve"
+    (direct_digests svc [| rate (synth 1) 0.9 |])
+    (digests served)
+
 let () =
   Alcotest.run "service"
     [
@@ -477,6 +522,8 @@ let () =
             test_profiled_keys_pinned;
           QCheck_alcotest.to_alcotest prop_float_writer;
           QCheck_alcotest.to_alcotest prop_int_writer;
+          Alcotest.test_case "keys on two domains at once" `Quick
+            test_keys_on_two_domains;
         ] );
       ( "lru",
         [ Alcotest.test_case "seeded churn" `Quick test_lru_churn ] );
@@ -493,5 +540,7 @@ let () =
             test_concurrent_callers;
           Alcotest.test_case "job exceptions reach the caller" `Quick
             test_job_exception_reaches_caller;
+          Alcotest.test_case "shards past the domain limit refused" `Quick
+            test_shards_past_domain_limit;
         ] );
     ]
