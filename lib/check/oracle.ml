@@ -996,6 +996,16 @@ let service_equivalence rng (spec : Wishbone.Spec.t) =
   in
   if n_movable > 16 then Pass
   else begin
+    (* private copies of the arrays the third pass writes into: the
+       spec the shrinker holds must not change under it *)
+    let spec =
+      {
+        spec with
+        Wishbone.Spec.placement = Array.copy spec.Wishbone.Spec.placement;
+        cpu = Array.copy spec.Wishbone.Spec.cpu;
+        bandwidth = Array.copy spec.Wishbone.Spec.bandwidth;
+      }
+    in
     let pl = Wishbone.Placement.of_spec spec in
     (* a budget-perturbed sibling: same graph and costs, tighter node
        CPU — its cache entries must never be served for [pl] *)
@@ -1075,34 +1085,80 @@ let service_equivalence rng (spec : Wishbone.Spec.t) =
         responses;
       !bad
     in
-    let r1 = Wishbone.Service.run_batch ~shards svc queries in
-    match check_pass "cold" r1 with
+    (* One in-place write into the arrays [pl] and its sibling share
+       (the sibling keeps its own link): a CPU cost (tier 0's costs are
+       the spec's array), a bandwidth, a movable operator's pin, or the
+       radio budget.  The same placement values then carry new content,
+       which the service must key afresh. *)
+    let mutate () =
+      let scale a =
+        let i = Prng.int rng (Array.length a) in
+        a.(i) <- a.(i) *. Prng.uniform rng 0.1 10.
+      in
+      match Prng.int rng 4 with
+      | 0 -> scale spec.Wishbone.Spec.cpu
+      | 1 -> scale spec.Wishbone.Spec.bandwidth
+      | 2 ->
+          let pins = spec.Wishbone.Spec.placement in
+          let movable =
+            List.filter
+              (fun i -> pins.(i) = Wishbone.Movable.Movable)
+              (List.init (Array.length pins) Fun.id)
+          in
+          if movable <> [] then
+            pins.(List.nth movable (Prng.int rng (List.length movable))) <-
+              (if Prng.bool rng 0.5 then Wishbone.Movable.Pin_node
+               else Wishbone.Movable.Pin_server)
+      | _ ->
+          let links =
+            if Prng.bool rng 0.5 then pl.Wishbone.Placement.links
+            else sibling.Wishbone.Placement.links
+          in
+          let l = links.(0) in
+          links.(0) <-
+            {
+              l with
+              Wishbone.Placement.net_budget =
+                l.Wishbone.Placement.net_budget *. Prng.uniform rng 0.1 2.;
+            }
+    in
+    let pass name =
+      check_pass name (Wishbone.Service.run_batch ~shards svc queries)
+    in
+    match pass "cold" with
     | Some msg -> Fail msg
     | None -> (
         (* replay against the warm cache: hits must replay byte-identically *)
-        let r2 = Wishbone.Service.run_batch ~shards svc queries in
-        match check_pass "warm" r2 with
+        match pass "warm" with
         | Some msg -> Fail msg
-        | None ->
-            let c = Wishbone.Service.counters svc in
-            if c.Wishbone.Service.hits + c.Wishbone.Service.misses
-               <> c.Wishbone.Service.queries
-            then
-              failf "service: counters leak: %d hits + %d misses <> %d queries"
-                c.Wishbone.Service.hits c.Wishbone.Service.misses
-                c.Wishbone.Service.queries
-            else if
-              c.Wishbone.Service.inserts - c.Wishbone.Service.evictions
-              <> c.Wishbone.Service.resident
-            then
-              failf
-                "service: cache leak: %d inserts - %d evictions <> %d resident"
-                c.Wishbone.Service.inserts c.Wishbone.Service.evictions
-                c.Wishbone.Service.resident
-            else if c.Wishbone.Service.resident > capacity then
-              failf "service: %d resident entries over capacity %d"
-                c.Wishbone.Service.resident capacity
-            else Pass)
+        | None -> (
+            (* the same batch after an in-place write: every answer
+               must follow the new content, never replay the old *)
+            mutate ();
+            match pass "mutated" with
+            | Some msg -> Fail msg
+            | None ->
+                let c = Wishbone.Service.counters svc in
+                if
+                  c.Wishbone.Service.hits + c.Wishbone.Service.misses
+                  <> c.Wishbone.Service.queries
+                then
+                  failf
+                    "service: counters leak: %d hits + %d misses <> %d queries"
+                    c.Wishbone.Service.hits c.Wishbone.Service.misses
+                    c.Wishbone.Service.queries
+                else if
+                  c.Wishbone.Service.inserts - c.Wishbone.Service.evictions
+                  <> c.Wishbone.Service.resident
+                then
+                  failf
+                    "service: cache leak: %d inserts - %d evictions <> %d resident"
+                    c.Wishbone.Service.inserts c.Wishbone.Service.evictions
+                    c.Wishbone.Service.resident
+                else if c.Wishbone.Service.resident > capacity then
+                  failf "service: %d resident entries over capacity %d"
+                    c.Wishbone.Service.resident capacity
+                else Pass))
   end
 
 (* ---- oracle 8: degraded answers are sound ---- *)

@@ -74,7 +74,12 @@ val service_equivalence : Prng.t -> Wishbone.Spec.t -> outcome
     Every served answer must agree {e byte for byte} (status, chosen
     rate, objective, tier assignment, and the canonical digest); the
     batch is then replayed against the warm cache and must agree
-    again; and the service counters must conserve
+    again; then one in-place write into the placements' private copies
+    of the spec's arrays (a CPU cost, a bandwidth, a movable
+    operator's pin) or into a link's budget changes their content
+    under the same placement values, and the batch, served a third
+    time, must agree with the direct path on the new content; and the
+    service counters must conserve
     ([hits + misses = queries], [inserts - evictions = resident <=
     capacity]).  Specs with more than 16 movable operators pass
     trivially, as does any query whose solver budget is exhausted on

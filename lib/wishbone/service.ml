@@ -288,6 +288,94 @@ let instance_key (pl : Placement.t) =
   end;
   Sink.digest s
 
+(* ---- the key memo ------------------------------------------------- *)
+
+(* A placement's instance key with shallow copies of every array
+   [instance_key] reads, taken when the key was rendered.  Placements
+   carry mutable arrays, so a later batch reuses the key only after
+   [unchanged] finds every element as it was: records and constructors
+   by physical equality (their fields are immutable), floats by their
+   bits.  On eeg14 the check takes about a twentieth of the time the
+   key takes to render and hash (DESIGN.md §16).  The records of
+   [Placement.t] and [Spec.t] are immutable and [Topology.t] is
+   abstract, so a placement found by physical identity still holds
+   these very arrays. *)
+type keyed = {
+  k_key : string;
+  k_ops : Op.t array;
+  k_edges : Graph.edge array;
+  k_pins : Movable.placement array;
+  k_cpu : float array;
+  k_bandwidth : float array;
+  k_tiers : Placement.tier array;
+  k_tier_cpu : float array array;
+  k_links : Placement.link array;
+  k_tier_pins : int option array;
+}
+
+let keyed (pl : Placement.t) =
+  let spec = pl.Placement.spec in
+  let g = spec.Spec.graph in
+  {
+    k_key = instance_key pl;
+    k_ops = Array.copy (Graph.ops g);
+    k_edges = Array.copy (Graph.edges g);
+    k_pins = Array.copy spec.Spec.placement;
+    k_cpu = Array.copy spec.Spec.cpu;
+    k_bandwidth = Array.copy spec.Spec.bandwidth;
+    k_tiers = Array.copy pl.Placement.tiers;
+    k_tier_cpu =
+      Array.map (fun (t : Placement.tier) -> Array.copy t.Placement.cpu)
+        pl.Placement.tiers;
+    k_links = Array.copy pl.Placement.links;
+    k_tier_pins = Array.copy pl.Placement.tier_pins;
+  }
+
+(* element [i] onwards, by physical equality or by float bits; no
+   closure, so a check allocates nothing *)
+let rec same_from i a b =
+  i = Array.length a || (a.(i) == b.(i) && same_from (i + 1) a b)
+
+let rec same_bits_from i (a : float array) (b : float array) =
+  i = Array.length a
+  || Int64.bits_of_float a.(i) = Int64.bits_of_float b.(i)
+     && same_bits_from (i + 1) a b
+
+let same_elements a b = Array.length a = Array.length b && same_from 0 a b
+
+let same_bits a b = Array.length a = Array.length b && same_bits_from 0 a b
+
+let rec same_tier_costs i copies (tiers : Placement.tier array) =
+  i = Array.length tiers
+  || same_bits copies.(i) tiers.(i).Placement.cpu
+     && same_tier_costs (i + 1) copies tiers
+
+let unchanged k (pl : Placement.t) =
+  let spec = pl.Placement.spec in
+  let g = spec.Spec.graph in
+  same_elements k.k_ops (Graph.ops g)
+  && same_elements k.k_edges (Graph.edges g)
+  && same_elements k.k_pins spec.Spec.placement
+  && same_bits k.k_cpu spec.Spec.cpu
+  && same_bits k.k_bandwidth spec.Spec.bandwidth
+  && same_elements k.k_tiers pl.Placement.tiers
+  && same_tier_costs 0 k.k_tier_cpu pl.Placement.tiers
+  && same_elements k.k_links pl.Placement.links
+  && same_elements k.k_tier_pins pl.Placement.tier_pins
+
+(* placements by physical identity, hashed by their sizes: no
+   mutation can change an array's length, so a placement mutated in
+   place stays in its bucket *)
+module Phys = Hashtbl.Make (struct
+  type t = Placement.t
+
+  let equal = ( == )
+
+  let hash (pl : Placement.t) =
+    let g = pl.Placement.spec.Spec.graph in
+    Hashtbl.hash (Graph.n_ops g, Graph.n_edges g, Array.length pl.Placement.tiers)
+end)
+
 let answer_digest a =
   let s = sink () in
   let add_tiers tier_of = Array.iter (add_int_field s) tier_of in
@@ -386,6 +474,7 @@ type t = {
   retries : int;
   fault_plan : Fault_plan.t;
   table : (string, entry) Hashtbl.t;
+  memo : keyed Phys.t;  (* the placements keyed so far, <= capacity *)
   mutable clock : int;
   mutable c_queries : int;
   mutable c_hits : int;
@@ -413,6 +502,7 @@ let create ?(capacity = 512) ?(options = default_options) ?(tol = 0.01)
     retries;
     fault_plan;
     table = Hashtbl.create (Int.max 16 capacity);
+    memo = Phys.create 16;
     clock = 0;
     c_queries = 0;
     c_hits = 0;
@@ -455,6 +545,15 @@ let request_tag t = function
         (Int64.bits_of_float t.max_multiplier)
 
 let query_key t q = instance_key q.placement ^ "#" ^ request_tag t q.request
+
+(* the memo holds at most [capacity] placements: it starts afresh when
+   a new one would pass that *)
+let remember t pl k =
+  if Phys.mem t.memo pl then Phys.replace t.memo pl k
+  else if t.capacity > 0 then begin
+    if Phys.length t.memo >= t.capacity then Phys.clear t.memo;
+    Phys.add t.memo pl k
+  end
 
 (* The warm anchor for a missed query: the most recently inserted
    resident entry with the same placement structure and a stored tier
@@ -517,14 +616,6 @@ type plan =
   | P_replay of entry
   | P_alias of int  (* exact duplicate of an earlier in-batch query *)
   | P_solve of { seed_tiers : int array option; seed_basis : Lp.Basis.t option }
-
-(* placements by physical identity, for the batch-local key memo *)
-module Phys = Hashtbl.Make (struct
-  type t = Placement.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
 
 (* ---- the worker pool ---------------------------------------------- *)
 
@@ -676,11 +767,12 @@ let run_batch ?(shards = 1) t queries =
      depend on the query history, never on sharding *)
   let base = t.c_queries in
   t.c_queries <- t.c_queries + n;
-  (* key each distinct placement once, in parallel: a fleet batch
-     repeats the same placement value at many rates.  Physical equality
-     is safe only because the call is synchronous; placements carry
-     mutable arrays, so across batches the cache stays keyed by
-     content. *)
+  (* key each distinct placement once: a fleet batch repeats the same
+     placement value at many rates, and a fleet sends the same values
+     batch after batch.  A key an earlier batch rendered is reused when
+     [unchanged] finds the placement as it was then; the rest are keyed
+     in parallel.  Physical equality within the batch is safe only
+     because the call is synchronous. *)
   let slot = Phys.create n and distinct = ref [] in
   let slots =
     Array.map
@@ -695,10 +787,25 @@ let run_batch ?(shards = 1) t queries =
       queries
   in
   let distinct = Array.of_list (List.rev !distinct) in
-  let inst_keys = Array.make (Array.length distinct) "" in
-  parallel ~shards (Array.length distinct) (fun k ->
-      inst_keys.(k) <- instance_key distinct.(k));
-  let insts = Array.map (fun k -> inst_keys.(k)) slots in
+  let known =
+    Array.map
+      (fun pl ->
+        match Phys.find_opt t.memo pl with
+        | Some k when unchanged k pl -> Some k
+        | _ -> None)
+      distinct
+  in
+  let stale =
+    Array.of_list
+      (List.filter
+         (fun k -> Option.is_none known.(k))
+         (List.init (Array.length distinct) Fun.id))
+  in
+  parallel ~shards (Array.length stale) (fun j ->
+      let k = stale.(j) in
+      known.(k) <- Some (keyed distinct.(k)));
+  Array.iter (fun k -> remember t distinct.(k) (Option.get known.(k))) stale;
+  let insts = Array.map (fun k -> (Option.get known.(k)).k_key) slots in
   let keys =
     Array.mapi (fun i q -> insts.(i) ^ "#" ^ request_tag t q.request) queries
   in
@@ -923,6 +1030,29 @@ type entry_wire =
   string * string * answer * string * int array option * Lp.Basis.t option
   * int * int
 
+(* An answer as a snapshot stores it: the wall-clock fields of its
+   solver statistics read 0, so equal histories write equal bytes in
+   any process.  No digest reads them. *)
+let without_times answer =
+  let strip (r : Placement.report) =
+    let s = r.Placement.solver in
+    {
+      r with
+      Placement.solver =
+        {
+          s with
+          Lp.Branch_bound.time_to_incumbent = 0.;
+          time_total = 0.;
+          incumbent_trace =
+            List.map (fun (_, obj) -> (0., obj)) s.Lp.Branch_bound.incumbent_trace;
+        };
+    }
+  in
+  match answer with
+  | Placed p -> Placed { p with report = strip p.report }
+  | Degraded d -> Degraded { d with report = strip d.report }
+  | Infeasible | Failed _ -> answer
+
 let checkpoint t path =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
@@ -953,8 +1083,8 @@ let checkpoint t path =
       List.iter
         (fun e ->
           write_section oc
-            (( e.e_key, e.e_instance, e.e_answer, e.e_digest, e.e_tiers,
-               e.e_basis, e.e_born, e.e_stamp )
+            (( e.e_key, e.e_instance, without_times e.e_answer, e.e_digest,
+               e.e_tiers, e.e_basis, e.e_born, e.e_stamp )
               : entry_wire))
         entries);
   Sys.rename tmp path

@@ -16,7 +16,7 @@
       one shared cursor until none are left, so the caller solves a
       share instead of waiting.  The pool's domains are spawned on
       first demand and reused by every later batch of every service;
-      the batch's placements are keyed the same way;
+      placements no earlier batch has keyed are keyed the same way;
     - {e caching}: completed solves are stored in an LRU-bounded cache
       keyed by [spec digest x platform digest x request].  An exact
       key hit replays the stored response without solving; a miss on a
@@ -75,7 +75,8 @@ type answer =
       (** feasible and proved optimal: the rate actually solved at
           (the query's fixed rate, or the rate the search settled on)
           and the placement report.  Replayed answers return the
-          originally stored report, solver statistics included. *)
+          originally stored report, solver statistics included (after
+          a {!restore}, their wall-clock fields read 0). *)
   | Degraded of { rate : float; report : Placement.report; gap : float }
       (** feasible but unproved: the solver budget ran out with a
           verified-feasible incumbent in hand.  [gap] is the relative
@@ -271,13 +272,19 @@ val run_batch : ?shards:int -> t -> query array -> response array
     (each on its own [t]).  [responses.(i)] answers [queries.(i)];
     answers, digests and counters are identical for every shard
     count.  Each distinct placement value (by physical equality) is
-    keyed once per batch, so do not mutate a placement while the call
-    runs.  Exact-duplicate queries within one batch are solved once
-    and the copies served as {!Hit}s.  Solver faults (real or
-    injected) surface as {!Failed} answers, and simulated worker
-    deaths, the caller's included, are absorbed and re-run; only an
-    exception from keying (a malformed placement) escapes, once every
-    domain working on the batch has stopped.
+    keyed once per batch, and a later batch reuses that key only after
+    an exact check finds the placement unchanged: every array
+    {!instance_key} reads is compared with the copy taken when the key
+    was rendered, records and constructors by physical equality and
+    floats by their bits, so a placement mutated in place between
+    batches is keyed afresh.  The service keeps at most [capacity]
+    placements for this check, and checkpoints none.  Do not mutate a
+    placement while the call runs.  Exact-duplicate queries within one
+    batch are solved once and the copies served as {!Hit}s.  Solver
+    faults (real or injected) surface as {!Failed} answers, and
+    simulated worker deaths, the caller's included, are absorbed and
+    re-run; only an exception from keying (a malformed placement)
+    escapes, once every domain working on the batch has stopped.
     @raise Invalid_argument when [shards] is below 1 or above
     {!max_shards}, before any counter moves. *)
 
@@ -317,7 +324,11 @@ type restore_outcome =
 val checkpoint : t -> string -> unit
 (** [checkpoint t path] atomically writes the snapshot (a temporary
     file renamed into place), so a crash mid-write leaves any previous
-    snapshot intact. *)
+    snapshot intact.  Each entry's report is written with the
+    wall-clock fields of its solver statistics ([time_to_incumbent],
+    [time_total] and the times in [incumbent_trace]) set to 0, so
+    services with equal histories write byte-identical snapshots in
+    any process. *)
 
 val restore :
   ?capacity:int ->

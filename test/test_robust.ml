@@ -17,7 +17,8 @@
      with the faults-off answers and shard-independent counters;
    - checkpoints: kill-and-restore mid-history replays the rest of the
      workload byte-identically to an uninterrupted service (faulted and
-     fault-free), and corrupt / truncated / stale / missing snapshots
+     fault-free), two services serving one history write byte-identical
+     snapshots, and corrupt / truncated / stale / missing snapshots
      restore to a cold cache, never to wrong answers;
    - degradation: work-unit budgets surface gap-certified Degraded
      answers that are feasible and deterministic across shard counts. *)
@@ -402,6 +403,42 @@ let test_checkpoint_mutations_restore_cold () =
           Alcotest.failf "byte %d xor %d, it restored" pos mask
       done)
 
+(* Two services that serve the same history apart write the same
+   bytes: no wall-clock reading reaches a snapshot, so snapshots of one
+   history compare equal across processes.  Either one restores, and
+   the history then replays as hits with its first digests. *)
+let test_checkpoint_equal_histories () =
+  let queries =
+    [|
+      rate (synth ~n_ops:12 1) 0.8; search (synth ~n_ops:12 2);
+      rate (synth ~n_ops:12 3) 1.2; search (synth ~n_ops:12 4);
+    |]
+  in
+  let path = tmpfile "equal-history.ckpt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let snapshot () =
+        let svc = Service.create ~capacity:8 () in
+        let d = digests (Service.run_batch ~shards:2 svc queries) in
+        Service.checkpoint svc path;
+        (d, read_file path)
+      in
+      let d, a = snapshot () in
+      let _, b = snapshot () in
+      Alcotest.(check bool) "byte-identical snapshots" true (a = b);
+      match Service.restore path with
+      | svc, Service.Restored n ->
+          Alcotest.(check int) "every entry restores" (Array.length queries) n;
+          let r = Service.run_batch svc queries in
+          Alcotest.(check (array string)) "restored digests" d (digests r);
+          Alcotest.(check bool) "every query hits" true
+            (Array.for_all
+               (fun (r : Service.response) -> r.Service.served = Service.Hit)
+               r)
+      | _, Service.Cold_start reason ->
+          Alcotest.fail ("cold start: " ^ reason))
+
 let test_checkpoint_rejects_stale_options () =
   (* under a one-node budget both searches answer degraded; a service
      with the default options must solve them afresh, not replay the
@@ -503,6 +540,8 @@ let () =
             `Quick test_checkpoint_oversized_length;
           Alcotest.test_case "truncations and byte flips restore cold" `Quick
             test_checkpoint_mutations_restore_cold;
+          Alcotest.test_case "equal histories write equal snapshots" `Quick
+            test_checkpoint_equal_histories;
         ] );
       ( "degraded",
         [

@@ -11,8 +11,9 @@
      equal modulo CPU (or radio) budget never collide, the query key
      separates rates and searches, the keys of profiled tier chains
      and trees are pinned so cached answers and checkpoints stay
-     valid, qcheck holds the key sink's writers to [Printf], and two
-     domains keying at once get the sequential keys;
+     valid, qcheck holds the key sink's writers to [Printf], two
+     domains keying at once get the sequential keys, and a placement
+     mutated in place between batches is keyed afresh;
    - LRU churn: a seeded workload against a capacity-4 cache keeps
      the resident bound, conserves the counter algebra, and serves
      only direct-path answers throughout;
@@ -290,6 +291,184 @@ let test_keys_on_two_domains () =
            sequential.(i) k))
     (here @ Domain.join other)
 
+(* ---- in-place mutation between batches ----------------------------- *)
+
+(* A copy of [pl] sharing no array the key reads: the graph rebuilt
+   from its operators and edges, every cost, pin and budget array
+   copied (tier 0 keeps sharing the spec's costs if [pl]'s does). *)
+let deep_copy (pl : Placement.t) =
+  let open Dataflow in
+  let spec = pl.Placement.spec in
+  let g = spec.Spec.graph in
+  let graph =
+    Graph.make
+      (Array.copy (Graph.ops g))
+      (Array.to_list
+         (Array.map
+            (fun (e : Graph.edge) -> (e.src, e.dst, e.dst_port))
+            (Graph.edges g)))
+  in
+  let cpu = Array.copy spec.Spec.cpu in
+  {
+    pl with
+    Placement.spec =
+      {
+        spec with
+        Spec.graph;
+        placement = Array.copy spec.Spec.placement;
+        cpu;
+        bandwidth = Array.copy spec.Spec.bandwidth;
+      };
+    tiers =
+      Array.map
+        (fun (t : Placement.tier) ->
+          {
+            t with
+            Placement.cpu =
+              (if t.Placement.cpu == spec.Spec.cpu then cpu
+               else Array.copy t.Placement.cpu);
+          })
+        pl.Placement.tiers;
+    links = Array.copy pl.Placement.links;
+    tier_pins = Array.copy pl.Placement.tier_pins;
+  }
+
+(* [a.(i) <- x], returning the write that undoes it *)
+let poke a i x =
+  let old = a.(i) in
+  a.(i) <- x;
+  fun () -> a.(i) <- old
+
+(* One in-place write per array the service's key memo copies, each
+   changing the key: an operator, an edge (its source moved to the
+   graph's source operator, still a DAG), a [Movable] pin, spec CPU
+   costs held apart from tier 0's (so only the spec's array changes),
+   a bandwidth, a tier record, the server tier's costs, [of_spec]'s
+   tier-0 costs (the very array [spec.cpu] is), a link and a tier
+   pin.  Each returns the write that reverts it. *)
+let mutations =
+  let open Dataflow in
+  let spec () = Apps.Synthetic.random_spec ~seed:11 ~n_ops:10 () in
+  let two_way () = Placement.of_spec (spec ()) in
+  let split_costs () =
+    let spec = spec () in
+    let pl = Placement.of_spec spec in
+    Placement.v ~spec
+      ~tiers:
+        [
+          {
+            (pl.Placement.tiers.(0)) with
+            Placement.cpu = Array.copy spec.Spec.cpu;
+          };
+          pl.Placement.tiers.(1);
+        ]
+      ~links:(Array.to_list pl.Placement.links)
+      ()
+  in
+  let graph (pl : Placement.t) = pl.Placement.spec.Spec.graph in
+  let first p a =
+    let rec go i = if p a.(i) then i else go (i + 1) in
+    go 0
+  in
+  [
+    ( "operator",
+      two_way,
+      fun pl ->
+        let ops = Graph.ops (graph pl) in
+        poke ops 3 { (ops.(3)) with Op.name = "renamed" } );
+    ( "edge",
+      two_way,
+      fun pl ->
+        let edges = Graph.edges (graph pl) in
+        let i = first (fun (e : Graph.edge) -> e.src <> 0) edges in
+        poke edges i { (edges.(i)) with Graph.src = 0 } );
+    ( "operator pin",
+      two_way,
+      fun pl ->
+        let pins = pl.Placement.spec.Spec.placement in
+        poke pins (first (( = ) Movable.Movable) pins) Movable.Pin_node );
+    ( "spec cpu",
+      split_costs,
+      fun pl ->
+        let cpu = pl.Placement.spec.Spec.cpu in
+        poke cpu 2 (cpu.(2) *. 4.) );
+    ( "bandwidth",
+      two_way,
+      fun pl ->
+        let bw = pl.Placement.spec.Spec.bandwidth in
+        poke bw 1 (bw.(1) *. 4.) );
+    ( "tier",
+      two_way,
+      fun pl ->
+        let tiers = pl.Placement.tiers in
+        poke tiers 0
+          {
+            (tiers.(0)) with
+            Placement.cpu_budget = tiers.(0).Placement.cpu_budget *. 0.5;
+          } );
+    ( "server tier cpu",
+      two_way,
+      fun pl -> poke pl.Placement.tiers.(1).Placement.cpu 2 0.25 );
+    ( "of_spec tier-0 cpu (= spec cpu)",
+      two_way,
+      fun pl ->
+        let cpu = pl.Placement.tiers.(0).Placement.cpu in
+        assert (cpu == pl.Placement.spec.Spec.cpu);
+        poke cpu 2 (cpu.(2) *. 4.) );
+    ( "link",
+      two_way,
+      fun pl ->
+        let links = pl.Placement.links in
+        poke links 0
+          {
+            (links.(0)) with
+            Placement.net_budget = links.(0).Placement.net_budget *. 0.5;
+          } );
+    ( "tier pin",
+      two_way,
+      fun pl ->
+        let pins = pl.Placement.tier_pins in
+        poke pins (Array.length pins - 1) (Some 1) );
+  ]
+
+(* The service reuses a placement's key across batches only while its
+   content is unchanged: after an in-place write the same placement
+   value is re-keyed (never a stale hit), answers as the direct path
+   does on the new content, and is cached under the key a fresh copy
+   of that content gets; reverting the write hits the first entry
+   again. *)
+let test_mutation_rekeyed () =
+  List.iter
+    (fun (name, make, mutate) ->
+      let label what = Printf.sprintf "%s: %s" name what in
+      let pl = make () in
+      let q = rate pl 0.9 in
+      let svc = Service.create ~capacity:8 () in
+      let serve q = (Service.run_batch ~shards:2 svc [| q |]).(0) in
+      let first = serve q in
+      let key = Service.instance_key pl in
+      let revert = mutate pl in
+      Alcotest.(check bool) (label "the write changes the key") false
+        (key = Service.instance_key pl);
+      let second = serve q in
+      Alcotest.(check bool) (label "not a stale hit") true
+        (second.Service.served <> Service.Hit);
+      Alcotest.(check string) (label "answers the mutated content")
+        (Service.answer_digest (Service.solve_direct q))
+        second.Service.digest;
+      let copy = rate (deep_copy pl) 0.9 in
+      Alcotest.(check string) (label "query key of a fresh copy")
+        (Service.query_key svc copy) (Service.query_key svc q);
+      Alcotest.(check bool) (label "a fresh copy hits the new entry") true
+        ((serve copy).Service.served = Service.Hit);
+      revert ();
+      let third = serve q in
+      Alcotest.(check bool) (label "reverted, it hits again") true
+        (third.Service.served = Service.Hit);
+      Alcotest.(check string) (label "reverted, the first answer")
+        first.Service.digest third.Service.digest)
+    mutations
+
 (* ---- LRU churn under a seeded workload ---------------------------- *)
 
 let test_lru_churn () =
@@ -438,9 +617,11 @@ let test_pool_reuse_under_faults () =
 
 (* Two domains drive [run_batch ~shards:2] on their own services at
    once, sharing the pool: each call waits for its own work only, so
-   both answer as they do one after the other.  Every batch also keys
-   the eeg14 and eeg22 placements (hits after the first batch), whose
-   long keys keep both calls' copies busy at once. *)
+   both answer as they do one after the other.  Every batch also
+   serves the eeg14 and eeg22 placements (hits after the first batch):
+   their long keys keep both calls' copies busy at once in the first
+   batch, and each later batch checks them against its service's key
+   memo. *)
 let test_concurrent_callers () =
   let mixed = Lazy.force mixed_batch in
   let with_eeg = Array.map (Array.append [| mixed.(0); mixed.(5) |]) in
@@ -524,6 +705,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_int_writer;
           Alcotest.test_case "keys on two domains at once" `Quick
             test_keys_on_two_domains;
+          Alcotest.test_case "in-place mutation between batches is re-keyed"
+            `Quick test_mutation_rekeyed;
         ] );
       ( "lru",
         [ Alcotest.test_case "seeded churn" `Quick test_lru_churn ] );
