@@ -206,6 +206,11 @@ let sink () =
   s.Sink.len <- 0;
   s
 
+(* Every array this reads that a caller can write (all but the
+   abstract topology's) is also copied by [keyed] and compared by
+   [unchanged] below, and [test_service.ml]'s [mutations] writes into
+   each in place: a key input added here alone would let the key memo
+   serve a stale key for a placement mutated between batches. *)
 let instance_key (pl : Placement.t) =
   let spec = pl.Placement.spec in
   let g = spec.Spec.graph in
@@ -291,7 +296,7 @@ let instance_key (pl : Placement.t) =
 (* ---- the key memo ------------------------------------------------- *)
 
 (* A placement's instance key with shallow copies of every array
-   [instance_key] reads, taken when the key was rendered.  Placements
+   [instance_key] reads, taken in the call that rendered it.  Placements
    carry mutable arrays, so a later batch reuses the key only after
    [unchanged] finds every element as it was: records and constructors
    by physical equality (their fields are immutable), floats by their
@@ -313,11 +318,11 @@ type keyed = {
   k_tier_pins : int option array;
 }
 
-let keyed (pl : Placement.t) =
+let keyed (pl : Placement.t) key =
   let spec = pl.Placement.spec in
   let g = spec.Spec.graph in
   {
-    k_key = instance_key pl;
+    k_key = key;
     k_ops = Array.copy (Graph.ops g);
     k_edges = Array.copy (Graph.edges g);
     k_pins = Array.copy spec.Spec.placement;
@@ -363,10 +368,10 @@ let unchanged k (pl : Placement.t) =
   && same_elements k.k_links pl.Placement.links
   && same_elements k.k_tier_pins pl.Placement.tier_pins
 
-(* placements by physical identity, hashed by their sizes: no
-   mutation can change an array's length, so a placement mutated in
-   place stays in its bucket *)
-module Phys = Hashtbl.Make (struct
+(* The memo's table: placements by physical identity, hashed by their
+   sizes, which no mutation can change, so a placement mutated in place
+   stays in its bucket. *)
+module Memo = Hashtbl.Make (struct
   type t = Placement.t
 
   let equal = ( == )
@@ -374,6 +379,15 @@ module Phys = Hashtbl.Make (struct
   let hash (pl : Placement.t) =
     let g = pl.Placement.spec.Spec.graph in
     Hashtbl.hash (Graph.n_ops g, Graph.n_edges g, Array.length pl.Placement.tiers)
+end)
+
+(* placements by physical identity, for one batch's key slots; hashing
+   their content is safe only because the call is synchronous *)
+module Phys = Hashtbl.Make (struct
+  type t = Placement.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
 end)
 
 let answer_digest a =
@@ -474,7 +488,8 @@ type t = {
   retries : int;
   fault_plan : Fault_plan.t;
   table : (string, entry) Hashtbl.t;
-  memo : keyed Phys.t;  (* the placements keyed so far, <= capacity *)
+  memo : keyed Memo.t;  (* placements that came back, <= capacity *)
+  mutable last_batch : int Phys.t;  (* the previous batch's placements *)
   mutable clock : int;
   mutable c_queries : int;
   mutable c_hits : int;
@@ -502,7 +517,8 @@ let create ?(capacity = 512) ?(options = default_options) ?(tol = 0.01)
     retries;
     fault_plan;
     table = Hashtbl.create (Int.max 16 capacity);
-    memo = Phys.create 16;
+    memo = Memo.create 16;
+    last_batch = Phys.create 1;
     clock = 0;
     c_queries = 0;
     c_hits = 0;
@@ -546,13 +562,18 @@ let request_tag t = function
 
 let query_key t q = instance_key q.placement ^ "#" ^ request_tag t q.request
 
-(* the memo holds at most [capacity] placements: it starts afresh when
-   a new one would pass that *)
-let remember t pl k =
-  if Phys.mem t.memo pl then Phys.replace t.memo pl k
-  else if t.capacity > 0 then begin
-    if Phys.length t.memo >= t.capacity then Phys.clear t.memo;
-    Phys.add t.memo pl k
+(* [pl] was just keyed to [key].  The memo stores the key with its
+   copies once the placement has come back: when the previous batch
+   sent it too, or when the memo holds it already (its content has
+   changed since).  So a stream of fresh placement values copies
+   nothing and keeps nothing past the next batch.  The memo holds at
+   most [capacity] placements: it starts afresh when a new one would
+   pass that. *)
+let remember t pl key =
+  if Memo.mem t.memo pl then Memo.replace t.memo pl (keyed pl key)
+  else if t.capacity > 0 && Phys.mem t.last_batch pl then begin
+    if Memo.length t.memo >= t.capacity then Memo.clear t.memo;
+    Memo.add t.memo pl (keyed pl key)
   end
 
 (* The warm anchor for a missed query: the most recently inserted
@@ -769,10 +790,10 @@ let run_batch ?(shards = 1) t queries =
   t.c_queries <- t.c_queries + n;
   (* key each distinct placement once: a fleet batch repeats the same
      placement value at many rates, and a fleet sends the same values
-     batch after batch.  A key an earlier batch rendered is reused when
-     [unchanged] finds the placement as it was then; the rest are keyed
-     in parallel.  Physical equality within the batch is safe only
-     because the call is synchronous. *)
+     batch after batch.  A placement the memo holds (see [remember])
+     reuses its key when [unchanged] finds it as it was; the rest are
+     keyed in parallel.  Physical equality within the batch is safe
+     only because the call is synchronous. *)
   let slot = Phys.create n and distinct = ref [] in
   let slots =
     Array.map
@@ -787,25 +808,26 @@ let run_batch ?(shards = 1) t queries =
       queries
   in
   let distinct = Array.of_list (List.rev !distinct) in
-  let known =
+  let inst_keys =
     Array.map
       (fun pl ->
-        match Phys.find_opt t.memo pl with
-        | Some k when unchanged k pl -> Some k
-        | _ -> None)
+        match Memo.find_opt t.memo pl with
+        | Some k when unchanged k pl -> k.k_key
+        | _ -> "")
       distinct
   in
   let stale =
     Array.of_list
       (List.filter
-         (fun k -> Option.is_none known.(k))
+         (fun k -> inst_keys.(k) = "")
          (List.init (Array.length distinct) Fun.id))
   in
   parallel ~shards (Array.length stale) (fun j ->
       let k = stale.(j) in
-      known.(k) <- Some (keyed distinct.(k)));
-  Array.iter (fun k -> remember t distinct.(k) (Option.get known.(k))) stale;
-  let insts = Array.map (fun k -> (Option.get known.(k)).k_key) slots in
+      inst_keys.(k) <- instance_key distinct.(k));
+  Array.iter (fun k -> remember t distinct.(k) inst_keys.(k)) stale;
+  t.last_batch <- slot;
+  let insts = Array.map (fun k -> inst_keys.(k)) slots in
   let keys =
     Array.mapi (fun i q -> insts.(i) ^ "#" ^ request_tag t q.request) queries
   in

@@ -272,14 +272,16 @@ val run_batch : ?shards:int -> t -> query array -> response array
     (each on its own [t]).  [responses.(i)] answers [queries.(i)];
     answers, digests and counters are identical for every shard
     count.  Each distinct placement value (by physical equality) is
-    keyed once per batch, and a later batch reuses that key only after
-    an exact check finds the placement unchanged: every array
-    {!instance_key} reads is compared with the copy taken when the key
-    was rendered, records and constructors by physical equality and
-    floats by their bits, so a placement mutated in place between
-    batches is keyed afresh.  The service keeps at most [capacity]
-    placements for this check, and checkpoints none.  Do not mutate a
-    placement while the call runs.  Exact-duplicate queries within one
+    keyed once per batch.  A placement value sent again in the next
+    batch is remembered, and later batches reuse its key only after
+    an exact check finds it unchanged: every array {!instance_key}
+    reads is compared with the copy taken when the key was rendered,
+    records and constructors by physical equality and floats by their
+    bits, so a placement mutated in place between batches is keyed
+    afresh.  The service keeps at most [capacity] such placements,
+    plus the previous batch's, and checkpoints none; a placement sent
+    only once is never copied.  Do not mutate a placement while the
+    call runs.  Exact-duplicate queries within one
     batch are solved once and the copies served as {!Hit}s.  Solver
     faults (real or injected) surface as {!Failed} answers, and
     simulated worker deaths, the caller's included, are absorbed and

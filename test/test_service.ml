@@ -436,7 +436,8 @@ let mutations =
    value is re-keyed (never a stale hit), answers as the direct path
    does on the new content, and is cached under the key a fresh copy
    of that content gets; reverting the write hits the first entry
-   again. *)
+   again.  The placement is served in two batches before the write, so
+   the memo holds its copies when it changes. *)
 let test_mutation_rekeyed () =
   List.iter
     (fun (name, make, mutate) ->
@@ -446,6 +447,8 @@ let test_mutation_rekeyed () =
       let svc = Service.create ~capacity:8 () in
       let serve q = (Service.run_batch ~shards:2 svc [| q |]).(0) in
       let first = serve q in
+      Alcotest.(check bool) (label "served again, it hits") true
+        ((serve q).Service.served = Service.Hit);
       let key = Service.instance_key pl in
       let revert = mutate pl in
       Alcotest.(check bool) (label "the write changes the key") false
@@ -620,8 +623,8 @@ let test_pool_reuse_under_faults () =
    both answer as they do one after the other.  Every batch also
    serves the eeg14 and eeg22 placements (hits after the first batch):
    their long keys keep both calls' copies busy at once in the first
-   batch, and each later batch checks them against its service's key
-   memo. *)
+   two batches, and each batch after those checks them against its
+   service's key memo. *)
 let test_concurrent_callers () =
   let mixed = Lazy.force mixed_batch in
   let with_eeg = Array.map (Array.append [| mixed.(0); mixed.(5) |]) in
