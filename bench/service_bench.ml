@@ -118,7 +118,7 @@ let fleet_queries () =
     Array.of_list (per_app eeg14 @ per_app eeg22 @ synths @ speech_qs)
   in
   (* near-repeats: the same instances at rates the cache has never
-     seen — solved, but warm-started from the resident entries *)
+     seen — solved, but warm-started from their instances' anchors *)
   let near =
     Array.of_list
       [
@@ -203,8 +203,8 @@ let run () =
   (* and the whole batch must match the no-service direct path *)
   let direct = direct_digests svc1 queries in
   check "served digests differ from direct solves" (direct = cold1.digests);
-  (* near-repeats: unseen rates over resident instances warm-start
-     from the stored tier assignment and root basis *)
+  (* near-repeats: unseen rates over answered instances warm-start
+     from their anchors' tier assignment and root basis *)
   let warm0 = (Wishbone.Service.counters svc1).Wishbone.Service.warm_starts in
   let t0 = Unix.gettimeofday () in
   let near_resp = Wishbone.Service.run_batch ~shards:1 svc1 near_queries in

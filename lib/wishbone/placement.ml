@@ -678,22 +678,28 @@ let objective_value t ~tier_of =
   Array.iteri (fun k n -> obj := !obj +. (t.links.(k).beta *. n)) link_net;
   !obj
 
+(* the tier operator [i] is pinned to: its tier pin, else tier 0 for
+   [Pin_node] and the root for [Pin_server]; -1 for a free operator
+   (an int, so the per-operator checks below allocate nothing) *)
+let pinned_tier (t : t) i =
+  match t.tier_pins.(i) with
+  | Some tp -> tp
+  | None -> (
+      match t.spec.Spec.placement.(i) with
+      | Movable.Pin_node -> 0
+      | Movable.Pin_server -> Topology.root t.topology
+      | Movable.Movable -> -1)
+
+(* the slack a budgeted tier's CPU load may pass its budget by *)
+let cpu_slack = 1e-9
+
 let feasible ?(require_monotone = true) (t : t) ~tier_of =
-  let top = Topology.root t.topology in
   let pin_ok =
     let ok = ref true in
     Array.iteri
       (fun i tier ->
-        let want =
-          match t.tier_pins.(i) with
-          | Some tp -> Some tp
-          | None -> (
-              match t.spec.Spec.placement.(i) with
-              | Movable.Pin_node -> Some 0
-              | Movable.Pin_server -> Some top
-              | Movable.Movable -> None)
-        in
-        match want with Some tp when tier <> tp -> ok := false | _ -> ())
+        let tp = pinned_tier t i in
+        if tp >= 0 && tier <> tp then ok := false)
       tier_of;
     !ok
   in
@@ -712,7 +718,7 @@ let feasible ?(require_monotone = true) (t : t) ~tier_of =
     Array.for_all2
       (fun (tier : tier) c ->
         (not (Float.is_finite tier.cpu_budget))
-        || c <= tier.cpu_budget +. 1e-9)
+        || c <= tier.cpu_budget +. cpu_slack)
       t.tiers tier_cpu
   in
   let net_ok =
@@ -744,8 +750,25 @@ let ops_on r tier =
   List.filter (fun i -> r.tier_of.(i) = tier)
     (List.init (Array.length r.tier_of) Fun.id)
 
+(* Some budgeted tier's load passes its budget at every placement: the
+   operators pinned to it already do, with every cost a free operator
+   could add taken at its least (0, or the cost if negative).
+   Branch & bound would accept such a point within its 1e-5 row
+   tolerance, and [feasible] then reject it. *)
+let pins_overload (t : t) =
+  let overloaded tp (tier : tier) =
+    let load = ref 0. in
+    for i = 0 to Array.length tier.cpu - 1 do
+      let p = pinned_tier t i and c = tier.cpu.(i) in
+      if p = tp || (p < 0 && c < 0.) then load := !load +. c
+    done;
+    Float.is_finite tier.cpu_budget && !load > tier.cpu_budget +. cpu_slack
+  in
+  Array.exists Fun.id (Array.mapi overloaded t.tiers)
+
 let solve ?(encoding = Restricted) ?(preprocess = true) ?options
     ?(resources = []) ?initial ?root_basis t =
+  if pins_overload t then No_feasible_partition else
   (* contraction's dominance argument needs monotone descent (§2.1.2),
      so under the general encoding the uncontracted graph is solved —
      the PR 2 fuzz-oracle finding, preserved across the refactor.

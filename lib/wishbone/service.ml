@@ -470,14 +470,29 @@ let solve_direct ?(options = default_options) ?(tol = 0.01)
 (* ---- the daemon --------------------------------------------------- *)
 
 type entry = {
-  e_key : string;
-  e_instance : string;
   e_answer : answer;
   e_digest : string;
-  e_tiers : int array option;  (* warm-start seed for near-repeats *)
-  e_basis : Lp.Basis.t option;
-  e_born : int;  (* insertion stamp: the newest entry anchors warm starts *)
   mutable e_stamp : int;  (* recency stamp: least recent is evicted *)
+}
+
+(* A warm start: the tier assignment and root basis of a placed or
+   degraded answer of the same instance at another rate or request. *)
+type seed = { s_tiers : int array; s_basis : Lp.Basis.t option }
+
+let seed_of = function
+  | Placed { report; _ } | Degraded { report; _ } ->
+      Some
+        {
+          s_tiers = report.Placement.tier_of;
+          s_basis = report.Placement.solver.Lp.Branch_bound.root_basis;
+        }
+  | Infeasible | Failed _ -> None
+
+(* An instance's warm anchor: the seed of its most recently committed
+   placed or degraded answer, kept when that answer's entry is evicted. *)
+type anchor = {
+  a_seed : seed;
+  a_born : int;  (* commit stamp: the anchor committed longest ago goes first *)
 }
 
 type t = {
@@ -488,6 +503,7 @@ type t = {
   retries : int;
   fault_plan : Fault_plan.t;
   table : (string, entry) Hashtbl.t;
+  anchors : (string, anchor) Hashtbl.t;  (* by instance key, <= capacity *)
   memo : keyed Memo.t;  (* placements that came back, <= capacity *)
   mutable last_batch : int Phys.t;  (* the previous batch's placements *)
   mutable clock : int;
@@ -517,6 +533,7 @@ let create ?(capacity = 512) ?(options = default_options) ?(tol = 0.01)
     retries;
     fault_plan;
     table = Hashtbl.create (Int.max 16 capacity);
+    anchors = Hashtbl.create 16;
     memo = Memo.create 16;
     last_batch = Phys.create 1;
     clock = 0;
@@ -576,59 +593,39 @@ let remember t pl key =
     Memo.add t.memo pl (keyed pl key)
   end
 
-(* The warm anchor for a missed query: the most recently inserted
-   resident entry with the same placement structure and a stored tier
-   assignment.  Insertion stamps are unique, so the fold is
-   deterministic regardless of hash-table iteration order. *)
-let warm_anchor t inst =
+(* the key of [tbl]'s binding with the least [stamp]; stamps are
+   unique, so the fold is deterministic whatever the iteration order *)
+let oldest stamp tbl =
   Hashtbl.fold
-    (fun _ e best ->
-      if e.e_instance = inst && e.e_tiers <> None then
-        match best with
-        | Some b when b.e_born >= e.e_born -> best
-        | _ -> Some e
-      else best)
-    t.table None
+    (fun k v best ->
+      match best with
+      | Some (_, b) when stamp b <= stamp v -> best
+      | _ -> Some (k, v))
+    tbl None
+  |> Option.map fst
 
-let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun _ e best ->
-        match best with
-        | Some b when b.e_stamp <= e.e_stamp -> best
-        | _ -> Some e)
-      t.table None
-  in
-  match victim with
-  | None -> ()
-  | Some e ->
-      Hashtbl.remove t.table e.e_key;
-      t.c_evictions <- t.c_evictions + 1
+(* [seed] becomes [inst]'s anchor.  A new instance past [capacity]
+   anchors takes the place of the one committed longest ago. *)
+let set_anchor t inst stamp seed =
+  if t.capacity > 0 then begin
+    if
+      Hashtbl.length t.anchors >= t.capacity && not (Hashtbl.mem t.anchors inst)
+    then
+      Option.iter (Hashtbl.remove t.anchors)
+        (oldest (fun a -> a.a_born) t.anchors);
+    Hashtbl.replace t.anchors inst { a_seed = seed; a_born = stamp }
+  end
 
 let insert t ~key ~inst answer digest =
-  let tiers, basis =
-    match answer with
-    | Placed { report; _ } | Degraded { report; _ } ->
-        ( Some report.Placement.tier_of,
-          report.Placement.solver.Lp.Branch_bound.root_basis )
-    | Infeasible | Failed _ -> (None, None)
-  in
   let stamp = tick t in
   Hashtbl.replace t.table key
-    {
-      e_key = key;
-      e_instance = inst;
-      e_answer = answer;
-      e_digest = digest;
-      e_tiers = tiers;
-      e_basis = basis;
-      e_born = stamp;
-      e_stamp = stamp;
-    };
+    { e_answer = answer; e_digest = digest; e_stamp = stamp };
   t.c_inserts <- t.c_inserts + 1;
   while Hashtbl.length t.table > t.capacity do
-    evict_lru t
-  done
+    Option.iter (Hashtbl.remove t.table) (oldest (fun e -> e.e_stamp) t.table);
+    t.c_evictions <- t.c_evictions + 1
+  done;
+  Option.iter (set_anchor t inst stamp) (seed_of answer)
 
 (* Per-query batch plan, fixed sequentially against the cache state at
    batch entry; the solves it schedules are data-independent, which is
@@ -636,7 +633,7 @@ let insert t ~key ~inst answer digest =
 type plan =
   | P_replay of entry
   | P_alias of int  (* exact duplicate of an earlier in-batch query *)
-  | P_solve of { seed_tiers : int array option; seed_basis : Lp.Basis.t option }
+  | P_solve of seed option  (* its instance's anchor at batch entry *)
 
 (* ---- the worker pool ---------------------------------------------- *)
 
@@ -848,14 +845,10 @@ let run_batch ?(shards = 1) t queries =
             | None ->
                 t.c_misses <- t.c_misses + 1;
                 Hashtbl.add first_of_key keys.(i) i;
-                let seed_tiers, seed_basis =
-                  match warm_anchor t insts.(i) with
-                  | Some e ->
-                      t.c_warm <- t.c_warm + 1;
-                      (e.e_tiers, e.e_basis)
-                  | None -> (None, None)
-                in
-                P_solve { seed_tiers; seed_basis }))
+                P_solve
+                  (Option.map
+                     (fun a -> a.a_seed)
+                     (Hashtbl.find_opt t.anchors insts.(i)))))
   in
   (* ---- solve (sharded, supervised) ---- *)
   let results : answer option array = Array.make n None in
@@ -892,9 +885,11 @@ let run_batch ?(shards = 1) t queries =
           }
     in
     match plans.(i) with
-    | P_solve { seed_tiers; seed_basis } ->
+    | P_solve seed ->
         solve_query ~options ~tol:t.tol ~max_multiplier:t.max_multiplier
-          ?initial_tiers:seed_tiers ?root_basis:seed_basis queries.(i)
+          ?initial_tiers:(Option.map (fun s -> s.s_tiers) seed)
+          ?root_basis:(Option.bind seed (fun s -> s.s_basis))
+          queries.(i)
     | P_replay _ | P_alias _ -> assert false
   in
   let attempt i a =
@@ -964,11 +959,15 @@ let run_batch ?(shards = 1) t queries =
     | P_alias j ->
         let a, d, _ = Option.get out.(j) in
         out.(i) <- Some (a, d, Hit)
-    | P_solve { seed_tiers; seed_basis } ->
+    | P_solve seed ->
         let a = Option.get results.(i) in
         let d = answer_digest a in
         let served =
-          if seed_tiers <> None || seed_basis <> None then Warm_start else Cold
+          if Option.is_some seed then begin
+            t.c_warm <- t.c_warm + 1;
+            Warm_start
+          end
+          else Cold
         in
         out.(i) <- Some (a, d, served);
         (* failures are not worth pinning in the cache; with the
@@ -992,19 +991,21 @@ let run_batch ?(shards = 1) t queries =
 
 type restore_outcome = Restored of int | Cold_start of string
 
-let magic = "WISHBONE-SERVICE-CHECKPOINT v2"
+let magic_prefix = "WISHBONE-SERVICE-CHECKPOINT "
+let version = "v3"
+let magic = magic_prefix ^ version
 
 (* Snapshot layout: the magic line, then framed sections — an ASCII
    "length md5hex" header line followed by that many Marshal bytes.
    Section 0 is the header tuple (capacity, tol/max-multiplier bits,
-   solver options, clock, counters, entry count); each entry follows
-   as its own section.  Every section's bytes are digest-checked on
-   load, and each entry's stored answer digest is recomputed from the
-   answer itself, so bit rot anywhere degrades to a cold cache rather
-   than a wrong replay.  The solver options are stored so that answers
-   cached under one budget never replay under another; the [on_node]
-   hook, retries and the fault plan are configuration and are not
-   persisted. *)
+   solver options, clock, counters, entry count, anchor count); each
+   entry follows as its own section, then each warm anchor.  Every
+   section's bytes are digest-checked on load, and each entry's stored
+   answer digest is recomputed from the answer itself, so bit rot
+   anywhere degrades to a cold cache rather than a wrong replay.  The
+   solver options are stored so that answers cached under one budget
+   never replay under another; the [on_node] hook, retries and the
+   fault plan are configuration and are not persisted. *)
 
 let write_section oc payload =
   let s = Marshal.to_string payload [] in
@@ -1046,11 +1047,13 @@ let options_wire
         Lp.Simplex.cost_tol ],
     warm_start )
 
-type header = int * int64 * int64 * options_wire * int * int list * int
+type header = int * int64 * int64 * options_wire * int * int list * int * int
 
-type entry_wire =
-  string * string * answer * string * int array option * Lp.Basis.t option
-  * int * int
+(* key, answer, digest, recency stamp *)
+type entry_wire = string * answer * string * int
+
+(* instance key, tier assignment, root basis, commit stamp *)
+type anchor_wire = string * int array * Lp.Basis.t option * int
 
 (* An answer as a snapshot stores it: the wall-clock fields of its
    solver statistics read 0, so equal histories write equal bytes in
@@ -1093,22 +1096,28 @@ let checkpoint t path =
              t.c_evictions; t.c_ok; t.c_degraded; t.c_failed; t.c_retries;
              t.c_deaths;
            ],
-           Hashtbl.length t.table )
+           Hashtbl.length t.table,
+           Hashtbl.length t.anchors )
           : header);
-      (* insertion-stamp order: equal caches write byte-identical
-         snapshots regardless of hash-table iteration order *)
-      let entries =
+      (* stamp order: equal services write byte-identical snapshots
+         regardless of hash-table iteration order *)
+      let sorted stamp tbl =
         List.sort
-          (fun a b -> compare a.e_born b.e_born)
-          (Hashtbl.fold (fun _ e acc -> e :: acc) t.table [])
+          (fun (_, a) (_, b) -> compare (stamp a) (stamp b))
+          (List.of_seq (Hashtbl.to_seq tbl))
       in
       List.iter
-        (fun e ->
+        (fun (key, e) ->
           write_section oc
-            (( e.e_key, e.e_instance, without_times e.e_answer, e.e_digest,
-               e.e_tiers, e.e_basis, e.e_born, e.e_stamp )
+            ((key, without_times e.e_answer, e.e_digest, e.e_stamp)
               : entry_wire))
-        entries);
+        (sorted (fun e -> e.e_stamp) t.table);
+      List.iter
+        (fun (inst, a) ->
+          write_section oc
+            ((inst, a.a_seed.s_tiers, a.a_seed.s_basis, a.a_born)
+              : anchor_wire))
+        (sorted (fun a -> a.a_born) t.anchors));
   Sys.rename tmp path
 
 let restore ?capacity ?options ?tol ?max_multiplier ?retries ?fault_plan path =
@@ -1126,13 +1135,22 @@ let restore ?capacity ?options ?tol ?max_multiplier ?retries ?fault_plan path =
   | ic ->
       let result =
         try
-          if input_line ic <> magic then failwith "bad magic"
+          let line = input_line ic in
+          if line <> magic then
+            failwith
+              (if String.starts_with ~prefix:magic_prefix line then
+                 Printf.sprintf "format %s, this build reads %s"
+                   (String.sub line (String.length magic_prefix)
+                      (String.length line - String.length magic_prefix))
+                   version
+               else "bad magic")
           else begin
-            let ((cap, tol_bits, mm_bits, opts, clock, counts, n_entries)
+            let (( cap, tol_bits, mm_bits, opts, clock, counts, n_entries,
+                   n_anchors )
                   : header) =
               read_section ic
             in
-            if cap < 0 || n_entries < 0 || clock < 0 then
+            if cap < 0 || n_entries < 0 || n_anchors < 0 || clock < 0 then
               failwith "corrupt header";
             if
               tol_bits <> Int64.bits_of_float want_tol
@@ -1160,26 +1178,29 @@ let restore ?capacity ?options ?tol ?max_multiplier ?retries ?fault_plan path =
             | _ -> failwith "corrupt counter block");
             t.clock <- clock;
             for _ = 1 to n_entries do
-              let (( e_key, e_instance, e_answer, e_digest, e_tiers, e_basis,
-                     e_born, e_stamp )
-                    : entry_wire) =
+              let ((key, e_answer, e_digest, e_stamp) : entry_wire) =
                 read_section ic
               in
               (* semantic integrity on top of the byte digest: the
                  stored answer must still hash to its stored digest *)
               if answer_digest e_answer <> e_digest then
                 failwith "entry answer fails its stored digest";
-              Hashtbl.replace t.table e_key
-                {
-                  e_key; e_instance; e_answer; e_digest; e_tiers; e_basis;
-                  e_born; e_stamp;
-                }
+              Hashtbl.replace t.table key { e_answer; e_digest; e_stamp }
+            done;
+            for _ = 1 to n_anchors do
+              let ((inst, s_tiers, s_basis, a_born) : anchor_wire) =
+                read_section ic
+              in
+              Hashtbl.replace t.anchors inst
+                { a_seed = { s_tiers; s_basis }; a_born }
             done;
             (match input_line ic with
             | exception End_of_file -> ()
-            | _ -> failwith "trailing bytes after the last entry");
+            | _ -> failwith "trailing bytes after the last anchor");
             if Hashtbl.length t.table > cap then
               failwith "more entries than capacity";
+            if Hashtbl.length t.anchors <> n_anchors || n_anchors > cap then
+              failwith "anchors repeat an instance or exceed capacity";
             Ok t
           end
         with

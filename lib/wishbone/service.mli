@@ -19,9 +19,13 @@
       placements no earlier batch has keyed are keyed the same way;
     - {e caching}: completed solves are stored in an LRU-bounded cache
       keyed by [spec digest x platform digest x request].  An exact
-      key hit replays the stored response without solving; a miss on a
-      placement whose structure is already resident warm-starts from
-      the stored tier assignment and {!Lp.Basis.t} root snapshot;
+      key hit replays the stored response without solving.  Each
+      instance (placement structure) keeps a warm {e anchor}: the tier
+      assignment and {!Lp.Basis.t} root snapshot of its most recently
+      committed {!Placed} or {!Degraded} answer.  An anchor outlives
+      the eviction of its instance's answers; at most [capacity]
+      instances keep one, the anchor committed longest ago going first.
+      A miss warm-starts from its instance's anchor;
     - {e determinism}: responses (and every cache counter) are a pure
       function of the query history — independent of the shard count,
       and byte-identical to the direct no-service solve path
@@ -48,11 +52,12 @@
       never an exception, never a silently suboptimal {!Placed}.
 
     The determinism argument: each batch is {e planned} sequentially
-    against the cache state at batch entry (hit / alias / solve, warm
-    hints chosen from already-resident entries), the planned solves
-    are data-independent and run on any number of shards in any claim
-    order, and cache insertion/eviction replays sequentially in
-    query-index order after every shard has finished.  Shard count
+    against the cache state at batch entry (hit / alias / solve, each
+    solve seeded from its instance's anchor as it stood at entry), the
+    planned solves are data-independent and run on any number of
+    shards in any claim order, and cache insertion/eviction and anchor
+    updates replay sequentially in query-index order after every shard
+    has finished.  Shard count
     therefore changes wall-clock only.
     Warm hints never change answers (the repo-wide warm-start
     contract, PR 1/5/6); the service additionally runs full proofs
@@ -103,8 +108,9 @@ type served =
   | Hit  (** replayed from the cache (or from an identical query
              earlier in the same batch) *)
   | Warm_start
-      (** solved, warm-started from a resident entry with the same
-          placement structure at a different rate *)
+      (** solved, warm-started from its instance's anchor: an earlier
+          placed or degraded answer of the same placement structure at
+          another rate or request, resident or not *)
   | Cold  (** solved from scratch *)
 
 type counters = {
@@ -205,8 +211,9 @@ val create :
   unit ->
   t
 (** A fresh service.  [capacity] (default 512) bounds the cache in
-    entries, LRU-evicted; [0] disables retention entirely (every
-    insert evicts immediately, keeping the counter algebra intact).
+    entries, LRU-evicted, and the warm anchors in instances; [0]
+    disables retention entirely (every insert evicts immediately,
+    keeping the counter algebra intact, and no anchor is kept).
     [options] drives every branch & bound ({!default_options});
     [tol] / [max_multiplier] parameterise [Search] queries exactly as
     in {!Rate_search.search_placement} (defaults 0.01 / 65536).
@@ -305,9 +312,10 @@ val solve_direct :
 
 (** {2 Crash-safe checkpoints}
 
-    [checkpoint] persists the cache — every entry's key, answer,
-    warm-start tier assignment and {!Lp.Basis.t} snapshot — plus the
-    LRU clock and cumulative counters, so a restarted service replays
+    [checkpoint] persists the cache — every entry's key, answer and
+    digest — and every warm anchor — its instance key, tier assignment
+    and {!Lp.Basis.t} snapshot — plus the LRU clock and cumulative
+    counters, so a restarted service plans, replays and counts
     byte-identically to one that never died.  The file carries a
     per-section MD5 and each entry's stored answer digest is
     recomputed on load; any mismatch (corruption, truncation, a stale
@@ -342,8 +350,9 @@ val restore :
   string ->
   t * restore_outcome
 (** [restore path] loads a snapshot.  On success the cache capacity,
-    clock, counters and entries come from the file ([?capacity] is
-    ignored); on any integrity or staleness failure the optional
+    clock, counters, entries and anchors come from the file
+    ([?capacity] is ignored); on any integrity or staleness failure, or a snapshot in
+    an older format (v2, which holds no anchors), the optional
     arguments feed a fresh {!create} and the outcome says why.
     Passing [tol]/[max_multiplier], or any {!Lp.Branch_bound.options}
     field but [on_node], different (bit-exactly) from the snapshot's is

@@ -12,7 +12,9 @@
      on paper, solved by Placement and cross-checked against the
      independent brute force of Check.Reference;
    - a Multirun three-tier end-to-end run exercising per-link offered
-     traffic, drop accounting, queue inspection and reset. *)
+     traffic, drop accounting, queue inspection and reset;
+   - operators pinned past a tier's CPU budget answer no placement,
+     while a pinned load that fits the budget exactly still places. *)
 
 open Dataflow
 open Wishbone
@@ -815,6 +817,50 @@ let test_negative_budget_stays_infeasible () =
   | Placement.No_feasible_partition -> ()
   | _ -> Alcotest.fail "a negative CPU budget must stay infeasible"
 
+(* ---- pinned load past a budget ------------------------------------ *)
+
+(* Operators pinned to a budgeted tier that already load it past its
+   budget leave no placement, and the answer must say so.  Speech at
+   x0.001 under a zero mote budget is the case that matters: branch &
+   bound accepts its sources' load on the mote within its 1e-5 row
+   tolerance, and [Placement.feasible], which allows 1e-9, rejects
+   that optimum.  The Y fixture's tier-pinned source on a zero-budget
+   leaf is the same case through a tier pin.  At a budget the pinned
+   load fits exactly, speech still places, every movable operator off
+   the mote. *)
+let test_pinned_load_past_budget () =
+  let raw = Apps.Speech.profile ~duration:10. (Apps.Speech.build ()) in
+  let spec =
+    match Spec.of_profile ~node_platform:Profiler.Platform.tmote_sky raw with
+    | Ok s -> s
+    | Error m -> Alcotest.fail m
+  in
+  let speech budget =
+    Placement.scale_rate
+      (Placement.of_spec { spec with Spec.cpu_budget = budget })
+      0.001
+  in
+  let infeasible what t =
+    match Placement.solve t with
+    | Placement.No_feasible_partition -> ()
+    | Placement.Solver_failure m -> Alcotest.failf "%s: %s" what m
+    | Placement.Partitioned _ -> Alcotest.failf "%s: placed" what
+  in
+  infeasible "speech, zero mote budget" (speech 0.);
+  let y = y_placement ~shared_budget:5.5 in
+  let tiers = Array.copy y.Placement.tiers in
+  tiers.(1) <- { (tiers.(1)) with Placement.cpu_budget = 0. };
+  infeasible "Y, zero budget under the tier-pinned source"
+    { y with Placement.tiers };
+  let mote = (speech 0.).Placement.tiers.(0).Placement.cpu in
+  let pinned = ref 0. in
+  Array.iteri
+    (fun i pin -> if pin = Movable.Pin_node then pinned := !pinned +. mote.(i))
+    spec.Spec.placement;
+  let r = solved "speech at the pinned load" (speech !pinned) in
+  Alcotest.(check (float 0.)) "the mote carries the pinned load" !pinned
+    r.Placement.tier_cpu.(0)
+
 (* ---- encodings pinned bit for bit --------------------------------- *)
 
 (* Per row the sense, the rhs bits and each term's index and
@@ -946,5 +992,10 @@ let () =
             test_binary_tree_reduces_to_a_path;
           Alcotest.test_case "negative budget stays infeasible" `Quick
             test_negative_budget_stays_infeasible;
+        ] );
+      ( "pinned-load",
+        [
+          Alcotest.test_case "past a budget, no placement" `Quick
+            test_pinned_load_past_budget;
         ] );
     ]

@@ -16,10 +16,12 @@
      included, dies on its first claim, the sweep finishes the batch
      with the faults-off answers and shard-independent counters;
    - checkpoints: kill-and-restore mid-history replays the rest of the
-     workload byte-identically to an uninterrupted service (faulted and
-     fault-free), two services serving one history write byte-identical
-     snapshots, and corrupt / truncated / stale / missing snapshots
-     restore to a cold cache, never to wrong answers;
+     workload byte-identically to an uninterrupted service (faulted,
+     fault-free, and after an instance's last entry was evicted, which
+     its warm anchor outlives), two services serving one history write
+     byte-identical snapshots, and corrupt / truncated / stale /
+     previous-format / missing snapshots restore to a cold cache, never
+     to wrong answers;
    - degradation: work-unit budgets surface gap-certified Degraded
      answers that are feasible and deterministic across shard counts. *)
 
@@ -272,6 +274,60 @@ let test_checkpoint_roundtrip_faulted () =
         ~fault_plan:(Service.Fault_plan.seeded ~rate:0.35 1)
         ~retries:1 queries path)
 
+(* A history that evicts an instance's last entry before the
+   checkpoint: at capacity 3, two infeasible answers (which anchor
+   nothing) push out the x0.6 entries, the last of instance B's.  B's
+   warm anchor outlives them, so an uninterrupted service serves B
+   warm afterwards, and a restored one must plan the same way: equal
+   digests, serve tags and counters. *)
+let test_checkpoint_roundtrip_evicted () =
+  let a = synth ~n_ops:12 2 and b = synth ~n_ops:12 5 in
+  let before =
+    [|
+      [| rate a 0.6; rate b 0.6 |];
+      [| rate a 0.8 |];
+      [| rate (synth 700) 1000.; rate (synth 701) 1000. |];
+    |]
+  and after = [| [| rate a 0.7; rate b 0.7; search b |]; [| rate b 0.8 |] |] in
+  let serve svc batches =
+    Array.map
+      (fun batch ->
+        let r = Service.run_batch ~shards:2 svc batch in
+        ( digests r,
+          Array.map (fun (r : Service.response) -> r.Service.served) r,
+          pp_counters (Service.counters svc) ))
+      batches
+  in
+  let path = tmpfile "evicted.ckpt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let whole = Service.create ~capacity:3 () in
+      ignore (serve whole before);
+      let expected = serve whole after in
+      let victim = Service.create ~capacity:3 () in
+      ignore (serve victim before);
+      Alcotest.(check string) "B's last entry is evicted"
+        "q5 h0 m5 w1 i5 e2 r3 | ok5 d0 f0 rt0 wd0"
+        (pp_counters (Service.counters victim));
+      Service.checkpoint victim path;
+      match Service.restore path with
+      | _, Service.Cold_start reason -> Alcotest.fail ("cold start: " ^ reason)
+      | revived, Service.Restored n ->
+          Alcotest.(check int) "restored entry count" 3 n;
+          let got = serve revived after in
+          Alcotest.(check bool) "B served warm" true
+            (let _, served, _ = got.(0) in
+             served.(1) = Service.Warm_start);
+          Array.iteri
+            (fun i (d, s, c) ->
+              let d', s', c' = got.(i) in
+              let label what = Printf.sprintf "batch %d: %s" i what in
+              Alcotest.(check (array string)) (label "digests") d d';
+              Alcotest.(check bool) (label "serve tags") true (s = s');
+              Alcotest.(check string) (label "counters") c c')
+            expected)
+
 let test_checkpoint_rejects_damage () =
   let queries = Array.init 6 (fun i -> rate (synth (500 + i)) 1.1) in
   let svc = Service.create ~capacity:16 () in
@@ -310,6 +366,17 @@ let test_checkpoint_rejects_damage () =
       (* not a snapshot at all *)
       write "definitely not a checkpoint\n";
       expect_cold "garbage";
+      (* the previous format, whose snapshots hold no warm anchors *)
+      let intact = Bytes.to_string bytes in
+      let eol = String.index intact '\n' in
+      write
+        ("WISHBONE-SERVICE-CHECKPOINT v2"
+        ^ String.sub intact eol (String.length intact - eol));
+      (match Service.restore path with
+      | _, Service.Cold_start reason ->
+          Alcotest.(check string) "a v2 snapshot is named"
+            "snapshot rejected: format v2, this build reads v3" reason
+      | _, Service.Restored _ -> Alcotest.fail "a v2 snapshot restored");
       (* stale parameters: same bytes, different search tolerance *)
       write (Bytes.to_string bytes);
       (match Service.restore ~tol:0.05 path with
@@ -532,6 +599,8 @@ let () =
             test_checkpoint_roundtrip;
           Alcotest.test_case "faulted kill-and-restore round trip" `Quick
             test_checkpoint_roundtrip_faulted;
+          Alcotest.test_case "round trip after an evicted last entry" `Quick
+            test_checkpoint_roundtrip_evicted;
           Alcotest.test_case "damaged snapshots fall back to cold" `Quick
             test_checkpoint_rejects_damage;
           Alcotest.test_case "changed solver options fall back to cold"

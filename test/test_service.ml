@@ -18,7 +18,8 @@
      the resident bound, conserves the counter algebra, and serves
      only direct-path answers throughout;
    - warm hints: a seed that is infeasible at the queried rate is
-     dropped, so a warm solve answers as the cold one does;
+     dropped, so a warm solve answers as the cold one does, and an
+     instance's warm anchor outlives the eviction of its answers;
    - the worker pool: faulted batch streams on 2 and 4 shards and on a
      second service answer as shards=1 does, two domains serving at
      once answer as they do one after the other, an exception
@@ -549,6 +550,29 @@ let test_infeasible_seed_is_dropped () =
         (Service.answer_digest cold) warm.Service.digest)
     [ 0.35; 0.385 ]
 
+(* An instance's warm anchor outlives the eviction of its answers.  At
+   capacity 1 an infeasible answer of another instance evicts X's only
+   entry but leaves X's anchor (an infeasible answer anchors nothing),
+   so X at another rate starts warm and answers as the direct path
+   does. *)
+let test_anchor_outlives_eviction () =
+  let x = synth 21 and y = synth 22 in
+  let svc = Service.create ~capacity:1 () in
+  let first = (Service.run_batch svc [| rate x 0.9 |]).(0) in
+  Alcotest.(check bool) "X is placed" true
+    (match first.Service.answer with Service.Placed _ -> true | _ -> false);
+  let other = (Service.run_batch svc [| rate y 1000. |]).(0) in
+  Alcotest.(check bool) "Y is infeasible" true
+    (other.Service.answer = Service.Infeasible);
+  Alcotest.(check int) "X's entry is evicted" 1
+    (Service.counters svc).Service.evictions;
+  let again = (Service.run_batch svc [| rate x 1.1 |]).(0) in
+  Alcotest.(check bool) "served warm" true
+    (again.Service.served = Service.Warm_start);
+  Alcotest.(check string) "the direct path's answer"
+    (Service.answer_digest (Service.solve_direct (rate x 1.1)))
+    again.Service.digest
+
 (* ---- the worker pool ---------------------------------------------- *)
 
 let pp_counters (c : Service.counters) =
@@ -717,6 +741,8 @@ let () =
         [
           Alcotest.test_case "infeasible seed gives the cold answer" `Quick
             test_infeasible_seed_is_dropped;
+          Alcotest.test_case "an anchor outlives its evicted answers" `Quick
+            test_anchor_outlives_eviction;
         ] );
       ( "pool",
         [
