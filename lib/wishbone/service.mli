@@ -57,8 +57,7 @@
     planned solves are data-independent and run on any number of
     shards in any claim order, and cache insertion/eviction and anchor
     updates replay sequentially in query-index order after every shard
-    has finished.  Shard count
-    therefore changes wall-clock only.
+    has finished.  Shard count therefore changes wall-clock only.
     Warm hints never change answers (the repo-wide warm-start
     contract, PR 1/5/6); the service additionally runs full proofs
     ([gap_tol = 0], no wall-clock limit) by default so that a
@@ -351,9 +350,10 @@ val restore :
   t * restore_outcome
 (** [restore path] loads a snapshot.  On success the cache capacity,
     clock, counters, entries and anchors come from the file
-    ([?capacity] is ignored); on any integrity or staleness failure, or a snapshot in
-    an older format (v2, which holds no anchors), the optional
-    arguments feed a fresh {!create} and the outcome says why.
+    ([?capacity] is ignored); on any integrity or staleness failure,
+    or a snapshot in an older format (v2, which holds no anchors), the
+    optional arguments feed a fresh {!create} and the outcome says
+    why.
     Passing [tol]/[max_multiplier], or any {!Lp.Branch_bound.options}
     field but [on_node], different (bit-exactly) from the snapshot's is
     a staleness failure: cached answers were computed under the old

@@ -19,7 +19,8 @@
      only direct-path answers throughout;
    - warm hints: a seed that is infeasible at the queried rate is
      dropped, so a warm solve answers as the cold one does, and an
-     instance's warm anchor outlives the eviction of its answers;
+     instance's warm anchor outlives the eviction of its answers,
+     with at most [capacity] instances anchored;
    - the worker pool: faulted batch streams on 2 and 4 shards and on a
      second service answer as shards=1 does, two domains serving at
      once answer as they do one after the other, an exception
@@ -554,9 +555,12 @@ let test_infeasible_seed_is_dropped () =
    capacity 1 an infeasible answer of another instance evicts X's only
    entry but leaves X's anchor (an infeasible answer anchors nothing),
    so X at another rate starts warm and answers as the direct path
-   does. *)
+   does.  Anchors are bounded like the cache: a placed answer of a
+   second instance takes the place of X's anchor, the one committed
+   longest ago, at capacity 1 but not at capacity 2, and capacity 0
+   keeps none. *)
 let test_anchor_outlives_eviction () =
-  let x = synth 21 and y = synth 22 in
+  let x = synth 21 and y = synth 22 and z = synth 23 in
   let svc = Service.create ~capacity:1 () in
   let first = (Service.run_batch svc [| rate x 0.9 |]).(0) in
   Alcotest.(check bool) "X is placed" true
@@ -571,7 +575,19 @@ let test_anchor_outlives_eviction () =
     (again.Service.served = Service.Warm_start);
   Alcotest.(check string) "the direct path's answer"
     (Service.answer_digest (Service.solve_direct (rate x 1.1)))
-    again.Service.digest
+    again.Service.digest;
+  let served_after ~capacity others =
+    let svc = Service.create ~capacity () in
+    ignore (Service.run_batch svc [| rate x 0.9 |]);
+    List.iter (fun q -> ignore (Service.run_batch svc [| q |])) others;
+    (Service.run_batch svc [| rate x 1.1 |]).(0).Service.served
+  in
+  Alcotest.(check bool) "capacity 1: Z's anchor replaces X's" true
+    (served_after ~capacity:1 [ rate z 0.9 ] = Service.Cold);
+  Alcotest.(check bool) "capacity 2: X keeps its anchor" true
+    (served_after ~capacity:2 [ rate z 0.9 ] = Service.Warm_start);
+  Alcotest.(check bool) "capacity 0: no anchor" true
+    (served_after ~capacity:0 [] = Service.Cold)
 
 (* ---- the worker pool ---------------------------------------------- *)
 
@@ -741,8 +757,8 @@ let () =
         [
           Alcotest.test_case "infeasible seed gives the cold answer" `Quick
             test_infeasible_seed_is_dropped;
-          Alcotest.test_case "an anchor outlives its evicted answers" `Quick
-            test_anchor_outlives_eviction;
+          Alcotest.test_case "anchors outlive eviction, bounded by capacity"
+            `Quick test_anchor_outlives_eviction;
         ] );
       ( "pool",
         [
