@@ -4,9 +4,10 @@
    primal solve, no incumbent carried between rate steps) vs warm
    (parent-basis dual simplex re-solves + incremental rate search).
 
-   Prints total simplex pivots and wall time for both modes and
-   writes BENCH_lp.json at the repo root so later PRs have a perf
-   baseline to regress against:
+   Prints total simplex pivots and wall time for both modes, then the
+   work and best time of the EEG chains' cold LP roots, and writes
+   BENCH_lp.json at the repo root so later PRs have a perf baseline
+   to regress against:
 
      dune exec bench/main.exe -- lp        -- default 22-channel EEG
      dune exec bench/main.exe -- lp 8      -- smaller instance *)
@@ -100,7 +101,7 @@ let resolve_at ~warm spec rate =
   | _ -> None
 
 let write_json ~n_channels ~(cold : mode_result) ~(warm : mode_result)
-    ~(rc : resolve_result option) ~(rw : resolve_result option) =
+    ~(rc : resolve_result option) ~(rw : resolve_result option) ~roots =
   let oc = open_out "BENCH_lp.json" in
   let mode name (r : mode_result) =
     Printf.sprintf
@@ -128,12 +129,14 @@ let write_json ~n_channels ~(cold : mode_result) ~(warm : mode_result)
      %s,\n\
      %s,\n\
     \  \"pivot_ratio\": %.3f,\n\
-    \  \"speedup\": %.3f\n\
+    \  \"speedup\": %.3f,\n\
+    \  \"cold_roots\": [\n%s\n  ]\n\
      }\n"
     n_channels (mode "cold" cold) (mode "warm" warm) (resolve "cold" rc)
     (resolve "warm" rw)
     (Float.of_int cold.pivots /. Float.max 1. (Float.of_int warm.pivots))
-    (cold.wall_s /. Float.max 1e-9 warm.wall_s);
+    (cold.wall_s /. Float.max 1e-9 warm.wall_s)
+    (String.concat ",\n" roots);
   close_out oc
 
 (* The node-LP work gate: eeg22 at x0.92699 on the sparse engine, a
@@ -144,19 +147,15 @@ let write_json ~n_channels ~(cold : mode_result) ~(warm : mode_result)
    every solve copied its bases and snapshots through [Array.blit] and
    boxed a column value per constraint term, about 5,500 since,
    about 5,000 once the set-up before the first pivot stopped
-   formatting names and consing per entry, and about 4,840 once each
-   LP row was stored once, as term arrays.  The ceiling sits between
-   the first two. *)
+   formatting names and consing per entry, about 4,840 once each
+   LP row was stored once, as term arrays, and about 3,650 once the
+   root started from the crash basis.  The ceiling sits between the
+   first two. *)
 let max_words_per_node_lp = 10_000.
 
-let node_lp_gate () =
+let node_lp_gate spec =
   let fail fmt =
     Printf.ksprintf (fun m -> prerr_endline ("smoke eeg22: " ^ m); exit 1) fmt
-  in
-  let spec =
-    Bench_util.spec_exn ~mode:Wishbone.Movable.Permissive
-      ~platform:Profiler.Platform.tmote_sky
-      (Apps.Eeg.profile ~duration:30. (Apps.Eeg.build ()))
   in
   let pl = Wishbone.Placement.of_spec (Wishbone.Spec.scale_rate spec 0.92699) in
   let c0 = Lp.Sparse.counters () and fb0 = Lp.Sparse.dense_fallbacks () in
@@ -184,27 +183,136 @@ let node_lp_gate () =
     [
       ("nodes", s.nodes_explored, 253);
       ("LP solves", s.lp_solves, 505);
-      ("pivots", s.total_pivots, 1_968);
-      ("refactorisations", c1.refactorisations - c0.refactorisations, 252);
-      ("FT updates", c1.ft_updates - c0.ft_updates, 1_465);
-      ("FT entries", c1.ft_entries - c0.ft_entries, 142_097);
+      ("pivots", s.total_pivots, 1_012);
+      ("refactorisations", c1.refactorisations - c0.refactorisations, 233);
+      ("FT updates", c1.ft_updates - c0.ft_updates, 506);
+      ("FT entries", c1.ft_entries - c0.ft_entries, 124_258);
       ("dense fallbacks", Lp.Sparse.dense_fallbacks () - fb0, 0);
     ];
-  if not (Float.equal r.objective 1062.3305399999988) then
-    fail "objective %.17g, pinned 1062.3305399999988" r.objective;
+  if not (Float.equal r.objective 1062.3305400000011) then
+    fail "objective %.17g, pinned 1062.3305400000011" r.objective;
   if per_lp > max_words_per_node_lp then
     fail "%.0f minor words per node LP (> %.0f)" per_lp max_words_per_node_lp
+
+(* The EEG app with [n_channels] channels, profiled for 30 s and
+   placed on the mote and the server. *)
+let eeg_spec n_channels =
+  Bench_util.spec_exn ~mode:Wishbone.Movable.Permissive
+    ~platform:Profiler.Platform.tmote_sky
+    (Apps.Eeg.profile ~duration:30. (Apps.Eeg.build ~n_channels ()))
+
+(* A cold root: the LP relaxation of an EEG chain at a rate, compiled
+   for the sparse engine.  [Restricted] contracts first, as
+   [Placement.solve] does; [General] encodes the uncontracted graph. *)
+let cold_root ~encoding spec rate =
+  let pl = Wishbone.Placement.of_spec (Wishbone.Spec.scale_rate spec rate) in
+  let c =
+    match encoding with
+    | Wishbone.Placement.Restricted -> Wishbone.Preprocess.contract pl.spec
+    | General -> Wishbone.Preprocess.identity pl.spec
+  in
+  Lp.Sparse.of_problem (Wishbone.Placement.encode encoding pl c).problem
+
+type root_run = {
+  root_pivots : int;
+  root_refactorisations : int;
+  root_fallbacks : int;
+  root_objective : float;
+}
+
+(* One cold solve of [data] with no warm basis, and its work. *)
+let solve_root data =
+  let c0 = Lp.Sparse.counters () and fb0 = Lp.Sparse.dense_fallbacks () in
+  let r = Lp.Sparse.solve_warm data in
+  let c1 = Lp.Sparse.counters () in
+  {
+    root_pivots = r.Lp.Simplex.pivots;
+    root_refactorisations = c1.refactorisations - c0.refactorisations;
+    root_fallbacks = Lp.Sparse.dense_fallbacks () - fb0;
+    root_objective =
+      (match r.Lp.Simplex.status with
+      | Lp.Solution.Optimal x -> x.Lp.Solution.objective
+      | _ -> nan);
+  }
+
+(* The cold-root gate: the restricted eeg14 x1.4296 and eeg22 x0.92699
+   chain roots each solve from the crash basis in at most
+   [max_root_pivots] pivots (each primal phase's closing pricing scan
+   counts one), with no dense fallback.  From the all-artificial basis
+   they took 616 and 960. *)
+let max_root_pivots = 10
+
+let root_gate ~eeg14 ~eeg22 =
+  List.iter
+    (fun (label, spec, rate) ->
+      let r = solve_root (cold_root ~encoding:Restricted spec rate) in
+      Bench_util.row "%s x%g cold root: %d pivots, %d refactorisations\n"
+        label rate r.root_pivots r.root_refactorisations;
+      let fail fmt =
+        Printf.ksprintf
+          (fun m -> prerr_endline ("smoke " ^ label ^ " root: " ^ m); exit 1)
+          fmt
+      in
+      if r.root_pivots > max_root_pivots then
+        fail "%d pivots (> %d)" r.root_pivots max_root_pivots;
+      if r.root_fallbacks > 0 then fail "%d dense fallbacks" r.root_fallbacks)
+    [ ("eeg14", eeg14, 1.4296); ("eeg22", eeg22, 0.92699) ]
+
+(* The five EEG cold roots of the restricted chains, and the General
+   encoding's eeg14 root beside them (its three-term crossing rows are
+   no precedence rows, so the crash leaves its crossing columns
+   nonbasic): pivots, refactorisations and dense fallbacks of one cold
+   solve, and the best wall time of five.  Returns the JSON rows. *)
+let cold_roots () =
+  let eeg14 = eeg_spec 14 and eeg22 = eeg_spec 22 in
+  List.map
+    (fun (label, encoding, spec, rate) ->
+      let data = cold_root ~encoding spec rate in
+      let r = solve_root data in
+      let best = ref infinity in
+      for _ = 1 to 5 do
+        let t0 = Unix.gettimeofday () in
+        ignore (Lp.Sparse.solve_warm data);
+        best := Float.min !best (Unix.gettimeofday () -. t0)
+      done;
+      let name =
+        match encoding with
+        | Wishbone.Placement.Restricted -> "restricted"
+        | General -> "general"
+      in
+      Bench_util.row
+        "cold root %s x%g (%s): %d pivots, %d refactorisations, %d dense \
+         fallbacks, %.3f ms min of 5\n"
+        label rate name r.root_pivots r.root_refactorisations r.root_fallbacks
+        (!best *. 1e3);
+      Printf.sprintf
+        "    {\"instance\": \"%s\", \"rate\": %g, \"encoding\": \"%s\", \
+         \"pivots\": %d, \"refactorisations\": %d, \"dense_fallbacks\": %d, \
+         \"min_of_5_ms\": %.3f, \"objective\": %.9f}"
+        label rate name r.root_pivots r.root_refactorisations r.root_fallbacks
+        (!best *. 1e3) r.root_objective)
+    [
+      ("eeg22", Wishbone.Placement.Restricted, eeg22, 0.92699);
+      ("eeg22", Restricted, eeg22, 0.90);
+      ("eeg22", Restricted, eeg22, 0.5);
+      ("eeg14", Restricted, eeg14, 1.4296);
+      ("eeg14", Restricted, eeg14, 1.0);
+      ("eeg14", General, eeg14, 1.4296);
+    ]
 
 (* CI smoke: partition the speech and eeg14 instances once each and
    fail loudly if an objective leaves its pin (the values the
    repository benchmark pins for the same instances), if the sparse
    run never refactorised (meaning the LU path silently did not run),
    or if any solve declined to the dense fallback; then run the
-   node-LP work gate above.  Kept small enough that the CI step's
-   wall-clock ceiling (see .github/workflows/ci.yml) catches any
-   solver-path regression that turns sub-second solves into minutes. *)
+   cold-root and node-LP work gates above.  Kept small enough that the
+   CI step's wall-clock ceiling (see .github/workflows/ci.yml) catches
+   any solver-path regression that turns sub-second solves into
+   minutes. *)
 let smoke () =
-  Bench_util.header "bench smoke: speech + eeg14 objectives; eeg22 node LPs";
+  Bench_util.header
+    "bench smoke: speech + eeg14 objectives; eeg14/eeg22 cold roots; eeg22 \
+     node LPs";
   let run name rate ~pin spec =
     let fail fmt =
       Printf.ksprintf
@@ -231,14 +339,13 @@ let smoke () =
     if Lp.Sparse.dense_fallbacks () <> fb0 then
       fail "%d dense fallbacks" (Lp.Sparse.dense_fallbacks () - fb0)
   in
+  let eeg14 = eeg_spec 14 and eeg22 = eeg_spec 22 in
   run "speech" 0.05 ~pin:260.
     (Bench_util.spec_exn ~platform:Profiler.Platform.tmote_sky
        (Lazy.force Bench_util.speech_profile));
-  run "eeg14" 1.0 ~pin:84.
-    (Bench_util.spec_exn ~mode:Wishbone.Movable.Permissive
-       ~platform:Profiler.Platform.tmote_sky
-       (Apps.Eeg.profile ~duration:30. (Apps.Eeg.build ~n_channels:14 ())));
-  node_lp_gate ();
+  run "eeg14" 1.0 ~pin:84. eeg14;
+  root_gate ~eeg14 ~eeg22;
+  node_lp_gate eeg22;
   Bench_util.row "smoke ok\n"
 
 (* Default to 14 channels: the largest EEG instance where neither mode
@@ -285,5 +392,6 @@ let run ?(n_channels = 14) () =
       | _ -> ());
       (rc, rw)
   in
-  write_json ~n_channels ~cold ~warm ~rc ~rw;
+  let roots = cold_roots () in
+  write_json ~n_channels ~cold ~warm ~rc ~rw ~roots;
   Bench_util.row "wrote BENCH_lp.json\n"

@@ -280,6 +280,94 @@ let ilp rng ~size =
     (Array.map (fun _ -> Float.of_int (Prng.int rng 11 - 5)) vars);
   p
 
+type precedence_lp = {
+  problem : Lp.Problem.t;
+  lo : float array;
+  hi : float array;
+  two_cycles : int;
+}
+
+let precedence_lp rng ~size =
+  let p = Lp.Problem.create () in
+  let n = 3 + Prng.int rng (Int.max 1 size) in
+  let hi0 =
+    Array.init n (fun _ ->
+        if Prng.bool rng 0.1 then infinity
+        else Float.of_int (1 + Prng.int rng 3))
+  in
+  let vars = Array.init n (fun v -> Lp.Problem.add_var ~hi:hi0.(v) p) in
+  let prec ~ge u v a =
+    (* x_v <= x_u, as a Ge row (x_v negative) or a Le row (x_u negative) *)
+    if ge then Lp.Problem.add_constr p [| u; v |] [| a; -.a |] Lp.Problem.Ge 0.
+    else Lp.Problem.add_constr p [| v; u |] [| a; -.a |] Lp.Problem.Le 0.
+  in
+  (* planted first, so that their columns take these rows: each pair
+     x_u <= x_v <= x_u makes the crash basis singular *)
+  let two_cycles = if Prng.bool rng 0.25 then 1 + Prng.int rng 2 else 0 in
+  for _ = 1 to two_cycles do
+    let u = Prng.int rng n in
+    let v = (u + 1 + Prng.int rng (n - 1)) mod n in
+    prec ~ge:true u v 1.;
+    prec ~ge:true v u 1.
+  done;
+  (* a DAG in index order: every variable but the first has a
+     predecessor, and some have a second one (a Le row, whose negative
+     entry is the predecessor, can close an undirected cycle of the DAG
+     into a singular crash basis too) *)
+  for v = 1 to n - 1 do
+    let u = Prng.int rng v in
+    let preds =
+      if v > 1 && Prng.bool rng 0.4 then
+        [ u; (u + 1 + Prng.int rng (v - 1)) mod v ]
+      else [ u ]
+    in
+    List.iter
+      (fun u ->
+        let a = if Prng.bool rng 0.7 then 1. else Prng.uniform rng 0.5 4. in
+        prec ~ge:(Prng.bool rng 0.85) u v a)
+      preds
+  done;
+  (* budget rows; a negative rhs starts its slack negative *)
+  for _ = 1 to 1 + Prng.int rng 3 do
+    let coefs =
+      Array.map
+        (fun _ -> if Prng.bool rng 0.4 then 0. else Prng.uniform rng (-1.) 3.)
+        vars
+    in
+    if Prng.bool rng 0.6 then
+      Lp.Problem.add_constr p (Array.copy vars) coefs Lp.Problem.Le
+        (Prng.uniform rng (-0.5) 6.)
+    else
+      Lp.Problem.add_constr p (Array.copy vars) coefs Lp.Problem.Ge
+        (Prng.uniform rng (-2.) 1.)
+  done;
+  (* an equality row over a pair: x_u = x_v, a two-term row of opposite
+     sign the crash must leave on its artificial, or a weighted sum *)
+  if Prng.bool rng 0.4 then begin
+    let u = Prng.int rng n in
+    let v = (u + 1 + Prng.int rng (n - 1)) mod n in
+    if Prng.bool rng 0.5 then
+      Lp.Problem.add_constr p [| u; v |] [| 1.; -1. |] Lp.Problem.Eq 0.
+    else
+      Lp.Problem.add_constr p [| u; v |]
+        [| Prng.uniform rng 0.5 2.; Prng.uniform rng 0.5 2. |]
+        Lp.Problem.Eq (Prng.uniform rng 0. 1.5)
+  end;
+  let dir =
+    if Prng.bool rng 0.5 then Lp.Problem.Maximize else Lp.Problem.Minimize
+  in
+  Lp.Problem.set_objective p dir (Array.copy vars)
+    (Array.map (fun _ -> Prng.uniform rng (-3.) 3.) vars);
+  (* a raised lower bound pulls a column crashed onto a predecessor at
+     its lower bound below its own; a cut upper bound puts a column
+     crashed onto a raised one above it *)
+  let lo = Array.make n 0. and hi = Array.copy hi0 in
+  for v = 0 to n - 1 do
+    if Prng.bool rng 0.1 then lo.(v) <- 0.5
+    else if Prng.bool rng 0.1 then hi.(v) <- 0.25
+  done;
+  { problem = p; lo; hi; two_cycles }
+
 let resources rng (spec : Wishbone.Spec.t) =
   let n = Graph.n_ops spec.Wishbone.Spec.graph in
   let count = Prng.int rng 3 in

@@ -51,6 +51,30 @@ val ilp : Prng.t -> size:int -> Lp.Problem.t
 (** Like {!lp} but every variable is integral with small finite
     bounds, so {!Lp.Brute} can enumerate it. *)
 
+type precedence_lp = {
+  problem : Lp.Problem.t;
+  lo : float array;  (** lower-bound overrides to solve with *)
+  hi : float array;  (** upper-bound overrides to solve with *)
+  two_cycles : int;
+      (** planted pairs [x_u <= x_v <= x_u]; [0] when the precedence
+          rows follow a DAG *)
+}
+(** A precedence-structured LP and the bounds to solve it at. *)
+
+val precedence_lp : Prng.t -> size:int -> precedence_lp
+(** An LP shaped like the placement encodings, which {!lp} rarely
+    draws: [x_v <= x_u] rows over a random DAG on [3 .. size+2]
+    variables (two-term rows of opposite sign, the precedence rows
+    {!Lp.Sparse}'s crash basis is laid along, in either sense and
+    sometimes scaled), one to three budget rows with right-hand sides
+    of either sign, sometimes an equality row over a pair, and a
+    random objective.
+    Both of the crash's fallbacks are reachable: some instances plant
+    2-cycles, whose crash basis is singular, and the bound overrides
+    raise some lower bounds and cut some upper ones, which puts
+    crashed columns outside their bounds.  Instances may be infeasible
+    or unbounded. *)
+
 val resources : Prng.t -> Wishbone.Spec.t -> Wishbone.Placement.resource list
 (** 0–2 random per-operator resource rows (RAM / code-storage shape)
     sized so they sometimes bind. *)

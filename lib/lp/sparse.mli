@@ -23,15 +23,35 @@
     is refactorised against the current coefficients and bounds, a
     bounded-variable {e dual} simplex repairs primal infeasibility
     (typically a handful of pivots after one bound change, as in
-    branch & bound), and a primal pass mops up.  Cold solves mirror
-    {!Simplex.solve}: the same column layout (structural, slack,
-    artificial) and row equilibration, so a basis recorded by either
-    engine warm-starts this one.  Whenever the sparse path cannot be
-    trusted (singular basis, marginal dual pivot, post-solve
-    feasibility breach) the solve falls down a ladder: sparse warm,
-    then sparse cold, then a dense cold {!Simplex.solve} with the
-    remaining pivot budget.  Results never change, only the work to
-    reach them.  See DESIGN.md §14–15. *)
+    branch & bound), and a primal pass mops up.  Cold solves share
+    {!Simplex.solve}'s column layout (structural, slack, artificial)
+    and row equilibration, so a basis recorded by either engine
+    warm-starts this one, but not its start.  Phase 1 starts from a
+    crash basis built from the LP alone: every inequality row on its
+    slack, every equality row on its artificial, and each movable
+    structural column that holds the negative entry of a precedence
+    row (an inequality with two structural entries of opposite sign,
+    such as the placement encodings' [dir] and chain level rows) basic
+    in the first such row instead of that row's slack.  Over
+    precedence rows that follow a DAG this basis is triangular, a
+    spanning forest as in network simplex, so it factorises without
+    fill and one pivot at a cut edge moves a whole subtree: the EEG
+    chains' cold roots take 2–4 pivots where the all-artificial start
+    took 616–967.  A row gets a phase-1 artificial only when its slack
+    starts negative.  Phase 1 starts from the all-artificial basis
+    instead when the crash basis is singular (a crashed cycle) or puts
+    a crashed column outside its bounds.  It also reruns from there
+    when phase 1 from the crash ends infeasible by a residual small
+    enough to spread over every row within the row check's tolerance:
+    only a phase 1 that measures every row, as the dense engine's
+    does, can tell such a point from a feasible one.  Whenever the
+    sparse path cannot be trusted (singular basis, marginal dual
+    pivot, post-solve feasibility breach) the solve falls down a
+    ladder: sparse warm, then sparse cold, then a dense cold
+    {!Simplex.solve} with the remaining pivot budget.  Neither the
+    start nor the rung changes an optimal value, only the work to
+    reach it; where optimal vertices tie, they decide which one comes
+    back.  See DESIGN.md §14–15. *)
 
 type data
 (** A problem compiled to CSC form.  It keeps no second copy of the
@@ -51,9 +71,11 @@ type session
 (** A reusable solve workspace bound to one {!data}: the per-solve
     state arrays, the shifted right-hand side included, plus a
     snapshot of the most recent warm-start factorisation, keyed by its
-    basis.  With a session, {!solve_warm} allocates no workspace; it
-    still allocates the point and the basis it returns, which for a
-    large model start in the major heap.  When the requested warm
+    basis.  With a session, {!solve_warm} allocates no workspace, warm
+    or cold: a cold solve resets the session's state in place and
+    leaves its snapshot as it is.  It still allocates the point and
+    the basis it returns, which for a large model start in the major
+    heap.  When the requested warm
     basis matches the snapshotted one (as a column set — bounds may
     differ) the refactorisation is skipped and the byte-identical
     factorisation restored, which is the common case for the second
