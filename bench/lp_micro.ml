@@ -143,14 +143,10 @@ let write_json ~n_channels ~(cold : mode_result) ~(warm : mode_result)
    search of a few hundred nodes whose LPs are almost all one- or
    two-pivot warm re-solves.  Its trajectory (nodes, LP solves, pivots,
    factor work, objective bits) is deterministic and pinned, and so is
-   the minor-heap allocation of each node LP: about 20,400 words while
-   every solve copied its bases and snapshots through [Array.blit] and
-   boxed a column value per constraint term, about 5,500 since,
-   about 5,000 once the set-up before the first pivot stopped
-   formatting names and consing per entry, about 4,840 once each
-   LP row was stored once, as term arrays, and about 3,650 once the
-   root started from the crash basis.  The ceiling sits between the
-   first two. *)
+   the minor-heap allocation of each node LP, set-up included: about
+   3,650 words.  The ceiling sits below the ~20,400 words a node LP
+   took while every solve copied its bases and snapshots through
+   [Array.blit] and boxed a column value per constraint term. *)
 let max_words_per_node_lp = 10_000.
 
 let node_lp_gate spec =

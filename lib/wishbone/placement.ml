@@ -694,6 +694,12 @@ let pinned_tier (t : t) i =
 let cpu_slack = 1e-9
 
 let feasible ?(require_monotone = true) (t : t) ~tier_of =
+  (* one tier per operator, each a tier of [t]: anything else is
+     infeasible, never an index error *)
+  let n_tiers = Array.length t.tiers in
+  Array.length tier_of = Graph.n_ops t.spec.Spec.graph
+  && Array.for_all (fun tp -> 0 <= tp && tp < n_tiers) tier_of
+  &&
   let pin_ok =
     let ok = ref true in
     Array.iteri
@@ -789,9 +795,9 @@ let solve ?(encoding = Restricted) ?(preprocess = true) ?options
      true optimum and prune it away *)
   let initial =
     Option.bind initial (fun tier_of ->
-        match initial_point enc c tier_of with
-        | Some x when feasible ~require_monotone t ~tier_of -> Some x
-        | _ -> None)
+        if feasible ~require_monotone t ~tier_of then
+          initial_point enc c tier_of
+        else None)
   in
   let status, solver_stats =
     Lp.Branch_bound.solve ?options ?initial ?root_basis enc.problem

@@ -231,7 +231,8 @@ val feasible : ?require_monotone:bool -> t -> tier_of:int array -> bool
     destination tier is the source tier or one of its ancestors (the
     single-crossing restriction, per tree edge; [src <= dst] on a
     chain).  Pass [~require_monotone:false] for {!General}
-    solutions. *)
+    solutions.  An assignment of the wrong length or with a tier
+    outside [\[0, n_tiers)] is infeasible. *)
 
 type report = {
   tier_of : int array;  (** per original operator *)

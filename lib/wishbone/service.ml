@@ -507,17 +507,7 @@ type t = {
   memo : keyed Memo.t;  (* placements that came back, <= capacity *)
   mutable last_batch : int Phys.t;  (* the previous batch's placements *)
   mutable clock : int;
-  mutable c_queries : int;
-  mutable c_hits : int;
-  mutable c_misses : int;
-  mutable c_warm : int;
-  mutable c_inserts : int;
-  mutable c_evictions : int;
-  mutable c_ok : int;
-  mutable c_degraded : int;
-  mutable c_failed : int;
-  mutable c_retries : int;
-  mutable c_deaths : int;
+  mutable counts : counters;  (* [resident] is read from [table] *)
 }
 
 let create ?(capacity = 512) ?(options = default_options) ?(tol = 0.01)
@@ -537,34 +527,15 @@ let create ?(capacity = 512) ?(options = default_options) ?(tol = 0.01)
     memo = Memo.create 16;
     last_batch = Phys.create 1;
     clock = 0;
-    c_queries = 0;
-    c_hits = 0;
-    c_misses = 0;
-    c_warm = 0;
-    c_inserts = 0;
-    c_evictions = 0;
-    c_ok = 0;
-    c_degraded = 0;
-    c_failed = 0;
-    c_retries = 0;
-    c_deaths = 0;
+    counts =
+      {
+        queries = 0; hits = 0; misses = 0; warm_starts = 0; inserts = 0;
+        evictions = 0; resident = 0; ok = 0; degraded = 0; failed = 0;
+        retries = 0; worker_deaths = 0;
+      };
   }
 
-let counters t =
-  {
-    queries = t.c_queries;
-    hits = t.c_hits;
-    misses = t.c_misses;
-    warm_starts = t.c_warm;
-    inserts = t.c_inserts;
-    evictions = t.c_evictions;
-    resident = Hashtbl.length t.table;
-    ok = t.c_ok;
-    degraded = t.c_degraded;
-    failed = t.c_failed;
-    retries = t.c_retries;
-    worker_deaths = t.c_deaths;
-  }
+let counters t = { t.counts with resident = Hashtbl.length t.table }
 
 let tick t =
   t.clock <- t.clock + 1;
@@ -620,10 +591,10 @@ let insert t ~key ~inst answer digest =
   let stamp = tick t in
   Hashtbl.replace t.table key
     { e_answer = answer; e_digest = digest; e_stamp = stamp };
-  t.c_inserts <- t.c_inserts + 1;
+  t.counts <- { t.counts with inserts = t.counts.inserts + 1 };
   while Hashtbl.length t.table > t.capacity do
     Option.iter (Hashtbl.remove t.table) (oldest (fun e -> e.e_stamp) t.table);
-    t.c_evictions <- t.c_evictions + 1
+    t.counts <- { t.counts with evictions = t.counts.evictions + 1 }
   done;
   Option.iter (set_anchor t inst stamp) (seed_of answer)
 
@@ -783,8 +754,8 @@ let run_batch ?(shards = 1) t queries =
   let n = Array.length queries in
   (* global query sequence numbers key the fault plan: decisions
      depend on the query history, never on sharding *)
-  let base = t.c_queries in
-  t.c_queries <- t.c_queries + n;
+  let base = t.counts.queries in
+  t.counts <- { t.counts with queries = base + n };
   (* key each distinct placement once: a fleet batch repeats the same
      placement value at many rates, and a fleet sends the same values
      batch after batch.  A placement the memo holds (see [remember])
@@ -834,16 +805,16 @@ let run_batch ?(shards = 1) t queries =
     Array.init n (fun i ->
         match Hashtbl.find_opt t.table keys.(i) with
         | Some e ->
-            t.c_hits <- t.c_hits + 1;
+            t.counts <- { t.counts with hits = t.counts.hits + 1 };
             e.e_stamp <- tick t;
             P_replay e
         | None -> (
             match Hashtbl.find_opt first_of_key keys.(i) with
             | Some j ->
-                t.c_hits <- t.c_hits + 1;
+                t.counts <- { t.counts with hits = t.counts.hits + 1 };
                 P_alias j
             | None ->
-                t.c_misses <- t.c_misses + 1;
+                t.counts <- { t.counts with misses = t.counts.misses + 1 };
                 Hashtbl.add first_of_key keys.(i) i;
                 P_solve
                   (Option.map
@@ -949,8 +920,14 @@ let run_batch ?(shards = 1) t queries =
     end
   in
   sweep ();
-  Array.iter (fun i -> t.c_retries <- t.c_retries + extra.(i)) work;
-  Array.iter (fun k -> if k then t.c_deaths <- t.c_deaths + 1) killed;
+  (* only solved queries retry or die *)
+  let sum = Array.fold_left ( + ) 0 and c = t.counts in
+  t.counts <-
+    {
+      c with
+      retries = c.retries + sum extra;
+      worker_deaths = c.worker_deaths + sum (Array.map Bool.to_int killed);
+    };
   (* ---- commit (sequential, query order) ---- *)
   let out = Array.make n None in
   for i = 0 to n - 1 do
@@ -964,7 +941,8 @@ let run_batch ?(shards = 1) t queries =
         let d = answer_digest a in
         let served =
           if Option.is_some seed then begin
-            t.c_warm <- t.c_warm + 1;
+            let c = t.counts in
+            t.counts <- { c with warm_starts = c.warm_starts + 1 };
             Warm_start
           end
           else Cold
@@ -977,10 +955,12 @@ let run_batch ?(shards = 1) t queries =
         | Failed _ -> ()
         | Placed _ | Degraded _ | Infeasible ->
             insert t ~key:keys.(i) ~inst:insts.(i) a d));
-    match Option.get out.(i) with
-    | Placed _, _, _ | Infeasible, _, _ -> t.c_ok <- t.c_ok + 1
-    | Degraded _, _, _ -> t.c_degraded <- t.c_degraded + 1
-    | Failed _, _, _ -> t.c_failed <- t.c_failed + 1
+    let c = t.counts in
+    t.counts <-
+      (match Option.get out.(i) with
+      | (Placed _ | Infeasible), _, _ -> { c with ok = c.ok + 1 }
+      | Degraded _, _, _ -> { c with degraded = c.degraded + 1 }
+      | Failed _, _, _ -> { c with failed = c.failed + 1 })
   done;
   let c = counters t in
   Array.init n (fun i ->
@@ -992,17 +972,17 @@ let run_batch ?(shards = 1) t queries =
 type restore_outcome = Restored of int | Cold_start of string
 
 let magic_prefix = "WISHBONE-SERVICE-CHECKPOINT "
-let version = "v3"
+let version = "v4"
 let magic = magic_prefix ^ version
 
-(* Snapshot layout: the magic line, then framed sections — an ASCII
-   "length md5hex" header line followed by that many Marshal bytes.
-   Section 0 is the header tuple (capacity, tol/max-multiplier bits,
-   solver options, clock, counters, entry count, anchor count); each
-   entry follows as its own section, then each warm anchor.  Every
-   section's bytes are digest-checked on load, and each entry's stored
-   answer digest is recomputed from the answer itself, so bit rot
-   anywhere degrades to a cold cache rather than a wrong replay.  The
+(* Snapshot layout: the magic line, then one framed section — an ASCII
+   "length md5hex" header line followed by that many Marshal bytes of
+   a [snapshot] value.  The section's bytes are digest-checked on
+   load, and each entry's stored answer digest is recomputed from the
+   answer itself, so bit rot anywhere degrades to a cold cache rather
+   than a wrong replay.  Marshal keeps the sharing within one value:
+   an anchor whose answer is resident is written as a reference to
+   that entry's tier array and basis, and restored sharing them.  The
    solver options are stored so that answers cached under one budget
    never replay under another; the [on_node] hook, retries and the
    fault plan are configuration and are not persisted. *)
@@ -1047,13 +1027,16 @@ let options_wire
         Lp.Simplex.cost_tol ],
     warm_start )
 
-type header = int * int64 * int64 * options_wire * int * int list * int * int
-
-(* key, answer, digest, recency stamp *)
-type entry_wire = string * answer * string * int
-
-(* instance key, tier assignment, root basis, commit stamp *)
-type anchor_wire = string * int array * Lp.Basis.t option * int
+type snapshot = {
+  ck_capacity : int;
+  ck_tol : int64;  (* bits *)
+  ck_max_multiplier : int64;  (* bits *)
+  ck_options : options_wire;
+  ck_clock : int;
+  ck_counters : counters;
+  ck_entries : (string * entry) list;  (* by key, in stamp order *)
+  ck_anchors : (string * anchor) list;  (* by instance key, in commit order *)
+}
 
 (* An answer as a snapshot stores it: the wall-clock fields of its
    solver statistics read 0, so equal histories write equal bytes in
@@ -1079,6 +1062,13 @@ let without_times answer =
   | Infeasible | Failed _ -> answer
 
 let checkpoint t path =
+  (* stamp order: equal services write byte-identical snapshots
+     regardless of hash-table iteration order *)
+  let sorted stamp tbl =
+    List.sort
+      (fun (_, a) (_, b) -> compare (stamp a) (stamp b))
+      (List.of_seq (Hashtbl.to_seq tbl))
+  in
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   Fun.protect
@@ -1086,38 +1076,20 @@ let checkpoint t path =
     (fun () ->
       output_string oc (magic ^ "\n");
       write_section oc
-        (( t.capacity,
-           Int64.bits_of_float t.tol,
-           Int64.bits_of_float t.max_multiplier,
-           options_wire t.options,
-           t.clock,
-           [
-             t.c_queries; t.c_hits; t.c_misses; t.c_warm; t.c_inserts;
-             t.c_evictions; t.c_ok; t.c_degraded; t.c_failed; t.c_retries;
-             t.c_deaths;
-           ],
-           Hashtbl.length t.table,
-           Hashtbl.length t.anchors )
-          : header);
-      (* stamp order: equal services write byte-identical snapshots
-         regardless of hash-table iteration order *)
-      let sorted stamp tbl =
-        List.sort
-          (fun (_, a) (_, b) -> compare (stamp a) (stamp b))
-          (List.of_seq (Hashtbl.to_seq tbl))
-      in
-      List.iter
-        (fun (key, e) ->
-          write_section oc
-            ((key, without_times e.e_answer, e.e_digest, e.e_stamp)
-              : entry_wire))
-        (sorted (fun e -> e.e_stamp) t.table);
-      List.iter
-        (fun (inst, a) ->
-          write_section oc
-            ((inst, a.a_seed.s_tiers, a.a_seed.s_basis, a.a_born)
-              : anchor_wire))
-        (sorted (fun a -> a.a_born) t.anchors));
+        {
+          ck_capacity = t.capacity;
+          ck_tol = Int64.bits_of_float t.tol;
+          ck_max_multiplier = Int64.bits_of_float t.max_multiplier;
+          ck_options = options_wire t.options;
+          ck_clock = t.clock;
+          ck_counters = t.counts;
+          ck_entries =
+            List.map
+              (fun (key, e) ->
+                (key, { e with e_answer = without_times e.e_answer }))
+              (sorted (fun e -> e.e_stamp) t.table);
+          ck_anchors = sorted (fun a -> a.a_born) t.anchors;
+        });
   Sys.rename tmp path
 
 let restore ?capacity ?options ?tol ?max_multiplier ?retries ?fault_plan path =
@@ -1143,66 +1115,40 @@ let restore ?capacity ?options ?tol ?max_multiplier ?retries ?fault_plan path =
                    (String.sub line (String.length magic_prefix)
                       (String.length line - String.length magic_prefix))
                    version
-               else "bad magic")
-          else begin
-            let (( cap, tol_bits, mm_bits, opts, clock, counts, n_entries,
-                   n_anchors )
-                  : header) =
-              read_section ic
-            in
-            if cap < 0 || n_entries < 0 || n_anchors < 0 || clock < 0 then
-              failwith "corrupt header";
-            if
-              tol_bits <> Int64.bits_of_float want_tol
-              || mm_bits <> Int64.bits_of_float want_mm
-            then failwith "stale parameters (tol/max-multiplier changed)";
-            if opts <> want_opts then
-              failwith "stale parameters (solver options changed)";
-            let t =
-              create ~capacity:cap ?options ~tol:want_tol
-                ~max_multiplier:want_mm ?retries ?fault_plan ()
-            in
-            (match counts with
-            | [ q; h; m; w; ins; ev; ok; dg; fl; rt; dk ] ->
-                t.c_queries <- q;
-                t.c_hits <- h;
-                t.c_misses <- m;
-                t.c_warm <- w;
-                t.c_inserts <- ins;
-                t.c_evictions <- ev;
-                t.c_ok <- ok;
-                t.c_degraded <- dg;
-                t.c_failed <- fl;
-                t.c_retries <- rt;
-                t.c_deaths <- dk
-            | _ -> failwith "corrupt counter block");
-            t.clock <- clock;
-            for _ = 1 to n_entries do
-              let ((key, e_answer, e_digest, e_stamp) : entry_wire) =
-                read_section ic
-              in
+               else "bad magic");
+          let (s : snapshot) = read_section ic in
+          (match input_line ic with
+          | exception End_of_file -> ()
+          | _ -> failwith "trailing bytes after the snapshot");
+          if s.ck_capacity < 0 || s.ck_clock < 0 then failwith "corrupt header";
+          if
+            s.ck_tol <> Int64.bits_of_float want_tol
+            || s.ck_max_multiplier <> Int64.bits_of_float want_mm
+          then failwith "stale parameters (tol/max-multiplier changed)";
+          if s.ck_options <> want_opts then
+            failwith "stale parameters (solver options changed)";
+          let t =
+            create ~capacity:s.ck_capacity ?options ~tol:want_tol
+              ~max_multiplier:want_mm ?retries ?fault_plan ()
+          in
+          t.clock <- s.ck_clock;
+          t.counts <- s.ck_counters;
+          List.iter
+            (fun (key, e) ->
               (* semantic integrity on top of the byte digest: the
                  stored answer must still hash to its stored digest *)
-              if answer_digest e_answer <> e_digest then
+              if answer_digest e.e_answer <> e.e_digest then
                 failwith "entry answer fails its stored digest";
-              Hashtbl.replace t.table key { e_answer; e_digest; e_stamp }
-            done;
-            for _ = 1 to n_anchors do
-              let ((inst, s_tiers, s_basis, a_born) : anchor_wire) =
-                read_section ic
-              in
-              Hashtbl.replace t.anchors inst
-                { a_seed = { s_tiers; s_basis }; a_born }
-            done;
-            (match input_line ic with
-            | exception End_of_file -> ()
-            | _ -> failwith "trailing bytes after the last anchor");
-            if Hashtbl.length t.table > cap then
-              failwith "more entries than capacity";
-            if Hashtbl.length t.anchors <> n_anchors || n_anchors > cap then
-              failwith "anchors repeat an instance or exceed capacity";
-            Ok t
-          end
+              Hashtbl.replace t.table key e)
+            s.ck_entries;
+          List.iter (fun (inst, a) -> Hashtbl.replace t.anchors inst a)
+            s.ck_anchors;
+          if Hashtbl.length t.table > s.ck_capacity then
+            failwith "more entries than capacity";
+          let n_anchors = List.length s.ck_anchors in
+          if Hashtbl.length t.anchors <> n_anchors || n_anchors > s.ck_capacity
+          then failwith "anchors repeat an instance or exceed capacity";
+          Ok t
         with
         | Failure m -> Error m
         | End_of_file -> Error "truncated snapshot"

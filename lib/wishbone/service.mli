@@ -315,11 +315,13 @@ val solve_direct :
     digest — and every warm anchor — its instance key, tier assignment
     and {!Lp.Basis.t} snapshot — plus the LRU clock and cumulative
     counters, so a restarted service plans, replays and counts
-    byte-identically to one that never died.  The file carries a
-    per-section MD5 and each entry's stored answer digest is
-    recomputed on load; any mismatch (corruption, truncation, a stale
-    format, changed [tol]/[max_multiplier] or solver options) degrades
-    to a cold cache — never to wrong answers.  The solver options are
+    byte-identically to one that never died.  The file holds one
+    MD5-checked value, so an anchor whose answer is resident is
+    stored once, shared with that entry, and restored shared.  Each
+    entry's stored answer digest is recomputed on load; any mismatch
+    (corruption, truncation, a stale format, changed
+    [tol]/[max_multiplier] or solver options) degrades to a cold
+    cache — never to wrong answers.  The solver options are
     recorded (all but the [on_node] hook, floats bit-exactly) only to
     detect that change; they, the retry budget and the fault plan are
     configuration, supplied afresh to {!restore}. *)
@@ -351,9 +353,8 @@ val restore :
 (** [restore path] loads a snapshot.  On success the cache capacity,
     clock, counters, entries and anchors come from the file
     ([?capacity] is ignored); on any integrity or staleness failure,
-    or a snapshot in an older format (v2, which holds no anchors), the
-    optional arguments feed a fresh {!create} and the outcome says
-    why.
+    or a snapshot in an older format (v3 or earlier), the optional
+    arguments feed a fresh {!create} and the outcome says why.
     Passing [tol]/[max_multiplier], or any {!Lp.Branch_bound.options}
     field but [on_node], different (bit-exactly) from the snapshot's is
     a staleness failure: cached answers were computed under the old

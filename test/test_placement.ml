@@ -14,7 +14,10 @@
    - a Multirun three-tier end-to-end run exercising per-link offered
      traffic, drop accounting, queue inspection and reset;
    - operators pinned past a tier's CPU budget answer no placement,
-     while a pinned load that fits the budget exactly still places. *)
+     while a pinned load that fits the budget exactly still places;
+   - a tier assignment of the wrong length or with an out-of-range
+     tier is infeasible, and a warm hint that is one changes no
+     answer. *)
 
 open Dataflow
 open Wishbone
@@ -861,6 +864,57 @@ let test_pinned_load_past_budget () =
   Alcotest.(check (float 0.)) "the mote carries the pinned load" !pinned
     r.Placement.tier_cpu.(0)
 
+(* ---- malformed tier assignments ----------------------------------- *)
+
+(* An assignment of the wrong length or with a tier outside
+   [0, n_tiers) is infeasible, not an index error, and as a warm hint
+   it is dropped like any other infeasible one: [solve] and the rate
+   search answer exactly as they do with no hint. *)
+let test_malformed_assignments () =
+  let pl =
+    Placement.of_spec (Apps.Synthetic.random_spec ~seed:3 ~n_ops:12 ())
+  in
+  let n = Graph.n_ops pl.Placement.spec.Spec.graph in
+  let hints =
+    [
+      ("tier 7", Array.make n 7); ("tier -1", Array.make n (-1));
+      ("short", Array.make (n - 1) 0); ("long", Array.make (n + 1) 0);
+    ]
+  in
+  let searched initial_tiers =
+    match Rate_search.search_placement ?initial_tiers pl with
+    | Some r ->
+        Service.Placed
+          {
+            rate = r.Rate_search.placement_multiplier;
+            report = r.Rate_search.placement_report;
+          }
+    | None -> Service.Infeasible
+  in
+  let at_rate =
+    match searched None with
+    | Service.Placed { rate; _ } -> Placement.scale_rate pl rate
+    | _ -> Alcotest.fail "the spec places at no rate"
+  in
+  let solved initial =
+    match Placement.solve ?initial at_rate with
+    | Placement.Partitioned report -> Service.Placed { rate = 1.; report }
+    | Placement.No_feasible_partition -> Service.Infeasible
+    | Placement.Solver_failure m -> Service.Failed m
+  in
+  let digest a = Service.answer_digest a in
+  List.iter
+    (fun (what, tier_of) ->
+      Alcotest.(check bool) (what ^ ": infeasible") false
+        (Placement.feasible at_rate ~tier_of);
+      Alcotest.(check string) (what ^ ": solve drops the hint")
+        (digest (solved None))
+        (digest (solved (Some tier_of)));
+      Alcotest.(check string) (what ^ ": the search drops the hint")
+        (digest (searched None))
+        (digest (searched (Some tier_of))))
+    hints
+
 (* ---- encodings pinned bit for bit --------------------------------- *)
 
 (* Per row the sense, the rhs bits and each term's index and
@@ -997,5 +1051,10 @@ let () =
         [
           Alcotest.test_case "past a budget, no placement" `Quick
             test_pinned_load_past_budget;
+        ] );
+      ( "malformed-hints",
+        [
+          Alcotest.test_case "infeasible, and dropped as hints" `Quick
+            test_malformed_assignments;
         ] );
     ]

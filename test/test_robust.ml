@@ -19,7 +19,8 @@
      workload byte-identically to an uninterrupted service (faulted,
      fault-free, and after an instance's last entry was evicted, which
      its warm anchor outlives), two services serving one history write
-     byte-identical snapshots, and corrupt / truncated / stale /
+     byte-identical snapshots, an anchor whose answer is resident adds
+     no copy of its tiers and basis, and corrupt / truncated / stale /
      previous-format / missing snapshots restore to a cold cache, never
      to wrong answers;
    - degradation: work-unit budgets surface gap-certified Degraded
@@ -366,17 +367,18 @@ let test_checkpoint_rejects_damage () =
       (* not a snapshot at all *)
       write "definitely not a checkpoint\n";
       expect_cold "garbage";
-      (* the previous format, whose snapshots hold no warm anchors *)
+      (* the previous format, whose anchors repeat the tiers and bases
+         of their resident entries *)
       let intact = Bytes.to_string bytes in
       let eol = String.index intact '\n' in
       write
-        ("WISHBONE-SERVICE-CHECKPOINT v2"
+        ("WISHBONE-SERVICE-CHECKPOINT v3"
         ^ String.sub intact eol (String.length intact - eol));
       (match Service.restore path with
       | _, Service.Cold_start reason ->
-          Alcotest.(check string) "a v2 snapshot is named"
-            "snapshot rejected: format v2, this build reads v3" reason
-      | _, Service.Restored _ -> Alcotest.fail "a v2 snapshot restored");
+          Alcotest.(check string) "a v3 snapshot is named"
+            "snapshot rejected: format v3, this build reads v4" reason
+      | _, Service.Restored _ -> Alcotest.fail "a v3 snapshot restored");
       (* stale parameters: same bytes, different search tolerance *)
       write (Bytes.to_string bytes);
       (match Service.restore ~tol:0.05 path with
@@ -506,6 +508,41 @@ let test_checkpoint_equal_histories () =
       | _, Service.Cold_start reason ->
           Alcotest.fail ("cold start: " ^ reason))
 
+(* A snapshot is one Marshal value, so the warm anchor of a resident
+   answer is written as a reference to that entry's tier array and
+   basis.  One placed eeg14 answer, whose tiers and basis make up most
+   of its bytes, then costs its own Marshal size plus a fixed allowance
+   for the magic and section lines, the options, the counters, the two
+   keys and the stamps; writing the anchor's tiers and basis again
+   would pass the allowance by their size. *)
+let test_checkpoint_resident_anchor () =
+  let eeg14_x1 = (Lazy.force mixed_batch).(2) in
+  let svc = Service.create ~capacity:4 () in
+  let answer = (Service.run_batch svc [| eeg14_x1 |]).(0).Service.answer in
+  (match answer with
+  | Service.Placed _ -> ()
+  | _ -> Alcotest.fail "eeg14 x1 is not placed");
+  let path = tmpfile "resident-anchor.ckpt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Service.checkpoint svc path;
+      let bytes = String.length (read_file path)
+      and answer_bytes = String.length (Marshal.to_string answer [])
+      and allowance = 512 in
+      Alcotest.(check bool)
+        (Printf.sprintf "snapshot %d bytes <= answer %d + %d" bytes
+           answer_bytes allowance)
+        true
+        (bytes <= answer_bytes + allowance);
+      match Service.restore path with
+      | revived, Service.Restored 1 ->
+          let r = Service.run_batch revived [| eeg14_x1 |] in
+          Alcotest.(check bool) "the restored entry replays" true
+            (r.(0).Service.served = Service.Hit)
+      | _, Service.Restored n -> Alcotest.failf "%d entries restored" n
+      | _, Service.Cold_start reason -> Alcotest.fail ("cold start: " ^ reason))
+
 let test_checkpoint_rejects_stale_options () =
   (* under a one-node budget both searches answer degraded; a service
      with the default options must solve them afresh, not replay the
@@ -611,6 +648,8 @@ let () =
             test_checkpoint_mutations_restore_cold;
           Alcotest.test_case "equal histories write equal snapshots" `Quick
             test_checkpoint_equal_histories;
+          Alcotest.test_case "a resident anchor costs only its key and stamp"
+            `Quick test_checkpoint_resident_anchor;
         ] );
       ( "degraded",
         [
