@@ -453,7 +453,7 @@ let deploy_cmd =
       & opt (nonneg_float ~flag:"--crash-rate") 0.
       & info [ "crash-rate" ] ~docv:"PER_SEC"
           ~doc:"Per-node crash rate in crashes/second (with --faults); state \
-                is lost and the node reboots after a fixed delay.")
+                is lost and the node reboots 2 s later.")
   in
   let reliable_arg =
     Arg.(
@@ -582,6 +582,7 @@ let deploy_cmd =
         {
           Netsim.Faults.none with
           Netsim.Faults.crash_rate;
+          reboot_s = 2.;
           burst =
             (if burst_loss > 0. then
                Some (Netsim.Faults.burst_of_loss burst_loss)

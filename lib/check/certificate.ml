@@ -1,13 +1,5 @@
 type verdict = Valid | Invalid of string list
 
-let pp_verdict ppf = function
-  | Valid -> Format.fprintf ppf "valid"
-  | Invalid msgs ->
-      Format.fprintf ppf "@[<v>invalid:@,%a@]"
-        (Format.pp_print_list ~pp_sep:Format.pp_print_cut
-           Format.pp_print_string)
-        msgs
-
 (* Dense Gaussian elimination with partial pivoting.  [a] is m x m and
    is consumed; returns None when the matrix is numerically singular. *)
 let solve_linear a b =

@@ -27,8 +27,6 @@
 
 type verdict = Valid | Invalid of string list
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 val check :
   ?tol:float ->
   ?lo:float array ->

@@ -2,9 +2,6 @@ open Dataflow
 
 type outcome = Pass | Fail of string
 
-let is_pass = function Pass -> true | Fail _ -> false
-let describe = function Pass -> "pass" | Fail msg -> msg
-
 let failf fmt = Format.kasprintf (fun s -> Fail s) fmt
 
 (* ---- oracle 1: LP optimality certificates ---- *)
@@ -173,46 +170,6 @@ let ilp_brute problem =
 
 (* ---- oracle 3: partitioner vs exhaustive cut enumeration ---- *)
 
-let resource_ok resources node_side =
-  List.for_all
-    (fun (r : Wishbone.Placement.resource) ->
-      let used = ref 0. in
-      Array.iteri
-        (fun i on -> if on then used := !used +. r.per_op.(i))
-        node_side;
-      !used <= r.budget +. 1e-6)
-    resources
-
-let enumerate_cuts ?(resources = []) (spec : Wishbone.Spec.t)
-    ~single_crossing =
-  let n = Array.length spec.placement in
-  let movable =
-    List.filter
-      (fun i -> spec.placement.(i) = Wishbone.Movable.Movable)
-      (List.init n Fun.id)
-  in
-  let k = List.length movable in
-  let node_side =
-    Array.map (fun p -> p = Wishbone.Movable.Pin_node) spec.placement
-  in
-  let best = ref None in
-  for mask = 0 to (1 lsl k) - 1 do
-    List.iteri
-      (fun bit i -> node_side.(i) <- mask land (1 lsl bit) <> 0)
-      movable;
-    if
-      Wishbone.Spec.feasible ~require_single_crossing:single_crossing spec
-        ~node_side
-      && resource_ok resources node_side
-    then begin
-      let obj = Wishbone.Spec.objective_value spec ~node_side in
-      match !best with
-      | Some b when b <= obj -> ()
-      | _ -> best := Some obj
-    end
-  done;
-  !best
-
 let check_config ?(resources = []) (spec : Wishbone.Spec.t) ~encoding
     ~preprocess ~best =
   let label =
@@ -252,7 +209,7 @@ let check_config ?(resources = []) (spec : Wishbone.Spec.t) ~encoding
               (Wishbone.Spec.feasible ~require_single_crossing:single spec
                  ~node_side)
           then Error (Printf.sprintf "%s: returned assignment infeasible" label)
-          else if not (resource_ok resources node_side) then
+          else if not (Reference.resources_ok resources node_side) then
             Error
               (Printf.sprintf "%s: returned assignment breaks a resource row"
                  label)
@@ -289,8 +246,11 @@ let cut_enumeration ?(resources = []) (spec : Wishbone.Spec.t) =
   in
   if n_movable > 16 then Pass
   else begin
-    let best_r = enumerate_cuts ~resources spec ~single_crossing:true in
-    let best_g = enumerate_cuts ~resources spec ~single_crossing:false in
+    let best single_crossing =
+      Option.map snd
+        (Reference.two_tier_brute_force ~resources ~single_crossing spec)
+    in
+    let best_r = best true and best_g = best false in
     let configs =
       [
         (Wishbone.Placement.Restricted, true, best_r);

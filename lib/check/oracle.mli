@@ -7,9 +7,6 @@
 
 type outcome = Pass | Fail of string
 
-val is_pass : outcome -> bool
-val describe : outcome -> string
-
 val lp_certificate : Prng.t -> Lp.Problem.t -> outcome
 (** Solve the LP relaxation cold on the dense tableau (keeping the
     basis), certify the answer with {!Certificate.check_result}; then
@@ -29,9 +26,9 @@ val cut_enumeration :
   ?resources:Wishbone.Placement.resource list -> Wishbone.Spec.t -> outcome
 (** Run [Placement.solve (Placement.of_spec spec)] under all four
     configurations ([Restricted]/[General] x preprocessing on/off)
-    and compare each against this module's own exhaustive enumeration
-    of movable assignments filtered by {!Wishbone.Spec.feasible} (and
-    the resource rows, checked directly).  Reported cpu/net/objective
+    and compare each against {!Reference.two_tier_brute_force} under
+    the same resource rows, single-crossing for [Restricted] and not
+    for [General].  Reported cpu/net/objective
     must match {!Wishbone.Spec.cut_stats} on the returned assignment,
     and the general optimum can never be worse than the restricted
     one.  Specs with more than 16 movable operators pass trivially. *)

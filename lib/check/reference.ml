@@ -3,7 +3,18 @@ open Dataflow
 let max_movable = 20
 let max_super = 12
 
-let two_tier_brute_force (spec : Wishbone.Spec.t) =
+let resources_ok resources node_side =
+  List.for_all
+    (fun (r : Wishbone.Placement.resource) ->
+      let used = ref 0. in
+      Array.iteri
+        (fun i on -> if on then used := !used +. r.per_op.(i))
+        node_side;
+      !used <= r.budget +. 1e-6)
+    resources
+
+let two_tier_brute_force ?(resources = []) ?(single_crossing = true)
+    (spec : Wishbone.Spec.t) =
   let n = Array.length spec.placement in
   let movable =
     List.filter
@@ -23,7 +34,11 @@ let two_tier_brute_force (spec : Wishbone.Spec.t) =
     Array.iteri
       (fun bit op -> assignment.(op) <- mask land (1 lsl bit) <> 0)
       movable;
-    if Wishbone.Spec.feasible spec ~node_side:assignment then begin
+    if
+      Wishbone.Spec.feasible ~require_single_crossing:single_crossing spec
+        ~node_side:assignment
+      && resources_ok resources assignment
+    then begin
       let obj = Wishbone.Spec.objective_value spec ~node_side:assignment in
       match !best with
       | Some (_, b) when b <= obj -> ()

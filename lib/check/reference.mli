@@ -7,12 +7,24 @@
     the ILP against an independent answer.  The event scheduler plays
     the same role for the simulator's timing wheel. *)
 
-val two_tier_brute_force : Wishbone.Spec.t -> (bool array * float) option
+val two_tier_brute_force :
+  ?resources:Wishbone.Placement.resource list ->
+  ?single_crossing:bool ->
+  Wishbone.Spec.t ->
+  (bool array * float) option
 (** Every assignment of the movable operators of a two-way cut,
-    filtered by {!Wishbone.Spec.feasible} (single crossing) and scored
-    by {!Wishbone.Spec.objective_value}.  Returns the best node-side
-    assignment and its objective, or [None] when none is feasible.
+    filtered by {!Wishbone.Spec.feasible} (single crossing unless
+    [single_crossing] is [false], as the general encoding allows) and
+    by {!resources_ok}, and scored by {!Wishbone.Spec.objective_value}.
+    Returns the best node-side assignment and its objective, or [None]
+    when none is feasible.  [resources] defaults to none.
     @raise Invalid_argument past 20 movable operators. *)
+
+val resources_ok :
+  Wishbone.Placement.resource list -> bool array -> bool
+(** Whether a node-side assignment keeps every resource row within its
+    budget (plus 1e-6), summed directly over the operators on the
+    node. *)
 
 val pipeline_prefix_cut : Wishbone.Spec.t -> (bool array * float) option
 (** The prefix-cut oracle for linear pipelines.  On a pipeline the

@@ -66,10 +66,6 @@ let map b ~name ?(kind = "map") f s =
   in
   iterate b ~name ~kind ~fresh [ s ]
 
-let map_multi b ~name ?(kind = "map") f s =
-  let fresh () = Op.stateless_instance f in
-  iterate b ~name ~kind ~fresh [ s ]
-
 let stateful b ~name ?(kind = "stateful") ~init inputs =
   let fresh () =
     let work = ref (init ()) in

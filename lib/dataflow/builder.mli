@@ -44,16 +44,6 @@ val map :
   stream
 (** Stateless one-in one-out operator. *)
 
-val map_multi :
-  t ->
-  name:string ->
-  ?kind:string ->
-  (Value.t -> Value.t list * Workload.t) ->
-  stream ->
-  stream
-(** Stateless operator that may emit zero or more elements per input
-    (filters, decimators, framers). *)
-
 val stateful :
   t ->
   name:string ->

@@ -80,6 +80,7 @@ let naive_dft re im =
   done;
   (out_re, out_im)
 
+(* instruction mix of one [n]-point transform ([n] a power of 2) *)
 let workload n =
   let nf = Float.of_int n in
   let stages = Float.of_int (int_of_float (Float.round (Float.log2 nf))) in

@@ -21,6 +21,3 @@ val power_spectrum : float array -> float array * Dataflow.Workload.t
 (** [power_spectrum frame] zero-pads to the next power of two [n] and
     returns the [n/2 + 1] power-spectrum bins together with the
     instruction mix of the computation. *)
-
-val workload : int -> Dataflow.Workload.t
-(** Instruction mix of one [n]-point transform ([n] a power of 2). *)

@@ -32,11 +32,6 @@ let create_branch kind =
   let even_taps, odd_taps = split_taps (taps_of kind) in
   { even = Fir.create even_taps; odd = Fir.create odd_taps; pending = None }
 
-let reset_branch b =
-  Fir.reset b.even;
-  Fir.reset b.odd;
-  b.pending <- None
-
 let apply b frame =
   let buf =
     match b.pending with

@@ -14,7 +14,6 @@ type branch
     Figure 1. *)
 
 val create_branch : kind -> branch
-val reset_branch : branch -> unit
 
 val apply : branch -> float array -> float array * Dataflow.Workload.t
 (** Consumes a frame and emits roughly half as many samples (an odd

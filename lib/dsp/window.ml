@@ -4,12 +4,6 @@ let hamming n =
     Array.init n (fun i ->
         0.54 -. (0.46 *. Float.cos (2. *. Float.pi *. Float.of_int i /. Float.of_int (n - 1))))
 
-let hann n =
-  if n <= 1 then Array.make (Int.max n 0) 1.
-  else
-    Array.init n (fun i ->
-        0.5 *. (1. -. Float.cos (2. *. Float.pi *. Float.of_int i /. Float.of_int (n - 1))))
-
 let apply window frame =
   let n = Array.length frame in
   if Array.length window <> n then invalid_arg "Window.apply: length mismatch";

@@ -3,8 +3,6 @@
 val hamming : int -> float array
 (** Hamming coefficients [0.54 - 0.46 cos(2 pi i / (n-1))]. *)
 
-val hann : int -> float array
-
 val apply : float array -> float array -> float array * Dataflow.Workload.t
 (** [apply window frame] multiplies elementwise.
     @raise Invalid_argument on a length mismatch. *)

@@ -738,7 +738,7 @@ let start st ~crash =
 let fallbacks = Atomic.make 0
 let dense_fallbacks () = Atomic.get fallbacks
 
-let make_state d ~rhs =
+let make_state d =
   {
     d;
     wlo = Array.make d.ncols 0.;
@@ -749,7 +749,7 @@ let make_state d ~rhs =
     beta = Array.make d.m 0.;
     y = Array.make d.m 0.;
     cost = Array.make d.ncols 0.;
-    rhs;
+    rhs = Array.make d.m 0.;
     f = Factor.create ~m:d.m;
     w = Array.make d.m 0.;
     rho = Array.make d.m 0.;
@@ -761,24 +761,20 @@ let make_state d ~rhs =
 let session d =
   {
     sd = d;
-    sstate = make_state d ~rhs:(Array.make d.m 0.);
+    sstate = make_state d;
     snap = Factor.snapshot_create ~m:d.m;
     snap_basis = Array.make (Int.max 1 d.m) 0;
     snap_mark = Array.make d.ncols false;
     snap_valid = false;
   }
 
-let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
-    =
+let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi
+    ?session:given data =
   let d = data in
-  let ses =
-    match session with
-    | Some s ->
-        if s.sd != d then
-          invalid_arg "Sparse.solve_warm: session built for another problem";
-        Some s
-    | None -> None
-  in
+  (match given with
+  | Some s when s.sd != d ->
+      invalid_arg "Sparse.solve_warm: session built for another problem"
+  | _ -> ());
   let n = d.n in
   let vars = Problem.vars d.problem in
   let lo =
@@ -807,11 +803,10 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
   else begin
     let pivots_left = ref options.max_pivots in
     let spent () = options.max_pivots - !pivots_left in
+    let ses = match given with Some s -> s | None -> session d in
     (* shifted rhs for the current lower bounds, in the session's
-       buffer when there is one *)
-    let rhs =
-      match ses with Some s -> s.sstate.rhs | None -> Array.make d.m 0.
-    in
+       buffer *)
+    let rhs = ses.sstate.rhs in
     Array.blit d.rhs0 0 rhs 0 d.m;
     for j = 0 to n - 1 do
       if lo.(j) <> 0. then
@@ -819,10 +814,11 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
           rhs.(d.idx.(p)) <- rhs.(d.idx.(p)) -. (d.vs.(p) *. lo.(j))
         done
     done;
-    (* set a fresh or pooled state up for this solve's bounds and
-       budget; artificials default to fixed-at-zero, and the cold path
-       widens them for phase 1 *)
-    let prepare st =
+    (* set the session's state up for this solve's bounds and budget;
+       artificials default to fixed-at-zero, and the cold path widens
+       them for phase 1 *)
+    let prepare () =
+      let st = ses.sstate in
       st.pivots_left <- pivots_left;
       for j = 0 to n - 1 do
         st.wlo.(j) <- 0.;
@@ -889,12 +885,9 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
     let try_warm b =
       if not (Basis.compatible b ~rows:d.m ~cols:d.ncols) then None
       else begin
-        (* the pooled state is reinitialised in place (its [rhs] is
-           already this solve's) *)
-        let st =
-          prepare
-            (match ses with Some s -> s.sstate | None -> make_state d ~rhs)
-        in
+        (* the session's state is reinitialised in place (its [rhs]
+           is already this solve's) *)
+        let st = prepare () in
         for j = 0 to d.ncols - 1 do
           st.stat.(j) <-
             (match b.Basis.stat.(j) with
@@ -908,27 +901,25 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
           st.stat.(j) <- Basic
         done;
         set_phase2_cost st;
-        (* With a session, an identical warm basis (as a set) can skip
-           the refactorisation entirely: restoring the snapshot replays
+        (* An identical warm basis (as a set) skips the
+           refactorisation entirely: restoring the snapshot replays
            the byte-identical factorisation the refresh would rebuild.
            Bounds may differ — the factor depends only on the matrix
            columns in the basis. *)
         let hit =
-          match ses with
-          | Some s when s.snap_valid ->
-              let ok = ref true in
-              for r = 0 to d.m - 1 do
-                if not s.snap_mark.(st.basis.(r)) then ok := false
-              done;
-              !ok
-          | _ -> false
+          ses.snap_valid
+          &&
+          let ok = ref true in
+          for r = 0 to d.m - 1 do
+            if not ses.snap_mark.(st.basis.(r)) then ok := false
+          done;
+          !ok
         in
         match
           if hit then begin
-            let s = Option.get ses in
-            Factor.restore s.snap st.f;
+            Factor.restore ses.snap st.f;
             for r = 0 to d.m - 1 do
-              st.basis.(r) <- s.snap_basis.(r)
+              st.basis.(r) <- ses.snap_basis.(r)
             done;
             rebuild_in_row st;
             compute_beta st;
@@ -936,18 +927,15 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
           end
           else begin
             refresh st;
-            match ses with
-            | Some s ->
-                Factor.save st.f s.snap;
-                for r = 0 to d.m - 1 do
-                  s.snap_basis.(r) <- st.basis.(r)
-                done;
-                Array.fill s.snap_mark 0 d.ncols false;
-                for r = 0 to d.m - 1 do
-                  s.snap_mark.(st.basis.(r)) <- true
-                done;
-                s.snap_valid <- true
-            | None -> ()
+            Factor.save st.f ses.snap;
+            for r = 0 to d.m - 1 do
+              ses.snap_basis.(r) <- st.basis.(r)
+            done;
+            Array.fill ses.snap_mark 0 d.ncols false;
+            for r = 0 to d.m - 1 do
+              ses.snap_mark.(st.basis.(r)) <- true
+            done;
+            ses.snap_valid <- true
           end
         with
         | () -> reoptimise st
@@ -957,11 +945,9 @@ let solve_warm ?(options = Simplex.default_options) ?warm ?lo ?hi ?session data
     (* ---- cold path: two-phase primal from the crash basis, or from
        the artificial basis when the crash cannot start ---- *)
     let cold () =
-      (* the pooled state is reinitialised in place, as on the warm
-         path; the session's factor snapshot stays as it is *)
-      let st =
-        prepare (match ses with Some s -> s.sstate | None -> make_state d ~rhs)
-      in
+      (* the session's state is reinitialised in place, as on the
+         warm path; its factor snapshot stays as it is *)
+      let st = prepare () in
       (* phase 1 drives the basic artificials to zero; the sparse build
          keeps row signs as-is (no dense-style rhs flip), so
          infeasibility is driven out symmetrically from either side.

@@ -71,11 +71,13 @@ type session
 (** A reusable solve workspace bound to one {!data}: the per-solve
     state arrays, the shifted right-hand side included, plus a
     snapshot of the most recent warm-start factorisation, keyed by its
-    basis.  With a session, {!solve_warm} allocates no workspace, warm
-    or cold: a cold solve resets the session's state in place and
-    leaves its snapshot as it is.  It still allocates the point and
-    the basis it returns, which for a large model start in the major
-    heap.  When the requested warm
+    basis.  Every {!solve_warm} runs in a session: a call without one
+    opens a fresh one, so a caller that solves the same {!data} more
+    than once should keep its own.  With a kept session,
+    {!solve_warm} allocates no workspace, warm or cold: a cold solve
+    resets the session's state in place and leaves its snapshot as it
+    is.  It still allocates the point and the basis it returns, which
+    for a large model start in the major heap.  When the requested warm
     basis matches the snapshotted one (as a column set — bounds may
     differ) the refactorisation is skipped and the byte-identical
     factorisation restored, which is the common case for the second

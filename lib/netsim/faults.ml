@@ -13,9 +13,6 @@ type t = {
 
 let none = { crash_rate = 0.; reboot_s = 0.; burst = None; clock_drift = 0. }
 
-let is_none f =
-  f.crash_rate = 0. && f.burst = None && f.clock_drift = 0.
-
 let burst_of_loss ?(mean_burst_s = 5.) p =
   if p <= 0. || p >= 1. then
     invalid_arg "Faults.burst_of_loss: loss must be in (0, 1)";
@@ -58,10 +55,6 @@ let channel_loss ch ~now ~base =
   match ch.spec with
   | Some b when ch.bad -> Float.max base b.bad_loss
   | _ -> base
-
-let channel_bad ch ~now =
-  advance ch now;
-  ch.bad
 
 (* ---- crash schedule ---- *)
 

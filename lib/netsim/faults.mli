@@ -39,7 +39,6 @@ type t = {
 }
 
 val none : t
-val is_none : t -> bool
 
 val burst_of_loss : ?mean_burst_s:float -> float -> burst
 (** [burst_of_loss p] builds a Gilbert–Elliott channel whose {e
@@ -60,10 +59,6 @@ val channel : Prng.t -> burst option -> channel
 val channel_loss : channel -> now:float -> base:float -> float
 (** Advance the channel to [now] and return the current per-packet
     loss probability ([base] when the channel is clean or Good). *)
-
-val channel_bad : channel -> now:float -> bool
-(** Whether the channel is in the Bad state at [now] (always false for
-    a clean channel). *)
 
 val crash_schedule :
   Prng.t -> t -> n_nodes:int -> duration:float ->

@@ -40,10 +40,6 @@ val remove : t -> int -> unit
 val clear : t -> unit
 (** Drops all bindings, keeping the allocated capacity. *)
 
-val iter : (int -> int -> unit) -> t -> unit
-(** Iterates live bindings in unspecified order.  The callback must
-    not mutate the table. *)
-
 val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val start_slot : t -> int -> int

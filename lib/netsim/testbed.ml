@@ -222,7 +222,7 @@ type cell_out = {
   o_busy : float;
   o_edge : int array;
   o_events : int;
-  o_deliv : (float * message) list;  (* newest first; [] when inline *)
+  o_deliv : (float * message) list;  (* delivery log, newest first *)
 }
 
 (* Per-domain scratch that every cell simulated on the domain reuses:
@@ -256,13 +256,9 @@ let arena_create (config : config) ~max_cell =
     expired = Itbl.create ~capacity:32 ();
   }
 
-(* Simulate one collision domain.  [server = Some exec] is the
-   single-cell legacy mode: the server half fires inline, and the PRNG
-   streams are the historical ones, so the run is byte-identical to
-   the pre-scale-out testbed.  [server = None] defers deliveries to
-   the caller (which fires the server half after joining all cells)
-   and derives the cell's streams as [derive seed [2; cell(; k)]]. *)
-let sim_cell (config : config) ~graph ~node_mask ~sources_arr ~server ~cell
+(* Simulate one collision domain and return its delivery log with its
+   counters; the caller fires the server half over the joined logs. *)
+let sim_cell (config : config) ~graph ~node_mask ~sources_arr ~cell
     ~(g_of_l : int array) ~arena =
   let m = Array.length g_of_l in
   if m > node_limit then
@@ -272,23 +268,24 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr ~server ~cell
   List.iter Itbl.clear [ missing; inflight; delivered; expired ];
   let link = config.link in
   let faults = config.faults in
-  let inline = match server with Some _ -> true | None -> false in
-  (* Seed derivation (see prng.mli): in legacy single-cell mode the
-     root seed drives the primary channel/CSMA stream exactly as it
-     always has, with fault streams at [1; k]; sharded cells each get
-     an independent family at [2; cell(; k)] so a cell's draws do not
-     depend on how many cells or domains surround it. *)
+  (* Seed derivation (see prng.mli): the one shared channel of
+     [cells = None] draws from the root family, the root seed driving
+     the primary channel/CSMA stream with fault streams at [1; k];
+     sharded cells each get an independent family at [2; cell(; k)]
+     so a cell's draws do not depend on how many cells or domains
+     surround it. *)
   let rng, drift_rng, crash_rng, burst_rng =
-    if inline then
-      ( Prng.create config.seed,
-        Prng.create (Prng.derive config.seed [ 1; 0 ]),
-        Prng.create (Prng.derive config.seed [ 1; 1 ]),
-        Prng.create (Prng.derive config.seed [ 1; 2 ]) )
-    else
-      ( Prng.create (Prng.derive config.seed [ 2; cell ]),
-        Prng.create (Prng.derive config.seed [ 2; cell; 0 ]),
-        Prng.create (Prng.derive config.seed [ 2; cell; 1 ]),
-        Prng.create (Prng.derive config.seed [ 2; cell; 2 ]) )
+    match config.cells with
+    | None ->
+        ( Prng.create config.seed,
+          Prng.create (Prng.derive config.seed [ 1; 0 ]),
+          Prng.create (Prng.derive config.seed [ 1; 1 ]),
+          Prng.create (Prng.derive config.seed [ 1; 2 ]) )
+    | Some _ ->
+        ( Prng.create (Prng.derive config.seed [ 2; cell ]),
+          Prng.create (Prng.derive config.seed [ 2; cell; 0 ]),
+          Prng.create (Prng.derive config.seed [ 2; cell; 1 ]),
+          Prng.create (Prng.derive config.seed [ 2; cell; 2 ]) )
   in
   let ge = Faults.channel burst_rng faults.Faults.burst in
   let drifts = Faults.drifts drift_rng faults ~n_nodes:m in
@@ -492,16 +489,6 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr ~server ~cell
       crossings;
     ensure_attempt now n
   in
-  let deliver_to_server now (msg : message) =
-    match server with
-    | Some sx ->
-        let fired =
-          Runtime.Exec.fire ~node:msg.from_node sx ~op:msg.edge.dst
-            ~port:msg.edge.dst_port msg.value
-        in
-        sink_outputs := !sink_outputs + List.length fired.sink_values
-    | None -> deliveries := (now, msg) :: !deliveries
-  in
   (* whether the channel loses a packet ending at [now]: bit for bit
      [Prng.bool rng p] at the channel's current loss [p] *)
   let lost now =
@@ -526,7 +513,7 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr ~server ~cell
       match reliable with
       | None ->
           incr msgs_received;
-          deliver_to_server now msg
+          deliveries := (now, msg) :: !deliveries
       | Some _ ->
           let dk = key2 msg.from_local msg.mid in
           if Itbl.mem delivered dk then incr msgs_duplicate
@@ -539,7 +526,7 @@ let sim_cell (config : config) ~graph ~node_mask ~sources_arr ~server ~cell
               decr msgs_expired
             end;
             incr msgs_received;
-            deliver_to_server now msg
+            deliveries := (now, msg) :: !deliveries
           end;
           send_ack now msg
     end
@@ -808,9 +795,9 @@ let run config ~graph ~node_of ~sources =
   let server =
     Runtime.Exec.create ~replicated ~member:(fun i -> not node_mask.(i)) graph
   in
-  let inline, groups =
+  let groups =
     match config.cells with
-    | None -> (true, [| Array.init config.n_nodes (fun i -> i) |])
+    | None -> [| Array.init config.n_nodes (fun i -> i) |]
     | Some ca ->
         if Array.length ca <> config.n_nodes then
           invalid_arg "Testbed.run: cells length must equal n_nodes";
@@ -833,16 +820,15 @@ let run config ~graph ~node_of ~sources =
             out.(c).(fill.(c)) <- g;
             fill.(c) <- fill.(c) + 1)
           ca;
-        (false, out)
+        out
   in
   let ncells = Array.length groups in
   let max_cell =
     Array.fold_left (fun acc g -> Int.max acc (Array.length g)) 0 groups
   in
   let sim c arena =
-    sim_cell config ~graph ~node_mask ~sources_arr
-      ~server:(if inline then Some server else None)
-      ~cell:c ~g_of_l:groups.(c) ~arena
+    sim_cell config ~graph ~node_mask ~sources_arr ~cell:c ~g_of_l:groups.(c)
+      ~arena
   in
   let outs = Array.make ncells None in
   let nd = Int.min config.domains ncells in
@@ -867,35 +853,34 @@ let run config ~graph ~node_of ~sources =
   in
   let sum f = Array.fold_left (fun acc o -> acc + f o) 0 outs in
   let sink_outputs = ref (sum (fun o -> o.o_sink)) in
-  (if not inline then begin
-     (* fire the server half over the merged delivery log: cell logs
-        are time-sorted already, so ordering by (time, cell, index) is
-        the deterministic interleaving shared by every domain count *)
-     let entries =
-       Array.to_list outs
-       |> List.mapi (fun c o ->
-              List.rev o.o_deliv |> List.mapi (fun i (t, msg) -> (t, c, i, msg)))
-       |> List.concat
-     in
-     let entries =
-       List.sort
-         (fun (t1, c1, i1, _) (t2, c2, i2, _) ->
-           let ct = Float.compare t1 t2 in
-           if ct <> 0 then ct
-           else
-             let cc = Int.compare c1 c2 in
-             if cc <> 0 then cc else Int.compare i1 i2)
-         entries
-     in
-     List.iter
-       (fun (_, _, _, (msg : message)) ->
-         let fired =
-           Runtime.Exec.fire ~node:msg.from_node server ~op:msg.edge.dst
-             ~port:msg.edge.dst_port msg.value
-         in
-         sink_outputs := !sink_outputs + List.length fired.sink_values)
-       entries
-   end);
+  (* fire the server half over the merged delivery log: cell logs are
+     time-sorted already, so ordering by (time, cell, index) is the
+     deterministic interleaving shared by every domain count, and one
+     cell's log is its own delivery order *)
+  let entries =
+    Array.to_list outs
+    |> List.mapi (fun c o ->
+           List.rev o.o_deliv |> List.mapi (fun i (t, msg) -> (t, c, i, msg)))
+    |> List.concat
+  in
+  let entries =
+    List.sort
+      (fun (t1, c1, i1, _) (t2, c2, i2, _) ->
+        let ct = Float.compare t1 t2 in
+        if ct <> 0 then ct
+        else
+          let cc = Int.compare c1 c2 in
+          if cc <> 0 then cc else Int.compare i1 i2)
+      entries
+  in
+  List.iter
+    (fun (_, _, _, (msg : message)) ->
+      let fired =
+        Runtime.Exec.fire ~node:msg.from_node server ~op:msg.edge.dst
+          ~port:msg.edge.dst_port msg.value
+      in
+      sink_outputs := !sink_outputs + List.length fired.sink_values)
+    entries;
   let inputs_offered = sum (fun o -> o.o_offered) in
   let inputs_processed = sum (fun o -> o.o_processed) in
   let msgs_sent = sum (fun o -> o.o_msent) in

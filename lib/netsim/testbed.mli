@@ -32,11 +32,12 @@
 
     - {!config.cells} partitions nodes into disjoint {e collision
       domains} (radio cells): nodes contend only within their cell,
-      each cell draws from its own derived PRNG streams
-      ([derive seed [2; cell(; k)]]), and the server half fires over
-      the deterministically merged delivery log.  [None] (default) is
-      the single shared channel of the paper's testbed with the
-      historical stream layout.
+      and each cell draws from its own derived PRNG streams
+      ([derive seed [2; cell(; k)]]).  [None] (default) is the single
+      shared channel of the paper's testbed, which differs only in
+      drawing from the root stream family (below).  Every run fires
+      the server half over the deterministically merged delivery log;
+      one cell's log is already in delivery order.
     - {!config.domains} simulates cells in parallel on that many
       {!Domain}s.  Cells are joined in cell-index order, so the
       result is a pure function of the cell decomposition: domains

@@ -20,5 +20,3 @@ let rto r ~attempt =
   Float.min r.rto_max_s t
 
 let ack_bytes = 6
-
-let is_reliable = function Unreliable -> false | Reliable _ -> true

@@ -40,5 +40,3 @@ val rto : reliable -> attempt:int -> float
 
 val ack_bytes : int
 (** Wire size of an ack (sequence number + addressing). *)
-
-val is_reliable : policy -> bool

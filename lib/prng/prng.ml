@@ -27,8 +27,6 @@ let[@inline] int64 t =
   Bytes.set_int64_ne t 0 z;
   mix z
 
-let split t = of_state (int64 t)
-
 let[@inline] float t =
   (* 53 high bits -> [0,1) *)
   let bits = Int64.shift_right_logical (int64 t) 11 in

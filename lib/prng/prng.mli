@@ -24,9 +24,6 @@ val derive : int -> int list -> int
     [derive seed [oracle_index; case]]; [Netsim.Testbed] derives its
     fault streams as [derive seed [1; k]] (see [testbed.mli]). *)
 
-val split : t -> t
-(** An independent generator derived from (and advancing) [t]. *)
-
 val int64 : t -> int64
 val float : t -> float
 (** Uniform in [0, 1). *)

@@ -113,10 +113,10 @@ let collect ?(window = 1.0) ~duration graph events =
 
 let graph r = r.graph
 let duration r = r.duration
-let rate_scale r = r.scale
 
 let scale_rate r factor =
-  if factor <= 0. then invalid_arg "Profile.scale_rate: factor must be positive";
+  if not (factor > 0.) then
+    invalid_arg "Profile.scale_rate: factor must be positive";
   { r with scale = r.scale *. factor }
 
 let op_fires r i = r.fires.(i)
@@ -158,8 +158,3 @@ let cost r platform =
         /. r.window *. r.scale)
   in
   { platform; seconds_per_fire; cpu_fraction; peak_cpu_fraction }
-
-let total_cpu_fraction c ~on =
-  let acc = ref 0. in
-  Array.iteri (fun i f -> if on i then acc := !acc +. f) c.cpu_fraction;
-  !acc

@@ -35,11 +35,11 @@ val collect :
 
 val graph : raw -> Dataflow.Graph.t
 val duration : raw -> float
-val rate_scale : raw -> float
 
 val scale_rate : raw -> float -> raw
 (** A view of the same profile with all rates multiplied by the given
-    factor (> 0).  O(1); shares measurement data. *)
+    factor.  O(1); shares measurement data.
+    @raise Invalid_argument unless the factor is [> 0] (NaN included). *)
 
 (** {1 Platform-independent measurements} *)
 
@@ -63,7 +63,3 @@ type costed = {
 }
 
 val cost : raw -> Platform.t -> costed
-
-val total_cpu_fraction : costed -> on:(int -> bool) -> float
-(** Sum of mean CPU fractions over the selected operators (Wishbone's
-    additive-cost assumption, §7.3.1). *)

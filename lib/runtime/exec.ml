@@ -18,12 +18,7 @@ type t = {
   workloads : Workload.t array;
   edge_elems : int array;
   edge_bytes : int array;
-  mutable sinks_seen : int;
-  mutable sink_log_rev : Value.t list;
-  mutable sink_log_len : int;
 }
-
-let sink_log_cap = 65536
 
 let create ?(replicated = fun _ -> false) ~member graph =
   let n = Graph.n_ops graph in
@@ -36,9 +31,6 @@ let create ?(replicated = fun _ -> false) ~member graph =
     workloads = Array.make n Workload.zero;
     edge_elems = Array.make (Graph.n_edges graph) 0;
     edge_bytes = Array.make (Graph.n_edges graph) 0;
-    sinks_seen = 0;
-    sink_log_rev = [];
-    sink_log_len = 0;
   }
 
 let full graph = create ~member:(fun _ -> true) graph
@@ -49,10 +41,7 @@ let reset t =
   Array.fill t.fires 0 (Array.length t.fires) 0;
   Array.fill t.workloads 0 (Array.length t.workloads) Workload.zero;
   Array.fill t.edge_elems 0 (Array.length t.edge_elems) 0;
-  Array.fill t.edge_bytes 0 (Array.length t.edge_bytes) 0;
-  t.sinks_seen <- 0;
-  t.sink_log_rev <- [];
-  t.sink_log_len <- 0
+  Array.fill t.edge_bytes 0 (Array.length t.edge_bytes) 0
 
 let instance t ~node op_id =
   let key = if t.replicated.(op_id) then node else 0 in
@@ -63,13 +52,6 @@ let instance t ~node op_id =
       let inst = (Graph.op t.graph op_id).Op.fresh () in
       Hashtbl.add tbl key inst;
       inst
-
-let log_sink t v =
-  t.sinks_seen <- t.sinks_seen + 1;
-  if t.sink_log_len < sink_log_cap then begin
-    t.sink_log_rev <- v :: t.sink_log_rev;
-    t.sink_log_len <- t.sink_log_len + 1
-  end
 
 let fire ?(node = 0) t ~op ~port value =
   if op < 0 || op >= Array.length t.member || not t.member.(op) then
@@ -84,11 +66,8 @@ let fire ?(node = 0) t ~op ~port value =
     t.workloads.(op_id) <- Workload.add t.workloads.(op_id) w;
     total := Workload.add !total w;
     let is_sink = (Graph.op t.graph op_id).Op.side_effect = Op.Display_output in
-    if is_sink then begin
-      (* the value consumed by a sink counts as application output *)
-      log_sink t v;
-      sink_vals := v :: !sink_vals
-    end;
+    (* the value consumed by a sink counts as application output *)
+    if is_sink then sink_vals := v :: !sink_vals;
     List.iter
       (fun out ->
         List.iter
@@ -111,5 +90,3 @@ let op_fires t i = t.fires.(i)
 let op_workload t i = t.workloads.(i)
 let edge_elements t eid = t.edge_elems.(eid)
 let edge_bytes t eid = t.edge_bytes.(eid)
-let sink_count t = t.sinks_seen
-let sink_log t = List.rev t.sink_log_rev

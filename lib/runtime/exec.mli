@@ -19,7 +19,8 @@ type fired = {
   workload : Dataflow.Workload.t;  (** work performed by this traversal *)
   sink_values : Dataflow.Value.t list;
       (** values delivered to [Display_output] operators during the
-          traversal *)
+          traversal; an [Exec.t] keeps no log of them, so a caller
+          that wants sink output counts or keeps it from here *)
 }
 
 type t
@@ -51,6 +52,3 @@ val edge_elements : t -> int -> int
 (** Elements carried by edge [eid] (within or leaving the member set). *)
 
 val edge_bytes : t -> int -> int
-val sink_count : t -> int
-val sink_log : t -> Dataflow.Value.t list
-(** Values delivered to sinks, oldest first, capped at 65536. *)

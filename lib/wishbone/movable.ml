@@ -73,8 +73,3 @@ let movable_count placement =
   Array.fold_left
     (fun acc p -> if p = Movable then acc + 1 else acc)
     0 placement
-
-let pp_placement ppf = function
-  | Pin_node -> Format.fprintf ppf "node (pinned)"
-  | Pin_server -> Format.fprintf ppf "server (pinned)"
-  | Movable -> Format.fprintf ppf "movable"

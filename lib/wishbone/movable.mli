@@ -29,4 +29,3 @@ val classify : mode -> Dataflow.Graph.t -> (placement array, string) result
     the data to cross the network twice. *)
 
 val movable_count : placement array -> int
-val pp_placement : Format.formatter -> placement -> unit

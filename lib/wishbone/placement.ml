@@ -610,6 +610,11 @@ let tiers_of_solution enc (c : Preprocess.contracted) sol =
   let st = super_tiers enc c sol in
   Array.map (fun s -> st.(s)) c.Preprocess.super_of
 
+(* Lift a per-original-operator tier assignment to a full variable
+   vector (crossing variables at their minimal feasible values), the
+   incumbent seed of [solve]'s branch & bound.  [None] when the
+   assignment straddles a supernode or has the wrong length; [solve]
+   checks it with [feasible] first, so every tier is in range. *)
 let initial_point enc (c : Preprocess.contracted) (tier_of : int array) =
   if Array.length tier_of <> Array.length c.Preprocess.super_of then None
   else begin

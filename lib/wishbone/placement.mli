@@ -58,16 +58,6 @@ module Topology : sig
   val children : t -> int -> int list  (** ascending tier order *)
 
   val is_chain : t -> bool
-
-  val ancestor_or_self : t -> anc:int -> int -> bool
-  (** [ancestor_or_self t ~anc tier]: [anc] is [tier] itself or an
-      ancestor of it — the monotone-descent order data flows along. *)
-
-  val on_root_path : t -> int -> int -> bool
-  (** [on_root_path t e tier]: tree edge [e] lies on [tier]'s path to
-      the root, i.e. [tier] is in the subtree below [e].  For a chain
-      this is [e >= tier]. *)
-
   val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
 end
@@ -206,14 +196,6 @@ val encode :
 val tiers_of_solution :
   encoded -> Preprocess.contracted -> Lp.Solution.t -> int array
 (** Per-original-operator tier indices from a solved instance. *)
-
-val initial_point :
-  encoded -> Preprocess.contracted -> int array -> float array option
-(** Lift a per-original-operator tier assignment to a full variable
-    vector (crossing variables at their minimal feasible values),
-    suitable as {!Lp.Branch_bound.solve}'s incumbent seed.  [None]
-    when the assignment straddles a supernode or has the wrong
-    length.  Feasibility is not checked here. *)
 
 val stats : t -> tier_of:int array -> float array * float array
 (** [(tier_cpu, link_net)] of an assignment: per-tier CPU load and

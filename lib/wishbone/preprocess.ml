@@ -223,11 +223,6 @@ let contract spec =
     if !ok then build_quotient spec uf else identity spec
   end
 
-let expand c super_assign =
-  if Array.length super_assign <> c.n_super then
-    invalid_arg "Preprocess.expand: assignment length mismatch";
-  Array.map (fun s -> super_assign.(s)) c.super_of
-
 let reduction c =
   let orig = Movable.movable_count c.spec.Spec.placement in
   let super = Movable.movable_count c.placement in

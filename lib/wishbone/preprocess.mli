@@ -31,10 +31,6 @@ val identity : Spec.t -> contracted
 
 val contract : Spec.t -> contracted
 
-val expand : contracted -> bool array -> bool array
-(** Map a supernode assignment (true = node) back to original
-    operators. *)
-
 val reduction : contracted -> int * int
 (** (original movable vertices, movable supernodes) — the search-space
     shrink achieved. *)

@@ -19,6 +19,9 @@ let default_search_options =
     time_limit = 10.;
   }
 
+let default_tol = 0.01
+let default_max_multiplier = 65536.
+
 (* A probe's verdict at one rate multiple.  [Feasible (r, proved)]
    carries a verified-feasible report ([proved] = its optimality was
    certified within the solver budget); [Infeasible_at] is a proven
@@ -28,7 +31,10 @@ type 'a verdict = Feasible of 'a * bool | Infeasible_at | Unknown_at
 
 (* The monotone bracket-and-bisect skeleton.  [attempt factor] solves
    at one rate multiple; feasibility must be monotone in [factor] for
-   the bisection to be exact (up to [tol]).
+   the bisection to be exact (up to [tol]).  Bisection also stops
+   when the geometric midpoint is not strictly inside (lo, hi): once
+   the two are adjacent floats it rounds onto one of them, so a [tol]
+   below the float spacing would otherwise repeat one probe forever.
 
    Degradation is conservative: an [Unknown_at] verdict is treated
    exactly like a proven infeasibility, so the bisection only ever
@@ -69,21 +75,20 @@ let bracket ~tol ~max_multiplier attempt =
           | Feasible (r, _) -> find_hi hi r
           | Infeasible_at | Unknown_at -> (lo, best, hi)
       in
+      let rec bisect lo best hi =
+        let mid = Float.sqrt (lo *. hi) in
+        if (hi -. lo) /. lo > tol && mid > lo && mid < hi then
+          match attempt mid with
+          | Feasible (r, _) -> bisect mid r hi
+          | Infeasible_at | Unknown_at -> bisect lo best mid
+        else Some (lo, best, !exact)
+      in
       let lo, best, hi = find_hi lo0 r0 in
-      let lo = ref lo and hi = ref hi and best = ref best in
-      while (!hi -. !lo) /. !lo > tol do
-        let mid = Float.sqrt (!lo *. !hi) in
-        match attempt mid with
-        | Feasible (r, _) ->
-            best := r;
-            lo := mid
-        | Infeasible_at | Unknown_at -> hi := mid
-      done;
-      Some (!lo, !best, !exact)
+      bisect lo best hi
 
-let search_placement ?(options = default_search_options) ?(tol = 0.01)
-    ?(max_multiplier = 65536.) ?(incremental = true) ?initial_tiers
-    ?root_basis:basis0 pl =
+let search_placement ?(options = default_search_options) ?(tol = default_tol)
+    ?(max_multiplier = default_max_multiplier) ?(incremental = true)
+    ?initial_tiers ?root_basis:basis0 pl =
   (* Incremental state threaded across bracket/bisection steps.  Every
      step solves the same ILP with uniformly rescaled coefficients, so
      (a) the last feasible tier assignment, re-evaluated under the new

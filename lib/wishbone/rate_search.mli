@@ -32,6 +32,15 @@ val default_search_options : Lp.Branch_bound.options
     paper itself suggests ("use an approximate lower bound to establish
     a termination condition"). *)
 
+val default_tol : float
+(** [0.01]: the relative bracket width at which bisection stops, the
+    default of every search in this library ({!search_placement} and
+    {!Service}'s [Search] queries). *)
+
+val default_max_multiplier : float
+(** [65536.]: the multiplier past which a search stops doubling its
+    upper bracket, the default everywhere {!default_tol} is. *)
+
 val search_placement :
   ?options:Lp.Branch_bound.options ->
   ?tol:float ->
@@ -45,8 +54,10 @@ val search_placement :
     feasible placement, by bracket and bisection over
     {!Placement.scale_rate}: from 1 the lower bracket falls by 4x
     until feasible, the upper one doubles while feasible (up to
-    [max_multiplier], default 65536), and geometric bisection stops
-    at relative width [tol] (default 0.01).  [None] when even a
+    [max_multiplier], default {!default_max_multiplier}), and
+    geometric bisection stops at relative width [tol] (default
+    {!default_tol}) or when the two ends are adjacent floats, so any
+    [tol], 0 included, returns.  [None] when even a
     vanishing input rate has no feasible placement (contradictory
     pinning or zero budgets).  [options] defaults to
     {!default_search_options}.

@@ -463,8 +463,8 @@ let solve_query ~options ~tol ~max_multiplier ?initial_tiers ?root_basis q =
 
 let default_options = Lp.Branch_bound.default_options
 
-let solve_direct ?(options = default_options) ?(tol = 0.01)
-    ?(max_multiplier = 65536.) q =
+let solve_direct ?(options = default_options) ?(tol = Rate_search.default_tol)
+    ?(max_multiplier = Rate_search.default_max_multiplier) q =
   solve_query ~options ~tol ~max_multiplier q
 
 (* ---- the daemon --------------------------------------------------- *)
@@ -510,9 +510,10 @@ type t = {
   mutable counts : counters;  (* [resident] is read from [table] *)
 }
 
-let create ?(capacity = 512) ?(options = default_options) ?(tol = 0.01)
-    ?(max_multiplier = 65536.) ?(retries = 1) ?(fault_plan = Fault_plan.none)
-    () =
+let create ?(capacity = 512) ?(options = default_options)
+    ?(tol = Rate_search.default_tol)
+    ?(max_multiplier = Rate_search.default_max_multiplier) ?(retries = 1)
+    ?(fault_plan = Fault_plan.none) () =
   if capacity < 0 then invalid_arg "Service.create: negative capacity";
   if retries < 0 then invalid_arg "Service.create: negative retries";
   {
@@ -1097,8 +1098,10 @@ let restore ?capacity ?options ?tol ?max_multiplier ?retries ?fault_plan path =
     ( create ?capacity ?options ?tol ?max_multiplier ?retries ?fault_plan (),
       Cold_start reason )
   in
-  let want_tol = Option.value tol ~default:0.01 in
-  let want_mm = Option.value max_multiplier ~default:65536. in
+  let want_tol = Option.value tol ~default:Rate_search.default_tol in
+  let want_mm =
+    Option.value max_multiplier ~default:Rate_search.default_max_multiplier
+  in
   let want_opts =
     options_wire (Option.value options ~default:default_options)
   in
@@ -1158,19 +1161,3 @@ let restore ?capacity ?options ?tol ?max_multiplier ?retries ?fault_plan path =
       (match result with
       | Ok t -> (t, Restored (Hashtbl.length t.table))
       | Error m -> cold ("snapshot rejected: " ^ m))
-
-let pp_response ppf r =
-  let tag =
-    match r.served with Hit -> "hit" | Warm_start -> "warm" | Cold -> "cold"
-  in
-  (match r.answer with
-  | Placed { rate; report } ->
-      Format.fprintf ppf "placed rate x%.4f objective %g" rate
-        report.Placement.objective
-  | Degraded { rate; report; gap } ->
-      Format.fprintf ppf "degraded rate x%.4f objective %g gap %.3g" rate
-        report.Placement.objective gap
-  | Infeasible -> Format.fprintf ppf "infeasible"
-  | Failed m -> Format.fprintf ppf "failed: %s" m);
-  Format.fprintf ppf "  [%s, %.2f ms, %s]" tag r.latency_ms
-    (String.sub r.digest 0 12)

@@ -215,7 +215,8 @@ val create :
     keeping the counter algebra intact, and no anchor is kept).
     [options] drives every branch & bound ({!default_options});
     [tol] / [max_multiplier] parameterise [Search] queries exactly as
-    in {!Rate_search.search_placement} (defaults 0.01 / 65536).
+    in {!Rate_search.search_placement} (defaults
+    {!Rate_search.default_tol} / {!Rate_search.default_max_multiplier}).
     [retries] (default 1) bounds the supervisor's extra attempts per
     query; [fault_plan] (default {!Fault_plan.none}) injects seeded
     solver faults for testing. *)
@@ -307,7 +308,9 @@ val solve_direct :
     rate, or {!Rate_search.search_placement} — with no cache, no warm
     hints, no supervisor and no fault plan.  The service-equivalence
     oracle holds every served answer to this function's output, byte
-    for byte. *)
+    for byte.  With no supervisor, a rate that is not [> 0] (NaN
+    included) raises [Invalid_argument] here, where a service answers
+    [Failed] and caches nothing. *)
 
 (** {2 Crash-safe checkpoints}
 
@@ -360,5 +363,3 @@ val restore :
     a staleness failure: cached answers were computed under the old
     parameters (under a node budget, say, as degraded incumbents) and
     must not be replayed under new ones. *)
-
-val pp_response : Format.formatter -> response -> unit

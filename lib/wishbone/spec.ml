@@ -39,7 +39,8 @@ let of_profile ?(mode = Movable.Conservative) ?(use_peak = false) ?cpu_budget
       Ok { graph; placement; cpu; bandwidth; cpu_budget; net_budget; alpha; beta }
 
 let scale_rate t factor =
-  if factor <= 0. then invalid_arg "Spec.scale_rate: factor must be positive";
+  if not (factor > 0.) then
+    invalid_arg "Spec.scale_rate: factor must be positive";
   {
     t with
     cpu = Array.map (fun c -> c *. factor) t.cpu;

@@ -36,7 +36,8 @@ val of_profile :
 
 val scale_rate : t -> float -> t
 (** Multiply every CPU cost and bandwidth by a factor: the §4.3
-    data-rate free variable. *)
+    data-rate free variable.
+    @raise Invalid_argument unless the factor is [> 0] (NaN included). *)
 
 val cut_stats : t -> node_side:bool array -> float * float
 (** [(cpu, net)] of an assignment: summed node CPU fraction and cut

@@ -192,7 +192,14 @@ let test_scale_rate_validation () =
   let raw = Profiler.Profile.collect ~duration:1. graph events in
   Alcotest.check_raises "nonpositive factor"
     (Invalid_argument "Profile.scale_rate: factor must be positive") (fun () ->
-      ignore (Profiler.Profile.scale_rate raw 0.))
+      ignore (Profiler.Profile.scale_rate raw 0.));
+  Alcotest.check_raises "NaN factor"
+    (Invalid_argument "Profile.scale_rate: factor must be positive") (fun () ->
+      ignore (Profiler.Profile.scale_rate raw Float.nan));
+  let spec = Apps.Synthetic.random_spec ~seed:1 ~n_ops:6 () in
+  Alcotest.check_raises "NaN spec factor"
+    (Invalid_argument "Spec.scale_rate: factor must be positive") (fun () ->
+      ignore (Wishbone.Spec.scale_rate spec Float.nan))
 
 let test_collect_window_validation () =
   let graph, _ = probe () in

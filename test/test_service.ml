@@ -25,7 +25,9 @@
      second service answer as shards=1 does, two domains serving at
      once answer as they do one after the other, an exception
      raised on a worker reaches the caller, and a batch asking for
-     more shards than OCaml has domains is refused untouched. *)
+     more shards than OCaml has domains is refused untouched;
+   - requests at the edge of the grammar: a NaN rate fails and is not
+     cached, and a service with [tol] 0 answers a search. *)
 
 open Wishbone
 
@@ -725,6 +727,29 @@ let test_shards_past_domain_limit () =
     (direct_digests svc [| rate (synth 1) 0.9 |])
     (digests served)
 
+(* [Spec.scale_rate] rejects NaN, so the supervisor contains the
+   exception into [Failed], which is never cached *)
+let test_nan_rate_fails () =
+  let svc = Service.create () in
+  let served = Service.run_batch svc [| rate (synth 1) Float.nan |] in
+  (match served.(0).Service.answer with
+  | Service.Failed _ -> ()
+  | _ -> Alcotest.fail "a NaN rate must be answered failed");
+  Alcotest.(check int) "nothing resident" 0
+    (Service.counters svc).Service.resident
+
+(* bisection stops at adjacent floats, so a zero [tol] returns *)
+let test_zero_tol_search () =
+  let svc = Service.create ~tol:0. () in
+  let qu = search (synth 1) in
+  let served = Service.run_batch svc [| qu |] in
+  (match served.(0).Service.answer with
+  | Service.Placed _ | Service.Degraded _ -> ()
+  | _ -> Alcotest.fail "a zero-tol search must place");
+  Alcotest.(check string) "direct digest"
+    (Service.answer_digest (Service.solve_direct ~tol:0. qu))
+    served.(0).Service.digest
+
 let () =
   Alcotest.run "service"
     [
@@ -770,5 +795,12 @@ let () =
             test_job_exception_reaches_caller;
           Alcotest.test_case "shards past the domain limit refused" `Quick
             test_shards_past_domain_limit;
+        ] );
+      ( "edge-requests",
+        [
+          Alcotest.test_case "a NaN rate fails and is not cached" `Quick
+            test_nan_rate_fails;
+          Alcotest.test_case "a zero-tol search answers" `Quick
+            test_zero_tol_search;
         ] );
     ]

@@ -172,17 +172,6 @@ let test_preprocess_identity () =
   let c = Preprocess.identity spec in
   Alcotest.(check int) "identity keeps all" 4 c.Preprocess.n_super
 
-let test_preprocess_expand_roundtrip () =
-  let g = chain_graph () in
-  let spec = simple_spec ~cpu:[| 0.1; 0.1; 0.1; 0. |] ~bw:[| 10.; 20.; 5. |] g in
-  let c = Preprocess.contract spec in
-  let assign = Array.make c.Preprocess.n_super false in
-  assign.(c.Preprocess.super_of.(0)) <- true;
-  let full = Preprocess.expand c assign in
-  Alcotest.(check bool) "source on node" true full.(0);
-  Alcotest.(check bool) "merged ops follow supernode" true
-    (full.(1) = full.(2))
-
 let test_preprocess_preserves_optimum () =
   (* optimum with and without preprocessing agree on random specs *)
   for seed = 0 to 30 do
@@ -394,6 +383,29 @@ let test_rate_search_incremental_consistent () =
     | _ -> Alcotest.failf "seed %d: feasibility disagreement" seed
   done
 
+let test_rate_search_zero_tol () =
+  (* a [tol] below the float spacing stops when the bracket's ends are
+     adjacent floats, at a rate no lower than the [tol] 0.01 search's *)
+  for seed = 1 to 6 do
+    let pl = Placement.of_spec (Apps.Synthetic.random_spec ~seed ~n_ops:10 ()) in
+    match
+      ( Rate_search.search_placement ~tol:0.01 pl,
+        Rate_search.search_placement ~tol:0. pl )
+    with
+    | Some coarse, Some fine ->
+        let r = fine.placement_multiplier in
+        if r < coarse.placement_multiplier then
+          Alcotest.failf "seed %d: tol 0 rate %g below tol 0.01 rate %g" seed r
+            coarse.placement_multiplier;
+        if
+          not
+            (Placement.feasible (Placement.scale_rate pl r)
+               ~tier_of:fine.placement_report.Placement.tier_of)
+        then Alcotest.failf "seed %d: report infeasible at rate %g" seed r
+    | None, None -> ()
+    | _ -> Alcotest.failf "seed %d: feasibility disagreement" seed
+  done
+
 (* ---- cutpoints ---- *)
 
 let test_cutpoints_on_speech () =
@@ -551,7 +563,6 @@ let () =
           tc "merges expanding ops" test_preprocess_merges_expanding;
           tc "keeps reducing ops" test_preprocess_keeps_reducing;
           tc "identity" test_preprocess_identity;
-          tc "expand roundtrip" test_preprocess_expand_roundtrip;
           tc "preserves optimum" test_preprocess_preserves_optimum;
         ] );
       ( "fig3",
@@ -575,6 +586,7 @@ let () =
           tc "monotone feasibility" test_rate_search_monotonicity;
           tc "overloaded start" test_rate_search_overloaded_start;
           tc "incremental = cold" test_rate_search_incremental_consistent;
+          tc "zero tol returns" test_rate_search_zero_tol;
         ] );
       ( "cutpoints",
         [
