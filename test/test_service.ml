@@ -796,7 +796,7 @@ let () =
           Alcotest.test_case "shards past the domain limit refused" `Quick
             test_shards_past_domain_limit;
         ] );
-      ( "edge-requests",
+      ( "edge-cases",
         [
           Alcotest.test_case "a NaN rate fails and is not cached" `Quick
             test_nan_rate_fails;
