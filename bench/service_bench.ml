@@ -271,13 +271,12 @@ let words f =
   let minor = Gc.minor_words () -. m0 and major = direct_major () -. d0 in
   (r, minor +. major, Printf.sprintf "%.0f minor + %.0f major" minor major)
 
-let setup_alloc_gate () =
-  let eeg n =
-    Bench_util.spec_exn ~mode:Wishbone.Movable.Permissive
-      ~platform:Profiler.Platform.tmote_sky
-      (Apps.Eeg.profile ~duration:10. (Apps.Eeg.build ~n_channels:n ()))
-  in
-  let eeg14 = Wishbone.Placement.of_spec (eeg 14) in
+let eeg n =
+  Bench_util.spec_exn ~mode:Wishbone.Movable.Permissive
+    ~platform:Profiler.Platform.tmote_sky
+    (Apps.Eeg.profile ~duration:10. (Apps.Eeg.build ~n_channels:n ()))
+
+let setup_alloc_gate eeg14 =
   ignore (Wishbone.Service.instance_key eeg14);
   let _, key_words, key_split =
     words (fun () -> Wishbone.Service.instance_key eeg14)
@@ -309,10 +308,69 @@ let setup_alloc_gate () =
        max_setup_words)
     (setup <= max_setup_words)
 
+(* Eviction work gate: a seeded stream of 192 rate and search queries
+   over eleven synthetic instances and rates on the eeg14 chain, at a
+   capacity the stream overflows, must solve its misses within a
+   ceiling of deterministic work, [counters.solve_cost]: each solved
+   query's operators times its branch & bound runs, plus its answer's
+   pivots.  The cache evicts the entry cheapest to solve again, so a
+   policy that drops dear answers re-solves them and passes the
+   ceiling.  The ceiling sits at about 1.1x the cost today, 6,231 (129
+   misses); evicting by recency alone, the same stream cost 14,163
+   (130 misses). *)
+let max_stream_cost = 6_850
+
+let eviction_cost_gate eeg14 =
+  let rng = Prng.create 5 in
+  (* twelve instances, popular as 1/rank; eeg14 ranks second *)
+  let insts =
+    Array.init 12 (fun r ->
+        if r = 1 then eeg14
+        else
+          Wishbone.Placement.of_spec
+            (Apps.Synthetic.random_spec ~seed:(40 + r)
+               ~n_ops:(8 + (r mod 7)) ()))
+  in
+  let draw w =
+    let x = Prng.float rng *. Array.fold_left ( +. ) 0. w in
+    let rec go i acc =
+      if i = Array.length w - 1 || x < acc +. w.(i) then i
+      else go (i + 1) (acc +. w.(i))
+    in
+    go 0 0.
+  in
+  let popularity = Array.init 12 (fun r -> 1. /. Float.of_int (r + 1)) in
+  let lattice = [| 0.6; 0.8; 0.9; 1.0; 1.2 |] in
+  let q placement request = { Wishbone.Service.placement; request } in
+  let batches =
+    Array.init 24 (fun _ ->
+        Array.init 8 (fun _ ->
+            let r = draw popularity in
+            if r <> 1 && Prng.bool rng 0.15 then
+              q insts.(r) Wishbone.Service.Search
+            else
+              let rate = lattice.(draw [| 1.; 2.; 4.; 2.; 1. |]) in
+              q insts.(r) (Wishbone.Service.Rate rate)))
+  in
+  let svc = Wishbone.Service.create ~capacity:8 () in
+  Array.iter
+    (fun b -> ignore (Wishbone.Service.run_batch ~shards:2 svc b))
+    batches;
+  let c = Wishbone.Service.counters svc in
+  Bench_util.row
+    "eviction: %d queries at capacity 8, %d misses, %d evictions, solve cost \
+     %d (ceiling %d)\n"
+    c.Wishbone.Service.queries c.Wishbone.Service.misses
+    c.Wishbone.Service.evictions c.Wishbone.Service.solve_cost max_stream_cost;
+  check
+    (Printf.sprintf "the stream's misses cost %d (> %d)"
+       c.Wishbone.Service.solve_cost max_stream_cost)
+    (c.Wishbone.Service.solve_cost <= max_stream_cost)
+
 (* CI smoke: a tiny synthetic batch, shards=2, asserting byte-identity
    against the direct path and counter conservation, then six batches
-   of new placements on shards 1 and 2 — seconds, not minutes; last,
-   the per-query set-up allocation gate *)
+   of new placements on shards 1 and 2 — seconds, not minutes; then the
+   eviction work gate and last the per-query set-up allocation gate *)
 let smoke () =
   Bench_util.header "placement service: smoke";
   let pl seed = Wishbone.Placement.of_spec (Apps.Synthetic.random_spec ~seed ~n_ops:8 ()) in
@@ -372,4 +430,6 @@ let smoke () =
     "smoke ok: %d batches of new placements, %d solved, %d failed; shards=2 \
      answers and counters equal shards=1\n"
     n_batches c.Wishbone.Service.misses c.Wishbone.Service.failed;
-  setup_alloc_gate ()
+  let eeg14 = Wishbone.Placement.of_spec (eeg 14) in
+  eviction_cost_gate eeg14;
+  setup_alloc_gate eeg14

@@ -695,7 +695,9 @@ let serve_cmd =
     Arg.(
       value
       & opt (nonneg_int ~flag:"--cache") 512
-      & info [ "cache" ] ~docv:"N" ~doc:"LRU cache capacity in entries.")
+      & info [ "cache" ] ~docv:"N"
+          ~doc:"Cache capacity in entries; the cheapest to solve again \
+                are evicted first.")
   in
   let repeat_arg =
     Arg.(

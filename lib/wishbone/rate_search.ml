@@ -2,6 +2,7 @@ type placement_result = {
   placement_multiplier : float;
   placement_report : Placement.report;
   placement_exact : bool;
+  placement_probes : int;
 }
 
 (* Near the feasibility boundary the CPU constraint becomes a tight
@@ -42,9 +43,10 @@ type 'a verdict = Feasible of 'a * bool | Infeasible_at | Unknown_at
    returned rate is always safe to deploy, merely possibly lower than
    the true maximum when budgets bite.  The returned [exact] flag is
    true iff no step's verdict was degraded: every kept report was
-   proved optimal and every rejection was a proven infeasibility. *)
+   proved optimal and every rejection was a proven infeasibility; the
+   returned count is the number of probes. *)
 let bracket ~tol ~max_multiplier attempt =
-  let exact = ref true in
+  let exact = ref true and probes = ref 0 in
   let note = function
     | Feasible (_, proved) -> if not proved then exact := false
     | Infeasible_at -> ()
@@ -52,6 +54,7 @@ let bracket ~tol ~max_multiplier attempt =
   in
   let attempt factor =
     let v = attempt factor in
+    incr probes;
     note v;
     v
   in
@@ -81,7 +84,7 @@ let bracket ~tol ~max_multiplier attempt =
           match attempt mid with
           | Feasible (r, _) -> bisect mid r hi
           | Infeasible_at | Unknown_at -> bisect lo best mid
-        else Some (lo, best, !exact)
+        else Some (lo, best, !exact, !probes)
       in
       let lo, best, hi = find_hi lo0 r0 in
       bisect lo best hi
@@ -118,7 +121,7 @@ let search_placement ?(options = default_search_options) ?(tol = default_tol)
     | Placement.Solver_failure _ -> Unknown_at
   in
   Option.map
-    (fun (m, r, exact) ->
+    (fun (m, r, exact, probes) ->
       { placement_multiplier = m; placement_report = r;
-        placement_exact = exact })
+        placement_exact = exact; placement_probes = probes })
     (bracket ~tol ~max_multiplier attempt)

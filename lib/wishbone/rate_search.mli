@@ -22,6 +22,10 @@ type placement_result = {
           so the returned rate is a {e safe lower bound} on the
           maximum: the reported placement is verified feasible at it,
           but a larger budget might have certified a higher rate. *)
+  placement_probes : int;
+      (** the branch & bound solves the search ran, one per probed
+          rate: a deterministic measure of its work ({!Service} weighs
+          cached answers by it) *)
 }
 
 val default_search_options : Lp.Branch_bound.options

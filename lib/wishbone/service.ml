@@ -25,6 +25,7 @@ type counters = {
   failed : int;
   retries : int;
   worker_deaths : int;
+  solve_cost : int;
 }
 
 type response = {
@@ -429,17 +430,21 @@ let classify ~rate (report : Placement.report) =
 
 (* One function serves both the daemon and the no-service reference:
    byte-identity of served answers reduces to warm hints being
-   answer-preserving, which the service-equivalence oracle fuzzes. *)
+   answer-preserving, which the service-equivalence oracle fuzzes.
+   Returns the answer and the branch & bound runs it took: one for a
+   rate, the probe count for a search (one when no rate is feasible,
+   which reports no count). *)
 let solve_query ~options ~tol ~max_multiplier ?initial_tiers ?root_basis q =
   match q.request with
-  | Rate r -> (
-      match
-        Placement.solve ~options ?initial:initial_tiers ?root_basis
-          (Placement.scale_rate q.placement r)
-      with
-      | Placement.Partitioned report -> classify ~rate:r report
-      | Placement.No_feasible_partition -> Infeasible
-      | Placement.Solver_failure m -> Failed m)
+  | Rate r ->
+      ( (match
+           Placement.solve ~options ?initial:initial_tiers ?root_basis
+             (Placement.scale_rate q.placement r)
+         with
+        | Placement.Partitioned report -> classify ~rate:r report
+        | Placement.No_feasible_partition -> Infeasible
+        | Placement.Solver_failure m -> Failed m),
+        1 )
   | Search -> (
       match
         Rate_search.search_placement ~options ~tol ~max_multiplier
@@ -447,33 +452,68 @@ let solve_query ~options ~tol ~max_multiplier ?initial_tiers ?root_basis q =
       with
       | Some
           { Rate_search.placement_multiplier; placement_report;
-            placement_exact } ->
-          if placement_exact then
-            Placed { rate = placement_multiplier; report = placement_report }
-          else
-            (* some probe died on the budget: the rate is a safe lower
-               bound and the gap certifies the placement at it *)
-            Degraded
-              {
-                rate = placement_multiplier;
-                report = placement_report;
-                gap = relative_gap placement_report;
-              }
-      | None -> Infeasible)
+            placement_exact; placement_probes } ->
+          ( (if placement_exact then
+               Placed { rate = placement_multiplier; report = placement_report }
+             else
+               (* some probe died on the budget: the rate is a safe
+                  lower bound and the gap certifies the placement at it *)
+               Degraded
+                 {
+                   rate = placement_multiplier;
+                   report = placement_report;
+                   gap = relative_gap placement_report;
+                 }),
+            placement_probes )
+      | None -> (Infeasible, 1))
 
 let default_options = Lp.Branch_bound.default_options
 
 let solve_direct ?(options = default_options) ?(tol = Rate_search.default_tol)
     ?(max_multiplier = Rate_search.default_max_multiplier) q =
-  solve_query ~options ~tol ~max_multiplier q
+  fst (solve_query ~options ~tol ~max_multiplier q)
+
+(* What solving [q] again would cost, in deterministic work units: its
+   placement's operators times the branch & bound runs its [answer]
+   took, plus the simplex pivots of the answer's own run.  Never
+   wall-clock, so the eviction order below is a pure function of the
+   query history, on every shard count and in every process. *)
+let cost q runs answer =
+  let pivots =
+    match answer with
+    | Placed { report; _ } | Degraded { report; _ } ->
+        report.Placement.solver.Lp.Branch_bound.total_pivots
+    | Infeasible | Failed _ -> 0
+  in
+  (Graph.n_ops q.placement.Placement.spec.Spec.graph * runs) + pivots
 
 (* ---- the daemon --------------------------------------------------- *)
 
+(* The cache evicts by GreedyDual (Young 1994; Cao and Irani 1997):
+   each entry's priority is the service's inflation value L plus the
+   entry's [cost], set on insert and on every hit.  A full cache
+   evicts the least priority, ties to the least recent stamp, and
+   raises L to it, so an entry no query has asked for since ages
+   against the ones asked for later: a cheap answer goes before a dear
+   one asked for as recently, and a dear one goes once its cost has
+   been spent waiting.  With equal costs this is LRU.  Every resident
+   priority is at least L. *)
 type entry = {
   e_answer : answer;
   e_digest : string;
-  mutable e_stamp : int;  (* recency stamp: least recent is evicted *)
+  e_cost : int;
+  mutable e_priority : int;
+  mutable e_stamp : int;  (* recency: breaks priority ties *)
 }
+
+(* resident keys in eviction order, by (priority, stamp); stamps are
+   unique, so no two entries share a slot *)
+module Order = Map.Make (struct
+  type t = int * int
+
+  let compare ((p : int), (s : int)) (p', s') =
+    if p <> p' then Int.compare p p' else Int.compare s s'
+end)
 
 (* A warm start: the tier assignment and root basis of a placed or
    degraded answer of the same instance at another rate or request. *)
@@ -503,6 +543,8 @@ type t = {
   retries : int;
   fault_plan : Fault_plan.t;
   table : (string, entry) Hashtbl.t;
+  mutable order : string Order.t;  (* [table]'s keys by eviction order *)
+  mutable inflation : int;  (* GreedyDual's L *)
   anchors : (string, anchor) Hashtbl.t;  (* by instance key, <= capacity *)
   memo : keyed Memo.t;  (* placements that came back, <= capacity *)
   mutable last_batch : int Phys.t;  (* the previous batch's placements *)
@@ -524,6 +566,8 @@ let create ?(capacity = 512) ?(options = default_options)
     retries;
     fault_plan;
     table = Hashtbl.create (Int.max 16 capacity);
+    order = Order.empty;
+    inflation = 0;
     anchors = Hashtbl.create 16;
     memo = Memo.create 16;
     last_batch = Phys.create 1;
@@ -532,7 +576,7 @@ let create ?(capacity = 512) ?(options = default_options)
       {
         queries = 0; hits = 0; misses = 0; warm_starts = 0; inserts = 0;
         evictions = 0; resident = 0; ok = 0; degraded = 0; failed = 0;
-        retries = 0; worker_deaths = 0;
+        retries = 0; worker_deaths = 0; solve_cost = 0;
       };
   }
 
@@ -588,15 +632,43 @@ let set_anchor t inst stamp seed =
     Hashtbl.replace t.anchors inst { a_seed = seed; a_born = stamp }
   end
 
-let insert t ~key ~inst answer digest =
+(* [e] at [key] takes the slot [priority], [stamp] *)
+let place t key e ~priority ~stamp =
+  e.e_priority <- priority;
+  e.e_stamp <- stamp;
+  t.order <- Order.add (priority, stamp) key t.order
+
+(* a hit: [e] is priced afresh at the current inflation value *)
+let refresh t key e =
+  t.order <- Order.remove (e.e_priority, e.e_stamp) t.order;
+  place t key e ~priority:(t.inflation + e.e_cost) ~stamp:(tick t)
+
+(* The plan solves only keys absent from the table, each once, so
+   [key] is new.  A full cache first evicts its least priority and
+   raises the inflation value to it; the new entry is priced after
+   that, so it is never its own victim (at capacity 0 it is, and
+   nothing is kept). *)
+let insert t ~key ~inst ~cost answer digest =
   let stamp = tick t in
-  Hashtbl.replace t.table key
-    { e_answer = answer; e_digest = digest; e_stamp = stamp };
-  t.counts <- { t.counts with inserts = t.counts.inserts + 1 };
-  while Hashtbl.length t.table > t.capacity do
-    Option.iter (Hashtbl.remove t.table) (oldest (fun e -> e.e_stamp) t.table);
+  let c = t.counts in
+  t.counts <- { c with inserts = c.inserts + 1 };
+  if Hashtbl.length t.table >= t.capacity then begin
+    (match Order.min_binding_opt t.order with
+    | Some (((priority, _) as slot), victim) ->
+        t.order <- Order.remove slot t.order;
+        Hashtbl.remove t.table victim;
+        t.inflation <- priority
+    | None -> ());
     t.counts <- { t.counts with evictions = t.counts.evictions + 1 }
-  done;
+  end;
+  if t.capacity > 0 then begin
+    let e =
+      { e_answer = answer; e_digest = digest; e_cost = cost; e_priority = 0;
+        e_stamp = 0 }
+    in
+    Hashtbl.add t.table key e;
+    place t key e ~priority:(t.inflation + cost) ~stamp
+  end;
   Option.iter (set_anchor t inst stamp) (seed_of answer)
 
 (* Per-query batch plan, fixed sequentially against the cache state at
@@ -807,7 +879,7 @@ let run_batch ?(shards = 1) t queries =
         match Hashtbl.find_opt t.table keys.(i) with
         | Some e ->
             t.counts <- { t.counts with hits = t.counts.hits + 1 };
-            e.e_stamp <- tick t;
+            refresh t keys.(i) e;
             P_replay e
         | None -> (
             match Hashtbl.find_opt first_of_key keys.(i) with
@@ -823,7 +895,7 @@ let run_batch ?(shards = 1) t queries =
                      (Hashtbl.find_opt t.anchors insts.(i)))))
   in
   (* ---- solve (sharded, supervised) ---- *)
-  let results : answer option array = Array.make n None in
+  let results : (answer * int) option array = Array.make n None in
   let latency = Array.make n 0. in
   let killed = Array.make n false in
   let extra = Array.make n 0 in
@@ -879,8 +951,10 @@ let run_batch ?(shards = 1) t queries =
   in
   (* The per-query supervisor: bounded retries with a small capped
      backoff, every exception except [Worker_killed] contained into a
-     [Failed] answer.  A killed query resumes at attempt 1 (kills fire
-     only at attempt 0, so it cannot die twice). *)
+     [Failed] answer.  [Invalid_argument] is the query's own fault (a
+     NaN rate, say), which every attempt would meet again, so it fails
+     at once.  A killed query resumes at attempt 1 (kills fire only at
+     attempt 0, so it cannot die twice). *)
   let supervised i =
     let start = if killed.(i) then 1 else 0 in
     let t0 = Unix.gettimeofday () in
@@ -891,13 +965,16 @@ let run_batch ?(shards = 1) t queries =
           ans
       | exception Worker_killed -> raise Worker_killed
       | exception e ->
-          if a < start + t.retries then begin
+          let deterministic =
+            match e with Invalid_argument _ -> true | _ -> false
+          in
+          if a < start + t.retries && not deterministic then begin
             Unix.sleepf (Float.min 0.02 (0.002 *. float_of_int (1 lsl (a - start))));
             go (a + 1)
           end
           else begin
             extra.(i) <- a;
-            Failed (Printexc.to_string e)
+            (Failed (Printexc.to_string e), 1)
           end
     in
     let ans = go start in
@@ -938,8 +1015,11 @@ let run_batch ?(shards = 1) t queries =
         let a, d, _ = Option.get out.(j) in
         out.(i) <- Some (a, d, Hit)
     | P_solve seed ->
-        let a = Option.get results.(i) in
+        let a, runs = Option.get results.(i) in
+        let cost = cost queries.(i) runs a in
         let d = answer_digest a in
+        let c = t.counts in
+        t.counts <- { c with solve_cost = c.solve_cost + cost };
         let served =
           if Option.is_some seed then begin
             let c = t.counts in
@@ -955,7 +1035,7 @@ let run_batch ?(shards = 1) t queries =
         (match a with
         | Failed _ -> ()
         | Placed _ | Degraded _ | Infeasible ->
-            insert t ~key:keys.(i) ~inst:insts.(i) a d));
+            insert t ~key:keys.(i) ~inst:insts.(i) ~cost a d));
     let c = t.counts in
     t.counts <-
       (match Option.get out.(i) with
@@ -973,7 +1053,7 @@ let run_batch ?(shards = 1) t queries =
 type restore_outcome = Restored of int | Cold_start of string
 
 let magic_prefix = "WISHBONE-SERVICE-CHECKPOINT "
-let version = "v4"
+let version = "v5"
 let magic = magic_prefix ^ version
 
 (* Snapshot layout: the magic line, then one framed section — an ASCII
@@ -981,9 +1061,12 @@ let magic = magic_prefix ^ version
    a [snapshot] value.  The section's bytes are digest-checked on
    load, and each entry's stored answer digest is recomputed from the
    answer itself, so bit rot anywhere degrades to a cold cache rather
-   than a wrong replay.  Marshal keeps the sharing within one value:
-   an anchor whose answer is resident is written as a reference to
-   that entry's tier array and basis, and restored sharing them.  The
+   than a wrong replay.  Each entry carries its cost, priority and
+   stamp, and the snapshot the inflation value, so a restored cache
+   evicts as the one that was saved would have.  Marshal keeps the
+   sharing within one value: an anchor whose answer is resident is
+   written as a reference to that entry's tier array and basis, and
+   restored sharing them.  The
    solver options are stored so that answers cached under one budget
    never replay under another; the [on_node] hook, retries and the
    fault plan are configuration and are not persisted. *)
@@ -1034,6 +1117,7 @@ type snapshot = {
   ck_max_multiplier : int64;  (* bits *)
   ck_options : options_wire;
   ck_clock : int;
+  ck_inflation : int;
   ck_counters : counters;
   ck_entries : (string * entry) list;  (* by key, in stamp order *)
   ck_anchors : (string * anchor) list;  (* by instance key, in commit order *)
@@ -1083,6 +1167,7 @@ let checkpoint t path =
           ck_max_multiplier = Int64.bits_of_float t.max_multiplier;
           ck_options = options_wire t.options;
           ck_clock = t.clock;
+          ck_inflation = t.inflation;
           ck_counters = t.counts;
           ck_entries =
             List.map
@@ -1123,7 +1208,8 @@ let restore ?capacity ?options ?tol ?max_multiplier ?retries ?fault_plan path =
           (match input_line ic with
           | exception End_of_file -> ()
           | _ -> failwith "trailing bytes after the snapshot");
-          if s.ck_capacity < 0 || s.ck_clock < 0 then failwith "corrupt header";
+          if s.ck_capacity < 0 || s.ck_clock < 0 || s.ck_inflation < 0 then
+            failwith "corrupt header";
           if
             s.ck_tol <> Int64.bits_of_float want_tol
             || s.ck_max_multiplier <> Int64.bits_of_float want_mm
@@ -1135,19 +1221,27 @@ let restore ?capacity ?options ?tol ?max_multiplier ?retries ?fault_plan path =
               ~max_multiplier:want_mm ?retries ?fault_plan ()
           in
           t.clock <- s.ck_clock;
+          t.inflation <- s.ck_inflation;
           t.counts <- s.ck_counters;
           List.iter
             (fun (key, e) ->
               (* semantic integrity on top of the byte digest: the
-                 stored answer must still hash to its stored digest *)
+                 stored answer must still hash to its stored digest,
+                 and its price must be one the policy could set *)
               if answer_digest e.e_answer <> e.e_digest then
                 failwith "entry answer fails its stored digest";
-              Hashtbl.replace t.table key e)
+              if e.e_cost < 0 then failwith "entry with a negative cost";
+              if e.e_priority < s.ck_inflation then
+                failwith "entry priority below the inflation value";
+              Hashtbl.replace t.table key e;
+              place t key e ~priority:e.e_priority ~stamp:e.e_stamp)
             s.ck_entries;
           List.iter (fun (inst, a) -> Hashtbl.replace t.anchors inst a)
             s.ck_anchors;
           if Hashtbl.length t.table > s.ck_capacity then
             failwith "more entries than capacity";
+          if Order.cardinal t.order <> Hashtbl.length t.table then
+            failwith "entries repeat a key or a stamp";
           let n_anchors = List.length s.ck_anchors in
           if Hashtbl.length t.anchors <> n_anchors || n_anchors > s.ck_capacity
           then failwith "anchors repeat an instance or exceed capacity";

@@ -17,9 +17,15 @@
       share instead of waiting.  The pool's domains are spawned on
       first demand and reused by every later batch of every service;
       placements no earlier batch has keyed are keyed the same way;
-    - {e caching}: completed solves are stored in an LRU-bounded cache
+    - {e caching}: completed solves are stored in a bounded cache
       keyed by [spec digest x platform digest x request].  An exact
-      key hit replays the stored response without solving.  Each
+      key hit replays the stored response without solving.  A full
+      cache evicts by GreedyDual: the entry whose cost to solve again
+      (a deterministic count of solver work, the unit of
+      [counters.solve_cost]) plus the inflation value it was last
+      priced at is least, ties
+      to the least recently used, so a cheap answer goes before a
+      dear one asked for as recently.  Each
       instance (placement structure) keeps a warm {e anchor}: the tier
       assignment and {!Lp.Basis.t} root snapshot of its most recently
       committed {!Placed} or {!Degraded} answer.  An anchor outlives
@@ -130,6 +136,13 @@ type counters = {
   worker_deaths : int;
       (** simulated worker kills absorbed ({!Fault_plan}); each
           planned kill counts exactly once, on any shard count *)
+  solve_cost : int;
+      (** the summed cost of the solved queries, in the cache's
+          eviction unit: each one's operators times the branch & bound
+          runs its answer took (one for a rate, a failure or a search
+          that places nothing, the probe count for a search that
+          places), plus the simplex pivots of its answer's own run.
+          Deterministic, unlike their wall-clock *)
 }
 
 type response = {
@@ -210,7 +223,8 @@ val create :
   unit ->
   t
 (** A fresh service.  [capacity] (default 512) bounds the cache in
-    entries, LRU-evicted, and the warm anchors in instances; [0]
+    entries, evicted cheapest first (GreedyDual), and the warm anchors
+    in instances, the one committed longest ago going first; [0]
     disables retention entirely (every insert evicts immediately,
     keeping the counter algebra intact, and no anchor is kept).
     [options] drives every branch & bound ({!default_options});
@@ -316,14 +330,17 @@ val solve_direct :
 
     [checkpoint] persists the cache — every entry's key, answer and
     digest — and every warm anchor — its instance key, tier assignment
-    and {!Lp.Basis.t} snapshot — plus the LRU clock and cumulative
-    counters, so a restarted service plans, replays and counts
-    byte-identically to one that never died.  The file holds one
+    and {!Lp.Basis.t} snapshot — plus each entry's eviction cost,
+    priority and recency stamp, the service's inflation value, its
+    clock and cumulative counters, so a restarted service plans,
+    replays, evicts and counts byte-identically to one that never
+    died.  The file holds one
     MD5-checked value, so an anchor whose answer is resident is
     stored once, shared with that entry, and restored shared.  Each
     entry's stored answer digest is recomputed on load; any mismatch
     (corruption, truncation, a stale format, changed
-    [tol]/[max_multiplier] or solver options) degrades to a cold
+    [tol]/[max_multiplier] or solver options, a negative cost or a
+    priority below the inflation value) degrades to a cold
     cache — never to wrong answers.  The solver options are
     recorded (all but the [on_node] hook, floats bit-exactly) only to
     detect that change; they, the retry budget and the fault plan are
@@ -356,7 +373,7 @@ val restore :
 (** [restore path] loads a snapshot.  On success the cache capacity,
     clock, counters, entries and anchors come from the file
     ([?capacity] is ignored); on any integrity or staleness failure,
-    or a snapshot in an older format (v3 or earlier), the optional
+    or a snapshot in an older format (v4 or earlier), the optional
     arguments feed a fresh {!create} and the outcome says why.
     Passing [tol]/[max_multiplier], or any {!Lp.Branch_bound.options}
     field but [on_node], different (bit-exactly) from the snapshot's is

@@ -21,8 +21,9 @@
      its warm anchor outlives), two services serving one history write
      byte-identical snapshots, an anchor whose answer is resident adds
      no copy of its tiers and basis, and corrupt / truncated / stale /
-     previous-format / missing snapshots restore to a cold cache, never
-     to wrong answers;
+     previous-format / missing snapshots, and entries priced as no
+     eviction could have left them, restore to a cold cache, never to
+     wrong answers;
    - degradation: work-unit budgets surface gap-certified Degraded
      answers that are feasible and deterministic across shard counts. *)
 
@@ -276,10 +277,12 @@ let test_checkpoint_roundtrip_faulted () =
         ~retries:1 queries path)
 
 (* A history that evicts an instance's last entry before the
-   checkpoint: at capacity 3, two infeasible answers (which anchor
-   nothing) push out the x0.6 entries, the last of instance B's.  B's
-   warm anchor outlives them, so an uninterrupted service serves B
-   warm afterwards, and a restored one must plan the same way: equal
+   checkpoint: at capacity 3, three infeasible answers (which anchor
+   nothing) of 100-operator instances, each dearer than any placed
+   answer of the 12-operator A and B, push out all three placed
+   entries, the last of instance B's among them.  B's warm anchor
+   outlives them, so an uninterrupted service serves B warm
+   afterwards, and a restored one must plan the same way: equal
    digests, serve tags and counters. *)
 let test_checkpoint_roundtrip_evicted () =
   let a = synth ~n_ops:12 2 and b = synth ~n_ops:12 5 in
@@ -287,7 +290,7 @@ let test_checkpoint_roundtrip_evicted () =
     [|
       [| rate a 0.6; rate b 0.6 |];
       [| rate a 0.8 |];
-      [| rate (synth 700) 1000.; rate (synth 701) 1000. |];
+      Array.init 3 (fun i -> rate (synth ~n_ops:100 (700 + i)) 1000.);
     |]
   and after = [| [| rate a 0.7; rate b 0.7; search b |]; [| rate b 0.8 |] |] in
   let serve svc batches =
@@ -308,9 +311,14 @@ let test_checkpoint_roundtrip_evicted () =
       let expected = serve whole after in
       let victim = Service.create ~capacity:3 () in
       ignore (serve victim before);
-      Alcotest.(check string) "B's last entry is evicted"
-        "q5 h0 m5 w1 i5 e2 r3 | ok5 d0 f0 rt0 wd0"
+      Alcotest.(check string) "three placed entries are evicted"
+        "q6 h0 m6 w1 i6 e3 r3 | ok6 d0 f0 rt0 wd0"
         (pp_counters (Service.counters victim));
+      let probe = Service.create ~capacity:3 () in
+      ignore (serve probe before);
+      Alcotest.(check bool) "B's last entry is evicted" false
+        (let _, served, _ = (serve probe [| [| rate b 0.6 |] |]).(0) in
+         served.(0) = Service.Hit);
       Service.checkpoint victim path;
       match Service.restore path with
       | _, Service.Cold_start reason -> Alcotest.fail ("cold start: " ^ reason)
@@ -367,18 +375,17 @@ let test_checkpoint_rejects_damage () =
       (* not a snapshot at all *)
       write "definitely not a checkpoint\n";
       expect_cold "garbage";
-      (* the previous format, whose anchors repeat the tiers and bases
-         of their resident entries *)
+      (* the previous format, whose entries carry no cost or priority *)
       let intact = Bytes.to_string bytes in
       let eol = String.index intact '\n' in
       write
-        ("WISHBONE-SERVICE-CHECKPOINT v3"
+        ("WISHBONE-SERVICE-CHECKPOINT v4"
         ^ String.sub intact eol (String.length intact - eol));
       (match Service.restore path with
       | _, Service.Cold_start reason ->
-          Alcotest.(check string) "a v3 snapshot is named"
-            "snapshot rejected: format v3, this build reads v4" reason
-      | _, Service.Restored _ -> Alcotest.fail "a v3 snapshot restored");
+          Alcotest.(check string) "a v4 snapshot is named"
+            "snapshot rejected: format v4, this build reads v5" reason
+      | _, Service.Restored _ -> Alcotest.fail "a v4 snapshot restored");
       (* stale parameters: same bytes, different search tolerance *)
       write (Bytes.to_string bytes);
       (match Service.restore ~tol:0.05 path with
@@ -573,6 +580,88 @@ let test_checkpoint_rejects_stale_options () =
       | _, Service.Cold_start reason ->
           Alcotest.fail ("the same options went cold: " ^ reason))
 
+(* The layout [Service.checkpoint] marshals in format v5, mirrored field
+   for field (the fields this test does not touch as [Obj.t]) so the test
+   can forge a snapshot whose section digest holds but whose entry
+   prices no eviction could have set.  The unforged rewrite must
+   restore, which holds the mirror to the real layout. *)
+type forged_entry = {
+  f_answer : Obj.t;
+  f_digest : string;
+  f_cost : int;
+  f_priority : int;
+  f_stamp : int;
+}
+
+type forged = {
+  f_capacity : int;
+  f_tol : Obj.t;
+  f_max_multiplier : Obj.t;
+  f_options : Obj.t;
+  f_clock : int;
+  f_inflation : int;
+  f_counters : Obj.t;
+  f_entries : (string * forged_entry) list;
+  f_anchors : Obj.t;
+}
+
+(* A history that evicts, so the inflation value is above 0, then its
+   snapshot re-marshalled with a negative cost, and with a priority
+   below the inflation value: each restores cold, naming the fault. *)
+let test_checkpoint_rejects_forged_prices () =
+  let svc = Service.create ~capacity:3 () in
+  ignore
+    (Service.run_batch svc
+       (Array.init 6 (fun i -> rate (synth (800 + i)) 0.9)));
+  let path = tmpfile "forged.ckpt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Service.checkpoint svc path;
+      let bytes = read_file path in
+      let eol = String.index bytes '\n' in
+      let header_end = String.index_from bytes (eol + 1) '\n' in
+      let (snap : forged) = Marshal.from_string bytes (header_end + 1) in
+      Alcotest.(check bool) "the history raised the inflation value" true
+        (snap.f_inflation > 0);
+      let restore_forged (f : forged) =
+        let payload = Marshal.to_string f [] in
+        write_file path
+          (Printf.sprintf "%s\n%d %s\n%s" (String.sub bytes 0 eol)
+             (String.length payload)
+             (Digest.to_hex (Digest.string payload))
+             payload);
+        Service.restore path
+      in
+      (match restore_forged snap with
+      | _, Service.Restored n -> Alcotest.(check int) "unforged restores" 3 n
+      | _, Service.Cold_start m -> Alcotest.fail ("unforged went cold: " ^ m));
+      let reprice f =
+        {
+          snap with
+          f_entries =
+            List.mapi
+              (fun i (k, e) -> (k, if i = 0 then f e else e))
+              snap.f_entries;
+        }
+      in
+      List.iter
+        (fun (name, forged, reason) ->
+          match restore_forged forged with
+          | revived, Service.Cold_start m ->
+              Alcotest.(check string) name ("snapshot rejected: " ^ reason) m;
+              Alcotest.(check int) (name ^ ": cold") 0
+                (Service.counters revived).Service.queries
+          | _, Service.Restored _ -> Alcotest.fail (name ^ ": restored"))
+        [
+          ( "negative cost",
+            reprice (fun e -> { e with f_cost = -1 }),
+            "entry with a negative cost" );
+          ( "priority below the inflation value",
+            reprice (fun e -> { e with f_priority = snap.f_inflation - 1 }),
+            "entry priority below the inflation value" );
+        ])
+
 (* ---- degradation under work-unit budgets -------------------------- *)
 
 let test_degraded_answers () =
@@ -642,6 +731,8 @@ let () =
             test_checkpoint_rejects_damage;
           Alcotest.test_case "changed solver options fall back to cold"
             `Quick test_checkpoint_rejects_stale_options;
+          Alcotest.test_case "forged entry prices fall back to cold" `Quick
+            test_checkpoint_rejects_forged_prices;
           Alcotest.test_case "oversized section length allocates nothing"
             `Quick test_checkpoint_oversized_length;
           Alcotest.test_case "truncations and byte flips restore cold" `Quick

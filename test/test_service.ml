@@ -1,6 +1,6 @@
 (* Fleet placement service regression suite (DESIGN.md §16).
 
-   Six groups:
+   Seven groups:
    - a pinned 32-query mixed eeg14/eeg22/synthetic batch whose
      response digests must be identical for shard counts 1/2/4 and
      equal to the direct no-service solve path, with exact cache
@@ -14,9 +14,14 @@
      valid, qcheck holds the key sink's writers to [Printf], two
      domains keying at once get the sequential keys, and a placement
      mutated in place between batches is keyed afresh;
-   - LRU churn: a seeded workload against a capacity-4 cache keeps
-     the resident bound, conserves the counter algebra, and serves
-     only direct-path answers throughout;
+   - eviction: a seeded workload against a capacity-4 cache keeps the
+     resident bound, conserves the counter algebra, and serves only
+     direct-path answers throughout; the cache keeps the answers that
+     cost most to solve again (a search outlives cheaper rate answers,
+     equal priorities go least recent first, a new entry is never its
+     own victim, capacity 0 keeps nothing), and a seeded stream that
+     evicts answers, counts and keeps the same entries on 1, 2 and 4
+     shards and across a checkpoint;
    - warm hints: a seed that is infeasible at the queried rate is
      dropped, so a warm solve answers as the cold one does, and an
      instance's warm anchor outlives the eviction of its answers,
@@ -26,8 +31,8 @@
      once answer as they do one after the other, an exception
      raised on a worker reaches the caller, and a batch asking for
      more shards than OCaml has domains is refused untouched;
-   - requests at the edge of the grammar: a NaN rate fails and is not
-     cached, and a service with [tol] 0 answers a search. *)
+   - requests at the edge of the grammar: a NaN rate fails at once and
+     is not cached, and a service with [tol] 0 answers a search. *)
 
 open Wishbone
 
@@ -476,9 +481,29 @@ let test_mutation_rekeyed () =
         first.Service.digest third.Service.digest)
     mutations
 
-(* ---- LRU churn under a seeded workload ---------------------------- *)
+(* ---- eviction ------------------------------------------------------ *)
 
-let test_lru_churn () =
+let pp_counters (c : Service.counters) =
+  Printf.sprintf "q%d h%d m%d w%d i%d e%d r%d | ok%d d%d f%d rt%d wd%d | sc%d"
+    c.Service.queries c.Service.hits c.Service.misses c.Service.warm_starts
+    c.Service.inserts c.Service.evictions c.Service.resident c.Service.ok
+    c.Service.degraded c.Service.failed c.Service.retries
+    c.Service.worker_deaths c.Service.solve_cost
+
+(* [got] answers as [expected] does, batch by batch: digests, serve
+   tags and counters *)
+let check_served name expected got =
+  Array.iteri
+    (fun b (d, s, c) ->
+      let d', s', c' = got.(b) in
+      let label what = Printf.sprintf "%s, batch %d: %s" name b what in
+      Alcotest.(check (array string)) (label "digests") d d';
+      Alcotest.(check bool) (label "serve tags") true (s = s');
+      Alcotest.(check string) (label "counters") c c')
+    expected
+
+
+let test_churn () =
   let capacity = 4 in
   let svc = Service.create ~capacity () in
   let rng = Prng.create 99 in
@@ -509,6 +534,147 @@ let test_lru_churn () =
   Alcotest.(check int) "every query counted" !total c.Service.queries;
   Alcotest.(check bool) "churn evicted something" true
     (c.Service.evictions > 0)
+
+(* [queries] served one batch each, returning their serve tags *)
+let served_each svc queries =
+  List.map
+    (fun qu -> (Service.run_batch svc [| qu |]).(0).Service.served)
+    queries
+
+let is_hit s = s = Service.Hit
+
+(* the eviction cost of [qu], served alone as a miss *)
+let cost_of svc qu =
+  let before = (Service.counters svc).Service.solve_cost in
+  ignore (served_each svc [ qu ]);
+  (Service.counters svc).Service.solve_cost - before
+
+(* At capacity 2 a search, whose answer took one solve per probe,
+   outlives two rate answers that took one solve each: the second rate
+   insert evicts the first rate answer, where recency alone would have
+   evicted the search, the least recent entry. *)
+let test_search_outlives_rates () =
+  let x = synth 31 and a = synth 32 and b = synth 33 in
+  let svc = Service.create ~capacity:2 () in
+  let cx = cost_of svc (search x) in
+  let ca = cost_of svc (rate a 0.9) in
+  let cb = cost_of svc (rate b 0.9) in
+  Alcotest.(check bool) "the search costs more than each rate answer" true
+    (cx > ca && cx > cb);
+  Alcotest.(check int) "one eviction" 1
+    (Service.counters svc).Service.evictions;
+  match served_each svc [ search x; rate b 0.9; rate a 0.9 ] with
+  | [ sx; sb; sa ] ->
+      Alcotest.(check bool) "the search is still cached" true (is_hit sx);
+      Alcotest.(check bool) "so is the newer rate answer" true (is_hit sb);
+      Alcotest.(check bool) "the older rate answer went" false (is_hit sa)
+  | _ -> assert false
+
+(* Equal costs give equal priorities, and ties evict the entry asked
+   for least recently.  An infeasible rate costs its operators alone,
+   so three 8-operator instances far past their feasible rate cost
+   alike.  At capacity 2, C's insert evicts A (inserted before B); a
+   hit on B makes C the least recent of the two left, so A's
+   re-insert evicts C. *)
+let test_ties_evict_least_recent () =
+  let a = synth 41 and b = synth 42 and c = synth 43 in
+  let svc = Service.create ~capacity:2 () in
+  let costs = List.map (fun pl -> cost_of svc (rate pl 1e4)) [ a; b; c ] in
+  Alcotest.(check (list int)) "equal costs" [ 8; 8; 8 ] costs;
+  match
+    served_each svc [ rate b 1e4; rate a 1e4; rate b 1e4; rate c 1e4 ]
+  with
+  | [ b1; a1; b2; c1 ] ->
+      Alcotest.(check bool) "B is kept" true (is_hit b1);
+      Alcotest.(check bool) "A, the least recent, went" false (is_hit a1);
+      Alcotest.(check bool) "B, hit since, is kept" true (is_hit b2);
+      Alcotest.(check bool) "C, the least recent now, went" false (is_hit c1)
+  | _ -> assert false
+
+(* A new entry is priced after the eviction it causes, so it is never
+   its own victim: at capacity 1 a cheap rate answer still takes the
+   place of a dear search answer.  Capacity 0 keeps nothing. *)
+let test_new_entry_kept () =
+  let x = synth 51 and a = synth 52 in
+  let one = Service.create ~capacity:1 () in
+  (match served_each one [ search x; rate a 0.9; rate a 0.9; search x ] with
+  | [ _; _; a2; x2 ] ->
+      Alcotest.(check bool) "the rate answer is kept" true (is_hit a2);
+      Alcotest.(check bool) "the search went" false (is_hit x2)
+  | _ -> assert false);
+  let none = Service.create ~capacity:0 () in
+  let twice = [ rate a 0.9; search x; rate a 0.9; search x ] in
+  let tags = served_each none twice in
+  let c = Service.counters none in
+  Alcotest.(check bool) "capacity 0: no hit" false (List.exists is_hit tags);
+  Alcotest.(check (list int)) "capacity 0: inserts, evictions, resident"
+    [ 4; 4; 0 ]
+    [ c.Service.inserts; c.Service.evictions; c.Service.resident ]
+
+(* A seeded stream over instances of 6 to 12 operators, whose rates
+   and searches cost from 6 to a few hundred, at a capacity that
+   evicts: shards 1, 2 and 4, and a service checkpointed and restored
+   mid-stream, give the same responses and counters after every batch
+   and end with the same resident entries, priced alike (equal
+   snapshot bytes). *)
+let test_stream_deterministic () =
+  let rng = Prng.create 17 in
+  let instances =
+    Array.init 10 (fun i ->
+        Placement.of_spec
+          (Apps.Synthetic.random_spec ~seed:(300 + i)
+             ~n_ops:(6 + (i mod 7)) ()))
+  in
+  let batches =
+    Array.init 24 (fun _ ->
+        Array.init (3 + Prng.int rng 4) (fun _ ->
+            let pl = instances.(Prng.int rng 10) in
+            if Prng.bool rng 0.25 then search pl
+            else rate pl (0.7 +. (0.15 *. Float.of_int (Prng.int rng 4)))))
+  in
+  let capacity = 5 in
+  let path = Filename.temp_file "stream" ".ckpt" in
+  let snapshot svc =
+    Service.checkpoint svc path;
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let run ~shards ?(restart_at = -1) () =
+    let svc = ref (Service.create ~capacity ()) in
+    let out =
+      Array.mapi
+        (fun b batch ->
+          if b = restart_at then begin
+            ignore (snapshot !svc);
+            match Service.restore path with
+            | revived, Service.Restored _ -> svc := revived
+            | _, Service.Cold_start m -> Alcotest.fail ("cold start: " ^ m)
+          end;
+          let r = Service.run_batch ~shards !svc batch in
+          ( digests r,
+            Array.map (fun (r : Service.response) -> r.Service.served) r,
+            pp_counters (Service.counters !svc) ))
+        batches
+    in
+    (out, snapshot !svc, Service.counters !svc)
+  in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let expected, final, c = run ~shards:1 () in
+      Alcotest.(check bool) "the stream evicts" true (c.Service.evictions > 0);
+      List.iter
+        (fun (name, (got, final', _)) ->
+          check_served name expected got;
+          Alcotest.(check bool) (name ^ ": same resident entries") true
+            (final = final'))
+        [
+          ("shards=2", run ~shards:2 ());
+          ("shards=4", run ~shards:4 ());
+          ("restored at batch 12", run ~shards:2 ~restart_at:12 ());
+        ])
 
 (* ---- warm hints never change answers ------------------------------ *)
 
@@ -593,13 +759,6 @@ let test_anchor_outlives_eviction () =
 
 (* ---- the worker pool ---------------------------------------------- *)
 
-let pp_counters (c : Service.counters) =
-  Printf.sprintf "q%d h%d m%d w%d i%d e%d r%d | ok%d d%d f%d rt%d wd%d"
-    c.Service.queries c.Service.hits c.Service.misses c.Service.warm_starts
-    c.Service.inserts c.Service.evictions c.Service.resident c.Service.ok
-    c.Service.degraded c.Service.failed c.Service.retries
-    c.Service.worker_deaths
-
 (* [n] batches of four queries over placements no earlier batch used,
    so every query is a cold solve *)
 let fresh_batches ~first n =
@@ -622,16 +781,6 @@ let serve ~shards svc batches =
         Array.map (fun (r : Service.response) -> r.Service.served) responses,
         pp_counters (Service.counters svc) ))
     batches
-
-let check_served name expected got =
-  Array.iteri
-    (fun b (d, s, c) ->
-      let d', s', c' = got.(b) in
-      let label what = Printf.sprintf "%s, batch %d: %s" name b what in
-      Alcotest.(check (array string)) (label "digests") d d';
-      Alcotest.(check bool) (label "serve tags") true (s = s');
-      Alcotest.(check string) (label "counters") c c')
-    expected
 
 (* The pool's workers are reused by every batch and every service:
    sixty faulted batches on 2, then 4 (the pool grows), then 2 shards on
@@ -728,7 +877,8 @@ let test_shards_past_domain_limit () =
     (digests served)
 
 (* [Spec.scale_rate] rejects NaN, so the supervisor contains the
-   exception into [Failed], which is never cached *)
+   exception into [Failed], which is never cached.  Every attempt
+   would fail the same way, so none is retried. *)
 let test_nan_rate_fails () =
   let svc = Service.create () in
   let served = Service.run_batch svc [| rate (synth 1) Float.nan |] in
@@ -736,7 +886,8 @@ let test_nan_rate_fails () =
   | Service.Failed _ -> ()
   | _ -> Alcotest.fail "a NaN rate must be answered failed");
   Alcotest.(check int) "nothing resident" 0
-    (Service.counters svc).Service.resident
+    (Service.counters svc).Service.resident;
+  Alcotest.(check int) "not retried" 0 (Service.counters svc).Service.retries
 
 (* bisection stops at adjacent floats, so a zero [tol] returns *)
 let test_zero_tol_search () =
@@ -776,8 +927,18 @@ let () =
           Alcotest.test_case "in-place mutation between batches is re-keyed"
             `Quick test_mutation_rekeyed;
         ] );
-      ( "lru",
-        [ Alcotest.test_case "seeded churn" `Quick test_lru_churn ] );
+      ( "eviction",
+        [
+          Alcotest.test_case "seeded churn" `Quick test_churn;
+          Alcotest.test_case "a search outlives cheaper answers" `Quick
+            test_search_outlives_rates;
+          Alcotest.test_case "ties evict the least recent entry" `Quick
+            test_ties_evict_least_recent;
+          Alcotest.test_case "a new entry is never its own victim" `Quick
+            test_new_entry_kept;
+          Alcotest.test_case "shards and restore evict alike" `Quick
+            test_stream_deterministic;
+        ] );
       ( "warm-hints",
         [
           Alcotest.test_case "infeasible seed gives the cold answer" `Quick
